@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -145,11 +144,37 @@ def _scalar(report, name, value, n=1):
     report.add(Estimate(name, v, v, v, n))
 
 
+def _ks_table(rep, seed, samplers, ref, bound, reps):
+    """KS of each (n, sampler) law, sampled on stream + 1 + i, against ref,
+    plus the "decreasing in n" and "last within bound" flags."""
+    stats = []
+    for i, (n, sampler) in enumerate(samplers):
+        vals = sampler(SeedSpec(seed.seed, seed.stream + 1 + i))
+        ks, p = ks_two_sample(vals, ref)
+        stats.append(ks)
+        _scalar(rep, f"ks_n{n}", ks, reps)
+        _scalar(rep, f"ks_p_n{n}", p, reps)
+    _flag(rep, "ks_decreasing", all(b <= a for a, b in zip(stats, stats[1:])), reps)
+    _flag(rep, "ks_final_within_bound", stats[-1] <= bound, reps)
+
+
+def _w1_table(rep, ns, laws, limit, bound, reps):
+    """W1 between the laws at consecutive n and from the last one to the
+    limit, plus the "decreasing in n" and "limit within bound" flags."""
+    w1s = [wasserstein1(a, b) for a, b in zip(laws, laws[1:])]
+    for (na, nb), w in zip(zip(ns, ns[1:]), w1s):
+        _scalar(rep, f"w1_n{na}_n{nb}", w, reps)
+    wl = wasserstein1(laws[-1], limit)
+    _scalar(rep, f"w1_limit_n{ns[-1]}", wl, reps)
+    _flag(rep, "w1_decreasing", all(b <= a for a, b in zip(w1s, w1s[1:])), reps)
+    _flag(rep, "w1_limit_within_bound", wl <= bound, reps)
+
+
 # ---------------------------------------------------------------------------
 # scenario handlers (config dict -> DiagnosticReport)
 
 
-def _run_simulate(cfg, seed, reps, out_dir, threads):
+def _run_simulate(cfg, seed, reps, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n", "csv_paths"}, "config")
     T = float(cfg.get("horizon", 1.0))
     proc = _build_process(cfg["process"], cfg.get("n", 100))
@@ -170,14 +195,13 @@ def _run_simulate(cfg, seed, reps, out_dir, threads):
 
     if k > 0:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-            counts = list(ex.map(one, range(k)))
+        counts = [one(i) for i in range(k)]
         _scalar(rep, "csv_paths_written", k, k)
         _scalar(rep, "csv_mean_jumps", float(np.mean(counts)), k)
     return rep
 
 
-def _run_attraction(cfg, seed, reps, out_dir, threads):
+def _run_attraction(cfg, seed, reps, out_dir):
     _check_keys(
         cfg,
         _COMMON_KEYS
@@ -226,19 +250,11 @@ def _run_attraction(cfg, seed, reps, out_dir, threads):
     else:
         raise ParameterError(f"unknown attraction target {target!r}", tag="PARAM_CONFIG")
 
-    stats = []
-    for i, (n, sampler) in enumerate(samplers):
-        vals = sampler(SeedSpec(seed.seed, seed.stream + 1 + i))
-        ks, p = ks_two_sample(vals, ref)
-        stats.append(ks)
-        _scalar(rep, f"ks_n{n}", ks, reps)
-        _scalar(rep, f"ks_p_n{n}", p, reps)
-    _flag(rep, "ks_decreasing", all(b <= a for a, b in zip(stats, stats[1:])), reps)
-    _flag(rep, "ks_final_within_bound", stats[-1] <= bound, reps)
+    _ks_table(rep, seed, samplers, ref, bound, reps)
     return rep
 
 
-def _run_gd(cfg, seed, reps, out_dir, threads):
+def _run_gd(cfg, seed, reps, out_dir):
     _check_keys(
         cfg, _COMMON_KEYS | {"process", "n_list", "a", "r_grid", "c_grid"}, "config"
     )
@@ -276,7 +292,7 @@ def _run_gd(cfg, seed, reps, out_dir, threads):
     return rep
 
 
-def _run_gdca(cfg, seed, reps, out_dir, threads):
+def _run_gdca(cfg, seed, reps, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n_list", "gamma"}, "config")
     T = float(cfg.get("horizon", 1.0))
     ns = _n_list(cfg)
@@ -295,7 +311,7 @@ def _run_gdca(cfg, seed, reps, out_dir, threads):
     return rep
 
 
-def _run_gdci(cfg, seed, reps, out_dir, threads):
+def _run_gdci(cfg, seed, reps, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n_list", "gamma", "window", "pool"}, "config")
     ns = _n_list(cfg)
     K = float(cfg.get("window", 1.0))
@@ -326,7 +342,7 @@ def _limit_z_params(proc):
     return StableParams(p.alpha, p.skew, p.scale * proc.psi)
 
 
-def _run_integrals(cfg, seed, reps, out_dir, threads):
+def _run_integrals(cfg, seed, reps, out_dir):
     _check_keys(
         cfg,
         _COMMON_KEYS | {"process", "n_list", "integrand", "grid_step", "ks_bound", "upsilon"},
@@ -347,9 +363,7 @@ def _run_integrals(cfg, seed, reps, out_dir, threads):
 
     if kind == "deterministic":
         fn = make_expr(spec.get("expr", "tanh(t)"), ("t",))
-        samplers = [
-            (n, lambda p, s, f=fn: deterministic_integral_samples(p, T, reps, s, f)) for n in ns
-        ]
+        sample = lambda p, s: deterministic_integral_samples(p, T, reps, s, fn)
         limit = tc_grid_integral_samples(
             alpha, beta, T, reps, SeedSpec(seed.seed, seed.stream + 900),
             grid_step=grid_step, fn=fn, z_params=zp,
@@ -359,15 +373,7 @@ def _run_integrals(cfg, seed, reps, out_dir, threads):
         C = float(spec.get("slope", 1.0))
         gamma = float(spec.get("gamma", 0.5 * beta / alpha))
         _scalar(rep, "gamma", gamma, reps)
-        samplers = [
-            (
-                n,
-                lambda p, s, b=base: follower_integral_samples(
-                    p, T, reps, s, base=b, C=C, gamma=gamma
-                ),
-            )
-            for n in ns
-        ]
+        sample = lambda p, s: follower_integral_samples(p, T, reps, s, base=base, C=C, gamma=gamma)
         limit = tc_grid_integral_samples(
             alpha, beta, T, reps, SeedSpec(seed.seed, seed.stream + 900),
             grid_step=grid_step, base=base, z_params=zp,
@@ -375,16 +381,8 @@ def _run_integrals(cfg, seed, reps, out_dir, threads):
     else:
         raise ParameterError(f"unknown integrand type {kind!r}", tag="PARAM_CONFIG")
 
-    stats = []
-    for i, (n, sampler) in enumerate(samplers):
-        proc = _build_process(cfg["process"], n)
-        vals = sampler(proc, SeedSpec(seed.seed, seed.stream + 1 + i))
-        ks, p = ks_two_sample(vals, limit)
-        stats.append(ks)
-        _scalar(rep, f"ks_n{n}", ks, reps)
-        _scalar(rep, f"ks_p_n{n}", p, reps)
-    _flag(rep, "ks_decreasing", all(b <= a for a, b in zip(stats, stats[1:])), reps)
-    _flag(rep, "ks_final_within_bound", stats[-1] <= bound, reps)
+    samplers = [(n, lambda s, n=n: sample(_build_process(cfg["process"], n), s)) for n in ns]
+    _ks_table(rep, seed, samplers, limit, bound, reps)
 
     ups = cfg.get("upsilon")
     if ups:
@@ -402,8 +400,7 @@ def _run_integrals(cfg, seed, reps, out_dir, threads):
                 for j in range(ureps)
             ]
 
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-            bundles_by_n = dict(ex.map(bundles_for, enumerate(ns)))
+        bundles_by_n = dict(map(bundles_for, enumerate(ns)))
         if kind == "deterministic":
             factory = lambda b: DeterministicIntegrand(lambda t: fn(t))
         else:
@@ -414,7 +411,7 @@ def _run_integrals(cfg, seed, reps, out_dir, threads):
     return rep
 
 
-def _run_adversarial(cfg, seed, reps, out_dir, threads):
+def _run_adversarial(cfg, seed, reps, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n_list"}, "config")
     T = float(cfg.get("horizon", 1.0))
     proc = _build_process(cfg["process"], _n_list(cfg)[0])
@@ -423,7 +420,7 @@ def _run_adversarial(cfg, seed, reps, out_dir, threads):
     return rep
 
 
-def _run_sde(cfg, seed, reps, out_dir, threads):
+def _run_sde(cfg, seed, reps, out_dir):
     _check_keys(
         cfg,
         _COMMON_KEYS
@@ -460,17 +457,11 @@ def _run_sde(cfg, seed, reps, out_dir, threads):
         spec, alpha, beta, T, reps, SeedSpec(seed.seed, seed.stream + 900),
         grid_step=float(cfg.get("grid_step", 2.0**-10)), mode=mode,
     )
-    w1s = [wasserstein1(a, b) for a, b in zip(laws, laws[1:])]
-    for (na, nb), w in zip(zip(ns, ns[1:]), w1s):
-        _scalar(rep, f"w1_n{na}_n{nb}", w, reps)
-    wl = wasserstein1(laws[-1], limit)
-    _scalar(rep, f"w1_limit_n{ns[-1]}", wl, reps)
-    _flag(rep, "w1_decreasing", all(b <= a for a, b in zip(w1s, w1s[1:])), reps)
-    _flag(rep, "w1_limit_within_bound", wl <= float(cfg.get("w1_bound", 0.05)), reps)
+    _w1_table(rep, ns, laws, limit, float(cfg.get("w1_bound", 0.05)), reps)
     return rep
 
 
-def _run_sdde(cfg, seed, reps, out_dir, threads):
+def _run_sdde(cfg, seed, reps, out_dir):
     _check_keys(
         cfg,
         _COMMON_KEYS
@@ -502,13 +493,7 @@ def _run_sdde(cfg, seed, reps, out_dir, threads):
         spec, alpha, T, reps, SeedSpec(seed.seed, seed.stream + 900),
         grid_step=float(cfg.get("grid_step", 2.0**-10)), mode=mode,
     )
-    w1s = [wasserstein1(a, b) for a, b in zip(laws, laws[1:])]
-    for (na, nb), w in zip(zip(ns, ns[1:]), w1s):
-        _scalar(rep, f"w1_n{na}_n{nb}", w, reps)
-    wl = wasserstein1(laws[-1], limit)
-    _scalar(rep, f"w1_limit_n{ns[-1]}", wl, reps)
-    _flag(rep, "w1_decreasing", all(b <= a for a, b in zip(w1s, w1s[1:])), reps)
-    _flag(rep, "w1_limit_within_bound", wl <= float(cfg.get("w1_bound", 0.05)), reps)
+    _w1_table(rep, ns, laws, limit, float(cfg.get("w1_bound", 0.05)), reps)
     return rep
 
 
@@ -520,7 +505,7 @@ def _random_step_path(gen, T, max_breaks):
     return StepPath(times, vals, T)
 
 
-def _run_metrics(cfg, seed, reps, out_dir, threads):
+def _run_metrics(cfg, seed, reps, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"breakpoints", "witness_n"}, "config")
     T = float(cfg.get("horizon", 1.0))
     kmax = int(cfg.get("breakpoints", 6))
@@ -620,7 +605,7 @@ def load_config(path):
     return cfg
 
 
-def run_scenario(cfg, seed=None, reps=None, out=None, threads=1):
+def run_scenario(cfg, seed=None, reps=None, out=None):
     """Run one scenario dict and write its report; returns the report."""
     kind = cfg.get("kind")
     if kind not in _KINDS:
@@ -632,7 +617,7 @@ def run_scenario(cfg, seed=None, reps=None, out=None, threads=1):
     if reps < 1:
         raise ParameterError("replications must be >= 1", tag="PARAM_CONFIG")
     out = Path(out) if out else Path(f"{kind}_report.json")
-    report = _HANDLERS[kind](cfg, seed_spec, reps, out.parent, threads)
+    report = _HANDLERS[kind](cfg, seed_spec, reps, out.parent)
     emit_report(report, out)
     return report
 
@@ -650,7 +635,6 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--reps", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -667,7 +651,7 @@ def main(argv=None):
                 f"config kind {kind!r} does not match diagnose target {args.what!r}",
                 tag="PARAM_KIND",
             )
-        run_scenario(cfg, seed=args.seed, reps=args.reps, out=args.out, threads=args.threads)
+        run_scenario(cfg, seed=args.seed, reps=args.reps, out=args.out)
         return 0
     except (ParameterError, RangeError, ShapeError) as exc:
         print(f"{exc.tag}: {exc}", file=sys.stderr)

@@ -19,8 +19,15 @@ import numpy as np
 
 from .errors import AdaptednessViolation, DataError, ParameterError, ShapeError
 from .paths import GridPath, StepPath
-from .processes import INNOVATION_LANE, WAIT_LANE, iter_ctrw_chunks
-from .rng import InnovationLaw, StableParams, attractor_params, draw_stable, wait_attractor_scale
+from .processes import (
+    INNOVATION_LANE,
+    WAIT_LANE,
+    _d_law,
+    _t_nodes,
+    _time_changed_block,
+    _z_law,
+    iter_ctrw_chunks,
+)
 from .stats import DiagnosticReport, Estimate, mean_estimate
 
 
@@ -495,37 +502,21 @@ def tc_grid_integral_samples(
     """
     if (fn is None) == (base is None):
         raise ParameterError("pass exactly one of fn (time) or base (state)")
-    if z_params is None:
-        z_params = attractor_params(
-            InnovationLaw(alpha, "gaussian" if alpha == 2.0 else mode)
-        )
-    if increment_scale is None:
-        increment_scale = wait_attractor_scale(beta)
+    z_law = _z_law(alpha, z_params, mode)
+    d_law = _d_law(beta, increment_scale)
     h = float(grid_step)
-    d_params = StableParams(beta, 1.0, increment_scale * h ** (1.0 / beta))
-    z_inc_params = StableParams(
-        z_params.alpha, z_params.skew, z_params.scale * h ** (1.0 / z_params.alpha)
-    )
-    nodes = np.arange(int(math.floor(T / h + 1e-9)) + 1) * h
+    nodes = _t_nodes(T, h)
     hv_time = np.asarray(fn(nodes[:-1]), dtype=float) if fn is not None else None
-    block = max(64, int(1.3 * T / h) + 64)
     out = np.empty(reps)
-    lo = 0
     for start in range(0, reps, chunk):
         m = min(chunk, reps - start)
-        dgen = seed.generator((WAIT_LANE, start))
-        zgen = seed.generator((INNOVATION_LANE, start))
-        D = np.cumsum(draw_stable(d_params, dgen, (m, block)), axis=1)
-        while not np.all(D[:, -1] > T):
-            more = draw_stable(d_params, dgen, (m, max(64, block // 4)))
-            D = np.concatenate([D, np.cumsum(more, axis=1) + D[:, -1:]], axis=1)
-        width = int((D <= T).sum(axis=1).max()) + 1
-        zinc = draw_stable(z_inc_params, zgen, (m, width))
-        zcum = np.concatenate([np.zeros((m, 1)), np.cumsum(zinc, axis=1)], axis=1)
+        counts, zcum = _time_changed_block(
+            d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
+            seed.generator((INNOVATION_LANE, start)), nodes,
+        )
         for r in range(m):
-            idx = np.searchsorted(D[r], nodes, side="right")
-            w = zcum[r, idx]
+            w = zcum[r, counts[r]]
             hv = hv_time if fn is not None else np.asarray(base(w[:-1]), dtype=float)
-            out[lo + r] = float(np.dot(hv, np.diff(w)))
-        lo += m
+            out[start + r] = float(np.dot(hv, np.diff(w)))
+        del counts, zcum
     return out

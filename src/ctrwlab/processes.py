@@ -322,19 +322,63 @@ def driver_paths(bundle):
     return dn, bundle.x
 
 
-def _subordinator_nodes(beta, T, h, gen, increment_scale, block=None):
-    """Cumulative subordinator values on the h-grid, cut just past level T."""
-    params = StableParams(beta, 1.0, increment_scale * h ** (1.0 / beta))
-    block = block or max(64, int(1.5 * T / h) + 64)
-    vals = []
-    total = 0.0
-    while total <= T:
-        inc = draw_stable(params, gen, block)
-        vals.append(inc)
-        total += float(inc.sum())
-    cum = np.cumsum(np.concatenate(vals) if len(vals) > 1 else vals[0])
-    stop = int(np.searchsorted(cum, T, side="right")) + 1
-    return cum[:stop]
+def _step_law(law, h):
+    """Increment law over a grid step h of the strictly stable Levy process
+    with unit-time law `law` (self-similarity; any shift is dropped)."""
+    return StableParams(law.alpha, law.skew, law.scale * h ** (1.0 / law.alpha))
+
+
+def _z_law(alpha, z_params, mode):
+    """Unit-time law of the outer process Z; defaults to the stable attractor
+    of the package's Pareto(alpha) innovations (gaussian at alpha = 2)."""
+    if z_params is None:
+        return attractor_params(InnovationLaw(alpha, "gaussian" if alpha == 2.0 else mode))
+    return z_params
+
+
+def _d_law(beta, increment_scale):
+    """Unit-time law of the beta-stable subordinator D; defaults to the
+    attractor of the package's Pareto(beta) waits."""
+    if increment_scale is None:
+        increment_scale = wait_attractor_scale(beta)
+    return StableParams(beta, 1.0, increment_scale)
+
+
+def _first_passage(d_inc, T, h, m, gen):
+    """Levels of m subordinator paths on the s-grid, drawn in blocks with
+    increments `d_inc` until every row has passed T: D[r, i] is row r's
+    level at s = (i + 1) h."""
+    block = max(64, int(1.3 * T / h) + 64)
+    D = np.cumsum(draw_stable(d_inc, gen, (m, block)), axis=1)
+    while not np.all(D[:, -1] > T):
+        more = draw_stable(d_inc, gen, (m, max(64, block // 4)))
+        D = np.concatenate([D, np.cumsum(more, axis=1) + D[:, -1:]], axis=1)
+    return D
+
+
+def _time_changed_block(d_law, z_law, T, h, m, dgen, zgen, nodes):
+    """The grid time change for m replications: (counts, zcum).
+
+    counts[r, j] is the number of subordinator levels at or below nodes[j],
+    so counts + 1 is the grid inverse inf{s: D_s > t} in steps of h.
+    zcum[r, k] is Z at s = k h (zcum[:, 0] = 0), up to one step past the
+    first passage over T. D and Z are independent, with unit-time laws
+    d_law and z_law.
+    """
+    D = _first_passage(_step_law(d_law, h), T, h, m, dgen)
+    width = int((D <= T).sum(axis=1).max()) + 1
+    counts = np.empty((m, nodes.size), dtype=np.intp)
+    for r in range(m):
+        counts[r] = np.searchsorted(D[r], nodes, side="right")
+    del D
+    zinc = draw_stable(_step_law(z_law, h), zgen, (m, width))
+    zcum = np.concatenate([np.zeros((m, 1)), np.cumsum(zinc, axis=1)], axis=1)
+    return counts, zcum
+
+
+def _t_nodes(T, h):
+    """The t-grid 0, h, ..., floor(T / h) h."""
+    return np.arange(int(math.floor(T / h + 1e-9)) + 1) * h
 
 
 def gen_subordinator_inverse(beta, T, grid_step, seed, increment_scale=1.0):
@@ -350,11 +394,11 @@ def gen_subordinator_inverse(beta, T, grid_step, seed, increment_scale=1.0):
     if grid_step <= 0 or T <= 0:
         raise ParameterError("grid step and horizon must be > 0")
     h = float(grid_step)
-    cum = _subordinator_nodes(beta, T, h, seed.generator(WAIT_LANE), increment_scale)
-    d_vals = np.concatenate([[0.0], cum])
+    d_inc = _step_law(_d_law(beta, increment_scale), h)
+    D = _first_passage(d_inc, T, h, 1, seed.generator(WAIT_LANE))[0]
+    d_vals = np.concatenate([[0.0], D[: int(np.searchsorted(D, T, side="right")) + 1]])
     d = GridPath(d_vals, h, interp="const")
-    t_nodes = np.arange(int(math.floor(T / h + 1e-9)) + 1) * h
-    idx = np.searchsorted(d_vals, t_nodes, side="right")
+    idx = np.searchsorted(d_vals, _t_nodes(T, h), side="right")
     d_inv = GridPath(idx * h, h, horizon=T, interp="linear")
     return d, d_inv
 
@@ -392,27 +436,18 @@ def gen_time_changed_levy(
     """
     if grid_step <= 0 or T <= 0:
         raise ParameterError("grid step and horizon must be > 0")
-    if z_params is None:
-        z_params = attractor_params(
-            InnovationLaw(alpha, "gaussian" if alpha == 2.0 else mode)
-        )
-    if increment_scale is None:
-        increment_scale = wait_attractor_scale(beta)
+    z_law = _z_law(alpha, z_params, mode)
+    d_law = _d_law(beta, increment_scale)
     h = float(grid_step)
-    cum = _subordinator_nodes(beta, T, h, seed.generator(WAIT_LANE), increment_scale)
-    d_vals = np.concatenate([[0.0], cum])
-    z_inc_params = StableParams(
-        z_params.alpha, z_params.skew, z_params.scale * h ** (1.0 / z_params.alpha)
+    counts, zcum = _time_changed_block(
+        d_law, z_law, T, h, 1, seed.generator(WAIT_LANE),
+        seed.generator(INNOVATION_LANE), _t_nodes(T, h),
     )
-    z_inc = draw_stable(z_inc_params, seed.generator(INNOVATION_LANE), d_vals.size - 1)
-    z = GridPath(np.concatenate([[0.0], np.cumsum(z_inc)]), h, interp="const")
-    t_nodes = np.arange(int(math.floor(T / h + 1e-9)) + 1) * h
-    idx = np.searchsorted(d_vals, t_nodes, side="right")
+    idx = counts[0] + 1
     # the grid inverse rounds D^{-1}_0 up to h, but the composed path starts
     # at Z_{0+} = 0 in the continuum; pin the origin exactly
     idx[0] = 0
-    d_inv = GridPath(idx * h, h, horizon=T, interp="linear")
-    return compose_time_change(z, d_inv)
+    return GridPath(zcum[0, idx], h, horizon=T, interp="const")
 
 
 # ---------------------------------------------------------------------------
@@ -561,34 +596,19 @@ def terminal_time_changed_samples(
     chunk=500,
 ):
     """Z_{D^(-1)_T} samples (vectorised); defaults as in gen_time_changed_levy."""
-    if z_params is None:
-        z_params = attractor_params(
-            InnovationLaw(alpha, "gaussian" if alpha == 2.0 else mode)
-        )
-    if increment_scale is None:
-        increment_scale = wait_attractor_scale(beta)
+    z_law = _z_law(alpha, z_params, mode)
+    d_law = _d_law(beta, increment_scale)
     h = float(grid_step)
-    d_params = StableParams(beta, 1.0, increment_scale * h ** (1.0 / beta))
-    z_inc_params = StableParams(
-        z_params.alpha, z_params.skew, z_params.scale * h ** (1.0 / z_params.alpha)
-    )
-    block = max(64, int(1.3 * T / h) + 64)
+    at_T = np.array([float(T)])
     out = np.empty(reps)
-    lo = 0
     for start in range(0, reps, chunk):
         m = min(chunk, reps - start)
-        dgen = seed.generator((WAIT_LANE, start))
-        zgen = seed.generator((INNOVATION_LANE, start))
-        D = np.cumsum(draw_stable(d_params, dgen, (m, block)), axis=1)
-        while not np.all(D[:, -1] > T):
-            more = draw_stable(d_params, dgen, (m, max(64, block // 4)))
-            D = np.concatenate([D, np.cumsum(more, axis=1) + D[:, -1:]], axis=1)
-        # D value at s-node i (i >= 1) is D[:, i-1]; first passage over T
-        ncross = (D <= T).sum(axis=1) + 1
-        zinc = draw_stable(z_inc_params, zgen, (m, int(ncross.max())))
-        zcum = np.cumsum(zinc, axis=1)
-        out[lo : lo + m] = zcum[np.arange(m), ncross - 1]
-        lo += m
+        counts, zcum = _time_changed_block(
+            d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
+            seed.generator((INNOVATION_LANE, start)), at_T,
+        )
+        out[start : start + m] = zcum[np.arange(m), counts[:, 0] + 1]
+        del counts, zcum
     return out
 
 
@@ -596,21 +616,12 @@ def terminal_inverse_subordinator_samples(
     beta, T, reps, seed, grid_step=2.0**-12, increment_scale=None, chunk=500
 ):
     """D^(-1)_T samples on the grid (vectorised), defaults as above."""
-    if increment_scale is None:
-        increment_scale = wait_attractor_scale(beta)
     h = float(grid_step)
-    d_params = StableParams(beta, 1.0, increment_scale * h ** (1.0 / beta))
-    block = max(64, int(1.3 * T / h) + 64)
+    d_inc = _step_law(_d_law(beta, increment_scale), h)
     out = np.empty(reps)
-    lo = 0
     for start in range(0, reps, chunk):
         m = min(chunk, reps - start)
-        dgen = seed.generator((WAIT_LANE, start))
-        D = np.cumsum(draw_stable(d_params, dgen, (m, block)), axis=1)
-        while not np.all(D[:, -1] > T):
-            more = draw_stable(d_params, dgen, (m, max(64, block // 4)))
-            D = np.concatenate([D, np.cumsum(more, axis=1) + D[:, -1:]], axis=1)
-        ncross = (D <= T).sum(axis=1) + 1
-        out[lo : lo + m] = ncross * h
-        lo += m
+        D = _first_passage(d_inc, T, h, m, seed.generator((WAIT_LANE, start)))
+        out[start : start + m] = ((D <= T).sum(axis=1) + 1) * h
+        del D
     return out

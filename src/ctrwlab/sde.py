@@ -19,10 +19,15 @@ from .paths import GridPath, StepPath
 from .processes import (
     INNOVATION_LANE,
     WAIT_LANE,
+    _d_law,
+    _step_law,
+    _t_nodes,
+    _time_changed_block,
+    _z_law,
     driver_paths,
     iter_ctrw_chunks,
 )
-from .rng import InnovationLaw, StableParams, attractor_params, draw_stable, wait_attractor_scale
+from .rng import draw_stable
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -377,31 +382,6 @@ def sn_terminal_samples(spec, config, T, reps, seed, substep=2.0**-10, chunk=500
     return out
 
 
-def _limit_driver_block(alpha, beta, T, m, h, dgen, zgen, z_params, increment_scale):
-    """(D_inv, W) node-value matrices for a block of replications."""
-    d_params = StableParams(beta, 1.0, increment_scale * h ** (1.0 / beta))
-    z_inc_params = StableParams(
-        z_params.alpha, z_params.skew, z_params.scale * h ** (1.0 / z_params.alpha)
-    )
-    block = max(64, int(1.3 * T / h) + 64)
-    D = np.cumsum(draw_stable(d_params, dgen, (m, block)), axis=1)
-    while not np.all(D[:, -1] > T):
-        more = draw_stable(d_params, dgen, (m, max(64, block // 4)))
-        D = np.concatenate([D, np.cumsum(more, axis=1) + D[:, -1:]], axis=1)
-    nodes = np.arange(int(math.floor(T / h + 1e-9)) + 1) * h
-    width = int((D <= T).sum(axis=1).max()) + 1
-    zinc = draw_stable(z_inc_params, zgen, (m, width))
-    zcum = np.concatenate([np.zeros((m, 1)), np.cumsum(zinc, axis=1)], axis=1)
-    dinv = np.empty((m, nodes.size))
-    w = np.empty((m, nodes.size))
-    for r in range(m):
-        # D[r, j] is the level at grid index j + 1, so the inverse adds one
-        idx = np.searchsorted(D[r], nodes, side="right") + 1
-        dinv[r] = idx * h
-        w[r] = zcum[r, idx]
-    return dinv, w
-
-
 def s_limit_terminal_samples(
     spec,
     alpha,
@@ -417,31 +397,24 @@ def s_limit_terminal_samples(
 ):
     """Terminal values of the limit scheme, driving laws defaulted to the
     attractors matching the package walks."""
-    if z_params is None:
-        z_params = attractor_params(
-            InnovationLaw(alpha, "gaussian" if alpha == 2.0 else mode)
-        )
-    if increment_scale is None:
-        increment_scale = wait_attractor_scale(beta)
+    z_law = _z_law(alpha, z_params, mode)
+    d_law = _d_law(beta, increment_scale)
     h = float(grid_step)
+    nodes = _t_nodes(T, h)
     bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
     out = np.empty(reps)
-    lo = 0
     for start in range(0, reps, chunk):
         m = min(chunk, reps - start)
-        dinv, w = _limit_driver_block(
-            alpha,
-            beta,
-            T,
-            m,
-            h,
-            seed.generator((WAIT_LANE, start)),
-            seed.generator((INNOVATION_LANE, start)),
-            z_params,
-            increment_scale,
+        counts, zcum = _time_changed_block(
+            d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
+            seed.generator((INNOVATION_LANE, start)), nodes,
         )
+        idx = counts + 1
+        dinv = idx * h
+        w = np.take_along_axis(zcum, idx, axis=1)
+        del counts, zcum, idx
         x = np.full(m, float(spec.x0))
-        for k in range(dinv.shape[1] - 1):
+        for k in range(nodes.size - 1):
             t = k * h
             x = (
                 x
@@ -449,8 +422,7 @@ def s_limit_terminal_samples(
                 + mfn(t, dinv[:, k], x) * (dinv[:, k + 1] - dinv[:, k])
                 + sfn(t, dinv[:, k], x) * (w[:, k + 1] - w[:, k])
             )
-        out[lo : lo + m] = x
-        lo += m
+        out[start : start + m] = x
     return out
 
 
@@ -508,16 +480,12 @@ def sdd_limit_terminal_samples(
 ):
     """Terminal values of the limit delay scheme, driver defaulted to the
     attractor of a single innovation."""
-    if z_params is None:
-        z_params = attractor_params(InnovationLaw(alpha, "gaussian" if alpha == 2.0 else mode))
     h = float(grid_step)
     m_delay = spec.r / h
     if abs(m_delay - round(m_delay)) > 1e-9:
         raise ParameterError("grid step must divide the delay", tag="PARAM_MESH")
     m_delay = int(round(m_delay))
-    inc_params = StableParams(
-        z_params.alpha, z_params.skew, z_params.scale * h ** (1.0 / z_params.alpha)
-    )
+    inc_params = _step_law(_z_law(alpha, z_params, mode), h)
     nodes = int(math.floor(T / h + 1e-9)) + 1
     bfn, sfn = spec.coef("b"), spec.coef("sigma")
     eta = spec.eta

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrwlab import (
     DataError,
@@ -11,6 +13,7 @@ from ctrwlab import (
     ParameterError,
     ProcessConfig,
     SeedSpec,
+    StableParams,
     StepPath,
     WaitingLaw,
     avci_functional,
@@ -24,6 +27,12 @@ from ctrwlab import (
     wait_attractor_scale,
 )
 from ctrwlab.processes import (
+    _d_law,
+    _first_passage,
+    _step_law,
+    _t_nodes,
+    _time_changed_block,
+    _z_law,
     invert_monotone_grid,
     terminal_counting_samples,
     terminal_inverse_subordinator_samples,
@@ -255,6 +264,46 @@ def test_gen_subordinator_inverse_properties():
         gen_subordinator_inverse(1.2, 1.0, 0.01, SeedSpec(9))
     with pytest.raises(ParameterError):
         gen_subordinator_inverse(0.5, 1.0, 0.0, SeedSpec(9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    beta=st.floats(0.2, 0.95),
+    k=st.integers(4, 8),
+    m=st.integers(1, 4),
+    T=st.floats(0.05, 2.0),
+    on_grid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_time_changed_block_matches_brute_force(beta, k, m, T, on_grid, seed):
+    h = 2.0**-k
+    if on_grid:
+        T = max(1, round(T / h)) * h
+    nodes = _t_nodes(T, h)
+    d_law = _d_law(beta, None)
+    spec = SeedSpec(seed)
+    counts, zcum = _time_changed_block(
+        d_law, _z_law(1.5, None, "symmetric"), T, h, m, spec.generator(0), spec.generator(1), nodes
+    )
+    # the same generator state replays the levels the kernel counted
+    D = _first_passage(_step_law(d_law, h), T, h, m, spec.generator(0))
+    assert np.all(D[:, -1] > T)
+    assert np.array_equal(counts, (D[:, :, None] <= nodes).sum(axis=1))
+    # a slow subordinator passes T only in the extension blocks
+    slow = _first_passage(_step_law(StableParams(beta, 1.0, 0.1), h), T, h, m, spec.generator(2))
+    assert np.all(slow[:, -1] > T)
+    assert np.all(np.diff(slow, axis=1) >= 0.0)
+    # Z starts at zero and has a column for every row's first passage,
+    # counts-at-T + 1, and no more
+    at_T = (D <= T).sum(axis=1)
+    assert zcum.shape == (m, int(at_T.max()) + 2)
+    assert np.all(zcum[:, 0] == 0.0)
+
+    d, dinv = gen_subordinator_inverse(beta, T, h, spec)
+    inv = invert_monotone_grid(d)
+    j = min(dinv.values.size, inv.values.size)
+    assert np.array_equal(dinv.values[:j], inv.values[:j])
+    assert d.values[-1] > T >= d.values[-2]
 
 
 def test_inverse_subordinator_mean_beta06():

@@ -24,7 +24,7 @@ def symmetric_stable_cdf(xs, alpha, umax=12.0, nu=6000):
     u = np.linspace(u0, umax, nu)
     w = np.exp(-u ** alpha) / u
     s = np.sin(np.outer(xs, u)) * w
-    trapezoid = getattr(np, "trapezoid", np.trapz)
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
     vals = trapezoid(s, u, axis=1)
     # the dropped [0, u0) segment, where the integrand is x - u^2 x^3 / 6
     vals += xs * u0 - (u0 ** 3) * (xs ** 3) / 18.0
