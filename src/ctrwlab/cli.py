@@ -22,10 +22,7 @@ from .decompositions import (
     estimate_bn,
     gdca_samples,
     gdci_sums_mc,
-    martingale_jump_extreme,
-    martingale_terminal_samples,
-    stop_jump_samples,
-    tv_tail_samples,
+    truncated_split_samples,
 )
 from .errors import CtrwlabError, DataError, ParameterError, RangeError, ShapeError
 from .exprs import make_expr
@@ -268,23 +265,21 @@ def _run_gd(cfg, seed, reps, out_dir):
     for i, n in enumerate(ns):
         proc = _build_process(cfg["process"], n)
         sd = SeedSpec(seed.seed, seed.stream + 1 + i)
-        mart = martingale_terminal_samples(proc, T, a, reps, sd)
+        mart, tv, jump_ratio, stop = truncated_split_samples(proc, T, a, c_grid, reps, sd)
         rep.add(mean_estimate(mart, name=f"mart_mean_n{n}"))
-        _scalar(rep, f"max_jump_over_2a_n{n}", martingale_jump_extreme(proc, T, a, reps, sd), reps)
-        tv = tv_tail_samples(proc, T, a, reps, sd)
+        _scalar(rep, f"max_jump_over_2a_n{n}", float(np.max(jump_ratio, initial=0.0)), reps)
         for r in r_grid:
             e = mean_estimate((tv > r).astype(float), name=f"tv_tail_n{n}_R{r:g}")
             rep.add(e)
             tails[r].append(e)
         for c in c_grid:
-            sj = stop_jump_samples(proc, T, a, c, reps, sd)
-            _scalar(rep, f"stop_jump_max_n{n}_c{c:g}", float(np.max(sj)) if sj.size else 0.0, reps)
+            _scalar(rep, f"stop_jump_max_n{n}_c{c:g}", float(np.max(stop[c], initial=0.0)), reps)
         if proc.waiting is not None:
             bn = estimate_bn(
                 proc.innovation, n, proc.waiting.beta, a, reps, sd, c0=proc.coefficients[0]
             )
             rep.add(Estimate(f"bn_n{n}", bn.estimate.value, bn.estimate.ci_low, bn.estimate.ci_high, reps))
-            _scalar(rep, "bn_closed_form", bn.closed_form, reps)
+            _scalar(rep, f"bn_closed_form_n{n}", bn.closed_form, reps)
     for r in r_grid:
         es = tails[r]
         width = max(e.width() for e in es)

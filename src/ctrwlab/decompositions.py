@@ -33,11 +33,6 @@ def truncate_h(x, a=1.0):
 # truncated martingale split
 
 
-def _scaled_jump_scale(config):
-    """Scale of the law of zeta^n_1 = prefactor * c_0 * theta for zero order."""
-    return config.prefactor * config.coefficients[0] * config.innovation.scale
-
-
 def truncated_mean(law_mode, alpha, scale, a):
     """E[zeta 1_{|zeta| <= a}] for zeta with the given mode/index/scale."""
     if law_mode in ("symmetric", "gaussian"):
@@ -85,6 +80,19 @@ def clip_mean_limit(law, a, c0=1.0):
     return -(a ** (1.0 - alpha)) * s**alpha / (alpha - 1.0)
 
 
+def _compensator(config, a):
+    """E[zeta^n_1 1_{|zeta^n_1| <= a}], the drift removed from every small
+    jump; zeta^n_1 = prefactor * c_0 * theta, so zero-order configs only."""
+    if config.correlated:
+        raise UnsupportedDecomposition(
+            "the small-jump compensator is not i.i.d. across renewals once "
+            "coefficients overlap; use split_uv for correlated configs"
+        )
+    law = config.innovation
+    scale = config.prefactor * config.coefficients[0] * law.scale
+    return truncated_mean(law.mode, law.alpha, scale, a)
+
+
 @dataclass(frozen=True)
 class TruncatedSplit:
     """X = M + A with M the compensated small-jump martingale part."""
@@ -107,15 +115,7 @@ def split_martingale(bundle, a=1.0):
     """
     if a < 1.0:
         raise ParameterError("truncation level must be >= 1", tag="PARAM_TRUNC")
-    cfg = bundle.config
-    if cfg.correlated:
-        raise UnsupportedDecomposition(
-            "the small-jump compensator is not i.i.d. across renewals once "
-            "coefficients overlap; use split_uv for correlated configs"
-        )
-    kappa = truncated_mean(
-        cfg.innovation.mode, cfg.innovation.alpha, _scaled_jump_scale(cfg), a
-    )
+    kappa = _compensator(bundle.config, a)
     zeta = bundle.scaled_jumps()
     dm = np.where(np.abs(zeta) <= a, zeta, 0.0) - kappa
     times = bundle.x.times
@@ -384,33 +384,39 @@ def _check_gdci_law_mode(mode, alpha):
         )
 
 
-def gdci_moment_sums(family, K=1, gamma=None, mode="centered"):
-    """(large-jump sum, small-jump sum) of the per-lag moment diagnostics.
+def _moment_sums(lags, terms, alpha, gamma):
+    """(large-jump sum, small-jump sum) over the lags i = 1, 2, ...
 
-    Each lag contributes (number of nonzero terms among k <= K n^beta) times
-    the empirical moment of its realised values, then the 1/lambda (resp.
-    1/mu) root; lags are summed.
+    lags yields, per lag, the absolute values whose empirical moments stand
+    for E|V^{n,i}|^lambda 1{> 1} and E|V^{n,i}|^mu 1{<= 1}. Each lag
+    contributes (number of nonzero terms among the first `terms`) times its
+    moment, then the 1/lambda (resp. 1/mu) root; lags are summed.
     """
-    _check_gdci_law_mode(mode, family.alpha)
-    g = family.gamma if gamma is None else float(gamma)
-    lam = family.alpha - g
-    mu = family.alpha + g
+    lam = alpha - gamma
+    mu = alpha + gamma
     if lam <= 0:
         raise ParameterError("gamma too large: alpha - gamma must be > 0", tag="PARAM_GAMMA")
-    terms = int(math.floor(K * family.n**family.beta + 1e-9))
     big = 0.0
     small = 0.0
-    for i in range(1, family.order + 1):
-        row = family.values[i - 1, i - 1 :]
-        if row.size == 0:
+    for i, av in enumerate(lags, start=1):
+        if av.size == 0:
             continue
-        av = np.abs(row)
         count = max(terms - i + 1, 0)
         e_big = float(np.mean(np.where(av > 1.0, av**lam, 0.0)))
         e_small = float(np.mean(np.where(av <= 1.0, av**mu, 0.0)))
         big += (count * e_big) ** (1.0 / lam)
         small += (count * e_small) ** (1.0 / mu)
     return big, small
+
+
+def gdci_moment_sums(family, K=1, gamma=None, mode="centered"):
+    """(large-jump sum, small-jump sum) of the per-lag moment diagnostics,
+    with each lag's moments taken over its realised values."""
+    _check_gdci_law_mode(mode, family.alpha)
+    g = family.gamma if gamma is None else float(gamma)
+    terms = int(math.floor(K * family.n**family.beta + 1e-9))
+    lags = (np.abs(family.values[i - 1, i - 1 :]) for i in range(1, family.order + 1))
+    return _moment_sums(lags, terms, family.alpha, g)
 
 
 def gdci_sums_mc(config, K=1, gamma=None, pool=200_000, seed=None):
@@ -420,101 +426,52 @@ def gdci_sums_mc(config, K=1, gamma=None, pool=200_000, seed=None):
     _check_gdci_law_mode(law.mode, law.alpha)
     if gamma is None:
         gamma = default_gdci_gamma(law.alpha)
-    lam = law.alpha - gamma
-    mu = law.alpha + gamma
     tails = _tail_sums(config.coefficients)
     gen = seed.generator(INNOVATION_LANE)
     theta = _draw_innovations(law, gen, int(pool))
     terms = int(math.floor(K * config.n**config.beta_eff + 1e-9))
-    big = 0.0
-    small = 0.0
-    for i in range(1, tails.size + 1):
-        v = np.abs((config.prefactor / config.psi) * tails[i - 1] * theta)
-        count = max(terms - i + 1, 0)
-        e_big = float(np.mean(np.where(v > 1.0, v**lam, 0.0)))
-        e_small = float(np.mean(np.where(v <= 1.0, v**mu, 0.0)))
-        big += (count * e_big) ** (1.0 / lam)
-        small += (count * e_small) ** (1.0 / mu)
-    return big, small
+    lags = (np.abs((config.prefactor / config.psi) * ti * theta) for ti in tails)
+    return _moment_sums(lags, terms, law.alpha, gamma)
 
 
 # ---------------------------------------------------------------------------
-# vectorised ensemble statistics (shared by the diagnostics CLI and the
-# acceptance suite, where per-path objects would dominate the runtime)
+# vectorised ensemble statistics (used by the diagnostics CLI, where per-path
+# objects would dominate the runtime)
 
 
-def tv_tail_samples(config, T, a, reps, seed, chunk=500):
-    """TV_{[0,T]} of the A-part, one value per replication."""
-    if config.correlated:
-        raise UnsupportedDecomposition(
-            "the small-jump compensator is not i.i.d. across renewals once "
-            "coefficients overlap; use split_uv for correlated configs"
-        )
-    kappa = truncated_mean(
-        config.innovation.mode, config.innovation.alpha, _scaled_jump_scale(config), a
-    )
-    out = np.empty(reps)
+def truncated_split_samples(config, T, a, c_grid, reps, seed):
+    """Statistics of the truncated split X = M + A over replications, from
+    one pass over the replication blocks.
+
+    Returns (M_T, TV_{[0,T]}(A), max |jump of M| / 2a, {c: |jump of M at
+    T ^ tau_c|}), each an array with one value per replication; tau_c is the
+    first time |M| >= c. Zero-order configs only, as for split_martingale.
+    """
+    kappa = _compensator(config, a)
+    mart = np.empty(reps)
+    tv = np.empty(reps)
+    jump_ratio = np.empty(reps)
+    stop = {c: np.empty(reps) for c in c_grid}
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed, chunk):
-        zeta = blk["zeta"]
-        da = np.where(np.abs(zeta) > a, zeta, 0.0) + kappa
-        out[lo : lo + zeta.shape[0]] = np.abs(np.where(blk["mask"], da, 0.0)).sum(axis=1)
-        lo += zeta.shape[0]
-    return out
-
-
-def martingale_terminal_samples(config, T, a, reps, seed, chunk=500):
-    """M_T over replications (for the 3-standard-error centering check)."""
-    kappa = truncated_mean(
-        config.innovation.mode, config.innovation.alpha, _scaled_jump_scale(config), a
-    )
-    out = np.empty(reps)
-    lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed, chunk):
-        zeta = blk["zeta"]
-        dm = np.where(np.abs(zeta) <= a, zeta, 0.0) - kappa
-        out[lo : lo + zeta.shape[0]] = np.where(blk["mask"], dm, 0.0).sum(axis=1)
-        lo += zeta.shape[0]
-    return out
-
-
-def martingale_jump_extreme(config, T, a, reps, seed, chunk=500):
-    """max |Delta M| / (2a) over the full ensemble (must stay <= 1)."""
-    kappa = truncated_mean(
-        config.innovation.mode, config.innovation.alpha, _scaled_jump_scale(config), a
-    )
-    worst = 0.0
-    for blk in iter_ctrw_chunks(config, T, reps, seed, chunk):
-        zeta = blk["zeta"]
-        dm = np.where(np.abs(zeta) <= a, zeta, 0.0) - kappa
-        dm = np.where(blk["mask"], dm, 0.0)
-        if dm.size:
-            worst = max(worst, float(np.abs(dm).max()))
-    return worst / (2.0 * a)
-
-
-def stop_jump_samples(config, T, a, c, reps, seed, chunk=500):
-    """|jump of M at T ^ tau_c| over replications."""
-    kappa = truncated_mean(
-        config.innovation.mode, config.innovation.alpha, _scaled_jump_scale(config), a
-    )
-    out = np.empty(reps)
-    lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed, chunk):
-        zeta = blk["zeta"]
+    for blk in iter_ctrw_chunks(config, T, reps, seed):
+        zeta, mask = blk["zeta"], blk["mask"]
         m = zeta.shape[0]
-        dm = np.where(blk["mask"], np.where(np.abs(zeta) <= a, zeta, 0.0) - kappa, 0.0)
-        mv = np.cumsum(dm, axis=1)
-        over = np.abs(mv) >= c
-        hit = over.any(axis=1)
-        first = np.argmax(over, axis=1)
-        vals = np.abs(dm[np.arange(m), first])
-        out[lo : lo + m] = np.where(hit, vals, 0.0)
+        small = np.abs(zeta) <= a
+        dm = np.where(mask, np.where(small, zeta, 0.0) - kappa, 0.0)
+        da = np.where(mask, np.where(small, 0.0, zeta) + kappa, 0.0)
+        mart[lo : lo + m] = dm.sum(axis=1)
+        tv[lo : lo + m] = np.abs(da).sum(axis=1)
+        jump_ratio[lo : lo + m] = np.abs(dm).max(axis=1, initial=0.0) / (2.0 * a)
+        mv = np.abs(np.cumsum(dm, axis=1))
+        for c in c_grid:
+            over = mv >= c
+            first = np.argmax(over, axis=1)
+            stop[c][lo : lo + m] = np.where(over.any(axis=1), np.abs(dm[np.arange(m), first]), 0.0)
         lo += m
-    return out
+    return mart, tv, jump_ratio, stop
 
 
-def gdca_samples(config, T, reps, seed, gamma=None, chunk=500):
+def gdca_samples(config, T, reps, seed, gamma=None):
     """The grid statistic n^{-gamma} sum_{pi} |V|, one value per replication."""
     if not config.correlated:
         return np.zeros(reps)
@@ -527,7 +484,7 @@ def gdca_samples(config, T, reps, seed, gamma=None, chunk=500):
     grid = np.arange(1, int(math.floor(T / step + 1e-9)) + 1) * step
     out = np.empty(reps)
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed, chunk):
+    for blk in iter_ctrw_chunks(config, T, reps, seed):
         th = blk["theta"].copy()
         th[:, : blk["peff"] + 1] = 0.0
         m, K = blk["zeta"].shape

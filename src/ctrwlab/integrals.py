@@ -21,6 +21,7 @@ from .errors import AdaptednessViolation, DataError, ParameterError, ShapeError
 from .paths import GridPath, StepPath
 from .processes import (
     INNOVATION_LANE,
+    LIMIT_BLOCK,
     WAIT_LANE,
     _d_law,
     _t_nodes,
@@ -92,6 +93,13 @@ class AdversarialIntegrand:
         return self._path.value_before(times)
 
 
+def _follow(v, target, reach):
+    """One step of the slope-capped tracker: v moves toward target by at most
+    reach, the slope cap times the elapsed time."""
+    gap = v - target
+    return target + np.sign(gap) * np.maximum(0.0, np.abs(gap) - reach)
+
+
 class LipschitzFollower:
     """Slope-capped tracker of g(X_{t-}): between jumps it moves toward the
     target g(X at the last jump) at speed at most C n^gamma.
@@ -116,10 +124,7 @@ class LipschitzFollower:
         vals[0] = g0
         v = g0
         for k in range(1, times.size):
-            target = float(base(x.values[k - 1]))
-            dt = times[k] - times[k - 1]
-            gap = v - target
-            v = target + math.copysign(max(0.0, abs(gap) - self.slope * dt), gap)
+            v = _follow(v, float(base(x.values[k - 1])), self.slope * (times[k] - times[k - 1]))
             vals[k] = v
         self.times = times
         self.values = vals
@@ -363,11 +368,11 @@ def upsilon_estimate(bundles_by_n, integrand_factory, eps_list, m):
 # vectorised terminal/sup samples for the convergence experiments
 
 
-def deterministic_integral_samples(config, T, reps, seed, fn, chunk=500):
+def deterministic_integral_samples(config, T, reps, seed, fn):
     """Terminal values of the integral of f(t) against X^n, per replication."""
     out = np.empty(reps)
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed, chunk):
+    for blk in iter_ctrw_chunks(config, T, reps, seed):
         hv = np.asarray(fn(blk["times"]), dtype=float)
         inc = np.where(blk["mask"], hv * blk["zeta"], 0.0)
         out[lo : lo + inc.shape[0]] = inc.sum(axis=1)
@@ -375,11 +380,11 @@ def deterministic_integral_samples(config, T, reps, seed, fn, chunk=500):
     return out
 
 
-def adversarial_sup_samples(config, T, reps, seed, chunk=500):
+def adversarial_sup_samples(config, T, reps, seed):
     """sup_{t <= T} |integral of the adversarial integrand against X^n|."""
     out = np.empty(reps)
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed, chunk):
+    for blk in iter_ctrw_chunks(config, T, reps, seed):
         K = blk["zeta"].shape[1]
         signs = np.sign(blk["theta"][:, blk["peff"] : blk["peff"] + K])
         inc = np.where(blk["mask"], signs * blk["zeta"], 0.0)
@@ -392,17 +397,17 @@ def adversarial_sup_samples(config, T, reps, seed, chunk=500):
     return out
 
 
-def follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=0.5, chunk=500):
+def follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=0.5):
     """Terminal integral of the slope-capped tracker against X^n, vectorised.
 
-    Replays the same recursion as LipschitzFollower column by column across a
+    Replays the step of LipschitzFollower column by column across a
     replication block.
     """
     slope = float(C) * float(config.n) ** float(gamma)
     out = np.empty(reps)
     lo = 0
     g0 = float(base(0.0))
-    for blk in iter_ctrw_chunks(config, T, reps, seed, chunk):
+    for blk in iter_ctrw_chunks(config, T, reps, seed):
         zeta, times, mask = blk["zeta"], blk["times"], blk["mask"]
         m, K = zeta.shape
         v = np.full(m, g0)
@@ -413,10 +418,7 @@ def follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=
             live = mask[:, k]
             if not live.any():
                 break
-            target = base(xprev)
-            dt = times[:, k] - tprev
-            gap = v - target
-            vk = target + np.sign(gap) * np.maximum(0.0, np.abs(gap) - slope * dt)
+            vk = _follow(v, base(xprev), slope * (times[:, k] - tprev))
             acc += np.where(live, vk * zeta[:, k], 0.0)
             v = np.where(live, vk, v)
             xprev = np.where(live, xprev + zeta[:, k], xprev)
@@ -492,7 +494,6 @@ def tc_grid_integral_samples(
     z_params=None,
     increment_scale=None,
     mode="symmetric",
-    chunk=250,
 ):
     """Terminal left-point integrals against the time-changed stable path.
 
@@ -508,8 +509,8 @@ def tc_grid_integral_samples(
     nodes = _t_nodes(T, h)
     hv_time = np.asarray(fn(nodes[:-1]), dtype=float) if fn is not None else None
     out = np.empty(reps)
-    for start in range(0, reps, chunk):
-        m = min(chunk, reps - start)
+    for start in range(0, reps, LIMIT_BLOCK):
+        m = min(LIMIT_BLOCK, reps - start)
         counts, zcum = _time_changed_block(
             d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
             seed.generator((INNOVATION_LANE, start)), nodes,

@@ -6,9 +6,9 @@ processes live on uniform grids. Every generator is a pure function of
 (config, seed), with waiting times drawn from substream lane 0 and
 innovations from lane 1, so paired processes share streams reproducibly.
 
-The iter_*_chunks generators are the vectorised Monte Carlo backbone: they
-yield replication blocks as matrices and are reused by the diagnostic and
-acceptance layers, where per-path objects would be too slow.
+iter_ctrw_chunks is the vectorised Monte Carlo backbone: it yields
+replication blocks as matrices to the ensemble samplers, where per-path
+objects would be too slow.
 """
 
 import math
@@ -34,6 +34,14 @@ COUPLINGS = ("uncoupled", "magnitude-coupled")
 
 WAIT_LANE = 0
 INNOVATION_LANE = 1
+
+# Replication block sizes of the ensemble samplers. Each block's generators
+# are seeded by the block's first replication index, seed.generator((lane,
+# start)), so these fix the layout of the random streams: changing one
+# changes every draw of the samplers that use it.
+BLOCK = 500
+LIMIT_BLOCK = 250
+COUNT_BLOCK = 1000
 
 
 def _draw_innovations(law, gen, size):
@@ -483,7 +491,7 @@ def _zeta_matrix(th, coeffs, peff, K):
     return z
 
 
-def iter_ctrw_chunks(config, T, reps, seed, chunk=500):
+def iter_ctrw_chunks(config, T, reps, seed):
     """Yield vectorised replication blocks of the CTRW (or moving average).
 
     Each block is a dict with:
@@ -502,8 +510,8 @@ def iter_ctrw_chunks(config, T, reps, seed, chunk=500):
     alpha = law.alpha
     target = n * T
     pref = config.prefactor
-    for lo in range(0, reps, chunk):
-        m = min(chunk, reps - lo)
+    for lo in range(0, reps, BLOCK):
+        m = min(BLOCK, reps - lo)
         wgen = seed.generator((WAIT_LANE, lo))
         igen = seed.generator((INNOVATION_LANE, lo))
         if config.waiting is None:
@@ -553,11 +561,11 @@ def iter_ctrw_chunks(config, T, reps, seed, chunk=500):
         }
 
 
-def terminal_samples(config, T, reps, seed, chunk=500):
+def terminal_samples(config, T, reps, seed):
     """X^n_T over `reps` replications (vectorised)."""
     out = np.empty(reps)
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed, chunk):
+    for blk in iter_ctrw_chunks(config, T, reps, seed):
         zeta = np.where(blk["mask"], blk["zeta"], 0.0)
         m = zeta.shape[0]
         out[lo : lo + m] = zeta.sum(axis=1)
@@ -565,7 +573,7 @@ def terminal_samples(config, T, reps, seed, chunk=500):
     return out
 
 
-def terminal_counting_samples(waiting, n, T, reps, seed, chunk=1000):
+def terminal_counting_samples(waiting, n, T, reps, seed):
     """n^(-beta) N_{nT} over `reps` replications (vectorised)."""
     n = int(n)
     target = n * T
@@ -573,8 +581,8 @@ def terminal_counting_samples(waiting, n, T, reps, seed, chunk=1000):
     block = max(64, int(2.0 * target ** beta) + 32)
     out = np.empty(reps)
     lo = 0
-    for start in range(0, reps, chunk):
-        m = min(chunk, reps - start)
+    for start in range(0, reps, COUNT_BLOCK):
+        m = min(COUNT_BLOCK, reps - start)
         gen = seed.generator((WAIT_LANE, start))
         J = _grow_wait_matrix(lambda s: _draw_waits(waiting, gen, s), m, target, block)
         counts = (np.cumsum(J, axis=1) <= target).sum(axis=1)
@@ -593,7 +601,6 @@ def terminal_time_changed_samples(
     z_params=None,
     increment_scale=None,
     mode="symmetric",
-    chunk=500,
 ):
     """Z_{D^(-1)_T} samples (vectorised); defaults as in gen_time_changed_levy."""
     z_law = _z_law(alpha, z_params, mode)
@@ -601,8 +608,8 @@ def terminal_time_changed_samples(
     h = float(grid_step)
     at_T = np.array([float(T)])
     out = np.empty(reps)
-    for start in range(0, reps, chunk):
-        m = min(chunk, reps - start)
+    for start in range(0, reps, BLOCK):
+        m = min(BLOCK, reps - start)
         counts, zcum = _time_changed_block(
             d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
             seed.generator((INNOVATION_LANE, start)), at_T,
@@ -613,14 +620,14 @@ def terminal_time_changed_samples(
 
 
 def terminal_inverse_subordinator_samples(
-    beta, T, reps, seed, grid_step=2.0**-12, increment_scale=None, chunk=500
+    beta, T, reps, seed, grid_step=2.0**-12, increment_scale=None
 ):
     """D^(-1)_T samples on the grid (vectorised), defaults as above."""
     h = float(grid_step)
     d_inc = _step_law(_d_law(beta, increment_scale), h)
     out = np.empty(reps)
-    for start in range(0, reps, chunk):
-        m = min(chunk, reps - start)
+    for start in range(0, reps, BLOCK):
+        m = min(BLOCK, reps - start)
         D = _first_passage(d_inc, T, h, m, seed.generator((WAIT_LANE, start)))
         out[start : start + m] = ((D <= T).sum(axis=1) + 1) * h
         del D

@@ -17,7 +17,9 @@ import numpy as np
 from .errors import DataError, ParameterError, ShapeError
 from .paths import GridPath, StepPath
 from .processes import (
+    BLOCK,
     INNOVATION_LANE,
+    LIMIT_BLOCK,
     WAIT_LANE,
     _d_law,
     _step_law,
@@ -189,6 +191,26 @@ def solve_sn(spec, drivers, drift_mesh=2.0**-12, T=None):
     return StepPath(times, vals, T)
 
 
+def _s_limit_euler(spec, dinv, w, h):
+    """Left-point Euler for the limit equation, one row per replication.
+
+    dinv and w are (m, nodes) matrices of D^{-1} and W on the grid k h;
+    returns X on the same nodes.
+    """
+    bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
+    x = np.empty(dinv.shape)
+    x[:, 0] = spec.x0
+    for k in range(dinv.shape[1] - 1):
+        t = k * h
+        x[:, k + 1] = (
+            x[:, k]
+            + bfn(t, dinv[:, k], x[:, k]) * h
+            + mfn(t, dinv[:, k], x[:, k]) * (dinv[:, k + 1] - dinv[:, k])
+            + sfn(t, dinv[:, k], x[:, k]) * (w[:, k + 1] - w[:, k])
+        )
+    return x
+
+
 def solve_s_limit(spec, drivers, T=None):
     """Left-point Euler for the limit equation on the drivers' shared grid.
 
@@ -200,21 +222,8 @@ def solve_s_limit(spec, drivers, T=None):
     n_nodes = min(d_inv.values.size, w.values.size)
     if T is not None:
         n_nodes = min(n_nodes, int(math.floor(T / w.step + 1e-9)) + 1)
-    h = w.step
-    bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
-    x = np.empty(n_nodes)
-    x[0] = spec.x0
-    dv = d_inv.values
-    wv = w.values
-    for k in range(n_nodes - 1):
-        t = k * h
-        x[k + 1] = (
-            x[k]
-            + float(bfn(t, dv[k], x[k])) * h
-            + float(mfn(t, dv[k], x[k])) * (dv[k + 1] - dv[k])
-            + float(sfn(t, dv[k], x[k])) * (wv[k + 1] - wv[k])
-        )
-    return GridPath(x, h)
+    x = _s_limit_euler(spec, d_inv.values[None, :n_nodes], w.values[None, :n_nodes], w.step)
+    return GridPath(x[0], w.step)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +244,7 @@ class _History:
             lo = self.eta.origin
             return float(self.eta.value(max(tau, lo)))
         if tau == 0.0 and left:
-            return float(self.eta.value_before(0.0)) if self.eta.times.size > 1 else float(self.eta.value(0.0))
+            return float(self.eta.value_before(0.0))
         ts = self.ts
         i = (bisect.bisect_left(ts, tau) if left else bisect.bisect_right(ts, tau)) - 1
         if i < 0:
@@ -308,33 +317,44 @@ def solve_ext_sddn(spec, bundle, drift_mesh=2.0**-12, T=None):
     return solve_sddn(spec, bundle, drift_mesh, T, _phi=True)
 
 
+def _sdd_limit_euler(spec, zinc, h):
+    """Left-point Euler for the limit delay equation, one row per replication.
+
+    zinc is the (m, nodes - 1) matrix of driver increments on the grid k h;
+    returns X on the nodes. The grid step must divide the delay so that the
+    delayed reads land on nodes.
+    """
+    m_delay = spec.r / h
+    if abs(m_delay - round(m_delay)) > 1e-9:
+        raise ParameterError("grid step must divide the delay", tag="PARAM_MESH")
+    m_delay = int(round(m_delay))
+    bfn, sfn = spec.coef("b"), spec.coef("sigma")
+    eta = spec.eta
+    X = np.empty((zinc.shape[0], zinc.shape[1] + 1))
+    X[:, 0] = float(eta.value(0.0))
+    for k in range(zinc.shape[1]):
+        t = k * h
+        xd = X[:, k - m_delay] if k >= m_delay else float(eta.value(t - spec.r))
+        X[:, k + 1] = X[:, k] + bfn(t, xd) * h + sfn(t, xd) * zinc[:, k]
+    return X
+
+
 def solve_sdd_limit(spec, z, T=None):
     """Left-point Euler for the limit delay equation driven by the grid path
     z; the grid step must divide the delay so lookups land on nodes."""
     h = z.step
-    m = spec.r / h
-    if abs(m - round(m)) > 1e-9:
-        raise ParameterError("grid step must divide the delay", tag="PARAM_MESH")
-    m = int(round(m))
     n_nodes = z.values.size
     if T is not None:
         n_nodes = min(n_nodes, int(math.floor(T / h + 1e-9)) + 1)
-    bfn, sfn = spec.coef("b"), spec.coef("sigma")
-    x = np.empty(n_nodes)
-    x[0] = float(spec.eta.value(0.0))
-    zv = z.values
-    for k in range(n_nodes - 1):
-        t = k * h
-        xd = x[k - m] if k >= m else float(spec.eta.value(t - spec.r))
-        x[k + 1] = x[k] + float(bfn(t, xd)) * h + float(sfn(t, xd)) * (zv[k + 1] - zv[k])
-    return GridPath(x, h)
+    x = _sdd_limit_euler(spec, np.diff(z.values[:n_nodes])[None, :], h)
+    return GridPath(x[0], h)
 
 
 # ---------------------------------------------------------------------------
 # vectorised terminal samplers
 
 
-def sn_terminal_samples(spec, config, T, reps, seed, substep=2.0**-10, chunk=500):
+def sn_terminal_samples(spec, config, T, reps, seed, substep=2.0**-10):
     """Terminal values of the walk-driven scheme across replications.
 
     Walks event columns of the replication block: per-event left-limit
@@ -345,7 +365,7 @@ def sn_terminal_samples(spec, config, T, reps, seed, substep=2.0**-10, chunk=500
     bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
     out = np.empty(reps)
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed, chunk):
+    for blk in iter_ctrw_chunks(config, T, reps, seed):
         zeta, times, mask = blk["zeta"], blk["times"], blk["mask"]
         m, K = zeta.shape
         x = np.full(m, float(spec.x0))
@@ -393,7 +413,6 @@ def s_limit_terminal_samples(
     z_params=None,
     increment_scale=None,
     mode="symmetric",
-    chunk=250,
 ):
     """Terminal values of the limit scheme, driving laws defaulted to the
     attractors matching the package walks."""
@@ -401,10 +420,9 @@ def s_limit_terminal_samples(
     d_law = _d_law(beta, increment_scale)
     h = float(grid_step)
     nodes = _t_nodes(T, h)
-    bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
     out = np.empty(reps)
-    for start in range(0, reps, chunk):
-        m = min(chunk, reps - start)
+    for start in range(0, reps, LIMIT_BLOCK):
+        m = min(LIMIT_BLOCK, reps - start)
         counts, zcum = _time_changed_block(
             d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
             seed.generator((INNOVATION_LANE, start)), nodes,
@@ -413,20 +431,11 @@ def s_limit_terminal_samples(
         dinv = idx * h
         w = np.take_along_axis(zcum, idx, axis=1)
         del counts, zcum, idx
-        x = np.full(m, float(spec.x0))
-        for k in range(nodes.size - 1):
-            t = k * h
-            x = (
-                x
-                + bfn(t, dinv[:, k], x) * h
-                + mfn(t, dinv[:, k], x) * (dinv[:, k + 1] - dinv[:, k])
-                + sfn(t, dinv[:, k], x) * (w[:, k + 1] - w[:, k])
-            )
-        out[start : start + m] = x
+        out[start : start + m] = _s_limit_euler(spec, dinv, w, h)[:, -1]
     return out
 
 
-def sddn_terminal_samples(spec, config, T, reps, seed, chunk=500):
+def sddn_terminal_samples(spec, config, T, reps, seed):
     """Terminal values of the delay scheme driven by moving averages.
 
     Requires deterministic unit waits (jumps at k/n) and an integer n*r so
@@ -442,14 +451,14 @@ def sddn_terminal_samples(spec, config, T, reps, seed, chunk=500):
     nr = int(round(nr))
     c = config.psi
     bfn, sfn = spec.coef("b"), spec.coef("sigma")
-    eta = spec.eta
+    segment = _History(spec.eta)
     out = np.empty(reps)
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed, chunk):
+    for blk in iter_ctrw_chunks(config, T, reps, seed):
         zeta = blk["zeta"]
         m, K = zeta.shape
         X = np.empty((m, K + 1))
-        X[:, 0] = float(eta.value(0.0))
+        X[:, 0] = segment.xs[0]
         for k in range(K):
             t_k = k / n
             t_next = (k + 1) / n
@@ -457,14 +466,11 @@ def sddn_terminal_samples(spec, config, T, reps, seed, chunk=500):
                 xd_drift = X[:, k - nr]
                 xd_jump = X[:, k - nr]
             else:
-                # delayed window still inside the initial segment
-                tau_mid = t_k + 0.5 / n - spec.r
-                xd_drift = float(eta.value(max(tau_mid, eta.origin)))
-                tau_j = t_next - spec.r
-                if tau_j < 0.0:
-                    xd_jump = float(eta.value(max(tau_j, eta.origin)))
-                else:
-                    xd_jump = float(eta.value_before(0.0)) if eta.times.size > 1 else float(eta.value(0.0))
+                # delayed window still inside the initial segment; the jump
+                # read at k = nr - 1 is the left limit at 0 even when
+                # t_next - r rounds above 0
+                xd_drift = segment.read(t_k + 0.5 / n - spec.r)
+                xd_jump = segment.read(min(t_next - spec.r, 0.0), left=True)
             X[:, k + 1] = (
                 X[:, k]
                 + bfn(t_k + 0.5 / n, xd_drift) / n
@@ -476,33 +482,16 @@ def sddn_terminal_samples(spec, config, T, reps, seed, chunk=500):
 
 
 def sdd_limit_terminal_samples(
-    spec, alpha, T, reps, seed, grid_step=2.0**-10, z_params=None, mode="centered", chunk=500
+    spec, alpha, T, reps, seed, grid_step=2.0**-10, z_params=None, mode="centered"
 ):
     """Terminal values of the limit delay scheme, driver defaulted to the
     attractor of a single innovation."""
     h = float(grid_step)
-    m_delay = spec.r / h
-    if abs(m_delay - round(m_delay)) > 1e-9:
-        raise ParameterError("grid step must divide the delay", tag="PARAM_MESH")
-    m_delay = int(round(m_delay))
     inc_params = _step_law(_z_law(alpha, z_params, mode), h)
     nodes = int(math.floor(T / h + 1e-9)) + 1
-    bfn, sfn = spec.coef("b"), spec.coef("sigma")
-    eta = spec.eta
     out = np.empty(reps)
-    lo = 0
-    for start in range(0, reps, chunk):
-        m = min(chunk, reps - start)
+    for start in range(0, reps, BLOCK):
+        m = min(BLOCK, reps - start)
         zinc = draw_stable(inc_params, seed.generator((INNOVATION_LANE, start)), (m, nodes - 1))
-        X = np.empty((m, nodes))
-        X[:, 0] = float(eta.value(0.0))
-        for k in range(nodes - 1):
-            t = k * h
-            if k >= m_delay:
-                xd = X[:, k - m_delay]
-            else:
-                xd = float(eta.value(t - spec.r))
-            X[:, k + 1] = X[:, k] + bfn(t, xd) * h + sfn(t, xd) * zinc[:, k]
-        out[lo : lo + m] = X[:, -1]
-        lo += m
+        out[start : start + m] = _sdd_limit_euler(spec, zinc, h)[:, -1]
     return out

@@ -204,7 +204,7 @@ def test_cli_diagnose_kinds(tmp_path):
     assert r.returncode == 0, r.stderr
     names = report_names(out)
     assert "mart_mean_n50" in names
-    assert "bn_n50" in names and "bn_closed_form" in names
+    assert "bn_n50" in names and "bn_closed_form_n50" in names
 
     gdca = write_cfg(tmp_path, "gdca.json", {
         "kind": "gdca",
@@ -445,5 +445,6 @@ def test_shipped_scenarios_all_run(tmp_path, monkeypatch):
         report = run_scenario(cfg, reps=2, out=out)
         assert out.exists(), f.name
         assert len(report.names()) > 0, f.name
+        assert len(set(report.names())) == len(report.names()), f.name
         doc = json.loads(out.read_text())
         assert doc["scenario"] == cfg["kind"]

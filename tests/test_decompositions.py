@@ -28,15 +28,14 @@ from ctrwlab.decompositions import (
     gdci_moment_sums,
     gdci_sums_mc,
     make_vni_family,
-    martingale_jump_extreme,
     martingale_stop_jump,
-    martingale_terminal_samples,
     split_martingale,
     split_uv,
     truncate_h,
     truncated_mean,
-    tv_tail_samples,
+    truncated_split_samples,
 )
+from ctrwlab.paths import total_variation
 
 
 def inject_bundle(thetas, coeffs, n=1, T=2.0):
@@ -126,15 +125,38 @@ def test_split_martingale_errors():
     with pytest.raises(ParameterError):
         split_martingale(b0, 0.5)
     with pytest.raises(UnsupportedDecomposition):
-        tv_tail_samples(ProcessConfig(law, coefficients=(1.0, 0.5), n=50), 1.0, 1.0, 10, SeedSpec(42))
+        truncated_split_samples(
+            ProcessConfig(law, coefficients=(1.0, 0.5), n=50), 1.0, 1.0, (1.0,), 10, SeedSpec(42)
+        )
 
 
 def test_martingale_terminal_centering():
     cfg = ProcessConfig(InnovationLaw(1.5, "centered"), waiting=WaitingLaw(0.8), n=300)
-    ms = martingale_terminal_samples(cfg, 1.0, 1.0, 4000, SeedSpec(43))
+    ms = truncated_split_samples(cfg, 1.0, 1.0, (), 4000, SeedSpec(43))[0]
     se = ms.std() / math.sqrt(ms.size)
     assert abs(ms.mean()) <= 3.0 * se
-    assert martingale_jump_extreme(cfg, 1.0, 1.0, 500, SeedSpec(44)) <= 1.0
+    assert truncated_split_samples(cfg, 1.0, 1.0, (), 500, SeedSpec(44))[2].max() <= 1.0
+
+
+def test_truncated_split_samples_match_per_path_split():
+    # one injected innovation sequence drives both the replication block and
+    # the per-path bundle, so every statistic must agree up to summation order
+    seq = np.random.default_rng(7).standard_t(1.5, 41) * 2.0
+    law = SimpleNamespace(
+        alpha=1.5, mode="centered", scale=1.0,
+        draw=lambda gen, size: seq[: int(np.prod(size))].reshape(size),
+    )
+    cfg = ProcessConfig(law, n=8)
+    T, a, c_grid = 5.0, 1.0, (0.5, 2.0, 1e9)
+    mart, tv, jump_ratio, stop = truncated_split_samples(cfg, T, a, c_grid, 1, SeedSpec(0))
+    sp = split_martingale(gen_moving_average(cfg, T, SeedSpec(0)), a)
+    assert sp.compensator != 0.0
+    assert mart[0] == pytest.approx(sp.m.value(T), rel=1e-12, abs=1e-12)
+    assert tv[0] == pytest.approx(total_variation(sp.a_part, T), rel=1e-12)
+    assert jump_ratio[0] == pytest.approx(sp.max_jump() / (2.0 * a), rel=1e-12)
+    for c in c_grid:
+        assert stop[c][0] == pytest.approx(martingale_stop_jump(sp, T, c), rel=1e-12, abs=1e-15)
+    assert stop[0.5][0] > 0.0 and stop[1e9][0] == 0.0
 
 
 def test_martingale_stop_jump_hand():

@@ -428,7 +428,7 @@ def test_sddn_samples_initial_segment_replay():
     eta = StepPath([-0.5, 0.0], [2.0, 5.0], 0.0, origin=-0.5)
     spec = SddeSpec(b=lambda t, xd: xd, sigma=lambda t, xd: xd, r=0.5, eta=eta)
     out = sddn_terminal_samples(spec, cfg, 1.0, 1, SeedSpec(777))
-    blk = next(iter(iter_ctrw_chunks(cfg, 1.0, 1, SeedSpec(777), 500)))
+    blk = next(iter(iter_ctrw_chunks(cfg, 1.0, 1, SeedSpec(777))))
     zeta = blk["zeta"][0]
     hist = [5.0]
     for k in range(8):
