@@ -514,8 +514,8 @@ def _run_metrics(cfg, seed, reps, out_dir):
         z = _random_step_path(gen, T, kmax)
         du = d_uniform(x, y).value
         dj = d_j1(x, y).value
-        dm = d_m1(x, y)
-        if dm.value <= dj + dm.mesh and dj <= du + 1e-12:
+        dm = d_m1(x, y).value
+        if dm <= dj + 1e-12 and dj <= du + 1e-12:
             order_ok += 1
         djxz = d_j1(x, z).value
         djzy = d_j1(z, y).value

@@ -464,6 +464,10 @@ def truncated_split_samples(config, T, a, c_grid, reps, seed):
         jump_ratio[lo : lo + m] = np.abs(dm).max(axis=1, initial=0.0) / (2.0 * a)
         mv = np.abs(np.cumsum(dm, axis=1))
         for c in c_grid:
+            if not dm.shape[1]:
+                # no renewal in any row of the block: M never moves
+                stop[c][lo : lo + m] = 0.0
+                continue
             over = mv >= c
             first = np.argmax(over, axis=1)
             stop[c][lo : lo + m] = np.where(over.any(axis=1), np.abs(dm[np.arange(m), first]), 0.0)

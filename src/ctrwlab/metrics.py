@@ -1,10 +1,11 @@
 """Uniform, J1 and M1 distances between paths on a common horizon.
 
-d_j1 is exact for step paths: the optimal time warp is piecewise linear
-with knots at jump times, so the infimum reduces to a min-max dynamic
-program over jump alignments. d_m1 is the discrete Frechet distance
-between completed graphs sampled at `resolution` points per segment, with
-the discretisation mesh reported so tolerances stay auditable.
+All three are exact. d_j1 works on step paths: the optimal time warp is
+piecewise linear with knots at jump times, so the infimum reduces to a
+min-max dynamic program over jump alignments. d_m1 is the continuous
+Frechet distance under the max norm between the completed graphs, which
+are polylines (staircases for step paths); it is found by a binary search
+over closed-form critical values with the Alt-Godau reachability decision.
 """
 
 from dataclasses import dataclass
@@ -117,104 +118,184 @@ def d_j1(x, y):
     )
 
 
-def _graph_vertices(path, resolution, T):
-    """Completed graph of a path as (time, value) vertices, `resolution`
-    samples per segment at fractions k/resolution so refinements nest."""
+def _graph_vertices(path, T):
+    """Completed graph of a path as an (N, 2) array of (time, value)
+    vertices, closed at T, with repeated vertices dropped: the grid nodes of
+    a linear GridPath, else the staircase corners joined by vertical jump
+    segments."""
+    t = np.asarray(path.times, dtype=float)
+    v = np.asarray(path.values, dtype=float)
     if isinstance(path, GridPath) and path.interp == "linear":
-        pts_t = np.asarray(path.times, dtype=float)
-        pts_v = path.values
-        if pts_t[-1] < T:
-            pts_t = np.append(pts_t, T)
-            pts_v = np.append(pts_v, pts_v[-1])
+        pts = np.column_stack([t, v])
+        if t[-1] < T:
+            pts = np.vstack([pts, [T, v[-1]]])
     else:
-        t = np.asarray(path.times, dtype=float)
-        v = np.asarray(path.values, dtype=float)
-        # staircase corners plus vertical jump segments, closed at T
-        pts_t = np.empty(2 * t.size, dtype=float)
-        pts_v = np.empty(2 * t.size, dtype=float)
-        pts_t[0] = t[0]
-        pts_v[0] = v[0]
-        pts_t[1:-1:2] = t[1:]
-        pts_v[1:-1:2] = v[:-1]
-        pts_t[2::2] = t[1:]
-        pts_v[2::2] = v[1:]
-        pts_t[-1] = T
-        pts_v[-1] = v[-1]
-    # drop degenerate segments, then sample each remaining one
-    seg_keep = (np.diff(pts_t) != 0.0) | (np.diff(pts_v) != 0.0)
-    frac = np.arange(resolution) / resolution
-    t0 = pts_t[:-1][seg_keep]
-    t1 = pts_t[1:][seg_keep]
-    v0 = pts_v[:-1][seg_keep]
-    v1 = pts_v[1:][seg_keep]
-    if t0.size == 0:
-        return np.array([pts_t[0]]), np.array([pts_v[0]])
-    vt = (t0[:, None] + (t1 - t0)[:, None] * frac).ravel()
-    vv = (v0[:, None] + (v1 - v0)[:, None] * frac).ravel()
-    vt = np.append(vt, pts_t[-1])
-    vv = np.append(vv, pts_v[-1])
-    return vt, vv
+        pts = np.empty((2 * t.size, 2), dtype=float)
+        pts[0] = t[0], v[0]
+        pts[1:-1:2, 0] = t[1:]
+        pts[1:-1:2, 1] = v[:-1]
+        pts[2::2, 0] = t[1:]
+        pts[2::2, 1] = v[1:]
+        pts[-1] = T, v[-1]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    return pts[keep]
 
 
-def _discrete_frechet(at, av, bt, bv):
-    """Min over monotone vertex matchings of the max L-inf point distance.
+def _free_space(a, b):
+    """Free-space parameters of every vertex a_i against every segment
+    [b_j, b_j+1] of the other curve.
 
-    The table is filled along anti-diagonals so each sweep is one vectorised
-    minimum over the two predecessor diagonals.
+    With d = b_j+1 - b_j, r = a_i - b_j, u = r sign(d) and span = |d|, the
+    free interval {t in [0, 1] : |a_i - b_j - t d|_inf <= eps} is
+    [max(0, max_c (u_c - eps) / span_c), min(1, min_c (u_c + eps) / span_c)]
+    over the coordinates with d_c != 0 (u and span are nan where d_c = 0;
+    span depends on the segment only); a coordinate with d_c = 0 instead
+    needs |r_c| <= eps, the largest such |r_c| being `flat`. In the x = r/d,
+    w = 1/|d| of Alt-Godau the ends are x_c -+ eps w_c; dividing by span
+    last keeps short segments from overflowing.
+    Returns (u, span, flat, dist), dist the L-inf distance from a_i to the
+    segment, i.e. the eps at which the free interval opens.
     """
-    na, nb = at.size, bt.size
-    INF = float("inf")
-    # diag[d][k] = dp value at a-index k, b-index d - k
-    prev2 = None
-    prev1 = np.array([max(abs(at[0] - bt[0]), abs(av[0] - bv[0]))])
-    for d in range(1, na + nb - 1):
-        k_lo = max(0, d - nb + 1)
-        k_hi = min(na - 1, d)
-        ks = np.arange(k_lo, k_hi + 1)
-        js = d - ks
-        cost = np.maximum(np.abs(at[ks] - bt[js]), np.abs(av[ks] - bv[js]))
-        best = np.full(ks.size, INF)
-        p_lo = max(0, d - 1 - nb + 1)
-        # predecessor (k-1, j): diagonal d-1 at index k-1
-        idx = ks - 1 - p_lo
-        ok = ks - 1 >= p_lo
-        ok &= ks - 1 <= min(na - 1, d - 1)
-        best[ok] = prev1[idx[ok]]
-        # predecessor (k, j-1): diagonal d-1 at index k
-        idx = ks - p_lo
-        ok = (ks >= p_lo) & (ks <= min(na - 1, d - 1)) & (js - 1 >= 0)
-        best[ok] = np.minimum(best[ok], prev1[idx[ok]])
-        if prev2 is not None:
-            pp_lo = max(0, d - 2 - nb + 1)
-            idx = ks - 1 - pp_lo
-            ok = (ks - 1 >= pp_lo) & (ks - 1 <= min(na - 1, d - 2)) & (js - 1 >= 0)
-            best[ok] = np.minimum(best[ok], prev2[idx[ok]])
-        prev2 = prev1
-        prev1 = np.maximum(cost, best)
-    return float(prev1[-1])
+    lo, hi = np.minimum(b[:-1], b[1:]), np.maximum(b[:-1], b[1:])
+    d = b[1:] - b[:-1]
+    r = a[:, None, :] - b[None, :-1, :]
+    fixed = d == 0.0
+    u = np.where(fixed, np.nan, r * np.sign(d))
+    span = np.where(fixed, np.nan, np.abs(d))
+    flat = np.where(fixed, np.abs(r), 0.0).max(axis=2)
+    # distance to the bounding box, and where the segment is diagonal the
+    # eps at which the two coordinate windows first overlap
+    box = np.maximum(lo - a[:, None, :], a[:, None, :] - hi).max(axis=2)
+    tilt = np.abs(u[..., 0] * span[:, 1] - u[..., 1] * span[:, 0]) / (span[:, 0] + span[:, 1])
+    dist = np.fmax(np.maximum(box, 0.0), tilt)
+    return u, span, flat, dist
 
 
-def d_m1(x, y, resolution=64):
-    """Approximate M1 distance via discrete Frechet matching of completed graphs.
-
-    Reported mesh is the largest L-inf gap between consecutive sampled
-    vertices; the approximation is within mesh of the true distance and
-    decreases as the resolution doubles (vertex sets nest).
-    """
-    if resolution < 2:
-        raise ShapeError("resolution must be >= 2")
-    T = _check_common_horizon(x, y)
-    at, av = _graph_vertices(x, resolution, T)
-    bt, bv = _graph_vertices(y, resolution, T)
-    mesh = 0.0
-    for tt, vv in ((at, av), (bt, bv)):
-        if tt.size > 1:
-            gap = np.maximum(np.abs(np.diff(tt)), np.abs(np.diff(vv)))
-            mesh = max(mesh, float(gap.max()))
-    val = _discrete_frechet(at, av, bt, bv)
-    return MetricResult(
-        val,
-        witness=f"discrete Frechet on {at.size} x {bt.size} graph vertices",
-        exact=False,
-        mesh=mesh,
+def _monotone_values(u, span, dist, floor):
+    """Type (c) critical values: for vertices i < k against one segment, the
+    eps at which the lower end of i's free interval meets the upper end of
+    k's, (x_i,c - x_k,c') / (w_c + w_c') in Alt-Godau's terms, i.e.
+    (u_i,c span_c' - u_k,c' span_c) / (span_c + span_c'), which is
+    (u_i,c - u_k,c) / 2 for c = c'. Kept only where it is at least `floor`
+    and both intervals are open; pairs through a d_c = 0 coordinate are nan
+    and drop out."""
+    i, k = np.triu_indices(u.shape[0], 1)
+    ui, uk = u[i], u[k]
+    val = (ui[..., :, None] * span[:, None, :] - uk[..., None, :] * span[:, :, None]) / (
+        span[:, :, None] + span[:, None, :]
     )
+    val[..., [0, 1], [0, 1]] = (ui - uk) / 2.0
+    need = np.maximum(np.maximum(dist[i], dist[k]), floor)[..., None, None]
+    return val[val >= need]
+
+
+def _intervals(params, eps):
+    """Free intervals at eps, from _free_space's params, as nested lists
+    (lo, hi); empty where lo > hi. A segment too short for the division
+    gives +-inf ends, which clamp."""
+    u, span, flat, _ = params
+    with np.errstate(over="ignore"):
+        lo = np.fmax(np.fmax.reduce((u - eps) / span, axis=2), 0.0)
+        hi = np.fmin(np.fmin.reduce((u + eps) / span, axis=2), 1.0)
+    lo[flat > eps] = np.inf
+    return lo.tolist(), hi.tolist()
+
+
+def _frechet_at_most(eps, pa, pb):
+    """Alt-Godau decision: is the Frechet distance <= eps?
+
+    pa holds the free-space parameters of the vertices of a against the
+    segments of b (the vertical cell edges), pb those of b against a (the
+    horizontal ones). Cells are convex under L-inf, so the reachable part of
+    each cell edge is the free interval cut below at one entry point, which
+    is all that is propagated (None where nothing is reachable).
+    """
+    vlo, vhi = _intervals(pa, eps)
+    hlo, hhi = _intervals(pb, eps)
+    n, m = len(vlo) - 1, len(hlo) - 1
+    # an edge on s = 0 or t = 0 is reachable from (0, 0) while it is free at
+    # its start and every edge before it is free end to end
+    left, ok = [], True
+    for j in range(m):
+        ok = ok and vlo[0][j] == 0.0 <= vhi[0][j]
+        left.append(0.0 if ok else None)
+        ok = ok and vhi[0][j] >= 1.0
+    ok = True
+    for i in range(n):
+        ok = ok and hlo[0][i] == 0.0 <= hhi[0][i]
+        below = 0.0 if ok else None
+        ok = ok and hhi[0][i] >= 1.0
+        right = []
+        lo_r, hi_r = vlo[i + 1], vhi[i + 1]
+        for j in range(m):
+            into = left[j]
+            if lo_r[j] > hi_r[j]:
+                right.append(None)
+            elif below is not None:
+                right.append(lo_r[j])
+            elif into is not None and max(into, lo_r[j]) <= hi_r[j]:
+                right.append(max(into, lo_r[j]))
+            else:
+                right.append(None)
+            lo_t, hi_t = hlo[j + 1][i], hhi[j + 1][i]
+            if lo_t > hi_t:
+                below = None
+            elif into is not None:
+                below = lo_t
+            elif below is not None and max(below, lo_t) <= hi_t:
+                below = max(below, lo_t)
+            else:
+                below = None
+        left = right
+    return left[m - 1] is not None and vhi[n][m - 1] >= 1.0
+
+
+def d_m1(x, y):
+    """Exact M1 distance: the continuous Frechet distance under L-inf between
+    the completed graphs of x and y.
+
+    M1 is the infimum over parametric representations of the completed
+    graphs of the sup-norm distance in time and space (Whitt,
+    Stochastic-Process Limits, 2002, ch. 12), i.e. the Frechet distance
+    between the graph polylines under the max norm. It is computed as in
+    Alt & Godau, "Computing the Frechet distance between two polygonal
+    curves", IJCGA 5 (1995): the distance is one of the critical values
+      (a) the distances between the two start and the two end vertices,
+      (b) the L-inf distance from a vertex to a segment of the other curve,
+      (c) (x_i,c - x_k,c') / (w_c + w_c') for vertices i < k against one
+          segment, with x = r/d and w = 1/|d| per coordinate (_free_space,
+          _monotone_values),
+    which are found in closed form, and a binary search over them with the
+    reachability decision picks the smallest one that is feasible. The
+    decision runs at eps padded by a relative 1e-12 so an exactly critical
+    eps lands on the feasible side of rounding.
+    """
+    for p in (x, y):
+        if not isinstance(p, (StepPath, GridPath)):
+            raise ShapeError("d_m1 is defined for StepPath and GridPath")
+    T = _check_common_horizon(x, y)
+    a = _graph_vertices(x, T)
+    b = _graph_vertices(y, T)
+    witness = f"continuous Frechet on {len(a)} x {len(b)} graph vertices"
+    if len(a) == 1 or len(b) == 1:
+        # a point is matched to the whole other curve
+        val = float(np.abs(a[:, None, :] - b[None, :, :]).max())
+        return MetricResult(val, witness=witness)
+    pa, pb = _free_space(a, b), _free_space(b, a)
+    ends = np.abs(np.array([a[0] - b[0], a[-1] - b[-1]])).max(axis=1)
+    # every vertex has to be matched somewhere: a lower bound that is itself critical
+    floor = max(ends.max(), pa[3].min(axis=1).max(), pb[3].min(axis=1).max())
+    cands = [ends]
+    for u, span, _, dist in (pa, pb):
+        cands += [dist.ravel(), _monotone_values(u, span, dist, floor)]
+    cands = np.concatenate(cands)
+    cands = np.unique(cands[cands >= floor])
+    lo, hi = 0, cands.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _frechet_at_most(float(cands[mid]) * (1.0 + 1e-12), pa, pb):
+            hi = mid
+        else:
+            lo = mid + 1
+    return MetricResult(float(cands[lo]), witness=f"{witness}, {cands.size} critical values")

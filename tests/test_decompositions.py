@@ -159,6 +159,17 @@ def test_truncated_split_samples_match_per_path_split():
     assert stop[0.5][0] > 0.0 and stop[1e9][0] == 0.0
 
 
+def test_truncated_split_samples_without_renewals():
+    # with n = 1 and T = 0.5 no row of the block sees a renewal, so the block
+    # has no event columns and every statistic, the stopped jumps too, is 0
+    cfg = ProcessConfig(InnovationLaw(1.5, "centered"), waiting=WaitingLaw(0.8), n=1)
+    mart, tv, jump_ratio, stop = truncated_split_samples(cfg, 0.5, 1.0, [0.5], 3, SeedSpec(1, 0))
+    assert list(stop) == [0.5]
+    for arr in (mart, tv, jump_ratio, stop[0.5]):
+        assert arr.shape == (3,)
+        assert np.all(arr == 0.0)
+
+
 def test_martingale_stop_jump_hand():
     m = StepPath([0.0, 0.2, 0.5, 0.8], [0.0, 0.4, 1.2, 1.0], 1.0)
     sp = SimpleNamespace(m=m)
