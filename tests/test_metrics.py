@@ -121,6 +121,20 @@ def test_exact_metric_axioms():
             assert metric(x, z).value <= dxy + metric(y, z).value + 1e-12
 
 
+def test_m1_triangle_with_mesh_slack():
+    rng = np.random.default_rng(10)
+    for _ in range(60):
+        x = random_step_path(rng)
+        y = random_step_path(rng)
+        z = random_step_path(rng)
+        rxz = d_m1(x, z)
+        rxy = d_m1(x, y)
+        ryz = d_m1(y, z)
+        slack = rxz.mesh + rxy.mesh + ryz.mesh
+        assert slack == 0.0  # exact values report no sampling mesh
+        assert rxz.value <= rxy.value + ryz.value + slack + 1e-12
+
+
 def test_topology_ordering():
     rng = np.random.default_rng(11)
     for _ in range(300):
