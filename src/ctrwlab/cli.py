@@ -202,13 +202,12 @@ def _run_attraction(cfg, seed, reps, out_dir):
     _check_keys(
         cfg,
         _COMMON_KEYS
-        | {"target", "innovation", "waiting", "process", "n_list", "ks_bound", "grid_step"},
+        | {"target", "innovation", "waiting", "process", "n_list", "ks_bound"},
         "config",
     )
     target = cfg.get("target", "stable")
     ns = _n_list(cfg)
     bound = float(cfg.get("ks_bound", 0.03))
-    h = float(cfg.get("grid_step", 2.0**-12))
     rep = DiagnosticReport("attraction", cfg, seed.seed)
     ref_seed = SeedSpec(seed.seed, seed.stream + 900)
 
@@ -222,7 +221,7 @@ def _run_attraction(cfg, seed, reps, out_dir):
     elif target == "counting":
         wait = _build_waiting(cfg.get("waiting", {}))
         ref = terminal_inverse_subordinator_samples(
-            wait.beta, 1.0, reps, ref_seed, grid_step=h,
+            wait.beta, 1.0, reps, ref_seed,
             increment_scale=wait.scale * wait_attractor_scale(wait.beta),
         )
         samplers = [
@@ -234,7 +233,7 @@ def _run_attraction(cfg, seed, reps, out_dir):
             raise ParameterError("ctrw target needs a waiting law", tag="PARAM_CONFIG")
         ref = terminal_time_changed_samples(
             proc0.innovation.alpha, proc0.waiting.beta, 1.0, reps, ref_seed,
-            grid_step=h, z_params=_limit_z_params(proc0),
+            z_params=_limit_z_params(proc0),
             increment_scale=proc0.waiting.scale * wait_attractor_scale(proc0.waiting.beta),
         )
         samplers = [

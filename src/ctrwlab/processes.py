@@ -2,9 +2,11 @@
 their inverses, and time-changed stable paths.
 
 Pre-limit processes are exact step paths (no discretisation error); limit
-processes live on uniform grids. Every generator is a pure function of
-(config, seed), with waiting times drawn from substream lane 0 and
-innovations from lane 1, so paired processes share streams reproducibly.
+paths live on uniform grids, and the terminal laws of D^(-1)_T and
+Z_{D^(-1)_T} are drawn exactly by self-similarity. Every generator is a
+pure function of (config, seed), with waiting times drawn from substream
+lane 0 and innovations from lane 1, so paired processes share streams
+reproducibly.
 
 iter_ctrw_chunks is the vectorised Monte Carlo backbone: it yields
 replication blocks as matrices to the ensemble samplers, where per-path
@@ -347,6 +349,8 @@ def _z_law(alpha, z_params, mode):
 def _d_law(beta, increment_scale):
     """Unit-time law of the beta-stable subordinator D; defaults to the
     attractor of the package's Pareto(beta) waits."""
+    if not (0.0 < beta < 1.0):
+        raise ParameterError("beta must lie in (0, 1)", tag="PARAM_BETA_RANGE")
     if increment_scale is None:
         increment_scale = wait_attractor_scale(beta)
     return StableParams(beta, 1.0, increment_scale)
@@ -397,8 +401,6 @@ def gen_subordinator_inverse(beta, T, grid_step, seed, increment_scale=1.0):
     exp(-t * lambda^beta)); pass wait_attractor_scale(beta) to get the limit
     of the package's Pareto renewal counter.
     """
-    if not (0.0 < beta < 1.0):
-        raise ParameterError("beta must lie in (0, 1)", tag="PARAM_BETA_RANGE")
     if grid_step <= 0 or T <= 0:
         raise ParameterError("grid step and horizon must be > 0")
     h = float(grid_step)
@@ -592,43 +594,25 @@ def terminal_counting_samples(waiting, n, T, reps, seed):
 
 
 def terminal_time_changed_samples(
-    alpha,
-    beta,
-    T,
-    reps,
-    seed,
-    grid_step=2.0**-12,
-    z_params=None,
-    increment_scale=None,
-    mode="symmetric",
+    alpha, beta, T, reps, seed, z_params=None, increment_scale=None, mode="symmetric"
 ):
-    """Z_{D^(-1)_T} samples (vectorised); defaults as in gen_time_changed_levy."""
-    z_law = _z_law(alpha, z_params, mode)
-    d_law = _d_law(beta, increment_scale)
-    h = float(grid_step)
-    at_T = np.array([float(T)])
-    out = np.empty(reps)
-    for start in range(0, reps, BLOCK):
-        m = min(BLOCK, reps - start)
-        counts, zcum = _time_changed_block(
-            d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
-            seed.generator((INNOVATION_LANE, start)), at_T,
-        )
-        out[start : start + m] = zcum[np.arange(m), counts[:, 0] + 1]
-        del counts, zcum
-    return out
+    """Exact Z_{D^(-1)_T} samples: E^(1/alpha) Z_1 with E drawn as in
+    terminal_inverse_subordinator_samples and Z_1, independent of it, on the
+    innovation lane (self-similarity of the strictly stable Z; any shift of
+    z_params is dropped). Defaults as in gen_time_changed_levy.
+    """
+    z_law = _step_law(_z_law(alpha, z_params, mode), 1.0)
+    e = terminal_inverse_subordinator_samples(beta, T, reps, seed, increment_scale)
+    return e ** (1.0 / z_law.alpha) * draw_stable(z_law, seed.generator(INNOVATION_LANE), reps)
 
 
-def terminal_inverse_subordinator_samples(
-    beta, T, reps, seed, grid_step=2.0**-12, increment_scale=None
-):
-    """D^(-1)_T samples on the grid (vectorised), defaults as above."""
-    h = float(grid_step)
-    d_inc = _step_law(_d_law(beta, increment_scale), h)
-    out = np.empty(reps)
-    for start in range(0, reps, BLOCK):
-        m = min(BLOCK, reps - start)
-        D = _first_passage(d_inc, T, h, m, seed.generator((WAIT_LANE, start)))
-        out[start : start + m] = ((D <= T).sum(axis=1) + 1) * h
-        del D
-    return out
+def terminal_inverse_subordinator_samples(beta, T, reps, seed, increment_scale=None):
+    """Exact D^(-1)_T samples: (T / D_1)^beta, since D_s =d s^(1/beta) D_1
+    gives P(D^(-1)_T <= s) = P(D_s >= T) (Meerschaert & Scheffler, J. Appl.
+    Probab. 41, 2004). One D_1 per replication on the wait lane; defaults as
+    in gen_time_changed_levy.
+    """
+    if not T > 0:
+        raise ParameterError("horizon must be > 0")
+    d1 = draw_stable(_d_law(beta, increment_scale), seed.generator(WAIT_LANE), reps)
+    return (T / d1) ** beta

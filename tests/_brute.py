@@ -1,12 +1,24 @@
-"""Brute-force oracles for the path functionals, on small step paths.
+"""Brute-force oracles for the path functionals, on small step paths, and
+grid oracles for the exact terminal limit laws.
 
-Each oracle recomputes its functional straight from the definition with
-dense enumeration, independent of the library code.
+Each path oracle recomputes its functional straight from the definition
+with dense enumeration, independent of the library code. The grid oracles
+walk the subordinator along an s-grid with the library's whole-path kernel.
 """
 
 import numpy as np
 
 from ctrwlab import GridPath, StepPath
+from ctrwlab.processes import (
+    BLOCK,
+    INNOVATION_LANE,
+    WAIT_LANE,
+    _d_law,
+    _first_passage,
+    _step_law,
+    _time_changed_block,
+    _z_law,
+)
 
 
 def brute_total_variation(path, t):
@@ -192,3 +204,50 @@ def discrete_m1(x, y, resolution):
             gap = np.maximum(np.abs(np.diff(tt)), np.abs(np.diff(vv)))
             mesh = max(mesh, float(gap.max()))
     return discrete_frechet(at, av, bt, bv), mesh
+
+
+# Grid references for the terminal laws: first passage of the subordinator
+# over T on the s-grid, rounded up to the next grid point (bias in [0, h]).
+
+
+def grid_terminal_time_changed(
+    alpha,
+    beta,
+    T,
+    reps,
+    seed,
+    grid_step=2.0**-12,
+    z_params=None,
+    increment_scale=None,
+    mode="symmetric",
+):
+    """Z_{D^(-1)_T} samples on the grid; defaults as in gen_time_changed_levy."""
+    z_law = _z_law(alpha, z_params, mode)
+    d_law = _d_law(beta, increment_scale)
+    h = float(grid_step)
+    at_T = np.array([float(T)])
+    out = np.empty(reps)
+    for start in range(0, reps, BLOCK):
+        m = min(BLOCK, reps - start)
+        counts, zcum = _time_changed_block(
+            d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
+            seed.generator((INNOVATION_LANE, start)), at_T,
+        )
+        out[start : start + m] = zcum[np.arange(m), counts[:, 0] + 1]
+        del counts, zcum
+    return out
+
+
+def grid_terminal_inverse_subordinator(
+    beta, T, reps, seed, grid_step=2.0**-12, increment_scale=None
+):
+    """D^(-1)_T samples on the grid, defaults as above."""
+    h = float(grid_step)
+    d_inc = _step_law(_d_law(beta, increment_scale), h)
+    out = np.empty(reps)
+    for start in range(0, reps, BLOCK):
+        m = min(BLOCK, reps - start)
+        D = _first_passage(d_inc, T, h, m, seed.generator((WAIT_LANE, start)))
+        out[start : start + m] = ((D <= T).sum(axis=1) + 1) * h
+        del D
+    return out

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _brute import random_step_path
+from _brute import grid_terminal_time_changed, random_step_path
 from ctrwlab import (
     AdaptednessViolation,
     DataError,
@@ -32,7 +32,7 @@ from ctrwlab.integrals import (
     tc_grid_integral_samples,
     upsilon_estimate,
 )
-from ctrwlab.processes import terminal_samples, terminal_time_changed_samples
+from ctrwlab.processes import terminal_samples
 from ctrwlab.stats import ks_two_sample, wasserstein1
 
 
@@ -301,7 +301,7 @@ def test_tc_grid_integral_samples():
     a = tc_grid_integral_samples(
         1.5, 0.8, 1.0, 2000, SeedSpec(49), grid_step=2.0**-9, fn=lambda t: np.ones_like(t)
     )
-    b = terminal_time_changed_samples(1.5, 0.8, 1.0, 2000, SeedSpec(50), grid_step=2.0**-9)
+    b = grid_terminal_time_changed(1.5, 0.8, 1.0, 2000, SeedSpec(50), grid_step=2.0**-9)
     stat, _ = ks_two_sample(a, b)
     assert stat <= 0.05
     # state-dependent integrand: finite and reproducible

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _brute import grid_terminal_inverse_subordinator, grid_terminal_time_changed
 from ctrwlab import (
     DataError,
     GridPath,
@@ -214,8 +215,8 @@ def test_counting_deterministic_staircase():
 
 
 def test_counting_attraction_beta07():
-    # KS against the simulated inverse subordinator decreases in n; the
-    # residual at n=1e4 is 0.040 +- 0.003 (renewal correction ~ n^{-0.3}),
+    # KS against the exact inverse-subordinator law decreases in n; the
+    # residual at n=1e4 is 0.040 +- 0.004 (renewal correction ~ n^{-0.3}),
     # so a 0.03 bound is out of reach at this n
     dinv = terminal_inverse_subordinator_samples(
         0.7, 1.0, 10_000, SeedSpec(102), increment_scale=wait_attractor_scale(0.7)
@@ -313,7 +314,67 @@ def test_inverse_subordinator_mean_beta06():
     )
     want = 1.0 / math.gamma(1.6)
     se = vals.std() / math.sqrt(reps)
-    assert abs(vals.mean() - want) <= 3.0 * se + 2.0**-10
+    assert abs(vals.mean() - want) <= 3.0 * se
+
+
+def _max_window_mass(x, width):
+    """Largest share of the sample in a closed window [x_i, x_i + width]."""
+    s = np.sort(x)
+    return float((np.searchsorted(s, s + width, side="right") - np.arange(s.size)).max()) / s.size
+
+
+def test_exact_terminal_laws_match_grid_oracle():
+    # The grid first passage G satisfies E <= G <= E + h, so KS(G, E) is at
+    # most the largest mass of E in an h-window, which is at most the mass of
+    # two adjacent grid atoms of G. Z_G against Z_E, with Z independent of the
+    # time change, obeys the same bound.
+    n, h = 4000, 2.0**-8
+    floor = 1.36 * math.sqrt(2.0 / n)
+    for beta in (0.5, 0.8):
+        for scale in (1.0, wait_attractor_scale(beta)):
+            grid = grid_terminal_inverse_subordinator(
+                beta, 1.0, n, SeedSpec(61), grid_step=h, increment_scale=scale
+            )
+            bound = floor + _max_window_mass(grid, h)
+            exact = terminal_inverse_subordinator_samples(
+                beta, 1.0, n, SeedSpec(62), increment_scale=scale
+            )
+            assert ks_two_sample(grid, exact)[0] <= bound
+            for alpha, mode in ((1.5, "symmetric"), (2.0, "gaussian")):
+                grid = grid_terminal_time_changed(
+                    alpha, beta, 1.0, n, SeedSpec(63), grid_step=h,
+                    increment_scale=scale, mode=mode,
+                )
+                exact = terminal_time_changed_samples(
+                    alpha, beta, 1.0, n, SeedSpec(64), increment_scale=scale, mode=mode
+                )
+                assert ks_two_sample(grid, exact)[0] <= bound
+    # reruns are bitwise equal, and E_T = T^beta E_1 on the same draws
+    tc = terminal_time_changed_samples(1.5, 0.8, 1.0, n, SeedSpec(64))
+    assert np.array_equal(tc, terminal_time_changed_samples(1.5, 0.8, 1.0, n, SeedSpec(64)))
+    e1 = terminal_inverse_subordinator_samples(0.5, 1.0, n, SeedSpec(62))
+    assert np.array_equal(e1, terminal_inverse_subordinator_samples(0.5, 1.0, n, SeedSpec(62)))
+    e2 = terminal_inverse_subordinator_samples(0.5, 2.0, n, SeedSpec(62))
+    assert np.allclose(e2, 2.0**0.5 * e1, rtol=1e-12, atol=0.0)
+
+
+def test_terminal_samplers_reject_bad_parameters():
+    for beta in (1.5, 0.0, 1.0, -0.2):
+        for call in (
+            lambda: terminal_inverse_subordinator_samples(beta, 1.0, 10, SeedSpec(65)),
+            lambda: terminal_time_changed_samples(1.5, beta, 1.0, 10, SeedSpec(65)),
+        ):
+            with pytest.raises(ParameterError) as err:
+                call()
+            assert err.value.tag == "PARAM_BETA_RANGE"
+    for T in (0.0, -1.0):
+        for call in (
+            lambda: terminal_inverse_subordinator_samples(0.6, T, 10, SeedSpec(65)),
+            lambda: terminal_time_changed_samples(1.5, 0.6, T, 10, SeedSpec(65)),
+        ):
+            with pytest.raises(ParameterError) as err:
+                call()
+            assert err.value.tag == "PARAM"
 
 
 def test_compose_time_change_identity():

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from _brute import grid_terminal_inverse_subordinator
 from ctrwlab import (
     GridPath,
     InnovationLaw,
@@ -19,7 +20,6 @@ from ctrwlab import (
 from ctrwlab.processes import (
     driver_paths,
     iter_ctrw_chunks,
-    terminal_inverse_subordinator_samples,
     terminal_samples,
 )
 from ctrwlab.rng import StableParams, attractor_params, draw_stable, wait_attractor_scale
@@ -262,7 +262,7 @@ def test_s_limit_samples_time_change_only():
     # with mu = 1 the scheme telescopes the inverse-subordinator increments,
     # so every terminal value is an exact grid multiple
     assert np.all(out == h * np.round(out / h))
-    ref = terminal_inverse_subordinator_samples(
+    ref = grid_terminal_inverse_subordinator(
         0.5, 1.0, 1500, SeedSpec(304), grid_step=h, increment_scale=wait_attractor_scale(0.5)
     )
     stat, _ = ks_two_sample(out + h, ref)  # off by the origin cell only
