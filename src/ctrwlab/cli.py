@@ -419,7 +419,7 @@ def _run_sde(cfg, seed, reps, out_dir):
         cfg,
         _COMMON_KEYS
         | {"alpha", "beta", "mode", "n_list", "drift", "time_drift", "diffusion",
-           "x0", "growth", "grid_step", "substep", "w1_bound"},
+           "x0", "growth", "grid_step", "w1_bound"},
         "config",
     )
     T = float(cfg.get("horizon", 1.0))
@@ -427,6 +427,7 @@ def _run_sde(cfg, seed, reps, out_dir):
     beta = float(cfg.get("beta", 0.5))
     mode = cfg.get("mode", "symmetric")
     ns = _n_list(cfg)
+    h = float(cfg.get("grid_step", 2.0**-10))
     g = cfg.get("growth", [1.0, 10.0, 0.5])
     spec = SdeSpec(
         b=make_expr(cfg.get("drift", "0"), ("t", "ytilde", "y")),
@@ -443,13 +444,12 @@ def _run_sde(cfg, seed, reps, out_dir):
         )
         laws.append(
             sn_terminal_samples(
-                spec, proc, T, reps, SeedSpec(seed.seed, seed.stream + 1 + i),
-                substep=float(cfg.get("substep", 2.0**-10)),
+                spec, proc, T, reps, SeedSpec(seed.seed, seed.stream + 1 + i), drift_mesh=h
             )
         )
     limit = s_limit_terminal_samples(
         spec, alpha, beta, T, reps, SeedSpec(seed.seed, seed.stream + 900),
-        grid_step=float(cfg.get("grid_step", 2.0**-10)), mode=mode,
+        grid_step=h, mode=mode,
     )
     _w1_table(rep, ns, laws, limit, float(cfg.get("w1_bound", 0.05)), reps)
     return rep

@@ -577,6 +577,8 @@ def terminal_samples(config, T, reps, seed):
 
 def terminal_counting_samples(waiting, n, T, reps, seed):
     """n^(-beta) N_{nT} over `reps` replications (vectorised)."""
+    if T <= 0:
+        raise ParameterError("horizon must be > 0")
     n = int(n)
     target = n * T
     beta = waiting.beta

@@ -270,4 +270,6 @@ def wait_attractor_scale(beta, scale=1.0):
     to the positive stable law with Laplace transform exp(-Gamma(1-beta) l^beta);
     in the sampler's subordinator convention that is scale Gamma(1-beta)^(1/beta).
     """
+    if not (0.0 < beta < 1.0):
+        raise ParameterError("beta must lie in (0, 1)", tag="PARAM_BETA_RANGE")
     return scale * math.gamma(1.0 - beta) ** (1.0 / beta)

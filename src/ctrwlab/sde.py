@@ -3,8 +3,9 @@ schemes for their scaling limits, and vectorised terminal-law samplers.
 
 Prelimit equations are driven by the exact step drivers (D^n, Z^n) of a
 SimulationBundle, so every pure-jump reduction is solved without any
-discretisation error; only the dt term needs a quadrature mesh. Limit
-equations are left-point Euler schemes on uniform grids.
+discretisation error; only the dt term needs a quadrature mesh. One kernel
+steps the walk-driven scheme for the per-path solver and the block sampler.
+Limit equations are left-point Euler schemes on uniform grids.
 """
 
 import bisect
@@ -146,49 +147,68 @@ def _union_times(events, mesh, T, max_gap=None, extra=None):
     return u
 
 
+def _sn_euler(spec, ev_t, live, dd, dz, T, drift_mesh):
+    """Left-point Euler for the walk-driven scheme, one row per replication.
+
+    ev_t, live, dd and dz are (m, K) event times, validity mask and jumps of
+    D and Z. Each row steps through its events, the mesh {k drift_mesh} and T
+    in time order, masked events being zero-width steps at T: b dt on every
+    step, then mu_- dD + sigma_- dZ at a live event, with the coefficients
+    read at left limits. Returns the (m, L) sorted times and X after each.
+    """
+    m, K = ev_t.shape
+    bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
+    Kg, Cg, p = spec.growth
+    mesh = np.arange(1, int(math.floor(T / drift_mesh + 1e-9)) + 1) * drift_mesh if drift_mesh else np.empty(0)
+    mesh = mesh[mesh <= T]
+    times = np.concatenate([np.where(live, ev_t, T), np.broadcast_to(mesh, (m, mesh.size)), np.full((m, 1), T)], 1)
+    # stable, so at equal times an event comes before the mesh point and T
+    order = np.argsort(times, axis=1, kind="stable")
+    times.sort(axis=1)
+    rows = np.arange(m)
+    x = np.empty(times.shape)
+    xk, d, u = np.full(m, float(spec.x0)), np.zeros(m), np.zeros(m)
+    grew = False
+    for j in range(times.shape[1]):
+        v = times[:, j]
+        xk = xk + bfn(u, d, xk) * (v - u)
+        ev = order[:, j] < K
+        if ev.any():
+            k = np.minimum(order[:, j], K - 1)
+            ev &= live[rows, k]
+            mu_l, si_l = mfn(v, d, xk), sfn(v, d, xk)
+            if not grew and np.any(ev & (np.maximum(np.abs(mu_l), np.abs(si_l)) > Kg * np.abs(xk) ** p + Cg)):
+                grew = True
+                warnings.warn(
+                    "coefficient exceeded the declared growth bound during integration", RuntimeWarning, stacklevel=3
+                )
+            xk = np.where(ev, xk + (mu_l * dd[rows, k] + si_l * dz[rows, k]), xk)
+            d = np.where(ev, d + dd[rows, k], d)
+        x[:, j] = xk
+        u = v
+    return times, x
+
+
 def solve_sn(spec, drivers, drift_mesh=2.0**-12, T=None):
     """Event-driven Euler solution of the walk-driven scheme.
 
-    drivers is the (D^n, Z^n) pair of step paths (see driver_paths). Between
-    events the dt term advances on the drift mesh; at each event X jumps by
-    mu_- dD + sigma_- dZ with all coefficients read at left limits. With
-    b identically 0 the output is exact.
+    drivers is the (D^n, Z^n) pair of step paths (see driver_paths). This is
+    the one-row call of the kernel that sn_terminal_samples runs: the dt term
+    advances on the union of the events and the drift mesh; at each event X
+    jumps by mu_- dD + sigma_- dZ with all coefficients read at left limits.
+    With b identically 0 the output is exact.
     """
     dn, zn = drivers
     if drift_mesh is not None and drift_mesh <= 0:
         raise ParameterError("drift mesh must be > 0", tag="PARAM_MESH")
     T = zn.horizon if T is None else float(T)
-    events = np.union1d(dn.jump_times(), zn.jump_times())
-    events = events[events <= T]
-    times = _union_times(events, drift_mesh, T)
-    bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
-    ev = set(events.tolist())
-    x = float(spec.x0)
-    vals = np.empty(times.size)
-    vals[0] = x
-    dprev = float(dn.value(0.0))
-    K, C, p = spec.growth
-    grew = False
-    for i in range(1, times.size):
-        u, v = times[i - 1], times[i]
-        x += float(bfn(u, dprev, x)) * (v - u)
-        if v in ev:
-            dv = float(dn.value(v))
-            zjump = float(zn.value(v) - zn.value_before(v))
-            djump = dv - dprev
-            mu_l = float(mfn(v, dprev, x))
-            si_l = float(sfn(v, dprev, x))
-            if not grew and max(abs(mu_l), abs(si_l)) > K * abs(x) ** p + C:
-                warnings.warn(
-                    "coefficient exceeded the declared growth bound during integration",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                grew = True
-            x += mu_l * djump + si_l * zjump
-            dprev = dv
-        vals[i] = x
-    return StepPath(times, vals, T)
+    ev = np.union1d(dn.jump_times(), zn.jump_times())
+    ev = ev[None, ev <= T]
+    dd, dz = (path.value(ev) - path.value_before(ev) for path in drivers)
+    times, x = _sn_euler(spec, ev, np.ones(ev.shape, dtype=bool), dd, dz, T, drift_mesh)
+    # zero-width steps repeat a time; the last of each run holds the state
+    keep = np.append(times[0, 1:] != times[0, :-1], True)
+    return StepPath(np.append(0.0, times[0, keep]), np.append(float(spec.x0), x[0, keep]), T)
 
 
 def _s_limit_euler(spec, dinv, w, h):
@@ -270,14 +290,15 @@ def _window_quadrature(phi, t, r, hist, mesh):
     return float(_trapezoid(g, s))
 
 
-def solve_sddn(spec, bundle, drift_mesh=2.0**-12, T=None, _phi=False):
+def solve_sddn(spec, bundle, drift_mesh=2.0**-12, T=None):
     """Exact event-driven solution of the delay scheme driven by bundle.x.
 
     The delayed argument lags by r, so it is always known before it is
     needed; the drift is integrated by midpoint quadrature on cells no wider
     than the drift mesh (and never wider than r/2, keeping the delayed read
     behind the solution frontier). With b identically 0 the jump part is
-    exact.
+    exact. When spec.phi is set, sigma is augmented by the trapezoid
+    quadrature of phi over the trailing r-window.
     """
     zn = bundle.x
     c = bundle.config.psi
@@ -301,7 +322,7 @@ def solve_sddn(spec, bundle, drift_mesh=2.0**-12, T=None, _phi=False):
         x += float(bfn(mid, hist.read(mid - spec.r))) * (v - u)
         if v in ev:
             sig = float(sfn(v, hist.read(v - spec.r, left=True)))
-            if _phi and spec.phi is not None:
+            if spec.phi is not None:
                 sig += _window_quadrature(spec.phi, v, spec.r, hist, mesh)
             x += sig / c * float(zn.value(v) - zn.value_before(v))
         hist.push(v, x)
@@ -309,12 +330,7 @@ def solve_sddn(spec, bundle, drift_mesh=2.0**-12, T=None, _phi=False):
     return StepPath(times, vals, T)
 
 
-def solve_ext_sddn(spec, bundle, drift_mesh=2.0**-12, T=None):
-    """Delay scheme with the window-kernel diffusion: sigma is augmented by
-    the trapezoid quadrature of phi over the trailing r-window."""
-    if spec.phi is None:
-        return solve_sddn(spec, bundle, drift_mesh, T)
-    return solve_sddn(spec, bundle, drift_mesh, T, _phi=True)
+solve_ext_sddn = solve_sddn
 
 
 def _sdd_limit_euler(spec, zinc, h):
@@ -354,51 +370,18 @@ def solve_sdd_limit(spec, z, T=None):
 # vectorised terminal samplers
 
 
-def sn_terminal_samples(spec, config, T, reps, seed, substep=2.0**-10):
-    """Terminal values of the walk-driven scheme across replications.
-
-    Walks event columns of the replication block: per-event left-limit
-    coefficient reads exactly as in solve_sn, with the inter-event drift
-    advanced in uniform substeps no wider than `substep`.
-    """
+def sn_terminal_samples(spec, config, T, reps, seed, drift_mesh=2.0**-10):
+    """Terminal values of the walk-driven scheme across replications: the
+    solve_sn kernel run on each replication block, so every value is what
+    solve_sn gives on that row's drivers."""
     nb = float(config.n) ** (-config.beta_eff)
-    bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
     out = np.empty(reps)
     lo = 0
     for blk in iter_ctrw_chunks(config, T, reps, seed):
-        zeta, times, mask = blk["zeta"], blk["times"], blk["mask"]
-        m, K = zeta.shape
-        x = np.full(m, float(spec.x0))
-        d = np.zeros(m)
-        tprev = np.zeros(m)
-        for k in range(K):
-            live = mask[:, k]
-            if not live.any():
-                break
-            gap = np.where(live, times[:, k] - tprev, 0.0)
-            nsub = max(1, int(math.ceil(float(gap.max()) / substep)))
-            dt = gap / nsub
-            t = tprev.copy()
-            for _ in range(nsub):
-                x = x + np.where(live, bfn(t, d, x) * dt, 0.0)
-                t = t + dt
-            ev_t = times[:, k]
-            x = x + np.where(
-                live,
-                mfn(ev_t, d, x) * nb + sfn(ev_t, d, x) * zeta[:, k],
-                0.0,
-            )
-            d = d + np.where(live, nb, 0.0)
-            tprev = np.where(live, ev_t, tprev)
-        gap = T - tprev
-        nsub = max(1, int(math.ceil(float(gap.max()) / substep)))
-        dt = gap / nsub
-        t = tprev.copy()
-        for _ in range(nsub):
-            x = x + bfn(t, d, x) * dt
-            t = t + dt
-        out[lo : lo + m] = x
-        lo += m
+        zeta = blk["zeta"]
+        x = _sn_euler(spec, blk["times"], blk["mask"], np.broadcast_to(nb, zeta.shape), zeta, T, drift_mesh)[1]
+        out[lo : lo + x.shape[0]] = x[:, -1]
+        lo += x.shape[0]
     return out
 
 
@@ -452,6 +435,12 @@ def sddn_terminal_samples(spec, config, T, reps, seed):
     c = config.psi
     bfn, sfn = spec.coef("b"), spec.coef("sigma")
     segment = _History(spec.eta)
+    # delayed window still inside the initial segment for k < nr; the jump
+    # read at k = nr - 1 is the left limit at 0 even when (k + 1)/n - r
+    # rounds above 0
+    head = range(min(nr, math.ceil(n * T)))
+    seg_drift = [segment.read(k / n + 0.5 / n - spec.r) for k in head]
+    seg_jump = [segment.read(min((k + 1) / n - spec.r, 0.0), left=True) for k in head]
     out = np.empty(reps)
     lo = 0
     for blk in iter_ctrw_chunks(config, T, reps, seed):
@@ -466,11 +455,8 @@ def sddn_terminal_samples(spec, config, T, reps, seed):
                 xd_drift = X[:, k - nr]
                 xd_jump = X[:, k - nr]
             else:
-                # delayed window still inside the initial segment; the jump
-                # read at k = nr - 1 is the left limit at 0 even when
-                # t_next - r rounds above 0
-                xd_drift = segment.read(t_k + 0.5 / n - spec.r)
-                xd_jump = segment.read(min(t_next - spec.r, 0.0), left=True)
+                xd_drift = seg_drift[k]
+                xd_jump = seg_jump[k]
             X[:, k + 1] = (
                 X[:, k]
                 + bfn(t_k + 0.5 / n, xd_drift) / n

@@ -4,11 +4,15 @@ grid oracles for the exact terminal limit laws.
 Each path oracle recomputes its functional straight from the definition
 with dense enumeration, independent of the library code. The grid oracles
 walk the subordinator along an s-grid with the library's whole-path kernel.
+The event Euler oracle steps the walk-driven SDE one grid time at a time
+with scalar coefficient reads.
 """
+
+import warnings
 
 import numpy as np
 
-from ctrwlab import GridPath, StepPath
+from ctrwlab import GridPath, ParameterError, StepPath
 from ctrwlab.processes import (
     BLOCK,
     INNOVATION_LANE,
@@ -19,6 +23,7 @@ from ctrwlab.processes import (
     _time_changed_block,
     _z_law,
 )
+from ctrwlab.sde import _union_times
 
 
 def brute_total_variation(path, t):
@@ -251,3 +256,43 @@ def grid_terminal_inverse_subordinator(
         out[start : start + m] = ((D <= T).sum(axis=1) + 1) * h
         del D
     return out
+
+
+def event_euler_sn(spec, drivers, drift_mesh=2.0**-12, T=None):
+    """Event-driven Euler solution of the walk-driven scheme, one scalar
+    step per time of the union of the events and the drift mesh."""
+    dn, zn = drivers
+    if drift_mesh is not None and drift_mesh <= 0:
+        raise ParameterError("drift mesh must be > 0", tag="PARAM_MESH")
+    T = zn.horizon if T is None else float(T)
+    events = np.union1d(dn.jump_times(), zn.jump_times())
+    events = events[events <= T]
+    times = _union_times(events, drift_mesh, T)
+    bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
+    ev = set(events.tolist())
+    x = float(spec.x0)
+    vals = np.empty(times.size)
+    vals[0] = x
+    dprev = float(dn.value(0.0))
+    K, C, p = spec.growth
+    grew = False
+    for i in range(1, times.size):
+        u, v = times[i - 1], times[i]
+        x += float(bfn(u, dprev, x)) * (v - u)
+        if v in ev:
+            dv = float(dn.value(v))
+            zjump = float(zn.value(v) - zn.value_before(v))
+            djump = dv - dprev
+            mu_l = float(mfn(v, dprev, x))
+            si_l = float(sfn(v, dprev, x))
+            if not grew and max(abs(mu_l), abs(si_l)) > K * abs(x) ** p + C:
+                warnings.warn(
+                    "coefficient exceeded the declared growth bound during integration",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                grew = True
+            x += mu_l * djump + si_l * zjump
+            dprev = dv
+        vals[i] = x
+    return StepPath(times, vals, T)

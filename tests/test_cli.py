@@ -287,7 +287,6 @@ def test_cli_sde_and_sdde(tmp_path):
         "diffusion": "1.0",
         "x0": 0.0,
         "grid_step": 0.03125,
-        "substep": 0.0625,
         "w1_bound": 10.0,
         "replications": 40,
         "seed": 10,
@@ -389,6 +388,13 @@ def test_cli_parameter_errors(tmp_path):
         "replications": 10, "w1_bound": 10.0,
     })
     check_fails(tmp_path, ["sde", "--config", bad_expr], "PARAM_EXPR")
+
+    # sde configs take the walk's drift mesh from grid_step; substep is unknown
+    substep = write_cfg(tmp_path, "t.json", {
+        "kind": "sde", "alpha": 2.0, "beta": 0.5, "mode": "gaussian",
+        "n_list": [20], "substep": 0.0625, "replications": 10, "w1_bound": 10.0,
+    })
+    check_fails(tmp_path, ["sde", "--config", substep], "PARAM_UNKNOWN_KEY")
 
 
 def test_run_scenario_rejects_unknown_kind(tmp_path):

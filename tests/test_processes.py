@@ -371,6 +371,7 @@ def test_terminal_samplers_reject_bad_parameters():
         for call in (
             lambda: terminal_inverse_subordinator_samples(0.6, T, 10, SeedSpec(65)),
             lambda: terminal_time_changed_samples(1.5, 0.6, T, 10, SeedSpec(65)),
+            lambda: terminal_counting_samples(WaitingLaw(0.5), 10, T, 10, SeedSpec(65)),
         ):
             with pytest.raises(ParameterError) as err:
                 call()

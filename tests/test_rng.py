@@ -240,6 +240,11 @@ def test_attractor_params_closed_forms():
     assert abs(wait_attractor_scale(0.5) - math.pi) < 1e-12
     assert abs(wait_attractor_scale(0.8) - math.gamma(0.2) ** 1.25) < 1e-12
     assert abs(wait_attractor_scale(0.5, scale=2.0) - 2.0 * math.pi) < 1e-12
+    # outside (0, 1) Gamma(1 - beta)^(1/beta) is complex, or undefined
+    for beta in (1.5, 1.0, 0.0, -0.2):
+        with pytest.raises(ParameterError) as err:
+            wait_attractor_scale(beta)
+        assert err.value.tag == "PARAM_BETA_RANGE"
 
 
 def test_attractor_laws_match_sampling():

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _brute import grid_terminal_inverse_subordinator
+from _brute import event_euler_sn, grid_terminal_inverse_subordinator
 from ctrwlab import (
     GridPath,
     InnovationLaw,
@@ -60,6 +60,15 @@ FULL = dict(
     b=lambda t, yt, y: 0.5 * np.tanh(y),
     mu=0.2,
     sigma=lambda t, yt, y: 1.0 / (1.0 + y * y),
+)
+
+
+# reads t in every coefficient and ytilde in mu and sigma, so a kernel that
+# reads any of them at the wrong time shows in the values
+TIMED = dict(
+    b=lambda t, yt, y: 0.5 * np.tanh(y) + 0.3 * np.cos(4.0 * t),
+    mu=lambda t, yt, y: 0.2 + 0.1 * np.tanh(yt - y),
+    sigma=lambda t, yt, y: 1.0 / (1.0 + y * y) + 0.1 * np.sin(3.0 * t + yt),
 )
 
 
@@ -154,6 +163,74 @@ def test_solve_sn_growth_warning_at_runtime():
     with pytest.warns(RuntimeWarning, match="exceeded the declared growth bound"):
         solve_sn(spec, driver_paths(b), drift_mesh=None)
 
+    # the block sampler runs the same kernel, so it warns too, once per block
+    cfg = ProcessConfig(
+        innovation=InnovationLaw(1.5, "symmetric"),
+        waiting=WaitingLaw(0.5),
+        coefficients=(1.0,),
+        n=50,
+    )
+    with pytest.warns(RuntimeWarning, match="exceeded the declared growth bound") as rec:
+        sn_terminal_samples(spec, cfg, 1.0, 40, SeedSpec(36))
+    assert sum("growth bound" in str(w.message) for w in rec) == 1
+
+
+def test_solve_sn_matches_event_euler_oracle():
+    spec = SdeSpec(**TIMED)
+    cfg = ProcessConfig(
+        innovation=InnovationLaw(1.5, "symmetric"),
+        waiting=WaitingLaw(0.5),
+        coefficients=(1.0,),
+        n=1000,
+    )
+    for i in range(20):
+        drivers = driver_paths(gen_ctrw(cfg, 1.0, SeedSpec(400 + i)))
+        for mesh, T in ((2.0 ** -10, None), (2.0 ** -12, 0.75), (None, None)):
+            out = solve_sn(spec, drivers, drift_mesh=mesh, T=T)
+            ref = event_euler_sn(spec, drivers, drift_mesh=mesh, T=T)
+            assert out.horizon == ref.horizon
+            assert np.array_equal(out.times, ref.times)
+            assert np.array_equal(out.values, ref.values)
+
+
+def test_sn_samples_match_oracle_per_row():
+    # rebuild every row's drivers from its block and solve it alone: the CTRW
+    # rows carry different event counts (zero included), the moving average
+    # puts every event on a mesh point and its last one at T
+    spec = SdeSpec(**TIMED)
+    ctrw = ProcessConfig(
+        innovation=InnovationLaw(1.5, "symmetric"),
+        waiting=WaitingLaw(0.5),
+        coefficients=(1.0,),
+        n=50,
+    )
+    ma = ProcessConfig(
+        innovation=InnovationLaw(1.5, "centered"),
+        waiting=None,
+        coefficients=(1.0, 0.5),
+        n=8,
+    )
+    mesh, reps = 2.0 ** -5, 40
+    for cfg, T in ((ctrw, 1.0), (ma, 0.75)):
+        out = sn_terminal_samples(spec, cfg, T, reps, SeedSpec(37), drift_mesh=mesh)
+        blk = next(iter(iter_ctrw_chunks(cfg, T, reps, SeedSpec(37))))
+        nb = float(cfg.n) ** (-cfg.beta_eff)
+        counts = set()
+        for r in range(reps):
+            live = blk["mask"][r]
+            tj = blk["times"][r][live]
+            counts.add(tj.size)
+            drivers = (
+                StepPath.from_jumps(tj, np.full(tj.size, nb), T),
+                StepPath.from_jumps(tj, blk["zeta"][r][live], T),
+            )
+            ref = event_euler_sn(spec, drivers, drift_mesh=mesh, T=T).value(T)
+            assert abs(out[r] - ref) <= 1e-12
+        if cfg is ctrw:
+            assert 0 in counts and len(counts) > 5
+        else:
+            assert blk["times"][0][-1] == T
+
 
 def test_sn_samples_match_reductions():
     cfg = ProcessConfig(
@@ -175,7 +252,7 @@ def test_sn_samples_match_reductions():
     assert np.all(counts >= -1e-9) and counts.max() > 0
 
     ode = SdeSpec(b=1.0, mu=0.0, sigma=0.0, x0=0.25)
-    outb = sn_terminal_samples(ode, cfg, T, reps, SeedSpec(33), substep=2.0 ** -6)
+    outb = sn_terminal_samples(ode, cfg, T, reps, SeedSpec(33), drift_mesh=2.0 ** -6)
     assert np.allclose(outb, 1.25, rtol=0.0, atol=1e-9)
 
 
@@ -187,7 +264,7 @@ def test_sn_samples_vs_per_path_law():
         coefficients=(1.0,),
         n=50,
     )
-    big = sn_terminal_samples(spec, cfg, 1.0, 1200, SeedSpec(301), substep=2.0 ** -5)
+    big = sn_terminal_samples(spec, cfg, 1.0, 1200, SeedSpec(301), drift_mesh=2.0 ** -5)
     small = np.empty(400)
     for i in range(400):
         bun = gen_ctrw(cfg, 1.0, SeedSpec(9000 + i))
