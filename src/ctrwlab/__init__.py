@@ -90,7 +90,20 @@ from .sde import (
     solve_sn,
 )
 from .exprs import make_expr
-from .cli import emit_report, load_config, main, run_scenario
+
+# The CLI names resolve on first use: importing `.cli` here would put
+# `ctrwlab.cli` in sys.modules before `python -m ctrwlab.cli` runs it, and
+# runpy warns about that on every run.
+_CLI_NAMES = ("emit_report", "load_config", "main", "run_scenario")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

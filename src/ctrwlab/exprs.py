@@ -26,13 +26,10 @@ _FUNCS = {
 
 _CONSTS = {"pi": np.pi, "e": np.e}
 
-_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a**b,
-}
+_BINARY_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+# the only names a compiled expression can reach besides its own variables
+_NAMESPACE = {"__builtins__": {}, **_FUNCS, **_CONSTS}
 
 
 def _reject(node, why):
@@ -43,7 +40,7 @@ def _validate(node, variables):
     if isinstance(node, ast.Expression):
         _validate(node.body, variables)
     elif isinstance(node, ast.BinOp):
-        if type(node.op) not in _BINOPS:
+        if not isinstance(node.op, _BINARY_OPS):
             _reject(node, type(node.op).__name__)
         _validate(node.left, variables)
         _validate(node.right, variables)
@@ -71,23 +68,6 @@ def _validate(node, variables):
         _reject(node, type(node).__name__)
 
 
-def _eval(node, env):
-    if isinstance(node, ast.Expression):
-        return _eval(node.body, env)
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_eval(node.left, env), _eval(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        v = _eval(node.operand, env)
-        return -v if isinstance(node.op, ast.USub) else +v
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.Name):
-        return env[node.id] if node.id in env else _CONSTS[node.id]
-    if isinstance(node, ast.Call):
-        return _FUNCS[node.func.id](*(_eval(a, env) for a in node.args))
-    raise ParameterError("unreachable expression node", tag="PARAM_EXPR")
-
-
 def make_expr(source, variables):
     """Compile `source` into a vectorised callable over the named variables,
     in the given positional order."""
@@ -100,13 +80,14 @@ def make_expr(source, variables):
     except SyntaxError as exc:
         raise ParameterError(f"expression does not parse: {exc.msg}", tag="PARAM_EXPR") from None
     _validate(tree, variables)
+    code = compile(tree, "<expr>", "eval")
 
     def fn(*args):
         if len(args) != len(variables):
             raise ParameterError(
                 f"expression takes {len(variables)} argument(s)", tag="PARAM_EXPR"
             )
-        return _eval(tree, dict(zip(variables, args)))
+        return eval(code, _NAMESPACE, dict(zip(variables, args)))
 
     fn.source = source
     fn.variables = variables

@@ -24,11 +24,13 @@ from .processes import (
     LIMIT_BLOCK,
     WAIT_LANE,
     _d_law,
-    _t_nodes,
-    _time_changed_block,
+    _first_passage,
+    _inverse_at,
+    _step_law,
     _z_law,
     iter_ctrw_chunks,
 )
+from .rng import draw_stable
 from .stats import DiagnosticReport, Estimate, mean_estimate
 
 
@@ -495,29 +497,56 @@ def tc_grid_integral_samples(
     increment_scale=None,
     mode="symmetric",
 ):
-    """Terminal left-point integrals against the time-changed stable path.
+    """Terminal left-point integrals against the time-changed stable path,
+    summed in operational time.
 
     fn: integrand f(t) of time; base: integrand g(W_{t-}) of the path itself.
     Exactly one must be given. Defaults for the driving laws match
     gen_time_changed_levy.
+
+    By Kobayashi's duality (J. Theoret. Probab. 24, 2011) the integral of
+    H_{t-} against W = Z(E) up to T equals the integral of H_{D_{s-}} against
+    Z up to E_T, summed here as sum_j H_j dZ_j over s-steps of width
+    grid_step. For base, H_j = g(Z_{jh}) needs D only through E_T, drawn
+    exactly as (T / D_1)^beta; the last step is cut to width E_T - J h, with
+    J = floor(E_T / h). For fn, H_j = f(D_{jh}) on the subordinator's grid
+    path, over the J + 1 full steps up to its first passage over T.
     """
     if (fn is None) == (base is None):
         raise ParameterError("pass exactly one of fn (time) or base (state)")
+    h = float(grid_step)
+    if not h > 0:
+        raise ParameterError("grid step must be > 0", tag="PARAM_MESH")
+    if not T > 0:
+        raise ParameterError("horizon must be > 0")
     z_law = _z_law(alpha, z_params, mode)
     d_law = _d_law(beta, increment_scale)
-    h = float(grid_step)
-    nodes = _t_nodes(T, h)
-    hv_time = np.asarray(fn(nodes[:-1]), dtype=float) if fn is not None else None
+    z_step = _step_law(z_law, h)
     out = np.empty(reps)
     for start in range(0, reps, LIMIT_BLOCK):
         m = min(LIMIT_BLOCK, reps - start)
-        counts, zcum = _time_changed_block(
-            d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
-            seed.generator((INNOVATION_LANE, start)), nodes,
-        )
-        for r in range(m):
-            w = zcum[r, counts[r]]
-            hv = hv_time if fn is not None else np.asarray(base(w[:-1]), dtype=float)
-            out[start + r] = float(np.dot(hv, np.diff(w)))
-        del counts, zcum
+        dgen = seed.generator((WAIT_LANE, start))
+        if fn is None:
+            e = _inverse_at(d_law, T, dgen, m)
+            steps = np.floor(e / h).astype(np.intp)
+        else:
+            D = _first_passage(_step_law(d_law, h), T, h, m, dgen)
+            steps = (D <= T).sum(axis=1)
+        counts = steps + 1
+        rows = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        dz = draw_stable(z_step, seed.generator((INNOVATION_LANE, start)), int(counts.sum()))
+        if fn is None:
+            dz[rows + steps] *= ((e - steps * h) / h) ** (1.0 / z_law.alpha)
+            # Z before each step. A row's first entry takes back the total
+            # of the row before it, so the running sum and its rounding stay
+            # the size of one row's path, not of the whole block's; the
+            # rounding left over from earlier rows is then taken off
+            prev = np.concatenate([[0.0], dz[:-1]])
+            prev[rows[1:]] -= np.add.reduceat(dz, rows)[:-1]
+            z = np.cumsum(prev)
+            hv = base(z - np.repeat(z[rows], counts))
+        else:
+            levels = np.concatenate([np.zeros((m, 1)), D], axis=1)
+            hv = fn(levels[np.arange(levels.shape[1]) < counts[:, None]])
+        out[start : start + m] = np.add.reduceat(np.asarray(hv, dtype=float) * dz, rows)
     return out

@@ -368,6 +368,12 @@ def _first_passage(d_inc, T, h, m, gen):
     return D
 
 
+def _inverse_at(d_law, T, gen, size):
+    """Exact D^(-1)_T = (T / D_1)^beta for `size` replications, one D_1 each
+    from gen (see terminal_inverse_subordinator_samples)."""
+    return (T / draw_stable(d_law, gen, size)) ** d_law.alpha
+
+
 def _time_changed_block(d_law, z_law, T, h, m, dgen, zgen, nodes):
     """The grid time change for m replications: (counts, zcum).
 
@@ -616,5 +622,4 @@ def terminal_inverse_subordinator_samples(beta, T, reps, seed, increment_scale=N
     """
     if not T > 0:
         raise ParameterError("horizon must be > 0")
-    d1 = draw_stable(_d_law(beta, increment_scale), seed.generator(WAIT_LANE), reps)
-    return (T / d1) ** beta
+    return _inverse_at(_d_law(beta, increment_scale), T, seed.generator(WAIT_LANE), reps)

@@ -3,7 +3,8 @@ grid oracles for the exact terminal limit laws.
 
 Each path oracle recomputes its functional straight from the definition
 with dense enumeration, independent of the library code. The grid oracles
-walk the subordinator along an s-grid with the library's whole-path kernel.
+walk the subordinator along an s-grid with the library's whole-path kernel;
+the t-grid integral oracle sums the limit integrals that way too.
 The event Euler oracle steps the walk-driven SDE one grid time at a time
 with scalar coefficient reads.
 """
@@ -16,13 +17,16 @@ from ctrwlab import GridPath, ParameterError, StepPath
 from ctrwlab.processes import (
     BLOCK,
     INNOVATION_LANE,
+    LIMIT_BLOCK,
     WAIT_LANE,
     _d_law,
     _first_passage,
     _step_law,
+    _t_nodes,
     _time_changed_block,
     _z_law,
 )
+from ctrwlab.rng import draw_stable
 from ctrwlab.sde import _union_times
 
 
@@ -255,6 +259,83 @@ def grid_terminal_inverse_subordinator(
         D = _first_passage(d_inc, T, h, m, seed.generator((WAIT_LANE, start)))
         out[start : start + m] = ((D <= T).sum(axis=1) + 1) * h
         del D
+    return out
+
+
+def tgrid_integral_samples(
+    alpha,
+    beta,
+    T,
+    reps,
+    seed,
+    grid_step=2.0**-12,
+    fn=None,
+    base=None,
+    z_params=None,
+    increment_scale=None,
+    mode="symmetric",
+):
+    """Terminal left-point integrals against the time-changed stable path,
+    summed on the t-grid: sum_k H(t_k) (Z(E(t_{k+1})) - Z(E(t_k))) with E the
+    grid inverse of the subordinator.
+
+    fn: integrand f(t) of time; base: integrand g(W_{t-}) of the path itself.
+    Exactly one must be given. Defaults for the driving laws match
+    gen_time_changed_levy.
+    """
+    if (fn is None) == (base is None):
+        raise ParameterError("pass exactly one of fn (time) or base (state)")
+    z_law = _z_law(alpha, z_params, mode)
+    d_law = _d_law(beta, increment_scale)
+    h = float(grid_step)
+    nodes = _t_nodes(T, h)
+    hv_time = np.asarray(fn(nodes[:-1]), dtype=float) if fn is not None else None
+    out = np.empty(reps)
+    for start in range(0, reps, LIMIT_BLOCK):
+        m = min(LIMIT_BLOCK, reps - start)
+        counts, zcum = _time_changed_block(
+            d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
+            seed.generator((INNOVATION_LANE, start)), nodes,
+        )
+        for r in range(m):
+            w = zcum[r, counts[r]]
+            hv = hv_time if fn is not None else np.asarray(base(w[:-1]), dtype=float)
+            out[start + r] = float(np.dot(hv, np.diff(w)))
+        del counts, zcum
+    return out
+
+
+def operational_integral_rows(
+    alpha, beta, T, reps, seed, grid_step, fn=None, base=None, z_params=None, mode="symmetric"
+):
+    """The operational-time sums of tc_grid_integral_samples, one row at a
+    time: each block's streams are drawn again as the sampler draws them, and
+    each row's Z path and integrand are built with its own cumsum and dot."""
+    z_law = _z_law(alpha, z_params, mode)
+    d_law = _d_law(beta, None)
+    h = float(grid_step)
+    out = np.empty(reps)
+    for start in range(0, reps, LIMIT_BLOCK):
+        m = min(LIMIT_BLOCK, reps - start)
+        dgen = seed.generator((WAIT_LANE, start))
+        if fn is None:
+            e = (T / draw_stable(d_law, dgen, m)) ** beta
+            steps = [int(np.floor(v / h)) for v in e]
+        else:
+            D = _first_passage(_step_law(d_law, h), T, h, m, dgen)
+            steps = [int(np.sum(row <= T)) for row in D]
+        zgen = seed.generator((INNOVATION_LANE, start))
+        dz_all = draw_stable(_step_law(z_law, h), zgen, sum(steps) + m)
+        lo = 0
+        for r, J in enumerate(steps):
+            dz = dz_all[lo : lo + J + 1].copy()
+            lo += J + 1
+            if fn is None:
+                dz[J] *= ((e[r] - J * h) / h) ** (1.0 / z_law.alpha)
+                hv = base(np.concatenate([[0.0], np.cumsum(dz[:-1])]))
+            else:
+                hv = fn(np.concatenate([[0.0], D[r, :J]]))
+            out[start + r] = float(np.dot(hv, dz))
     return out
 
 

@@ -3,8 +3,7 @@
 tests/test_cli.py runs the CLI as a subprocess and resolves it with
 `shutil.which` when the module is imported, so the shim is written in
 `pytest_configure`, before collection. The shim imports `ctrwlab.cli:main`
-from this checkout's `src`; it does not use `python -m ctrwlab.cli`, whose
-runpy warning on stderr would break the CLI's one-line stderr contract.
+from this checkout's `src`, as the installed console script does.
 """
 
 import os

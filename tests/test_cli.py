@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,14 +16,13 @@ from ctrwlab.exprs import make_expr
 from ctrwlab.stats import DiagnosticReport, Estimate
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 CTRWLAB = shutil.which("ctrwlab")
 
 
 def run_cli(args, cwd):
-    # the console script is part of the install; python -m would pollute
-    # stderr with a runpy warning and break the one-line contract below
     assert CTRWLAB, "ctrwlab console script not on PATH"
     return subprocess.run(
         [CTRWLAB, *map(str, args)],
@@ -344,6 +345,21 @@ def check_fails(tmp_path, args, tag):
     assert "\n" not in err
 
 
+def test_cli_module_entry_point_keeps_stderr_empty(tmp_path):
+    # `python -m ctrwlab.cli` runs the module the package has not imported
+    # yet, so runpy has nothing to warn about
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    cfg = write_cfg(tmp_path, "sim.json", sim_cfg(csv_paths=0))
+    r = subprocess.run(
+        [sys.executable, "-m", "ctrwlab.cli", "simulate", "--config", str(cfg),
+         "--out", str(tmp_path / "sim.out.json")],
+        capture_output=True, text=True, cwd=str(tmp_path), env=env,
+    )
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert len(report_names(tmp_path / "sim.out.json")) > 0
+
+
 def test_cli_parameter_errors(tmp_path):
     bad_alpha = write_cfg(tmp_path, "a.json",
                           sim_cfg(process={"innovation": {"alpha": 2.5}}))
@@ -395,6 +411,14 @@ def test_cli_parameter_errors(tmp_path):
         "n_list": [20], "substep": 0.0625, "replications": 10, "w1_bound": 10.0,
     })
     check_fails(tmp_path, ["sde", "--config", substep], "PARAM_UNKNOWN_KEY")
+
+    mesh = write_cfg(tmp_path, "u.json", {
+        "kind": "integrals",
+        "process": {"innovation": {"alpha": 1.5, "mode": "symmetric"},
+                    "waiting": {"beta": 0.8}},
+        "n_list": [20], "grid_step": 0, "replications": 10,
+    })
+    check_fails(tmp_path, ["integrals", "--config", mesh], "PARAM_MESH")
 
 
 def test_run_scenario_rejects_unknown_kind(tmp_path):

@@ -4,7 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _brute import grid_terminal_time_changed, random_step_path
+from _brute import (
+    grid_terminal_time_changed,
+    operational_integral_rows,
+    random_step_path,
+    tgrid_integral_samples,
+)
 from ctrwlab import (
     AdaptednessViolation,
     DataError,
@@ -32,7 +37,7 @@ from ctrwlab.integrals import (
     tc_grid_integral_samples,
     upsilon_estimate,
 )
-from ctrwlab.processes import terminal_samples
+from ctrwlab.processes import terminal_samples, terminal_time_changed_samples
 from ctrwlab.stats import ks_two_sample, wasserstein1
 
 
@@ -297,6 +302,14 @@ def test_tc_grid_integral_samples():
         tc_grid_integral_samples(1.5, 0.8, 1.0, 10, SeedSpec(49), fn=lambda t: t, base=np.tanh)
     with pytest.raises(ParameterError):
         tc_grid_integral_samples(1.5, 0.8, 1.0, 10, SeedSpec(49))
+    for kw in ({"fn": np.tanh}, {"base": np.tanh}):
+        for h in (0.0, -2.0**-9, math.nan):
+            with pytest.raises(ParameterError) as ei:
+                tc_grid_integral_samples(1.5, 0.8, 1.0, 10, SeedSpec(49), grid_step=h, **kw)
+            assert ei.value.tag == "PARAM_MESH"
+        for T in (0.0, -1.0):
+            with pytest.raises(ParameterError, match="horizon must be > 0"):
+                tc_grid_integral_samples(1.5, 0.8, T, 10, SeedSpec(49), **kw)
     # fn = 1 telescopes to the time-changed terminal value
     a = tc_grid_integral_samples(
         1.5, 0.8, 1.0, 2000, SeedSpec(49), grid_step=2.0**-9, fn=lambda t: np.ones_like(t)
@@ -309,3 +322,44 @@ def test_tc_grid_integral_samples():
     c2 = tc_grid_integral_samples(1.5, 0.8, 0.5, 50, SeedSpec(52), grid_step=2.0**-8, base=np.tanh)
     assert np.array_equal(c1, c2)
     assert np.all(np.isfinite(c1))
+
+
+@pytest.mark.parametrize(
+    "alpha, mode, T, h",
+    [
+        (1.5, "centered", 1.0, 2.0**-10),
+        (1.0, "symmetric", 0.7, 2.0**-9),
+        # steps wider than most E_T: many rows take only the cut step
+        (1.5, "symmetric", 1.0, 0.5),
+    ],
+)
+def test_tc_grid_integral_samples_match_row_oracle(alpha, mode, T, h):
+    # 600 rows: two full blocks and a partial one
+    for kw in ({"base": lambda x: np.cos(x) * x}, {"fn": lambda t: np.sin(3.0 * t)}):
+        got = tc_grid_integral_samples(alpha, 0.8, T, 600, SeedSpec(53), grid_step=h, mode=mode, **kw)
+        want = operational_integral_rows(alpha, 0.8, T, 600, SeedSpec(53), h, mode=mode, **kw)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [2.0**-10, 2.0**-3])
+def test_tc_grid_integral_unit_state_integrand_is_exact(h):
+    # with base = 1 the sum telescopes to Z at E_T: J full steps plus one of
+    # width E_T - J h, which is exactly E_T^(1/alpha) Z_1 in law at any h
+    N = 4000
+    one = lambda x: np.ones_like(x)
+    a = tc_grid_integral_samples(1.5, 0.8, 1.0, N, SeedSpec(60), grid_step=h, base=one)
+    b = terminal_time_changed_samples(1.5, 0.8, 1.0, N, SeedSpec(61))
+    stat, _ = ks_two_sample(a, b)
+    assert stat <= 1.36 * math.sqrt(2.0 / N)
+
+
+def test_tc_grid_integral_law_matches_tgrid_oracle():
+    # operational time against the old t-grid sum, on independent streams
+    N = 2000
+    h = 2.0**-9
+    floor = 1.36 * math.sqrt(2.0 / N)
+    for kw in ({"base": np.tanh}, {"fn": lambda t: np.cos(2.0 * t)}):
+        a = tc_grid_integral_samples(1.5, 0.8, 1.0, N, SeedSpec(56), grid_step=h, mode="centered", **kw)
+        b = tgrid_integral_samples(1.5, 0.8, 1.0, N, SeedSpec(57), grid_step=h, mode="centered", **kw)
+        stat, _ = ks_two_sample(a, b)
+        assert stat <= floor

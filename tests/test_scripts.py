@@ -1,10 +1,15 @@
 """Repository scripts, run as a user runs them."""
 
+import importlib
+import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
-DIGESTS = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = ROOT / "scripts" / "report_digests.py"
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def run_digests(args, cwd):
@@ -38,3 +43,23 @@ def test_report_digests_check(tmp_path):
     # --reps reaches the re-run: another replication count, another report
     r = run_digests(["--reps", 13, "--check", good], tmp_path)
     assert r.returncode == 1
+
+
+def test_tracer_names_resolve():
+    # the tracer wraps public functions by name; a renamed function would
+    # leave its per-layer metric silently at zero
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = {n for group in tracer.INCLUSIVE.values() for n in group} | set(tracer.COUNTERS)
+    # exprs.expr names the callables that make_expr returns, not a function
+    names.discard("exprs.expr")
+    assert names
+    for name in sorted(names):
+        layer, attr = name.split(".")
+        assert layer in tracer.LAYERS, name
+        mod = importlib.import_module(f"ctrwlab.{layer}")
+        obj = getattr(mod, attr, None)
+        assert not attr.startswith("_") and inspect.isfunction(obj), name
+        assert obj.__module__ == mod.__name__, name
+    assert inspect.isfunction(importlib.import_module("ctrwlab.exprs").make_expr)
