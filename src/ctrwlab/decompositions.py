@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError, UnsupportedDecomposition
 from .paths import StepPath, total_variation
-from .processes import INNOVATION_LANE, _draw_innovations, iter_ctrw_chunks
+from .processes import INNOVATION_LANE, _counts_at, _draw_innovations, iter_ctrw_chunks
 from .stats import DiagnosticReport, Estimate, mean_estimate, tail_estimate
 
 
@@ -492,16 +492,18 @@ def gdca_samples(config, T, reps, seed, gamma=None):
         th = blk["theta"].copy()
         th[:, : blk["peff"] + 1] = 0.0
         m, K = blk["zeta"].shape
-        v = np.zeros((m, K))
+        # |V| with a zero column in front: column c holds |V| after c jumps,
+        # so the number of jumps at or before a grid point is its column
+        av = np.zeros((m, K + 1))
+        v = av[:, 1:]
         for i, ti in enumerate(tails, start=1):
             v += ti * th[:, blk["peff"] + 2 - i : blk["peff"] + 2 - i + K]
-        v = np.where(blk["mask"], -scale * v, 0.0)
-        stat = np.abs(v).sum(axis=1)
-        for r in range(m):
-            jt = blk["times"][r, : blk["counts"][r]]
-            idx = np.searchsorted(jt, grid, side="right")
-            gv = np.where(idx > 0, np.abs(v[r, np.maximum(idx - 1, 0)]), 0.0)
-            stat[r] += gv.sum()
+        del th
+        v *= -scale
+        v[~blk["mask"]] = 0.0
+        np.abs(av, out=av)
+        stat = v.sum(axis=1)
+        stat += np.take_along_axis(av, _counts_at(blk["times"], blk["mask"], grid), axis=1).sum(axis=1)
         out[lo : lo + m] = float(n) ** (-gamma) * stat
         lo += m
     return out

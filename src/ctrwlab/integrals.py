@@ -530,7 +530,7 @@ def tc_grid_integral_samples(
             e = _inverse_at(d_law, T, dgen, m)
             steps = np.floor(e / h).astype(np.intp)
         else:
-            D = _first_passage(_step_law(d_law, h), T, h, m, dgen)
+            D = _first_passage(_step_law(d_law, h), T, m, dgen)
             steps = (D <= T).sum(axis=1)
         counts = steps + 1
         rows = np.concatenate([[0], np.cumsum(counts)[:-1]])

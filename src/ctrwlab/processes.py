@@ -44,6 +44,9 @@ INNOVATION_LANE = 1
 BLOCK = 500
 LIMIT_BLOCK = 250
 COUNT_BLOCK = 1000
+# Subordinator increments per draw round of a row still below its horizon
+# (_first_passage); a layout constant of the limit samplers' wait streams.
+PASSAGE_ROUND = 256
 
 
 def _draw_innovations(law, gen, size):
@@ -356,16 +359,41 @@ def _d_law(beta, increment_scale):
     return StableParams(beta, 1.0, increment_scale)
 
 
-def _first_passage(d_inc, T, h, m, gen):
-    """Levels of m subordinator paths on the s-grid, drawn in blocks with
-    increments `d_inc` until every row has passed T: D[r, i] is row r's
-    level at s = (i + 1) h."""
-    block = max(64, int(1.3 * T / h) + 64)
-    D = np.cumsum(draw_stable(d_inc, gen, (m, block)), axis=1)
-    while not np.all(D[:, -1] > T):
-        more = draw_stable(d_inc, gen, (m, max(64, block // 4)))
-        D = np.concatenate([D, np.cumsum(more, axis=1) + D[:, -1:]], axis=1)
+def _first_passage(d_inc, T, m, gen):
+    """Levels of m subordinator paths on the s-grid of step h, with
+    increments `d_inc` over h, up to each row's first passage over T:
+    D[r, i] is row r's level at s = (i + 1) h.
+
+    The levels are drawn in rounds of PASSAGE_ROUND increments. The first
+    round covers every row; each later round only the rows whose last level
+    is still at or below T, in row order. A row that has passed is padded
+    with +inf, so D <= T marks exactly the levels at or below T, and
+    D[:, -1] > T holds for every row.
+    """
+    rows = np.arange(m)
+    last = np.zeros((m, 1))
+    rounds = []
+    while rows.size:
+        lv = np.cumsum(draw_stable(d_inc, gen, (rows.size, PASSAGE_ROUND)), axis=1) + last[rows]
+        rounds.append((rows, lv))
+        last[rows] = lv[:, -1:]
+        rows = rows[lv[:, -1] <= T]
+    D = np.full((m, len(rounds) * PASSAGE_ROUND), np.inf)
+    for i, (rows, lv) in enumerate(rounds):
+        D[rows, i * PASSAGE_ROUND : (i + 1) * PASSAGE_ROUND] = lv
     return D
+
+
+def _counts_at(levels, keep, nodes):
+    """counts[r, j] = #{i: keep[r, i] and levels[r, i] <= nodes[j]}, for
+    sorted nodes: one flat searchsorted of the kept levels, one bincount of
+    (row, bin) and a running sum along the nodes. Levels above the last node
+    fall in a spill column that is dropped."""
+    m, k = keep.shape[0], nodes.size + 1
+    key = np.searchsorted(nodes, levels[keep], side="left")
+    key += np.repeat(np.arange(m) * k, keep.sum(axis=1))
+    counts = np.bincount(key, minlength=m * k).reshape(m, k)
+    return np.cumsum(counts, axis=1, out=counts)[:, :-1]
 
 
 def _inverse_at(d_law, T, gen, size):
@@ -379,19 +407,22 @@ def _time_changed_block(d_law, z_law, T, h, m, dgen, zgen, nodes):
 
     counts[r, j] is the number of subordinator levels at or below nodes[j],
     so counts + 1 is the grid inverse inf{s: D_s > t} in steps of h.
-    zcum[r, k] is Z at s = k h (zcum[:, 0] = 0), up to one step past the
-    first passage over T. D and Z are independent, with unit-time laws
-    d_law and z_law.
+    zcum[r, k] is Z at s = k h (zcum[:, 0] = 0). Row r draws exactly
+    J_r + 1 steps of Z, J_r being its number of levels at or below T, so
+    it reaches one step past its first passage; the Z steps of all rows are
+    one flat draw, row after row, and zcum stays constant past a row's last
+    step. D and Z are independent, with unit-time laws d_law and z_law.
     """
-    D = _first_passage(_step_law(d_law, h), T, h, m, dgen)
-    width = int((D <= T).sum(axis=1).max()) + 1
-    counts = np.empty((m, nodes.size), dtype=np.intp)
-    for r in range(m):
-        counts[r] = np.searchsorted(D[r], nodes, side="right")
-    del D
-    zinc = draw_stable(_step_law(z_law, h), zgen, (m, width))
-    zcum = np.concatenate([np.zeros((m, 1)), np.cumsum(zinc, axis=1)], axis=1)
-    return counts, zcum
+    D = _first_passage(_step_law(d_law, h), T, m, dgen)
+    keep = D <= T
+    steps = keep.sum(axis=1) + 1
+    counts = _counts_at(D, keep, nodes)
+    del D, keep
+    zcum = np.zeros((m, int(steps.max()) + 1))
+    zcum[:, 1:][np.arange(zcum.shape[1] - 1) < steps[:, None]] = draw_stable(
+        _step_law(z_law, h), zgen, int(steps.sum())
+    )
+    return counts, np.cumsum(zcum, axis=1, out=zcum)
 
 
 def _t_nodes(T, h):
@@ -411,7 +442,7 @@ def gen_subordinator_inverse(beta, T, grid_step, seed, increment_scale=1.0):
         raise ParameterError("grid step and horizon must be > 0")
     h = float(grid_step)
     d_inc = _step_law(_d_law(beta, increment_scale), h)
-    D = _first_passage(d_inc, T, h, 1, seed.generator(WAIT_LANE))[0]
+    D = _first_passage(d_inc, T, 1, seed.generator(WAIT_LANE))[0]
     d_vals = np.concatenate([[0.0], D[: int(np.searchsorted(D, T, side="right")) + 1]])
     d = GridPath(d_vals, h, interp="const")
     idx = np.searchsorted(d_vals, _t_nodes(T, h), side="right")

@@ -3,8 +3,10 @@ grid oracles for the exact terminal limit laws.
 
 Each path oracle recomputes its functional straight from the definition
 with dense enumeration, independent of the library code. The grid oracles
-walk the subordinator along an s-grid with the library's whole-path kernel;
-the t-grid integral oracle sums the limit integrals that way too.
+walk the subordinator along an s-grid with the full-rectangle kernel below
+(every row drawn until the slowest row passes, Z to the widest row's
+passage), which the library kernel replaced by per-row draws; the t-grid
+integral oracle sums the limit integrals that way too.
 The event Euler oracle steps the walk-driven SDE one grid time at a time
 with scalar coefficient reads.
 """
@@ -23,11 +25,10 @@ from ctrwlab.processes import (
     _first_passage,
     _step_law,
     _t_nodes,
-    _time_changed_block,
     _z_law,
 )
 from ctrwlab.rng import draw_stable
-from ctrwlab.sde import _union_times
+from ctrwlab.sde import _s_limit_euler, _union_times
 
 
 def brute_total_variation(path, t):
@@ -219,6 +220,38 @@ def discrete_m1(x, y, resolution):
 # over T on the s-grid, rounded up to the next grid point (bias in [0, h]).
 
 
+def rect_first_passage(d_inc, T, h, m, gen):
+    """Levels of m subordinator paths on the s-grid, drawn in blocks with
+    increments `d_inc` until every row has passed T: D[r, i] is row r's
+    level at s = (i + 1) h."""
+    block = max(64, int(1.3 * T / h) + 64)
+    D = np.cumsum(draw_stable(d_inc, gen, (m, block)), axis=1)
+    while not np.all(D[:, -1] > T):
+        more = draw_stable(d_inc, gen, (m, max(64, block // 4)))
+        D = np.concatenate([D, np.cumsum(more, axis=1) + D[:, -1:]], axis=1)
+    return D
+
+
+def rect_time_changed_block(d_law, z_law, T, h, m, dgen, zgen, nodes):
+    """The grid time change for m replications: (counts, zcum).
+
+    counts[r, j] is the number of subordinator levels at or below nodes[j],
+    so counts + 1 is the grid inverse inf{s: D_s > t} in steps of h.
+    zcum[r, k] is Z at s = k h (zcum[:, 0] = 0), up to one step past the
+    first passage over T. D and Z are independent, with unit-time laws
+    d_law and z_law.
+    """
+    D = rect_first_passage(_step_law(d_law, h), T, h, m, dgen)
+    width = int((D <= T).sum(axis=1).max()) + 1
+    counts = np.empty((m, nodes.size), dtype=np.intp)
+    for r in range(m):
+        counts[r] = np.searchsorted(D[r], nodes, side="right")
+    del D
+    zinc = draw_stable(_step_law(z_law, h), zgen, (m, width))
+    zcum = np.concatenate([np.zeros((m, 1)), np.cumsum(zinc, axis=1)], axis=1)
+    return counts, zcum
+
+
 def grid_terminal_time_changed(
     alpha,
     beta,
@@ -238,7 +271,7 @@ def grid_terminal_time_changed(
     out = np.empty(reps)
     for start in range(0, reps, BLOCK):
         m = min(BLOCK, reps - start)
-        counts, zcum = _time_changed_block(
+        counts, zcum = rect_time_changed_block(
             d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
             seed.generator((INNOVATION_LANE, start)), at_T,
         )
@@ -256,7 +289,7 @@ def grid_terminal_inverse_subordinator(
     out = np.empty(reps)
     for start in range(0, reps, BLOCK):
         m = min(BLOCK, reps - start)
-        D = _first_passage(d_inc, T, h, m, seed.generator((WAIT_LANE, start)))
+        D = rect_first_passage(d_inc, T, h, m, seed.generator((WAIT_LANE, start)))
         out[start : start + m] = ((D <= T).sum(axis=1) + 1) * h
         del D
     return out
@@ -293,7 +326,7 @@ def tgrid_integral_samples(
     out = np.empty(reps)
     for start in range(0, reps, LIMIT_BLOCK):
         m = min(LIMIT_BLOCK, reps - start)
-        counts, zcum = _time_changed_block(
+        counts, zcum = rect_time_changed_block(
             d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
             seed.generator((INNOVATION_LANE, start)), nodes,
         )
@@ -302,6 +335,28 @@ def tgrid_integral_samples(
             hv = hv_time if fn is not None else np.asarray(base(w[:-1]), dtype=float)
             out[start + r] = float(np.dot(hv, np.diff(w)))
         del counts, zcum
+    return out
+
+
+def rect_s_limit_terminal_samples(
+    spec, alpha, beta, T, reps, seed, grid_step=2.0**-10, z_params=None, increment_scale=None, mode="symmetric"
+):
+    """Terminal values of the limit SDE scheme driven by the full-rectangle
+    kernel: s_limit_terminal_samples as it was before the per-row draws."""
+    z_law = _z_law(alpha, z_params, mode)
+    d_law = _d_law(beta, increment_scale)
+    h = float(grid_step)
+    nodes = _t_nodes(T, h)
+    out = np.empty(reps)
+    for start in range(0, reps, LIMIT_BLOCK):
+        m = min(LIMIT_BLOCK, reps - start)
+        counts, zcum = rect_time_changed_block(
+            d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
+            seed.generator((INNOVATION_LANE, start)), nodes,
+        )
+        idx = counts + 1
+        w = np.take_along_axis(zcum, idx, axis=1)
+        out[start : start + m] = _s_limit_euler(spec, idx * h, w, h)[:, -1]
     return out
 
 
@@ -322,7 +377,7 @@ def operational_integral_rows(
             e = (T / draw_stable(d_law, dgen, m)) ** beta
             steps = [int(np.floor(v / h)) for v in e]
         else:
-            D = _first_passage(_step_law(d_law, h), T, h, m, dgen)
+            D = _first_passage(_step_law(d_law, h), T, m, dgen)
             steps = [int(np.sum(row <= T)) for row in D]
         zgen = seed.generator((INNOVATION_LANE, start))
         dz_all = draw_stable(_step_law(z_law, h), zgen, sum(steps) + m)

@@ -36,6 +36,7 @@ from ctrwlab.decompositions import (
     truncated_split_samples,
 )
 from ctrwlab.paths import total_variation
+from ctrwlab.processes import iter_ctrw_chunks
 
 
 def inject_bundle(thetas, coeffs, n=1, T=2.0):
@@ -332,6 +333,35 @@ def test_gdca_samples_trend():
         vals = gdca_samples(cfg, 1.0, 200, SeedSpec(45), gamma=0.4)
         meds.append(float(np.median(vals)))
     assert meds[1] < meds[0]
+
+
+def test_gdca_samples_match_per_row_grid_reads():
+    # V_k = -c sum_i tail_i theta_{k+1-i} at each jump; the grid term reads
+    # |V| of the last jump at or before each grid point (0 before the first).
+    # Replaying the blocks and reading each row with its own searchsorted
+    # gives the same values bit for bit, also for a block without renewals.
+    law = InnovationLaw(1.5, "centered")
+    for n, T, reps in ((300, 1.0, 700), (1, 0.5, 3)):
+        cfg = ProcessConfig(law, coefficients=(1.0, 0.5, 0.25), waiting=WaitingLaw(0.8), n=n)
+        tails = np.cumsum(np.array(cfg.coefficients)[::-1])[::-1][1:]
+        step = float(n) ** (-cfg.beta_eff) * T
+        grid = np.arange(1, int(math.floor(T / step + 1e-9)) + 1) * step
+        want = []
+        for blk in iter_ctrw_chunks(cfg, T, reps, SeedSpec(46)):
+            th = blk["theta"].copy()
+            th[:, : blk["peff"] + 1] = 0.0
+            m, K = blk["zeta"].shape
+            v = np.zeros((m, K))
+            for i, ti in enumerate(tails, start=1):
+                v += ti * th[:, blk["peff"] + 2 - i : blk["peff"] + 2 - i + K]
+            v = np.abs(np.where(blk["mask"], -(cfg.prefactor / cfg.psi) * v, 0.0))
+            for r in range(m):
+                idx = np.searchsorted(blk["times"][r, : blk["counts"][r]], grid, side="right")
+                reads = np.array([v[r, j - 1] if j else 0.0 for j in idx])
+                want.append(v[r].sum() + reads.sum())
+        got = gdca_samples(cfg, T, reps, SeedSpec(46), gamma=0.4)
+        assert np.array_equal(got, float(n) ** -0.4 * np.array(want))
+    assert np.all(got == 0.0)
 
 
 def test_default_gammas():

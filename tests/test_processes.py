@@ -28,6 +28,7 @@ from ctrwlab import (
     wait_attractor_scale,
 )
 from ctrwlab.processes import (
+    PASSAGE_ROUND,
     _d_law,
     _first_passage,
     _step_law,
@@ -40,6 +41,7 @@ from ctrwlab.processes import (
     terminal_samples,
     terminal_time_changed_samples,
 )
+from ctrwlab.rng import draw_stable
 
 
 def const_innovation(seq, alpha=1.0):
@@ -282,23 +284,60 @@ def test_time_changed_block_matches_brute_force(beta, k, m, T, on_grid, seed):
         T = max(1, round(T / h)) * h
     nodes = _t_nodes(T, h)
     d_law = _d_law(beta, None)
+    z_step = _step_law(_z_law(1.5, None, "symmetric"), h)
     spec = SeedSpec(seed)
+    zgen = spec.generator(1)
     counts, zcum = _time_changed_block(
-        d_law, _z_law(1.5, None, "symmetric"), T, h, m, spec.generator(0), spec.generator(1), nodes
+        d_law, _z_law(1.5, None, "symmetric"), T, h, m, spec.generator(0), zgen, nodes
     )
     # the same generator state replays the levels the kernel counted
-    D = _first_passage(_step_law(d_law, h), T, h, m, spec.generator(0))
+    D = _first_passage(_step_law(d_law, h), T, m, spec.generator(0))
     assert np.all(D[:, -1] > T)
+    at_T = (D <= T).sum(axis=1)
     assert np.array_equal(counts, (D[:, :, None] <= nodes).sum(axis=1))
-    # a slow subordinator passes T only in the extension blocks
-    slow = _first_passage(_step_law(StableParams(beta, 1.0, 0.1), h), T, h, m, spec.generator(2))
-    assert np.all(slow[:, -1] > T)
-    assert np.all(np.diff(slow, axis=1) >= 0.0)
+    # a per-row searchsorted on the finite levels gives the same counts, so
+    # the +inf padding is never counted
+    for r in range(m):
+        row = D[r][np.isfinite(D[r])]
+        assert np.array_equal(counts[r], np.searchsorted(row, nodes, side="right"))
+    assert np.all(counts <= at_T[:, None])
     # Z starts at zero and has a column for every row's first passage,
     # counts-at-T + 1, and no more
-    at_T = (D <= T).sum(axis=1)
     assert zcum.shape == (m, int(at_T.max()) + 2)
     assert np.all(zcum[:, 0] == 0.0)
+    # each row draws exactly J_r + 1 Z steps, row after row, from one flat
+    # draw, and stays put after them
+    replay = spec.generator(1)
+    flat = draw_stable(z_step, replay, int((at_T + 1).sum()))
+    assert zgen.random() == replay.random()
+    lo = 0
+    for r, J in enumerate(at_T):
+        assert np.array_equal(zcum[r, 1 : J + 2], np.cumsum(flat[lo : lo + J + 1]))
+        assert np.all(zcum[r, J + 2 :] == zcum[r, J + 1])
+        lo += J + 1
+
+    # a slow subordinator, whose level after one round is 0.05 T times a
+    # unit-scale level, mostly passes T only in the extension rounds; each
+    # round draws for the rows still at or below T and for no other
+    slow_inc = _step_law(StableParams(beta, 1.0, 0.05 * T / (PASSAGE_ROUND * h) ** (1.0 / beta)), h)
+    slow = _first_passage(slow_inc, T, m, spec.generator(2))
+    assert np.all(slow[:, -1] > T)
+    finite = np.isfinite(slow).sum(axis=1)
+    assert np.all(finite % PASSAGE_ROUND == 0)
+    replay = spec.generator(2)
+    last = np.zeros((m, 1))
+    for lo in range(0, slow.shape[1], PASSAGE_ROUND):
+        live = np.flatnonzero(finite > lo)
+        if lo:
+            assert np.array_equal(live, np.flatnonzero(slow[:, lo - 1] <= T))
+        lv = np.cumsum(draw_stable(slow_inc, replay, (live.size, PASSAGE_ROUND)), axis=1) + last[live]
+        assert np.array_equal(slow[live, lo : lo + PASSAGE_ROUND], lv)
+        last[live] = lv[:, -1:]
+        assert np.all(slow[finite <= lo, lo : lo + PASSAGE_ROUND] == np.inf)
+    for r in range(m):
+        row = slow[r, : finite[r]]
+        assert np.all(np.diff(row) >= 0.0)
+        assert finite[r] == PASSAGE_ROUND or row[-PASSAGE_ROUND - 1] <= T
 
     d, dinv = gen_subordinator_inverse(beta, T, h, spec)
     inv = invert_monotone_grid(d)

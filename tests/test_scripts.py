@@ -63,3 +63,13 @@ def test_tracer_names_resolve():
         assert not attr.startswith("_") and inspect.isfunction(obj), name
         assert obj.__module__ == mod.__name__, name
     assert inspect.isfunction(importlib.import_module("ctrwlab.exprs").make_expr)
+
+
+def test_committed_digests_name_every_scenario_once():
+    # scripts/digests.txt is `report_digests.py --reps 300` over every
+    # shipped scenario. The digests themselves depend on the machine, so
+    # only the names and the line format are checked here.
+    lines = [line.split() for line in (ROOT / "scripts" / "digests.txt").read_text().splitlines()]
+    assert all(len(fields) == 2 and len(fields[1]) == 64 for fields in lines)
+    names = [fields[0] for fields in lines]
+    assert sorted(names) == sorted(p.stem for p in (ROOT / "scenarios").glob("*.json"))
