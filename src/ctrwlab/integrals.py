@@ -403,28 +403,26 @@ def follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=
     """Terminal integral of the slope-capped tracker against X^n, vectorised.
 
     Replays the step of LipschitzFollower column by column across a
-    replication block.
+    replication block. Masked columns become zero jumps at time T, so they
+    add nothing to a row's integral or to its X.
     """
     slope = float(C) * float(config.n) ** float(gamma)
     out = np.empty(reps)
     lo = 0
     g0 = float(base(0.0))
     for blk in iter_ctrw_chunks(config, T, reps, seed):
-        zeta, times, mask = blk["zeta"], blk["times"], blk["mask"]
+        zeta = np.where(blk["mask"], blk["zeta"], 0.0)
+        times = np.where(blk["mask"], blk["times"], T)
         m, K = zeta.shape
         v = np.full(m, g0)
         xprev = np.zeros(m)
         tprev = np.zeros(m)
         acc = np.zeros(m)
         for k in range(K):
-            live = mask[:, k]
-            if not live.any():
-                break
-            vk = _follow(v, base(xprev), slope * (times[:, k] - tprev))
-            acc += np.where(live, vk * zeta[:, k], 0.0)
-            v = np.where(live, vk, v)
-            xprev = np.where(live, xprev + zeta[:, k], xprev)
-            tprev = np.where(live, times[:, k], tprev)
+            v = _follow(v, base(xprev), slope * (times[:, k] - tprev))
+            acc += v * zeta[:, k]
+            xprev += zeta[:, k]
+            tprev = times[:, k]
         out[lo : lo + m] = acc
         lo += m
     return out

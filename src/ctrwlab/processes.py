@@ -10,11 +10,12 @@ reproducibly.
 
 iter_ctrw_chunks is the vectorised Monte Carlo backbone: it yields
 replication blocks as matrices to the ensemble samplers, where per-path
-objects would be too slow.
+objects would be too slow. gen_moving_average and gen_ctrw read row 0 of a
+one-row block of the same step, _block, so both draw one recursion.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .rng import (
     InnovationLaw,
     SeedSpec,
     StableParams,
-    WaitingLaw,
     attractor_params,
     draw_innovation,
     draw_stable,
@@ -49,18 +49,25 @@ COUNT_BLOCK = 1000
 PASSAGE_ROUND = 256
 
 
-def _draw_innovations(law, gen, size):
+def _draw(law, gen, size, native):
+    """Draws of `law` in shape `size`: a duck-typed law's own draw(gen,
+    count), called with the flat count and reshaped, else native(law, gen,
+    size)."""
     fn = getattr(law, "draw", None)
-    if fn is not None:
-        return np.asarray(fn(gen, size), dtype=float)
-    return draw_innovation(law, gen, size)
+    if fn is None:
+        return native(law, gen, size)
+    return np.asarray(fn(gen, int(np.prod(size))), dtype=float).reshape(size)
+
+
+def _draw_innovations(law, gen, size):
+    return _draw(law, gen, size, draw_innovation)
 
 
 def _draw_waits(law, gen, size):
-    fn = getattr(law, "draw", None)
-    if fn is not None:
-        return np.asarray(fn(gen, size), dtype=float)
-    return draw_waiting(law, gen, size)
+    J = _draw(law, gen, size, draw_waiting)
+    if not np.all(J > 0):
+        raise DataError("waiting times must be > 0")
+    return J
 
 
 @dataclass(frozen=True)
@@ -196,7 +203,8 @@ class SimulationBundle:
     def rebuild_x(self):
         """Recompute the X path from records and config (reconstruction check)."""
         cfg = self.config
-        zeta = _filter_innovations(self.innovations, cfg.coefficients, self.past)
+        th, peff = _pad_past(self.innovations[None, :], self.past, cfg.order)
+        zeta = _zeta_matrix(th, cfg.coefficients, peff, self.jump_count)[0]
         if cfg.waiting is None:
             times = np.arange(1, zeta.size + 1) / cfg.n
         else:
@@ -214,20 +222,24 @@ class SimulationBundle:
         }
 
 
-def _filter_innovations(thetas, coeffs, past):
-    """zeta_i = sum_j c_j theta_{i-j} for i = 1..K, with the finite-past cut
-    (theta indices below -past simply do not exist)."""
-    K = thetas.size - past - 1
-    if K <= 0:
-        return np.empty(0)
-    conv = np.convolve(thetas, np.asarray(coeffs, dtype=float))
-    return conv[past + 1 : past + 1 + K]
-
-
 def _staircase(times_over_n, K, horizon):
     """Counting path N_{nt}: 0 before the first jump, +1 at each jump time."""
     t = np.concatenate([[0.0], times_over_n[:K]])
     return StepPath(t, np.arange(K + 1, dtype=float), horizon)
+
+
+def _bundle(config, T, seed):
+    """One realisation: row 0 of a one-row replication block drawn from the
+    per-path lanes, waits from seed.generator(WAIT_LANE) and innovations from
+    seed.generator(INNOVATION_LANE)."""
+    blk, J = _block(config, T, 1, seed.generator(WAIT_LANE), seed.generator(INNOVATION_LANE))
+    K = int(blk["counts"][0])
+    past = config.past_horizon
+    thetas = blk["theta"][0, blk["peff"] - past :][: past + 1 + K]
+    times = blk["times"][0]
+    x = StepPath.from_jumps(times, blk["zeta"][0], T)
+    waits = np.ones(K) if J is None else J[0, :K]
+    return SimulationBundle(x, _staircase(times, K, T), thetas, past, waits, config, seed, float(T))
 
 
 def gen_moving_average(config, T, seed):
@@ -236,30 +248,7 @@ def gen_moving_average(config, T, seed):
         raise ParameterError("moving average takes waiting=None", tag="PARAM_WAITING")
     if T <= 0:
         raise ParameterError("horizon must be > 0")
-    n = config.n
-    K = int(math.floor(n * T + 1e-9))
-    gen = seed.generator(INNOVATION_LANE)
-    thetas = _draw_innovations(config.innovation, gen, config.past_horizon + 1 + K)
-    zeta = _filter_innovations(thetas, config.coefficients, config.past_horizon)
-    times = np.arange(1, K + 1) / n
-    x = StepPath.from_jumps(times, config.prefactor * zeta, T)
-    counting = _staircase(times, K, T)
-    return SimulationBundle(
-        x, counting, thetas, config.past_horizon, np.ones(K), config, seed, float(T)
-    )
-
-
-def _waits_until(law, gen, target, block):
-    """Draw waits until their running sum exceeds target; returns the array."""
-    chunks = []
-    total = 0.0
-    while total <= target:
-        j = _draw_waits(law, gen, block)
-        if np.any(j <= 0.0):
-            raise DataError("waiting times must be > 0")
-        chunks.append(j)
-        total += float(j.sum())
-    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    return _bundle(config, T, seed)
 
 
 def _coupled_waits(thetas_pos, alpha, beta):
@@ -272,43 +261,7 @@ def gen_ctrw(config, T, seed):
         raise ParameterError("CTRW needs a waiting law", tag="PARAM_WAITING")
     if T <= 0:
         raise ParameterError("horizon must be > 0")
-    n = config.n
-    target = n * T
-    beta = config.waiting.beta
-    block = max(64, int(2.0 * target ** min(beta, 1.0)) + 32)
-    alpha = config.innovation.alpha
-    past = config.past_horizon
-
-    if config.coupling == "magnitude-coupled":
-        gen = seed.generator(INNOVATION_LANE)
-        buf = [_draw_innovations(config.innovation, gen, past + 1 + block)]
-        waits = _coupled_waits(buf[0][past + 1 :], alpha, beta)
-        total = float(waits.sum())
-        parts = [waits]
-        while total <= target:
-            more = _draw_innovations(config.innovation, gen, block)
-            buf.append(more)
-            w = _coupled_waits(more, alpha, beta)
-            parts.append(w)
-            total += float(w.sum())
-        thetas_all = np.concatenate(buf) if len(buf) > 1 else buf[0]
-        waits_all = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    else:
-        waits_all = _waits_until(config.waiting, seed.generator(WAIT_LANE), target, block)
-        K_hint = int(np.searchsorted(np.cumsum(waits_all), target, side="right"))
-        thetas_all = _draw_innovations(
-            config.innovation, seed.generator(INNOVATION_LANE), past + 1 + K_hint
-        )
-
-    L = np.cumsum(waits_all)
-    K = int(np.searchsorted(L, target, side="right"))
-    thetas = thetas_all[: past + 1 + K]
-    waits = waits_all[:K]
-    zeta = _filter_innovations(thetas, config.coefficients, past)
-    jump_times = L[:K] / n
-    x = StepPath.from_jumps(jump_times, config.prefactor * zeta, T)
-    counting = _staircase(jump_times, K, T)
-    return SimulationBundle(x, counting, thetas, past, waits, config, seed, float(T))
+    return _bundle(config, T, seed)
 
 
 def gen_counting(waiting, n, T, seed):
@@ -317,13 +270,10 @@ def gen_counting(waiting, n, T, seed):
         raise ParameterError("horizon must be > 0")
     n = int(n)
     target = n * T
-    beta = waiting.beta
-    block = max(64, int(2.0 * target ** min(beta, 1.0)) + 32)
-    waits = _waits_until(waiting, seed.generator(WAIT_LANE), target, block)
-    L = np.cumsum(waits)
+    L = np.cumsum(_grow_wait_matrix(waiting, seed.generator(WAIT_LANE), 1, target)[0])
     K = int(np.searchsorted(L, target, side="right"))
     counting = _staircase(L[:K] / n, K, T)
-    dn = StepPath(counting.times, counting.values * float(n) ** (-beta), T)
+    dn = StepPath(counting.times, counting.values * float(n) ** (-waiting.beta), T)
     return counting, dn
 
 
@@ -501,33 +451,82 @@ def gen_time_changed_levy(
 # vectorised replication blocks
 
 
-def _grow_wait_matrix(draw, m, target, block):
-    """Wait matrix with every row's cumulative sum exceeding target."""
-    J = draw((m, block))
-    while True:
-        deficit = target - J.sum(axis=1)
-        if np.all(deficit < 0):
-            return J
-        extra = draw((m, max(64, block // 2)))
-        J = np.concatenate([J, extra], axis=1)
+def _wait_block(target, beta):
+    """Columns of a first draw of waits: about twice the renewals up to target."""
+    return max(64, int(2.0 * target ** min(beta, 1.0)) + 32)
 
 
-def _theta_block(law, gen, m, past, order, K):
-    """Innovation matrix left-padded with zeros so the filter sees a uniform
+def _grow_wait_matrix(law, gen, m, target):
+    """(m, cols) waits from `law` on gen, with every row's sum above target:
+    a first draw of _wait_block columns, then half that many until it holds."""
+    block = _wait_block(target, law.beta)
+    J = _draw_waits(law, gen, (m, block))
+    while not np.all(J.sum(axis=1) > target):
+        J = np.concatenate([J, _draw_waits(law, gen, (m, max(64, block // 2)))], axis=1)
+    return J
+
+
+def _pad_past(th, past, order):
+    """Left-pad an innovation matrix with zeros so the filter sees a uniform
     past of length max(past, order); returns (matrix, effective past)."""
-    th = _draw_innovations(law, gen, (m, past + 1 + K))
     if order > past:
-        th = np.concatenate([np.zeros((m, order - past)), th], axis=1)
-        return th, order
+        return np.concatenate([np.zeros((th.shape[0], order - past)), th], axis=1), order
     return th, past
 
 
 def _zeta_matrix(th, coeffs, peff, K):
+    """zeta_i = sum_j c_j theta_{i-j} for i = 1..K, summed from the highest
+    lag down, the order np.convolve uses for short filters."""
     z = np.zeros((th.shape[0], K))
-    for j, cj in enumerate(coeffs):
-        if cj != 0.0:
-            z += cj * th[:, peff + 1 - j : peff + 1 - j + K]
+    for j in reversed(range(len(coeffs))):
+        if coeffs[j] != 0.0:
+            z += coeffs[j] * th[:, peff + 1 - j : peff + 1 - j + K]
     return z
+
+
+def _block(config, T, m, wgen, igen):
+    """One replication block of m rows, waits from wgen and innovations from
+    igen: (block dict as iter_ctrw_chunks yields it, wait matrix or None for
+    a moving average). The wait matrix may run past each row's last renewal.
+    """
+    n = config.n
+    law = config.innovation
+    past = config.past_horizon
+    target = n * T
+    coupled = config.coupling == "magnitude-coupled"
+    J = None
+    if coupled:
+        beta = config.waiting.beta
+        block = _wait_block(target, beta)
+        th, peff = _draw_innovations(law, igen, (m, past + 1 + block)), past
+        while True:
+            J = _coupled_waits(th[:, past + 1 :], law.alpha, beta)
+            if np.all(J.sum(axis=1) > target):
+                break
+            more = _draw_innovations(law, igen, (m, max(64, block // 2)))
+            th = np.concatenate([th, more], axis=1)
+    elif config.waiting is not None:
+        J = _grow_wait_matrix(config.waiting, wgen, m, target)
+    if J is None:
+        K = int(math.floor(target + 1e-9))
+        times = np.broadcast_to(np.arange(1, K + 1) / n, (m, K))
+        counts = np.full(m, K)
+    else:
+        L = np.cumsum(J, axis=1)
+        counts = (L <= target).sum(axis=1)
+        K = int(counts.max())
+        times = L[:, :K] / n
+    if not coupled:
+        th, peff = _pad_past(_draw_innovations(law, igen, (m, past + 1 + K)), past, config.order)
+    blk = {
+        "theta": th,
+        "peff": peff,
+        "zeta": config.prefactor * _zeta_matrix(th, config.coefficients, peff, K),
+        "times": times,
+        "counts": counts,
+        "mask": np.arange(K)[None, :] < counts[:, None],
+    }
+    return blk, J
 
 
 def iter_ctrw_chunks(config, T, reps, seed):
@@ -541,63 +540,14 @@ def iter_ctrw_chunks(config, T, reps, seed):
       counts: per-row number of jumps with L_k <= nT
       mask:  boolean validity mask for the k columns
     Moving averages (waiting=None) have deterministic times k/n and full mask.
+    Block b of BLOCK rows draws from seed.generator((lane, b * BLOCK)); the
+    per-path generators are the one-row block on seed.generator(lane).
     """
     if T <= 0:
         raise ParameterError("horizon must be > 0")
-    n = config.n
-    law = config.innovation
-    alpha = law.alpha
-    target = n * T
-    pref = config.prefactor
     for lo in range(0, reps, BLOCK):
-        m = min(BLOCK, reps - lo)
-        wgen = seed.generator((WAIT_LANE, lo))
-        igen = seed.generator((INNOVATION_LANE, lo))
-        if config.waiting is None:
-            K = int(math.floor(n * T + 1e-9))
-            th, peff = _theta_block(law, igen, m, config.past_horizon, config.order, K)
-            zeta = pref * _zeta_matrix(th, config.coefficients, peff, K)
-            times = np.broadcast_to(np.arange(1, K + 1) / n, (m, K))
-            counts = np.full(m, K)
-            mask = np.ones((m, K), dtype=bool)
-        elif config.coupling == "magnitude-coupled":
-            beta = config.waiting.beta
-            block = max(64, int(2.0 * target ** beta) + 32)
-            th = _draw_innovations(law, igen, (m, config.past_horizon + 1 + block))
-            peff = config.past_horizon
-            while True:
-                J = _coupled_waits(th[:, peff + 1 :], alpha, beta)
-                if np.all(J.sum(axis=1) > target):
-                    break
-                more = _draw_innovations(law, igen, (m, max(64, block // 2)))
-                th = np.concatenate([th, more], axis=1)
-            L = np.cumsum(J, axis=1)
-            counts = (L <= target).sum(axis=1)
-            K = int(counts.max())
-            zeta = pref * _zeta_matrix(th, config.coefficients, peff, K)
-            times = L[:, :K] / n
-            mask = np.arange(K)[None, :] < counts[:, None]
-        else:
-            beta = config.waiting.beta
-            block = max(64, int(2.0 * target ** beta) + 32)
-            J = _grow_wait_matrix(
-                lambda s: _draw_waits(config.waiting, wgen, s), m, target, block
-            )
-            L = np.cumsum(J, axis=1)
-            counts = (L <= target).sum(axis=1)
-            K = int(counts.max())
-            th, peff = _theta_block(law, igen, m, config.past_horizon, config.order, K)
-            zeta = pref * _zeta_matrix(th, config.coefficients, peff, K)
-            times = L[:, :K] / n
-            mask = np.arange(K)[None, :] < counts[:, None]
-        yield {
-            "theta": th,
-            "peff": peff,
-            "zeta": zeta,
-            "times": times,
-            "counts": counts,
-            "mask": mask,
-        }
+        wgen, igen = seed.generator((WAIT_LANE, lo)), seed.generator((INNOVATION_LANE, lo))
+        yield _block(config, T, min(BLOCK, reps - lo), wgen, igen)[0]
 
 
 def terminal_samples(config, T, reps, seed):
@@ -618,17 +568,11 @@ def terminal_counting_samples(waiting, n, T, reps, seed):
         raise ParameterError("horizon must be > 0")
     n = int(n)
     target = n * T
-    beta = waiting.beta
-    block = max(64, int(2.0 * target ** beta) + 32)
     out = np.empty(reps)
-    lo = 0
-    for start in range(0, reps, COUNT_BLOCK):
-        m = min(COUNT_BLOCK, reps - start)
-        gen = seed.generator((WAIT_LANE, start))
-        J = _grow_wait_matrix(lambda s: _draw_waits(waiting, gen, s), m, target, block)
-        counts = (np.cumsum(J, axis=1) <= target).sum(axis=1)
-        out[lo : lo + m] = counts * float(n) ** (-beta)
-        lo += m
+    for lo in range(0, reps, COUNT_BLOCK):
+        m = min(COUNT_BLOCK, reps - lo)
+        J = _grow_wait_matrix(waiting, seed.generator((WAIT_LANE, lo)), m, target)
+        out[lo : lo + m] = (np.cumsum(J, axis=1) <= target).sum(axis=1) * float(n) ** (-waiting.beta)
     return out
 
 

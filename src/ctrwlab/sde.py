@@ -156,6 +156,8 @@ def _sn_euler(spec, ev_t, live, dd, dz, T, drift_mesh):
     step, then mu_- dD + sigma_- dZ at a live event, with the coefficients
     read at left limits. Returns the (m, L) sorted times and X after each.
     """
+    if drift_mesh is not None and not drift_mesh > 0:
+        raise ParameterError("drift mesh must be > 0", tag="PARAM_MESH")
     m, K = ev_t.shape
     bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
     Kg, Cg, p = spec.growth
@@ -199,8 +201,6 @@ def solve_sn(spec, drivers, drift_mesh=2.0**-12, T=None):
     With b identically 0 the output is exact.
     """
     dn, zn = drivers
-    if drift_mesh is not None and drift_mesh <= 0:
-        raise ParameterError("drift mesh must be > 0", tag="PARAM_MESH")
     T = zn.horizon if T is None else float(T)
     ev = np.union1d(dn.jump_times(), zn.jump_times())
     ev = ev[None, ev <= T]
@@ -402,6 +402,8 @@ def s_limit_terminal_samples(
     z_law = _z_law(alpha, z_params, mode)
     d_law = _d_law(beta, increment_scale)
     h = float(grid_step)
+    if not h > 0:
+        raise ParameterError("grid step must be > 0", tag="PARAM_MESH")
     nodes = _t_nodes(T, h)
     out = np.empty(reps)
     for start in range(0, reps, LIMIT_BLOCK):
@@ -473,6 +475,8 @@ def sdd_limit_terminal_samples(
     """Terminal values of the limit delay scheme, driver defaulted to the
     attractor of a single innovation."""
     h = float(grid_step)
+    if not h > 0:
+        raise ParameterError("grid step must be > 0", tag="PARAM_MESH")
     inc_params = _step_law(_z_law(alpha, z_params, mode), h)
     nodes = int(math.floor(T / h + 1e-9)) + 1
     out = np.empty(reps)

@@ -8,21 +8,29 @@ walk the subordinator along an s-grid with the full-rectangle kernel below
 passage), which the library kernel replaced by per-row draws; the t-grid
 integral oracle sums the limit integrals that way too.
 The event Euler oracle steps the walk-driven SDE one grid time at a time
-with scalar coefficient reads.
+with scalar coefficient reads. The per-path moving-average, CTRW and
+counting generators draw their waits and innovations in their own loops and
+filter with np.convolve.
 """
 
+import math
 import warnings
 
 import numpy as np
 
-from ctrwlab import GridPath, ParameterError, StepPath
+from ctrwlab import DataError, GridPath, ParameterError, StepPath
 from ctrwlab.processes import (
     BLOCK,
     INNOVATION_LANE,
     LIMIT_BLOCK,
     WAIT_LANE,
+    SimulationBundle,
+    _coupled_waits,
     _d_law,
+    _draw_innovations,
+    _draw_waits,
     _first_passage,
+    _staircase,
     _step_law,
     _t_nodes,
     _z_law,
@@ -432,3 +440,111 @@ def event_euler_sn(spec, drivers, drift_mesh=2.0**-12, T=None):
             dprev = dv
         vals[i] = x
     return StepPath(times, vals, T)
+
+
+# ---------------------------------------------------------------------------
+# per-path generators with their own draw loops and np.convolve filter, as
+# they were before they became the one-row call of processes._block
+
+
+def _filter_innovations(thetas, coeffs, past):
+    """zeta_i = sum_j c_j theta_{i-j} for i = 1..K, with the finite-past cut
+    (theta indices below -past simply do not exist)."""
+    K = thetas.size - past - 1
+    if K <= 0:
+        return np.empty(0)
+    conv = np.convolve(thetas, np.asarray(coeffs, dtype=float))
+    return conv[past + 1 : past + 1 + K]
+
+
+def gen_moving_average(config, T, seed):
+    """Moving average X^n_t = n^(-1/alpha) sum_{k <= floor(nt)} zeta_k."""
+    if config.waiting is not None:
+        raise ParameterError("moving average takes waiting=None", tag="PARAM_WAITING")
+    if T <= 0:
+        raise ParameterError("horizon must be > 0")
+    n = config.n
+    K = int(math.floor(n * T + 1e-9))
+    gen = seed.generator(INNOVATION_LANE)
+    thetas = _draw_innovations(config.innovation, gen, config.past_horizon + 1 + K)
+    zeta = _filter_innovations(thetas, config.coefficients, config.past_horizon)
+    times = np.arange(1, K + 1) / n
+    x = StepPath.from_jumps(times, config.prefactor * zeta, T)
+    counting = _staircase(times, K, T)
+    return SimulationBundle(
+        x, counting, thetas, config.past_horizon, np.ones(K), config, seed, float(T)
+    )
+
+
+def _waits_until(law, gen, target, block):
+    """Draw waits until their running sum exceeds target; returns the array."""
+    chunks = []
+    total = 0.0
+    while total <= target:
+        j = _draw_waits(law, gen, block)
+        if np.any(j <= 0.0):
+            raise DataError("waiting times must be > 0")
+        chunks.append(j)
+        total += float(j.sum())
+    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+
+
+def gen_ctrw(config, T, seed):
+    """CTRW X^n_t = n^(-beta/alpha) sum_{k <= N_nt} zeta_k, N_nt = max{m: L_m <= nt}."""
+    if config.waiting is None:
+        raise ParameterError("CTRW needs a waiting law", tag="PARAM_WAITING")
+    if T <= 0:
+        raise ParameterError("horizon must be > 0")
+    n = config.n
+    target = n * T
+    beta = config.waiting.beta
+    block = max(64, int(2.0 * target ** min(beta, 1.0)) + 32)
+    alpha = config.innovation.alpha
+    past = config.past_horizon
+
+    if config.coupling == "magnitude-coupled":
+        gen = seed.generator(INNOVATION_LANE)
+        buf = [_draw_innovations(config.innovation, gen, past + 1 + block)]
+        waits = _coupled_waits(buf[0][past + 1 :], alpha, beta)
+        total = float(waits.sum())
+        parts = [waits]
+        while total <= target:
+            more = _draw_innovations(config.innovation, gen, block)
+            buf.append(more)
+            w = _coupled_waits(more, alpha, beta)
+            parts.append(w)
+            total += float(w.sum())
+        thetas_all = np.concatenate(buf) if len(buf) > 1 else buf[0]
+        waits_all = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    else:
+        waits_all = _waits_until(config.waiting, seed.generator(WAIT_LANE), target, block)
+        K_hint = int(np.searchsorted(np.cumsum(waits_all), target, side="right"))
+        thetas_all = _draw_innovations(
+            config.innovation, seed.generator(INNOVATION_LANE), past + 1 + K_hint
+        )
+
+    L = np.cumsum(waits_all)
+    K = int(np.searchsorted(L, target, side="right"))
+    thetas = thetas_all[: past + 1 + K]
+    waits = waits_all[:K]
+    zeta = _filter_innovations(thetas, config.coefficients, past)
+    jump_times = L[:K] / n
+    x = StepPath.from_jumps(jump_times, config.prefactor * zeta, T)
+    counting = _staircase(jump_times, K, T)
+    return SimulationBundle(x, counting, thetas, past, waits, config, seed, float(T))
+
+
+def gen_counting(waiting, n, T, seed):
+    """(N_{nt} path, D^n = n^(-beta) N_{nt} path) for one realisation."""
+    if T <= 0:
+        raise ParameterError("horizon must be > 0")
+    n = int(n)
+    target = n * T
+    beta = waiting.beta
+    block = max(64, int(2.0 * target ** min(beta, 1.0)) + 32)
+    waits = _waits_until(waiting, seed.generator(WAIT_LANE), target, block)
+    L = np.cumsum(waits)
+    K = int(np.searchsorted(L, target, side="right"))
+    counting = _staircase(L[:K] / n, K, T)
+    dn = StepPath(counting.times, counting.values * float(n) ** (-beta), T)
+    return counting, dn

@@ -420,6 +420,15 @@ def test_cli_parameter_errors(tmp_path):
     })
     check_fails(tmp_path, ["integrals", "--config", mesh], "PARAM_MESH")
 
+    # the limit schemes of both SDE kinds step on grid_step
+    for kind, extra in (("sde", {"beta": 0.5}), ("sdde", {"delay": 0.5})):
+        for i, h in enumerate((0.0, -0.001, math.nan)):
+            bad = write_cfg(tmp_path, f"{kind}{i}.json", {
+                "kind": kind, "alpha": 1.5, "mode": "centered", "n_list": [20],
+                "grid_step": h, "replications": 10, "w1_bound": 10.0, **extra,
+            })
+            check_fails(tmp_path, [kind, "--config", bad], "PARAM_MESH")
+
 
 def test_run_scenario_rejects_unknown_kind(tmp_path):
     with pytest.raises(ParameterError) as ei:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _brute
 from _brute import grid_terminal_inverse_subordinator, grid_terminal_time_changed
 from ctrwlab import (
     DataError,
@@ -34,8 +35,10 @@ from ctrwlab.processes import (
     _step_law,
     _t_nodes,
     _time_changed_block,
+    _wait_block,
     _z_law,
     invert_monotone_grid,
+    iter_ctrw_chunks,
     terminal_counting_samples,
     terminal_inverse_subordinator_samples,
     terminal_samples,
@@ -205,6 +208,81 @@ def test_coupled_waits_follow_innovations():
     want = np.maximum(1.0, np.abs(theta[: b.waits.size]) ** (1.5 / 0.8))
     assert np.array_equal(b.waits, want)
     assert b.waits.min() >= 1.0
+
+
+def assert_same_bundle(got, want, edge=False):
+    # edge: np.convolve sums the partial overlaps at its left edge with a
+    # BLAS dot, which may round differently from a plain sum; those are the
+    # first order - past - 1 jumps when past < order - 1
+    for a, b in (
+        (got.x.times, want.x.times),
+        (got.counting.times, want.counting.times),
+        (got.counting.values, want.counting.values),
+        (got.innovations, want.innovations),
+        (got.waits, want.waits),
+    ):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+    assert got.past == want.past
+    if edge:
+        assert np.allclose(got.x.values, want.x.values, rtol=1e-13, atol=1e-13)
+    else:
+        assert np.array_equal(got.x.values, want.x.values)
+
+
+PER_PATH_FILTERS = [((1.0,), None), ((1.0, 0.5), None), ((1.0, 0.5), 0),
+                    ((0.7, 0.2, 0.9), None), ((0.7, 0.2, 0.9), 1), ((1.0, 0.0, 0.3), 1),
+                    ((0.7, 0.2, 0.9), 0)]
+
+
+def test_per_path_generators_match_their_own_loops():
+    # the one-row block on the per-path lanes is bitwise the old per-path
+    # draw loops with their np.convolve filter, past horizon below the order
+    # included
+    laws = (InnovationLaw(1.5, "symmetric"), InnovationLaw(1.2, "centered"), InnovationLaw(2.0, "gaussian"))
+    for i, (coeffs, past) in enumerate(PER_PATH_FILTERS):
+        edge = past is not None and past < len(coeffs) - 2
+        for j, law in enumerate(laws):
+            seed = SeedSpec(600 + i, stream=j)
+            for n, T in ((7, 1.0), (40, 2.5)):
+                cfg = ProcessConfig(law, coefficients=coeffs, past_horizon=past, n=n)
+                want = _brute.gen_moving_average(cfg, T, seed)
+                assert_same_bundle(gen_moving_average(cfg, T, seed), want, edge)
+            for beta, n, T in ((0.6, 50, 1.0), (0.9, 300, 0.7)):
+                cfg = ProcessConfig(law, WaitingLaw(beta), coefficients=coeffs, past_horizon=past, n=n)
+                assert_same_bundle(gen_ctrw(cfg, T, seed), _brute.gen_ctrw(cfg, T, seed), edge)
+    for k, beta in enumerate((0.3, 0.8)):
+        got = gen_counting(WaitingLaw(beta), 200, 1.5, SeedSpec(650 + k))
+        want = _brute.gen_counting(WaitingLaw(beta), 200, 1.5, SeedSpec(650 + k))
+        for a, b in zip(got, want):
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
+
+
+def test_coupled_per_path_generator_matches_its_own_loop():
+    # coupled waits are >= 1 each, so with nT below the first draw's
+    # _wait_block columns that draw covers nT, and the streams agree
+    for i, (alpha, mode, beta, n, past) in enumerate(
+        ((1.5, "symmetric", 0.8, 30, None), (1.2, "centered", 0.6, 63, 2), (0.7, "raw", 0.5, 10, 1))
+    ):
+        cfg = ProcessConfig(
+            InnovationLaw(alpha, mode), WaitingLaw(beta), past_horizon=past, n=n, coupling="magnitude-coupled"
+        )
+        assert n < _wait_block(n, beta)
+        for s in range(3):
+            seed = SeedSpec(660 + i, stream=s)
+            assert_same_bundle(gen_ctrw(cfg, 1.0, seed), _brute.gen_ctrw(cfg, 1.0, seed))
+
+
+@pytest.mark.parametrize("bad", [-0.2, 0.0, math.nan])
+def test_block_samplers_reject_waits_not_positive(bad):
+    wait = const_waits([0.5, bad, 0.3], beta=0.5)
+    cfg = ProcessConfig(InnovationLaw(1.5, "symmetric"), waiting=wait, n=10)
+    with pytest.raises(DataError):
+        next(iter_ctrw_chunks(cfg, 1.0, 5, SeedSpec(14)))
+    with pytest.raises(DataError):
+        terminal_counting_samples(wait, 10, 1.0, 5, SeedSpec(14))
+    with pytest.raises(DataError):
+        gen_ctrw(cfg, 1.0, SeedSpec(14))
 
 
 def test_counting_deterministic_staircase():
