@@ -472,6 +472,7 @@ def truncated_split_samples(config, T, a, c_grid, reps, seed):
             first = np.argmax(over, axis=1)
             stop[c][lo : lo + m] = np.where(over.any(axis=1), np.abs(dm[np.arange(m), first]), 0.0)
         lo += m
+        del blk, zeta, mask, small, dm, da, mv
     return mart, tv, jump_ratio, stop
 
 
@@ -506,4 +507,5 @@ def gdca_samples(config, T, reps, seed, gamma=None):
         stat += np.take_along_axis(av, _counts_at(blk["times"], blk["mask"], grid), axis=1).sum(axis=1)
         out[lo : lo + m] = float(n) ** (-gamma) * stat
         lo += m
+        del blk, av, v
     return out

@@ -379,6 +379,7 @@ def deterministic_integral_samples(config, T, reps, seed, fn):
         inc = np.where(blk["mask"], hv * blk["zeta"], 0.0)
         out[lo : lo + inc.shape[0]] = inc.sum(axis=1)
         lo += inc.shape[0]
+        del blk, hv, inc
     return out
 
 
@@ -396,6 +397,7 @@ def adversarial_sup_samples(config, T, reps, seed):
         else:
             out[lo : lo + run.shape[0]] = np.max(np.abs(run), axis=1)
         lo += run.shape[0]
+        del blk, signs, inc, run
     return out
 
 
@@ -425,6 +427,7 @@ def follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=
             tprev = times[:, k]
         out[lo : lo + m] = acc
         lo += m
+        del blk, zeta, times
     return out
 
 

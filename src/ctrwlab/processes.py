@@ -47,6 +47,13 @@ COUNT_BLOCK = 1000
 # Subordinator increments per draw round of a row still below its horizon
 # (_first_passage); a layout constant of the limit samplers' wait streams.
 PASSAGE_ROUND = 256
+# Waits per draw round of a walk row still at or below nT
+# (_grow_wait_matrix): the first round has WAIT_ROUND_SHARE (nT)^beta + 32
+# columns, about twice the mean renewal count, each later round half that,
+# and every round at least WAIT_ROUND_MIN; layout constants of the walks'
+# wait streams.
+WAIT_ROUND_SHARE = 0.5
+WAIT_ROUND_MIN = 64
 
 
 def _draw(law, gen, size, native):
@@ -270,7 +277,7 @@ def gen_counting(waiting, n, T, seed):
         raise ParameterError("horizon must be > 0")
     n = int(n)
     target = n * T
-    L = np.cumsum(_grow_wait_matrix(waiting, seed.generator(WAIT_LANE), 1, target)[0])
+    L = _grow_wait_matrix(waiting, seed.generator(WAIT_LANE), 1, target)[1][0]
     K = int(np.searchsorted(L, target, side="right"))
     counting = _staircase(L[:K] / n, K, T)
     dn = StepPath(counting.times, counting.values * float(n) ** (-waiting.beta), T)
@@ -309,29 +316,53 @@ def _d_law(beta, increment_scale):
     return StableParams(beta, 1.0, increment_scale)
 
 
+def _rounds(draw, m, first, later, T):
+    """Per-row draws of m rows in rounds, up to each row's first passage
+    over T.
+
+    draw(k, width, last) draws one round for k rows whose levels before it
+    are `last`, and returns a tuple of (k, width) arrays whose last one
+    holds the rows' levels. The first round has `first` columns and covers
+    every row; each later round has `later` columns and covers only the rows
+    whose level is still at or below T, in row order. Returns each of the
+    tuple's arrays over all rounds as an (m, cols) matrix, +inf after a
+    row's last round.
+    """
+    rows = np.arange(m)
+    last = np.zeros(m)
+    rounds = []
+    width = first
+    while rows.size:
+        arrays = draw(rows.size, width, last[rows])
+        rounds.append((rows, arrays))
+        lv = arrays[-1][:, -1]
+        last[rows] = lv
+        rows = rows[lv <= T]
+        width = later
+    cols = first + (len(rounds) - 1) * later
+    out = tuple(np.full((m, cols), np.inf) for _ in rounds[0][1])
+    lo = 0
+    for rows, arrays in rounds:
+        for o, a in zip(out, arrays):
+            o[rows, lo : lo + a.shape[1]] = a
+        lo += arrays[0].shape[1]
+    return out
+
+
 def _first_passage(d_inc, T, m, gen):
     """Levels of m subordinator paths on the s-grid of step h, with
     increments `d_inc` over h, up to each row's first passage over T:
     D[r, i] is row r's level at s = (i + 1) h.
 
-    The levels are drawn in rounds of PASSAGE_ROUND increments. The first
-    round covers every row; each later round only the rows whose last level
-    is still at or below T, in row order. A row that has passed is padded
-    with +inf, so D <= T marks exactly the levels at or below T, and
-    D[:, -1] > T holds for every row.
+    The levels are drawn in _rounds of PASSAGE_ROUND increments. A row that
+    has passed is padded with +inf, so D <= T marks exactly the levels at or
+    below T, and D[:, -1] > T holds for every row.
     """
-    rows = np.arange(m)
-    last = np.zeros((m, 1))
-    rounds = []
-    while rows.size:
-        lv = np.cumsum(draw_stable(d_inc, gen, (rows.size, PASSAGE_ROUND)), axis=1) + last[rows]
-        rounds.append((rows, lv))
-        last[rows] = lv[:, -1:]
-        rows = rows[lv[:, -1] <= T]
-    D = np.full((m, len(rounds) * PASSAGE_ROUND), np.inf)
-    for i, (rows, lv) in enumerate(rounds):
-        D[rows, i * PASSAGE_ROUND : (i + 1) * PASSAGE_ROUND] = lv
-    return D
+
+    def draw(k, width, last):
+        return (np.cumsum(draw_stable(d_inc, gen, (k, width)), axis=1) + last[:, None],)
+
+    return _rounds(draw, m, PASSAGE_ROUND, PASSAGE_ROUND, T)[0]
 
 
 def _counts_at(levels, keep, nodes):
@@ -452,18 +483,30 @@ def gen_time_changed_levy(
 
 
 def _wait_block(target, beta):
-    """Columns of a first draw of waits: about twice the renewals up to target."""
+    """Columns of a coupled block's first draw: about twice the renewals up
+    to target."""
     return max(64, int(2.0 * target ** min(beta, 1.0)) + 32)
 
 
 def _grow_wait_matrix(law, gen, m, target):
-    """(m, cols) waits from `law` on gen, with every row's sum above target:
-    a first draw of _wait_block columns, then half that many until it holds."""
-    block = _wait_block(target, law.beta)
-    J = _draw_waits(law, gen, (m, block))
-    while not np.all(J.sum(axis=1) > target):
-        J = np.concatenate([J, _draw_waits(law, gen, (m, max(64, block // 2)))], axis=1)
-    return J
+    """(J, L): (m, cols) waits from `law` on gen and their running sums
+    L = cumsum(J, axis=1), each row drawn in _rounds up to its first passage
+    over target and +inf after it.
+
+    The first round has WAIT_ROUND_SHARE target^beta + 32 columns, the later
+    ones half that, each at least WAIT_ROUND_MIN. L passes target in every
+    row, so (L <= target).sum(1) is its renewal count.
+    """
+    first = max(WAIT_ROUND_MIN, int(WAIT_ROUND_SHARE * target ** min(law.beta, 1.0)) + 32)
+
+    def draw(k, width, last):
+        J = _draw_waits(law, gen, (k, width))
+        # seeded with the level before the round, cumsum runs on along the row
+        L = J.copy()
+        L[:, 0] += last
+        return J, np.cumsum(L, axis=1, out=L)
+
+    return _rounds(draw, m, first, max(WAIT_ROUND_MIN, first // 2), target)
 
 
 def _pad_past(th, past, order):
@@ -487,7 +530,12 @@ def _zeta_matrix(th, coeffs, peff, K):
 def _block(config, T, m, wgen, igen):
     """One replication block of m rows, waits from wgen and innovations from
     igen: (block dict as iter_ctrw_chunks yields it, wait matrix or None for
-    a moving average). The wait matrix may run past each row's last renewal.
+    a moving average). The wait matrix runs past each row's last renewal;
+    an uncoupled row's waits are +inf after its last drawn round.
+
+    An uncoupled CTRW row draws its past + 1 + counts innovations only, as
+    one flat draw for the block, row after row; its theta is zero after
+    them. A moving average draws the full (m, past + 1 + K) matrix.
     """
     n = config.n
     law = config.innovation
@@ -505,19 +553,26 @@ def _block(config, T, m, wgen, igen):
                 break
             more = _draw_innovations(law, igen, (m, max(64, block // 2)))
             th = np.concatenate([th, more], axis=1)
+        L = np.cumsum(J, axis=1)
     elif config.waiting is not None:
-        J = _grow_wait_matrix(config.waiting, wgen, m, target)
+        J, L = _grow_wait_matrix(config.waiting, wgen, m, target)
     if J is None:
         K = int(math.floor(target + 1e-9))
         times = np.broadcast_to(np.arange(1, K + 1) / n, (m, K))
         counts = np.full(m, K)
+        th = _draw_innovations(law, igen, (m, past + 1 + K))
     else:
-        L = np.cumsum(J, axis=1)
         counts = (L <= target).sum(axis=1)
         K = int(counts.max())
-        times = L[:, :K] / n
+        times = np.minimum(L[:, :K], target)
+        times /= n
+        del L
+        if not coupled:
+            th = np.zeros((m, past + 1 + K))
+            keep = np.arange(past + 1 + K) < (past + 1 + counts)[:, None]
+            th[keep] = _draw_innovations(law, igen, int(keep.sum()))
     if not coupled:
-        th, peff = _pad_past(_draw_innovations(law, igen, (m, past + 1 + K)), past, config.order)
+        th, peff = _pad_past(th, past, config.order)
     blk = {
         "theta": th,
         "peff": peff,
@@ -536,10 +591,13 @@ def iter_ctrw_chunks(config, T, reps, seed):
       theta: innovations incl. uniform past (peff columns before theta_0)
       peff:  number of columns before the theta_0 column
       zeta:  scaled jump sizes zeta^n_k (k = 1..K columns)
-      times: jump times L_k/n (same shape as zeta)
+      times: jump times L_k/n (same shape as zeta); past a row's count
+             they are min(L_k, nT)/n = nT/n, finite (T up to rounding)
       counts: per-row number of jumps with L_k <= nT
       mask:  boolean validity mask for the k columns
     Moving averages (waiting=None) have deterministic times k/n and full mask.
+    Past a row's count, theta is zero for an uncoupled CTRW and zeta is not
+    meaningful: read both through the mask.
     Block b of BLOCK rows draws from seed.generator((lane, b * BLOCK)); the
     per-path generators are the one-row block on seed.generator(lane).
     """
@@ -559,6 +617,7 @@ def terminal_samples(config, T, reps, seed):
         m = zeta.shape[0]
         out[lo : lo + m] = zeta.sum(axis=1)
         lo += m
+        del blk, zeta
     return out
 
 
@@ -571,8 +630,8 @@ def terminal_counting_samples(waiting, n, T, reps, seed):
     out = np.empty(reps)
     for lo in range(0, reps, COUNT_BLOCK):
         m = min(COUNT_BLOCK, reps - lo)
-        J = _grow_wait_matrix(waiting, seed.generator((WAIT_LANE, lo)), m, target)
-        out[lo : lo + m] = (np.cumsum(J, axis=1) <= target).sum(axis=1) * float(n) ** (-waiting.beta)
+        L = _grow_wait_matrix(waiting, seed.generator((WAIT_LANE, lo)), m, target)[1]
+        out[lo : lo + m] = (L <= target).sum(axis=1) * float(n) ** (-waiting.beta)
     return out
 
 

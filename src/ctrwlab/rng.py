@@ -203,17 +203,20 @@ def sample_stable(params, seed, count):
 
 
 def draw_innovation(law, gen, size):
-    """Innovation samples from an existing Generator."""
+    """Innovation samples from an existing Generator: the magnitudes
+    U^(-1/alpha) are built in place in the array of their uniforms, and a
+    symmetric law draws its sign uniforms after all of them."""
     if law.mode == "gaussian":
         return law.scale * gen.standard_normal(size)
-    u = gen.random(size)
-    mag = u ** (-1.0 / law.alpha)
-    if law.mode == "symmetric":
-        sign = np.where(gen.random(size) < 0.5, -1.0, 1.0)
-        return law.scale * sign * mag
+    mag = gen.random(size)
+    np.power(mag, -1.0 / law.alpha, out=mag)
     if law.mode == "centered":
-        return law.scale * (mag - law.alpha / (law.alpha - 1.0))
-    return law.scale * mag  # raw
+        mag -= law.alpha / (law.alpha - 1.0)
+    mag *= law.scale
+    if law.mode == "symmetric":
+        # negating scale * mag is exactly (-scale) * mag
+        np.negative(mag, out=mag, where=gen.random(size) < 0.5)
+    return mag
 
 
 def sample_innovation(law, seed, count):
@@ -224,7 +227,9 @@ def sample_innovation(law, seed, count):
 
 def draw_waiting(law, gen, size):
     u = gen.random(size)
-    return law.scale * u ** (-1.0 / law.beta)
+    np.power(u, -1.0 / law.beta, out=u)
+    u *= law.scale
+    return u
 
 
 def sample_waiting(law, seed, count):

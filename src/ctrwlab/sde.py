@@ -260,11 +260,9 @@ class _History:
         self.xs = [float(eta.value(0.0))]
 
     def read(self, tau, left=False):
-        if tau < 0.0:
-            lo = self.eta.origin
-            return float(self.eta.value(max(tau, lo)))
-        if tau == 0.0 and left:
-            return float(self.eta.value_before(0.0))
+        if tau < 0.0 or (tau == 0.0 and left):
+            read = self.eta.value_before if left else self.eta.value
+            return float(read(max(tau, self.eta.origin)))
         ts = self.ts
         i = (bisect.bisect_left(ts, tau) if left else bisect.bisect_right(ts, tau)) - 1
         if i < 0:
@@ -382,6 +380,7 @@ def sn_terminal_samples(spec, config, T, reps, seed, drift_mesh=2.0**-10):
         x = _sn_euler(spec, blk["times"], blk["mask"], np.broadcast_to(nb, zeta.shape), zeta, T, drift_mesh)[1]
         out[lo : lo + x.shape[0]] = x[:, -1]
         lo += x.shape[0]
+        del blk, zeta, x
     return out
 
 
@@ -466,6 +465,7 @@ def sddn_terminal_samples(spec, config, T, reps, seed):
             )
         out[lo : lo + m] = X[:, K]
         lo += m
+        del blk, zeta, X
     return out
 
 

@@ -10,7 +10,11 @@ integral oracle sums the limit integrals that way too.
 The event Euler oracle steps the walk-driven SDE one grid time at a time
 with scalar coefficient reads. The per-path moving-average, CTRW and
 counting generators draw their waits and innovations in their own loops and
-filter with np.convolve.
+filter with np.convolve. The rectangular walk block draws every row's waits
+as one wait matrix of the same width and every row's innovations up to the
+block's largest renewal count, as processes did before its per-row rounds;
+fixed_round_first_passage is the subordinator round loop as it was before
+the walk's waits shared it.
 """
 
 import math
@@ -21,8 +25,10 @@ import numpy as np
 from ctrwlab import DataError, GridPath, ParameterError, StepPath
 from ctrwlab.processes import (
     BLOCK,
+    COUNT_BLOCK,
     INNOVATION_LANE,
     LIMIT_BLOCK,
+    PASSAGE_ROUND,
     WAIT_LANE,
     SimulationBundle,
     _coupled_waits,
@@ -30,10 +36,13 @@ from ctrwlab.processes import (
     _draw_innovations,
     _draw_waits,
     _first_passage,
+    _pad_past,
     _staircase,
     _step_law,
     _t_nodes,
+    _wait_block,
     _z_law,
+    _zeta_matrix,
 )
 from ctrwlab.rng import draw_stable
 from ctrwlab.sde import _s_limit_euler, _union_times
@@ -548,3 +557,112 @@ def gen_counting(waiting, n, T, seed):
     counting = _staircase(L[:K] / n, K, T)
     dn = StepPath(counting.times, counting.values * float(n) ** (-beta), T)
     return counting, dn
+
+
+# ---------------------------------------------------------------------------
+# the walk block with rectangular wait and innovation draws, and the
+# subordinator round loop, as they were before the walk drew per-row rounds
+
+
+def fixed_round_first_passage(d_inc, T, m, gen):
+    """Levels of m subordinator paths on the s-grid of step h, with
+    increments `d_inc` over h, up to each row's first passage over T:
+    D[r, i] is row r's level at s = (i + 1) h.
+
+    The levels are drawn in rounds of PASSAGE_ROUND increments. The first
+    round covers every row; each later round only the rows whose last level
+    is still at or below T, in row order. A row that has passed is padded
+    with +inf, so D <= T marks exactly the levels at or below T, and
+    D[:, -1] > T holds for every row.
+    """
+    rows = np.arange(m)
+    last = np.zeros((m, 1))
+    rounds = []
+    while rows.size:
+        lv = np.cumsum(draw_stable(d_inc, gen, (rows.size, PASSAGE_ROUND)), axis=1) + last[rows]
+        rounds.append((rows, lv))
+        last[rows] = lv[:, -1:]
+        rows = rows[lv[:, -1] <= T]
+    D = np.full((m, len(rounds) * PASSAGE_ROUND), np.inf)
+    for i, (rows, lv) in enumerate(rounds):
+        D[rows, i * PASSAGE_ROUND : (i + 1) * PASSAGE_ROUND] = lv
+    return D
+
+
+def rect_grow_wait_matrix(law, gen, m, target):
+    """(m, cols) waits from `law` on gen, with every row's sum above target:
+    a first draw of _wait_block columns, then half that many until it holds."""
+    block = _wait_block(target, law.beta)
+    J = _draw_waits(law, gen, (m, block))
+    while not np.all(J.sum(axis=1) > target):
+        J = np.concatenate([J, _draw_waits(law, gen, (m, max(64, block // 2)))], axis=1)
+    return J
+
+
+def rect_block(config, T, m, wgen, igen):
+    """One replication block of m rows, waits from wgen and innovations from
+    igen: (block dict as iter_ctrw_chunks yields it, wait matrix or None for
+    a moving average). The wait matrix may run past each row's last renewal.
+    """
+    n = config.n
+    law = config.innovation
+    past = config.past_horizon
+    target = n * T
+    coupled = config.coupling == "magnitude-coupled"
+    J = None
+    if coupled:
+        beta = config.waiting.beta
+        block = _wait_block(target, beta)
+        th, peff = _draw_innovations(law, igen, (m, past + 1 + block)), past
+        while True:
+            J = _coupled_waits(th[:, past + 1 :], law.alpha, beta)
+            if np.all(J.sum(axis=1) > target):
+                break
+            more = _draw_innovations(law, igen, (m, max(64, block // 2)))
+            th = np.concatenate([th, more], axis=1)
+    elif config.waiting is not None:
+        J = rect_grow_wait_matrix(config.waiting, wgen, m, target)
+    if J is None:
+        K = int(math.floor(target + 1e-9))
+        times = np.broadcast_to(np.arange(1, K + 1) / n, (m, K))
+        counts = np.full(m, K)
+    else:
+        L = np.cumsum(J, axis=1)
+        counts = (L <= target).sum(axis=1)
+        K = int(counts.max())
+        times = L[:, :K] / n
+    if not coupled:
+        th, peff = _pad_past(_draw_innovations(law, igen, (m, past + 1 + K)), past, config.order)
+    blk = {
+        "theta": th,
+        "peff": peff,
+        "zeta": config.prefactor * _zeta_matrix(th, config.coefficients, peff, K),
+        "times": times,
+        "counts": counts,
+        "mask": np.arange(K)[None, :] < counts[:, None],
+    }
+    return blk, J
+
+
+def rect_terminal_samples(config, T, reps, seed):
+    """X^n_T over `reps` replications, from rectangular blocks laid out as
+    processes.iter_ctrw_chunks lays out its blocks."""
+    out = np.empty(reps)
+    for lo in range(0, reps, BLOCK):
+        m = min(BLOCK, reps - lo)
+        wgen, igen = seed.generator((WAIT_LANE, lo)), seed.generator((INNOVATION_LANE, lo))
+        blk = rect_block(config, T, m, wgen, igen)[0]
+        out[lo : lo + m] = np.where(blk["mask"], blk["zeta"], 0.0).sum(axis=1)
+    return out
+
+
+def rect_terminal_counting_samples(waiting, n, T, reps, seed):
+    """n^(-beta) N_{nT} over `reps` replications, from rectangular wait
+    matrices laid out as processes.terminal_counting_samples lays out its."""
+    target = int(n) * T
+    out = np.empty(reps)
+    for lo in range(0, reps, COUNT_BLOCK):
+        m = min(COUNT_BLOCK, reps - lo)
+        J = rect_grow_wait_matrix(waiting, seed.generator((WAIT_LANE, lo)), m, target)
+        out[lo : lo + m] = (np.cumsum(J, axis=1) <= target).sum(axis=1) * float(n) ** (-waiting.beta)
+    return out

@@ -29,9 +29,15 @@ from ctrwlab import (
     wait_attractor_scale,
 )
 from ctrwlab.processes import (
+    BLOCK,
+    INNOVATION_LANE,
     PASSAGE_ROUND,
+    WAIT_LANE,
+    WAIT_ROUND_MIN,
+    WAIT_ROUND_SHARE,
     _d_law,
     _first_passage,
+    _grow_wait_matrix,
     _step_law,
     _t_nodes,
     _time_changed_block,
@@ -44,7 +50,7 @@ from ctrwlab.processes import (
     terminal_samples,
     terminal_time_changed_samples,
 )
-from ctrwlab.rng import draw_stable
+from ctrwlab.rng import draw_innovation, draw_stable, draw_waiting
 
 
 def const_innovation(seq, alpha=1.0):
@@ -283,6 +289,101 @@ def test_block_samplers_reject_waits_not_positive(bad):
         terminal_counting_samples(wait, 10, 1.0, 5, SeedSpec(14))
     with pytest.raises(DataError):
         gen_ctrw(cfg, 1.0, SeedSpec(14))
+
+
+def test_first_passage_matches_fixed_round_loop():
+    # the shared round loop keeps the subordinator levels bitwise, with rows
+    # that pass in the first round and, on the slow law, in later ones
+    for i, (beta, T, h, m, share) in enumerate(
+        ((0.7, 1.0, 2.0**-8, 300, None), (0.4, 2.5, 2.0**-6, 40, 0.05), (0.9, 0.3, 2.0**-10, 1, None))
+    ):
+        if share is None:
+            d_inc = _step_law(_d_law(beta, None), h)
+        else:
+            d_inc = _step_law(StableParams(beta, 1.0, share * T / (PASSAGE_ROUND * h) ** (1.0 / beta)), h)
+        for s in range(3):
+            spec = SeedSpec(680 + i, stream=s)
+            got = _first_passage(d_inc, T, m, spec.generator(0))
+            want = _brute.fixed_round_first_passage(d_inc, T, m, spec.generator(0))
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "beta, scale, n, T", [(0.8, 1.0, 10**4, 1.0), (0.8, 0.05, 10**3, 1.0), (0.5, 1.0, 200, 2.0)]
+)
+def test_wait_rounds_stop_at_each_rows_passage(beta, scale, n, T):
+    law, target, m = WaitingLaw(beta, scale), n * T, 200
+    first = max(WAIT_ROUND_MIN, int(WAIT_ROUND_SHARE * target**beta) + 32)
+    later = max(WAIT_ROUND_MIN, first // 2)
+    spec = SeedSpec(690, stream=int(n))
+    J, L = _grow_wait_matrix(law, spec.generator(0), m, target)
+    assert np.array_equal(L, np.cumsum(J, axis=1))
+    finite = np.isfinite(J).sum(axis=1)
+    # +inf only after a row's finite waits, which are whole rounds
+    assert np.array_equal(np.isfinite(J), np.arange(J.shape[1]) < finite[:, None])
+    assert np.all(finite >= first) and np.all((finite - first) % later == 0)
+    # every row's finite waits pass the target, and no row got a round
+    # after the one in which it passed
+    rows = np.arange(m)
+    assert np.all(L[rows, finite - 1] > target)
+    more = finite > first
+    assert np.all(L[rows[more], finite[more] - later - 1] <= target)
+    if scale < 1.0:
+        assert np.any(finite > first + later)
+    # the rounds are the law's draws for the rows still at or below the
+    # target, in row order
+    replay = spec.generator(0)
+    lo, width = 0, first
+    while lo < J.shape[1]:
+        live = np.flatnonzero(finite > lo)
+        assert np.array_equal(J[live, lo : lo + width], draw_waiting(law, replay, (live.size, width)))
+        lo, width = lo + width, later
+
+
+def test_block_draws_innovations_up_to_each_rows_count():
+    law = InnovationLaw(1.5, "symmetric")
+    cfg = ProcessConfig(law, WaitingLaw(0.8), coefficients=(1.0, 0.5, 0.25), past_horizon=1, n=1000)
+    n, T, past, reps, seed = cfg.n, 0.7, cfg.past_horizon, 600, SeedSpec(695)
+    for lo, blk in zip((0, BLOCK), iter_ctrw_chunks(cfg, T, reps, seed)):
+        m, K = blk["zeta"].shape
+        counts, mask = blk["counts"], blk["mask"]
+        L = _grow_wait_matrix(cfg.waiting, seed.generator((WAIT_LANE, lo)), m, n * T)[1]
+        assert np.array_equal(counts, (L <= n * T).sum(axis=1)) and K == counts.max()
+        assert not mask.all()
+        # theta_{-past}, ..., theta_{counts} of every row are one flat draw,
+        # row after row; the filter's left pad and the columns past each
+        # row's count are zero
+        assert np.all(blk["theta"][:, : blk["peff"] - past] == 0.0)
+        th = blk["theta"][:, blk["peff"] - past :]
+        drawn = np.arange(past + 1 + K) < (past + 1 + counts)[:, None]
+        assert np.all(th[~drawn] == 0.0)
+        flat = draw_innovation(law, seed.generator((INNOVATION_LANE, lo)), int(drawn.sum()))
+        assert np.array_equal(th[drawn], flat)
+        # jump times inside the mask, finite and at T past it
+        times = blk["times"]
+        assert np.array_equal(times[mask], (L[:, :K] / n)[mask])
+        assert np.all(np.isfinite(times)) and np.all(times <= T)
+        assert np.all(times[~mask] == T)
+    # a moving average draws the rectangle, as before the per-row rounds
+    ma = ProcessConfig(law, coefficients=(1.0, 0.5, 0.25), past_horizon=1, n=100)
+    blk = next(iter_ctrw_chunks(ma, T, 300, seed))
+    want = _brute.rect_block(ma, T, 300, None, seed.generator((INNOVATION_LANE, 0)))[0]
+    for key in ("theta", "zeta", "times", "counts", "mask"):
+        assert np.array_equal(blk[key], want[key])
+
+
+def test_per_row_draws_keep_the_walk_laws():
+    # new against the rectangular draw on independent seeds, at the
+    # two-sample KS floor 1.36 sqrt(2 / N)
+    N = 4000
+    floor = 1.36 * math.sqrt(2.0 / N)
+    cfg = ProcessConfig(InnovationLaw(1.5, "centered"), WaitingLaw(0.8), coefficients=(1.0, 0.5), n=1000)
+    new = terminal_samples(cfg, 1.0, N, SeedSpec(700))
+    old = _brute.rect_terminal_samples(cfg, 1.0, N, SeedSpec(701))
+    assert ks_two_sample(new, old)[0] <= floor
+    new = terminal_counting_samples(WaitingLaw(0.6), 1000, 1.0, N, SeedSpec(702))
+    old = _brute.rect_terminal_counting_samples(WaitingLaw(0.6), 1000, 1.0, N, SeedSpec(703))
+    assert ks_two_sample(new, old)[0] <= floor
 
 
 def test_counting_deterministic_staircase():

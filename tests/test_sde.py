@@ -27,6 +27,7 @@ from ctrwlab.rng import StableParams, attractor_params, draw_stable, wait_attrac
 from ctrwlab.sde import (
     SddeSpec,
     SdeSpec,
+    _History,
     sdd_limit_terminal_samples,
     sddn_terminal_samples,
     s_limit_terminal_samples,
@@ -526,6 +527,26 @@ def test_sddn_samples_initial_segment_replay():
         xd = 2.0 if k < 4 else hist[k - 4]
         hist.append(hist[-1] + xd / 8.0 + xd * zeta[k])
     assert abs(out[0] - hist[-1]) <= 1e-13 * max(1.0, abs(hist[-1]))
+
+
+def test_delayed_left_reads_inside_the_initial_segment():
+    # a left read at a jump of eta inside (-r, 0) is eta's left limit there
+    hist = _History(StepPath([-0.25, -0.1], [0.4, -0.2], 0.0, origin=-0.25))
+    assert hist.read(-0.1, left=True) == 0.4 and hist.read(-0.1) == -0.2
+    assert hist.read(-0.25, left=True) == 0.4 and hist.read(0.0, left=True) == -0.2
+    # the walk sampler reads sigma at the left limit at (k + 1)/8 - 1/2,
+    # which is eta's jump time -0.25 at k = 1; replay the recursion by hand
+    cfg = ProcessConfig(innovation=InnovationLaw(1.5, "centered"), waiting=None, n=8)
+    eta = StepPath([-0.5, -0.25], [2.0, 7.0], 0.0, origin=-0.5)
+    spec = SddeSpec(b=lambda t, xd: xd, sigma=lambda t, xd: xd, r=0.5, eta=eta)
+    out = sddn_terminal_samples(spec, cfg, 1.0, 1, SeedSpec(778))
+    zeta = next(iter(iter_ctrw_chunks(cfg, 1.0, 1, SeedSpec(778))))["zeta"][0]
+    seg = [2.0, 2.0, 7.0, 7.0]
+    x = [7.0]
+    for k in range(8):
+        xd = seg[k] if k < 4 else x[k - 4]
+        x.append(x[-1] + xd / 8.0 + xd * zeta[k])
+    assert abs(out[0] - x[-1]) <= 1e-13 * max(1.0, abs(x[-1]))
 
 
 def test_sddn_samples_trivial_and_validation():
