@@ -83,7 +83,6 @@ from .integrals import (
 from .sde import (
     SddeSpec,
     SdeSpec,
-    solve_ext_sddn,
     solve_s_limit,
     solve_sdd_limit,
     solve_sddn,
@@ -174,7 +173,6 @@ __all__ = [
     "sample_innovation",
     "sample_stable",
     "sample_waiting",
-    "solve_ext_sddn",
     "solve_s_limit",
     "solve_sdd_limit",
     "solve_sddn",

@@ -70,7 +70,8 @@ def _validate(node, variables):
 
 def make_expr(source, variables):
     """Compile `source` into a vectorised callable over the named variables,
-    in the given positional order."""
+    in the given positional order: the validated tree becomes the body of a
+    plain lambda whose only globals are the allowed functions and constants."""
     if not isinstance(source, str) or not source.strip():
         raise ParameterError("expression must be a non-empty string", tag="PARAM_EXPR")
     variables = tuple(variables)
@@ -80,14 +81,17 @@ def make_expr(source, variables):
     except SyntaxError as exc:
         raise ParameterError(f"expression does not parse: {exc.msg}", tag="PARAM_EXPR") from None
     _validate(tree, variables)
-    code = compile(tree, "<expr>", "eval")
+    params = ast.arguments(
+        posonlyargs=[], args=[ast.arg(v) for v in variables], kwonlyargs=[], kw_defaults=[], defaults=[]
+    )
+    lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, tree.body)))
+    body = eval(compile(lam, "<expr>", "eval"), _NAMESPACE)
+    arity = len(variables)
 
     def fn(*args):
-        if len(args) != len(variables):
-            raise ParameterError(
-                f"expression takes {len(variables)} argument(s)", tag="PARAM_EXPR"
-            )
-        return eval(code, _NAMESPACE, dict(zip(variables, args)))
+        if len(args) != arity:
+            raise ParameterError(f"expression takes {arity} argument(s)", tag="PARAM_EXPR")
+        return body(*args)
 
     fn.source = source
     fn.variables = variables

@@ -148,46 +148,74 @@ def _union_times(events, mesh, T, max_gap=None, extra=None):
 
 
 def _sn_euler(spec, ev_t, live, dd, dz, T, drift_mesh):
-    """Left-point Euler for the walk-driven scheme, one row per replication.
+    """Left-point Euler for the walk-driven scheme, one column per replication.
 
     ev_t, live, dd and dz are (m, K) event times, validity mask and jumps of
-    D and Z. Each row steps through its events, the mesh {k drift_mesh} and T
-    in time order, masked events being zero-width steps at T: b dt on every
-    step, then mu_- dD + sigma_- dZ at a live event, with the coefficients
-    read at left limits. Returns the (m, L) sorted times and X after each.
+    D and Z, each row's times in order. Each replication steps through its
+    events, the mesh {k drift_mesh} and T in time order, masked events being
+    zero-width steps at T: b dt on every step, then mu_- dD + sigma_- dZ at a
+    live event, with the coefficients read at left limits. Returns the
+    (L + 1, m) times and X: row 0 holds t = 0 and x0, row j the j-th time of
+    every replication and X after it, so the last row is X_T.
+
+    The merge needs no argsort: event k of a row lands after k events and
+    after the grid points (mesh and T) strictly before it, so at equal times
+    an event comes before the mesh point and T, and the times are one sort of
+    values in place. Each step is a few vector ops on contiguous rows of
+    three (L + 1, m) float arrays: the times, the D jumps (zero off the live
+    events), each overwritten by D once its step has run, and the Z jumps,
+    each overwritten by X. The growth bound is checked once per call, on the
+    live events' left limits rebuilt from the stored rows before them, and
+    warns at most once.
     """
     if drift_mesh is not None and not drift_mesh > 0:
         raise ParameterError("drift mesh must be > 0", tag="PARAM_MESH")
     m, K = ev_t.shape
     bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
-    Kg, Cg, p = spec.growth
     mesh = np.arange(1, int(math.floor(T / drift_mesh + 1e-9)) + 1) * drift_mesh if drift_mesh else np.empty(0)
-    mesh = mesh[mesh <= T]
-    times = np.concatenate([np.where(live, ev_t, T), np.broadcast_to(mesh, (m, mesh.size)), np.full((m, 1), T)], 1)
-    # stable, so at equal times an event comes before the mesh point and T
-    order = np.argsort(times, axis=1, kind="stable")
-    times.sort(axis=1)
-    rows = np.arange(m)
-    x = np.empty(times.shape)
-    xk, d, u = np.full(m, float(spec.x0)), np.zeros(m), np.zeros(m)
-    grew = False
-    for j in range(times.shape[1]):
-        v = times[:, j]
+    grid = np.append(mesh[mesh <= T], T)
+    et = np.where(live, ev_t, T)
+    # a live time that rounds above T must not pass the masked ones at T
+    np.maximum.accumulate(et, axis=1, out=et)
+    at = (np.arange(1, K + 1) + np.searchsorted(grid, et, side="left"))[live] * m + np.nonzero(live)[0]
+    shape = (K + grid.size + 1, m)
+    times = np.empty(shape)
+    times[0] = 0.0
+    times[1 : K + 1] = et.T
+    times[K + 1 :] = grid[:, None]
+    del et
+    # equal times are equal values, so sorting each column's values puts
+    # every event time in the row that its position above gives it
+    times.sort(axis=0)
+    jumps = np.zeros(shape, dtype=bool)
+    jumps.ravel()[at] = True
+    any_jump = jumps.any(axis=1).tolist()
+    dvals = np.zeros(shape)
+    x = np.zeros(shape)
+    dvals.ravel()[at] = dd[live]
+    x.ravel()[at] = dz[live]
+    del at
+    x[0] = spec.x0
+    xk, d, u = x[0], dvals[0], times[0]
+    for v, jump, dj, xj, some in zip(times[1:], jumps[1:], dvals[1:], x[1:], any_jump[1:]):
         xk = xk + bfn(u, d, xk) * (v - u)
-        ev = order[:, j] < K
-        if ev.any():
-            k = np.minimum(order[:, j], K - 1)
-            ev &= live[rows, k]
-            mu_l, si_l = mfn(v, d, xk), sfn(v, d, xk)
-            if not grew and np.any(ev & (np.maximum(np.abs(mu_l), np.abs(si_l)) > Kg * np.abs(xk) ** p + Cg)):
-                grew = True
-                warnings.warn(
-                    "coefficient exceeded the declared growth bound during integration", RuntimeWarning, stacklevel=3
-                )
-            xk = np.where(ev, xk + (mu_l * dd[rows, k] + si_l * dz[rows, k]), xk)
-            d = np.where(ev, d + dd[rows, k], d)
-        x[:, j] = xk
-        u = v
+        if some:
+            np.add(xk, mfn(v, d, xk) * dj + sfn(v, d, xk) * xj, out=xk, where=jump)
+        xj[...] = xk
+        dj += d
+        d, u = dj, v
+    # the row views would keep jumps and dvals alive through the check
+    del jump, dj, xj, d
+    at = np.flatnonzero(jumps)
+    del jumps
+    d = np.take(dvals, at - m)
+    del dvals
+    u, v, xp = np.take(times, at - m), np.take(times, at), np.take(x, at - m)
+    del at
+    xl = xp + bfn(u, d, xp) * (v - u)
+    Kg, Cg, p = spec.growth
+    if np.any(np.maximum(np.abs(mfn(v, d, xl)), np.abs(sfn(v, d, xl))) > Kg * np.abs(xl) ** p + Cg):
+        warnings.warn("coefficient exceeded the declared growth bound during integration", RuntimeWarning, stacklevel=3)
     return times, x
 
 
@@ -206,28 +234,30 @@ def solve_sn(spec, drivers, drift_mesh=2.0**-12, T=None):
     ev = ev[None, ev <= T]
     dd, dz = (path.value(ev) - path.value_before(ev) for path in drivers)
     times, x = _sn_euler(spec, ev, np.ones(ev.shape, dtype=bool), dd, dz, T, drift_mesh)
+    times, x = times[1:, 0], x[1:, 0]
     # zero-width steps repeat a time; the last of each run holds the state
-    keep = np.append(times[0, 1:] != times[0, :-1], True)
-    return StepPath(np.append(0.0, times[0, keep]), np.append(float(spec.x0), x[0, keep]), T)
+    keep = np.append(times[1:] != times[:-1], True)
+    return StepPath(np.append(0.0, times[keep]), np.append(float(spec.x0), x[keep]), T)
 
 
 def _s_limit_euler(spec, dinv, w, h):
-    """Left-point Euler for the limit equation, one row per replication.
+    """Left-point Euler for the limit equation, one column per replication.
 
-    dinv and w are (m, nodes) matrices of D^{-1} and W on the grid k h;
-    returns X on the same nodes.
+    dinv and w are (nodes, m) matrices of D^{-1} and W on the grid k h;
+    returns X on the same nodes, in the same layout. The driver increments
+    are taken once, and each step reads contiguous rows; X is written over
+    the W increment that its step consumes.
     """
     bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
+    ddinv = np.diff(dinv, axis=0)
     x = np.empty(dinv.shape)
-    x[:, 0] = spec.x0
-    for k in range(dinv.shape[1] - 1):
+    x[0] = spec.x0
+    np.subtract(w[1:], w[:-1], out=x[1:])
+    xk = x[0]
+    for k, (dk, ddk, xn) in enumerate(zip(dinv, ddinv, x[1:])):
         t = k * h
-        x[:, k + 1] = (
-            x[:, k]
-            + bfn(t, dinv[:, k], x[:, k]) * h
-            + mfn(t, dinv[:, k], x[:, k]) * (dinv[:, k + 1] - dinv[:, k])
-            + sfn(t, dinv[:, k], x[:, k]) * (w[:, k + 1] - w[:, k])
-        )
+        xn[...] = xk + bfn(t, dk, xk) * h + mfn(t, dk, xk) * ddk + sfn(t, dk, xk) * xn
+        xk = xn
     return x
 
 
@@ -242,8 +272,8 @@ def solve_s_limit(spec, drivers, T=None):
     n_nodes = min(d_inv.values.size, w.values.size)
     if T is not None:
         n_nodes = min(n_nodes, int(math.floor(T / w.step + 1e-9)) + 1)
-    x = _s_limit_euler(spec, d_inv.values[None, :n_nodes], w.values[None, :n_nodes], w.step)
-    return GridPath(x[0], w.step)
+    x = _s_limit_euler(spec, d_inv.values[:n_nodes, None], w.values[:n_nodes, None], w.step)
+    return GridPath(x[:, 0], w.step)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +290,10 @@ class _History:
         self.xs = [float(eta.value(0.0))]
 
     def read(self, tau, left=False):
+        if left:
+            # a delayed time v - r can round just above the event time it
+            # stands for; snapping keeps the read before that event
+            tau -= 1e-12 * max(1.0, abs(tau))
         if tau < 0.0 or (tau == 0.0 and left):
             read = self.eta.value_before if left else self.eta.value
             return float(read(max(tau, self.eta.origin)))
@@ -328,9 +362,6 @@ def solve_sddn(spec, bundle, drift_mesh=2.0**-12, T=None):
     return StepPath(times, vals, T)
 
 
-solve_ext_sddn = solve_sddn
-
-
 def _sdd_limit_euler(spec, zinc, h):
     """Left-point Euler for the limit delay equation, one row per replication.
 
@@ -371,16 +402,19 @@ def solve_sdd_limit(spec, z, T=None):
 def sn_terminal_samples(spec, config, T, reps, seed, drift_mesh=2.0**-10):
     """Terminal values of the walk-driven scheme across replications: the
     solve_sn kernel run on each replication block, so every value is what
-    solve_sn gives on that row's drivers."""
+    solve_sn gives on that row's drivers. The block dict (its innovations
+    with it) is dropped before the kernel runs; the kernel holds three
+    (L + 1, m) float arrays, of which only the last row, X_T, is kept."""
     nb = float(config.n) ** (-config.beta_eff)
     out = np.empty(reps)
     lo = 0
     for blk in iter_ctrw_chunks(config, T, reps, seed):
-        zeta = blk["zeta"]
-        x = _sn_euler(spec, blk["times"], blk["mask"], np.broadcast_to(nb, zeta.shape), zeta, T, drift_mesh)[1]
-        out[lo : lo + x.shape[0]] = x[:, -1]
-        lo += x.shape[0]
-        del blk, zeta, x
+        times, mask, zeta = blk["times"], blk["mask"], blk["zeta"]
+        del blk
+        m = zeta.shape[0]
+        out[lo : lo + m] = _sn_euler(spec, times, mask, np.broadcast_to(nb, zeta.shape), zeta, T, drift_mesh)[1][-1]
+        lo += m
+        del times, mask, zeta
     return out
 
 
@@ -411,11 +445,14 @@ def s_limit_terminal_samples(
             d_law, z_law, T, h, m, seed.generator((WAIT_LANE, start)),
             seed.generator((INNOVATION_LANE, start)), nodes,
         )
-        idx = counts + 1
+        # (nodes, m): row k holds every replication at t = k h
+        idx = np.add(counts.T, 1, order="C")
+        del counts
         dinv = idx * h
-        w = np.take_along_axis(zcum, idx, axis=1)
-        del counts, zcum, idx
-        out[start : start + m] = _s_limit_euler(spec, dinv, w, h)[:, -1]
+        idx += zcum.shape[1] * np.arange(m)
+        w = np.take(zcum, idx)
+        del zcum, idx
+        out[start : start + m] = _s_limit_euler(spec, dinv, w, h)[-1]
     return out
 
 

@@ -8,7 +8,10 @@ walk the subordinator along an s-grid with the full-rectangle kernel below
 passage), which the library kernel replaced by per-row draws; the t-grid
 integral oracle sums the limit integrals that way too.
 The event Euler oracle steps the walk-driven SDE one grid time at a time
-with scalar coefficient reads. The per-path moving-average, CTRW and
+with scalar coefficient reads; the column limit Euler steps the limit SDE
+on (m, nodes) rows, as sde did before its (nodes, m) layout; the
+moving-average delay recursion steps the delay scheme one event at a time
+with the delayed state read by index. The per-path moving-average, CTRW and
 counting generators draw their waits and innovations in their own loops and
 filter with np.convolve. The rectangular walk block draws every row's waits
 as one wait matrix of the same width and every row's innovations up to the
@@ -45,7 +48,7 @@ from ctrwlab.processes import (
     _zeta_matrix,
 )
 from ctrwlab.rng import draw_stable
-from ctrwlab.sde import _s_limit_euler, _union_times
+from ctrwlab.sde import _union_times
 
 
 def brute_total_variation(path, t):
@@ -373,8 +376,28 @@ def rect_s_limit_terminal_samples(
         )
         idx = counts + 1
         w = np.take_along_axis(zcum, idx, axis=1)
-        out[start : start + m] = _s_limit_euler(spec, idx * h, w, h)[:, -1]
+        out[start : start + m] = column_s_limit_euler(spec, idx * h, w, h)[:, -1]
     return out
+
+
+def column_s_limit_euler(spec, dinv, w, h):
+    """Left-point Euler for the limit equation, one row per replication.
+
+    dinv and w are (m, nodes) matrices of D^{-1} and W on the grid k h;
+    returns X on the same nodes.
+    """
+    bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
+    x = np.empty(dinv.shape)
+    x[:, 0] = spec.x0
+    for k in range(dinv.shape[1] - 1):
+        t = k * h
+        x[:, k + 1] = (
+            x[:, k]
+            + bfn(t, dinv[:, k], x[:, k]) * h
+            + mfn(t, dinv[:, k], x[:, k]) * (dinv[:, k + 1] - dinv[:, k])
+            + sfn(t, dinv[:, k], x[:, k]) * (w[:, k + 1] - w[:, k])
+        )
+    return x
 
 
 def operational_integral_rows(
@@ -449,6 +472,28 @@ def event_euler_sn(spec, drivers, drift_mesh=2.0**-12, T=None):
             dprev = dv
         vals[i] = x
     return StepPath(times, vals, T)
+
+
+def ma_delay_recursion(spec, jumps, n, psi):
+    """X after each event of the delay scheme driven by a moving average
+    with events k/n and the given jumps, one scalar step per event: the
+    drift reads the delayed state at the cell midpoint and sigma its left
+    limit at the event, both nr = n r events back by index, or in the
+    initial segment while k < nr."""
+    nr = int(round(spec.r * n))
+    bfn, sfn = spec.coef("b"), spec.coef("sigma")
+    eta = spec.eta
+    x = [float(eta.value(0.0))]
+    for k, dz in enumerate(jumps):
+        if k >= nr:
+            drift_arg = jump_arg = x[k - nr]
+        else:
+            drift_arg = float(eta.value((k + 0.5) / n - spec.r))
+            jump_arg = float(eta.value_before((k + 1 - nr) / n))
+        x.append(
+            x[-1] + float(bfn((k + 0.5) / n, drift_arg)) / n + float(sfn((k + 1) / n, jump_arg)) / psi * dz
+        )
+    return np.array(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Scenario runner: config validation, exit codes, canonical reports."""
 
+import ast
 import json
 import math
 import os
@@ -8,8 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ctrwlab import exprs
 from ctrwlab.cli import emit_report, load_config, run_scenario
 from ctrwlab.errors import DataError, ParameterError
 from ctrwlab.exprs import make_expr
@@ -86,6 +92,54 @@ def test_make_expr_grammar():
     assert d(2.0) == pytest.approx(0.2)
 
 
+# the expressions of test_make_expr_grammar
+GRAMMAR = (
+    "0.5*tanh(y)",
+    "t^2 + 1",
+    "min(t, 2) + max(t, 0)",
+    "exp(-t) + sqrt(t) + log(t) + abs(-t)",
+    "pi - e",
+    "-t + +1",
+    "1/(1+y*y)",
+)
+
+_VALUES = st.one_of(
+    st.floats(),
+    hnp.arrays(np.float64, st.integers(0, 6), elements=st.floats()),
+)
+
+
+def _eval_per_call(source, variables, args):
+    """A make_expr call as an eval of the parsed tree, the variables bound
+    in a fresh locals dict each time."""
+    code = compile(ast.parse(source.replace("^", "**"), mode="eval"), "<expr>", "eval")
+    return eval(code, exprs._NAMESPACE, dict(zip(variables, args)))
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type of the arithmetic error it raised (a Python
+    float squared can overflow)."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=st.sampled_from(GRAMMAR), args=st.tuples(_VALUES, _VALUES, _VALUES))
+def test_make_expr_matches_eval_per_call(source, args):
+    variables = ("t", "ytilde", "y")
+    f = make_expr(source, variables)
+    got, want = _outcome(f, *args), _outcome(_eval_per_call, source, variables, args)
+    assert type(got) is type(want)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 @pytest.mark.parametrize(
     "src",
     [
@@ -119,6 +173,11 @@ def test_make_expr_call_arity_and_type():
     with pytest.raises(ParameterError) as ei:
         f(1.0, 2.0)
     assert ei.value.tag == "PARAM_EXPR"
+    g = make_expr("0.5*tanh(y)", ("t", "ytilde", "y"))
+    for args in ((), (1.0,), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
+        with pytest.raises(ParameterError) as ei:
+            g(*args)
+        assert ei.value.tag == "PARAM_EXPR"
 
 
 # ---------------------------------------------------------------- happy paths

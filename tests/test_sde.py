@@ -1,11 +1,18 @@
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from _brute import event_euler_sn, grid_terminal_inverse_subordinator, rect_s_limit_terminal_samples
+from _brute import (
+    column_s_limit_euler,
+    event_euler_sn,
+    grid_terminal_inverse_subordinator,
+    ma_delay_recursion,
+    rect_s_limit_terminal_samples,
+)
 from ctrwlab import (
     GridPath,
     InnovationLaw,
@@ -28,11 +35,12 @@ from ctrwlab.sde import (
     SddeSpec,
     SdeSpec,
     _History,
+    _s_limit_euler,
+    _sn_euler,
     sdd_limit_terminal_samples,
     sddn_terminal_samples,
     s_limit_terminal_samples,
     sn_terminal_samples,
-    solve_ext_sddn,
     solve_s_limit,
     solve_sdd_limit,
     solve_sddn,
@@ -234,6 +242,84 @@ def test_sn_samples_match_oracle_per_row():
             assert blk["times"][0][-1] == T
 
 
+def test_sn_kernel_events_on_mesh_points_and_at_T():
+    # events on mesh points, one off them and the last at T: the merge puts
+    # each event before the mesh point at its time, as the oracle steps it
+    spec = SdeSpec(**TIMED)
+    zt = np.array([0.125, 0.25, 0.3, 0.5, 0.75, 1.0])
+    dt = np.array([0.25, 0.75, 1.0])
+    drivers = (
+        StepPath.from_jumps(dt, np.array([0.5, 0.25, 1.0]), 1.0),
+        StepPath.from_jumps(zt, np.array([1.0, -0.5, 2.0, 0.25, -1.25, 0.75]), 1.0),
+    )
+    for mesh, T in ((0.125, None), (0.25, None), (0.25, 0.75), (None, 0.5)):
+        out = solve_sn(spec, drivers, drift_mesh=mesh, T=T)
+        ref = event_euler_sn(spec, drivers, drift_mesh=mesh, T=T)
+        assert np.array_equal(out.times, ref.times)
+        assert np.array_equal(out.values, ref.values)
+
+
+def test_sn_kernel_masks_coefficients_away_from_live_events():
+    # sigma is finite only at row 0's event times; row 1's events are all
+    # masked (with nonzero jumps), so neither row may take a NaN from
+    # inf * 0 or a masked jump: row 1 stays at x0 on every step
+    def sigma(t, yt, y):
+        return np.where(np.isin(t, [0.3, 0.6]), 1.0 + 0.0 * y, np.inf)
+
+    with pytest.warns(RuntimeWarning, match="growth bound"):
+        spec = SdeSpec(b=0.0, mu=0.0, sigma=sigma, x0=0.5)
+    ev_t = np.array([[0.3, 0.6, 1.0], [0.3, 0.6, 1.0]])
+    live = np.array([[True, True, False], [False, False, False]])
+    dz = np.array([[2.0, -0.75, 5.0], [5.0, 5.0, 5.0]])
+    with np.errstate(invalid="ignore"):
+        times, x = _sn_euler(spec, ev_t, live, np.ones(ev_t.shape), dz, 1.0, 0.25)
+    assert times.shape == x.shape == (3 + 4 + 1 + 1, 2)
+    assert np.all(np.diff(times, axis=0) >= 0.0)
+    assert np.all(x[:, 1] == 0.5)
+    assert x[-1, 0] == 0.5 + 2.0 - 0.75
+
+
+def test_sn_kernel_merges_a_live_time_rounded_past_T():
+    # a live time can round an ulp above T, ahead of masked slots at T; the
+    # merge still gives every replication its times in order
+    spec = SdeSpec(b=1.0, mu=0.0, sigma=1.0, x0=0.0)
+    past = np.nextafter(1.0, 2.0)
+    ev_t = np.array([[0.5, past, 1.0], [0.5, 0.75, 1.0]])
+    live = np.array([[True, True, False], [True, True, False]])
+    dz = np.array([[1.0, 2.0, 9.0], [1.0, 2.0, 9.0]])
+    times, x = _sn_euler(spec, ev_t, live, np.ones(ev_t.shape), dz, 1.0, 0.5)
+    assert np.all(np.diff(times, axis=0) >= 0.0)
+    assert times[-1, 0] == past
+    assert np.isfinite(x).all()
+    assert abs(x[-1, 0] - x[-1, 1]) <= 1e-15
+
+
+def test_sn_samples_block_memory():
+    # one block holds three (L + 1, m) float arrays (times, D, X over the Z
+    # jumps) next to the block it came from; a fourth array, or an (m, L)
+    # temporary kept through the steps, would exceed the bound
+    spec = SdeSpec(**FULL)
+    cfg = ProcessConfig(
+        innovation=InnovationLaw(1.5, "symmetric"),
+        waiting=WaitingLaw(0.5),
+        coefficients=(1.0,),
+        n=4000,
+    )
+    m, mesh = 200, 2.0 ** -9
+    blk = next(iter(iter_ctrw_chunks(cfg, 1.0, m, SeedSpec(38))))
+    block = sum(a.nbytes for a in blk.values() if isinstance(a, np.ndarray))
+    rows = blk["times"].shape[1] + round(1.0 / mesh) + 2
+    del blk
+    tracemalloc.start()
+    try:
+        sn_terminal_samples(spec, cfg, 1.0, m, SeedSpec(38), drift_mesh=mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array = rows * m * 8
+    assert peak <= 3.5 * array + block  # measured 3.0 arrays + block
+
+
 def test_sn_samples_match_reductions():
     cfg = ProcessConfig(
         innovation=InnovationLaw(1.5, "symmetric"),
@@ -302,6 +388,18 @@ def test_solve_s_limit_driver_channels_exact():
     cut = solve_s_limit(both, (GridPath(dv, h), GridPath(wv, h)), T=0.5)
     assert cut.values.size == 5
     assert np.array_equal(cut.values, out.values[:5])
+
+
+def test_s_limit_kernel_matches_column_loop():
+    # the (nodes, m) kernel against the (m, nodes) loop it replaced, on
+    # coefficients that read t, D^{-1} and X
+    spec = SdeSpec(**TIMED)
+    rng = np.random.default_rng(20261018)
+    h, m, nodes = 2.0 ** -6, 37, 65
+    dinv = np.cumsum(rng.integers(0, 3, size=(m, nodes)), axis=1) * h
+    w = np.cumsum(draw_stable(StableParams(1.5, 0.0, h ** (1 / 1.5)), rng, (m, nodes)), axis=1)
+    out = _s_limit_euler(spec, np.ascontiguousarray(dinv.T), np.ascontiguousarray(w.T), h)
+    assert np.array_equal(out.T, column_s_limit_euler(spec, dinv, w, h))
 
 
 def test_s_limit_full_spec_mesh_halving():
@@ -418,7 +516,30 @@ def test_solve_sddn_delay_causality():
     assert np.max(np.abs(out1.values[tail] - out2.values[tail])) > 1e-6
 
 
-def test_solve_ext_sddn_window_kernel():
+def test_solve_sddn_matches_delay_recursion_per_row():
+    # at n = 100 a delayed left read v - r can round above the event time it
+    # stands for (0.51 - 0.5 = 0.010000000000000009); the solver must still
+    # read the state before that event, as the recursion does by index
+    n = 100
+    cfg = ProcessConfig(
+        innovation=InnovationLaw(1.5, "centered"),
+        waiting=None,
+        coefficients=(1.0, 0.5),
+        n=n,
+    )
+    eta = StepPath([-0.5, -0.25], [0.3, -0.2], 0.0, origin=-0.5)
+    spec = SddeSpec(b=lambda t, xd: np.sin(xd) + 0.2 * t, sigma=lambda t, xd: np.cos(xd), r=0.5, eta=eta)
+    for i in range(4):
+        bun = gen_moving_average(cfg, 1.0, SeedSpec(820 + i))
+        ev = bun.x.jump_times()
+        want = ma_delay_recursion(spec, bun.x.value(ev) - bun.x.value_before(ev), n, cfg.psi)
+        out = solve_sddn(spec, bun, drift_mesh=1.0 / n)
+        got = np.append(out.value(0.0), [out.value(t) for t in ev])
+        # measured 5.9e-16 here, and up to 1.7e-2 with the unsnapped read
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+
+def test_solve_sddn_window_kernel():
     cfg = ProcessConfig(
         innovation=InnovationLaw(1.5, "centered"),
         waiting=None,
@@ -432,7 +553,7 @@ def test_solve_ext_sddn_window_kernel():
         b=plain.b, sigma=plain.sigma, r=0.5, eta=eta, phi=lambda t, s, x: 0.0
     )
     ref = solve_sddn(plain, bun)
-    out = solve_ext_sddn(zeroed, bun)
+    out = solve_sddn(zeroed, bun)
     assert np.array_equal(out.values, ref.values)
 
     # a constant kernel contributes exactly r to the diffusion coefficient
@@ -441,11 +562,11 @@ def test_solve_ext_sddn_window_kernel():
     kern = SddeSpec(b=0.0, sigma=1.0, r=0.5, eta=eta1, phi=lambda t, s, x: 1.0)
     shifted = SddeSpec(b=0.0, sigma=1.5, r=0.5, eta=eta1)
     assert np.array_equal(
-        solve_ext_sddn(kern, bun2).values, solve_sddn(shifted, bun2).values
+        solve_sddn(kern, bun2).values, solve_sddn(shifted, bun2).values
     )
 
 
-def test_solve_ext_sddn_state_kernel_single_jump():
+def test_solve_sddn_state_kernel_single_jump():
     # X sits at 1 until the only jump at t=0.6, so the window integral of
     # phi(t,s,x)=x over [0.1, 0.6] is 0.5 and the jump lands (0.5/psi)*dz
     duck = SimpleNamespace(
@@ -454,7 +575,7 @@ def test_solve_ext_sddn_state_kernel_single_jump():
         horizon=1.0,
     )
     spec = SddeSpec(b=0.0, sigma=0.0, r=0.5, eta=flat_segment(1.0), phi=lambda t, s, x: x)
-    out = solve_ext_sddn(spec, duck)
+    out = solve_sddn(spec, duck)
     before = out.times < 0.6
     assert np.all(out.values[before] == 1.0)
     assert abs(out.value(1.0) - 1.5) <= 1e-12
