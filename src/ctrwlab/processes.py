@@ -253,7 +253,7 @@ def gen_moving_average(config, T, seed):
     """Moving average X^n_t = n^(-1/alpha) sum_{k <= floor(nt)} zeta_k."""
     if config.waiting is not None:
         raise ParameterError("moving average takes waiting=None", tag="PARAM_WAITING")
-    if T <= 0:
+    if not T > 0:
         raise ParameterError("horizon must be > 0")
     return _bundle(config, T, seed)
 
@@ -266,14 +266,14 @@ def gen_ctrw(config, T, seed):
     """CTRW X^n_t = n^(-beta/alpha) sum_{k <= N_nt} zeta_k, N_nt = max{m: L_m <= nt}."""
     if config.waiting is None:
         raise ParameterError("CTRW needs a waiting law", tag="PARAM_WAITING")
-    if T <= 0:
+    if not T > 0:
         raise ParameterError("horizon must be > 0")
     return _bundle(config, T, seed)
 
 
 def gen_counting(waiting, n, T, seed):
     """(N_{nt} path, D^n = n^(-beta) N_{nt} path) for one realisation."""
-    if T <= 0:
+    if not T > 0:
         raise ParameterError("horizon must be > 0")
     n = int(n)
     target = n * T
@@ -419,7 +419,7 @@ def gen_subordinator_inverse(beta, T, grid_step, seed, increment_scale=1.0):
     exp(-t * lambda^beta)); pass wait_attractor_scale(beta) to get the limit
     of the package's Pareto renewal counter.
     """
-    if grid_step <= 0 or T <= 0:
+    if not (grid_step > 0 and T > 0):
         raise ParameterError("grid step and horizon must be > 0")
     h = float(grid_step)
     d_inc = _step_law(_d_law(beta, increment_scale), h)
@@ -462,7 +462,7 @@ def gen_time_changed_levy(
     alpha = 2) and D to the attractor of Pareto(beta) waits, so the output is
     the weak limit of gen_ctrw with c=(1,) up to the factor sum(c_j).
     """
-    if grid_step <= 0 or T <= 0:
+    if not (grid_step > 0 and T > 0):
         raise ParameterError("grid step and horizon must be > 0")
     z_law = _z_law(alpha, z_params, mode)
     d_law = _d_law(beta, increment_scale)
@@ -601,7 +601,7 @@ def iter_ctrw_chunks(config, T, reps, seed):
     Block b of BLOCK rows draws from seed.generator((lane, b * BLOCK)); the
     per-path generators are the one-row block on seed.generator(lane).
     """
-    if T <= 0:
+    if not T > 0:
         raise ParameterError("horizon must be > 0")
     for lo in range(0, reps, BLOCK):
         wgen, igen = seed.generator((WAIT_LANE, lo)), seed.generator((INNOVATION_LANE, lo))
@@ -623,7 +623,7 @@ def terminal_samples(config, T, reps, seed):
 
 def terminal_counting_samples(waiting, n, T, reps, seed):
     """n^(-beta) N_{nT} over `reps` replications (vectorised)."""
-    if T <= 0:
+    if not T > 0:
         raise ParameterError("horizon must be > 0")
     n = int(n)
     target = n * T

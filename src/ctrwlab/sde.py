@@ -34,6 +34,8 @@ from .rng import draw_stable
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
+_SDDE_BOUND = 1e6  # SddeSpec warns above this coefficient magnitude
+
 
 def _as_vec_fn(fn):
     return fn if callable(fn) else (lambda *args, _v=float(fn): np.broadcast_to(_v, np.shape(args[-1])) if np.ndim(args[-1]) else _v)
@@ -99,7 +101,6 @@ class SddeSpec:
     r: float
     eta: StepPath
     phi: object = None
-    bound: float = 1e6
 
     def __post_init__(self):
         if self.r <= 0:
@@ -115,7 +116,7 @@ class SddeSpec:
             float(np.max(np.abs(np.broadcast_to(self.coef("b")(tt, xx), tt.shape)))),
             float(np.max(np.abs(np.broadcast_to(self.coef("sigma")(tt, xx), tt.shape)))),
         )
-        if worst > self.bound:
+        if worst > _SDDE_BOUND:
             warnings.warn(
                 f"coefficient magnitude {worst:.3g} exceeds the declared bound on the sample grid",
                 RuntimeWarning,
@@ -126,25 +127,21 @@ class SddeSpec:
         return _as_vec_fn(getattr(self, name))
 
 
-def _union_times(events, mesh, T, max_gap=None, extra=None):
-    """0, T, all events, uniform mesh points, with gaps capped at max_gap."""
-    pts = [np.array([0.0, T]), np.asarray(events, dtype=float)]
-    if extra is not None:
-        pts.append(np.asarray(extra, dtype=float))
-    if mesh is not None and mesh > 0:
-        pts.append(np.arange(1, int(math.floor(T / mesh + 1e-9)) + 1) * mesh)
-    u = np.unique(np.concatenate(pts))
+def _union_times(events, mesh, T, max_gap, extra):
+    """0, T, all events, the extra times and the mesh points k mesh, with gaps
+    capped at max_gap. A mesh point within a relative 1e-12 of an event is
+    dropped, so k mesh and an event k/n an ulp apart make no ulp-wide cell."""
+    grid = np.arange(1, int(math.floor(T / mesh + 1e-9)) + 1) * mesh
+    tol = 1e-12 * np.maximum(1.0, grid)
+    grid = grid[np.searchsorted(events, grid - tol) == np.searchsorted(events, grid + tol, side="right")]
+    u = np.unique(np.concatenate([[0.0, T], events, extra, grid]))
     u = u[(u >= 0.0) & (u <= T)]
-    if max_gap is not None:
-        gaps = np.diff(u)
-        wide = np.flatnonzero(gaps > max_gap)
-        extra = []
-        for i in wide:
-            k = int(math.ceil(gaps[i] / max_gap))
-            extra.append(u[i] + gaps[i] * np.arange(1, k) / k)
-        if extra:
-            u = np.unique(np.concatenate([u] + extra))
-    return u
+    gaps = np.diff(u)
+    fill = []
+    for i in np.flatnonzero(gaps > max_gap):
+        k = math.ceil(gaps[i] / max_gap)
+        fill.append(u[i] + gaps[i] * np.arange(1, k) / k)
+    return np.unique(np.concatenate([u] + fill)) if fill else u
 
 
 def _sn_euler(spec, ev_t, live, dd, dz, T, drift_mesh):
@@ -362,26 +359,33 @@ def solve_sddn(spec, bundle, drift_mesh=2.0**-12, T=None):
     return StepPath(times, vals, T)
 
 
-def _sdd_limit_euler(spec, zinc, h):
-    """Left-point Euler for the limit delay equation, one row per replication.
-
-    zinc is the (m, nodes - 1) matrix of driver increments on the grid k h;
-    returns X on the nodes. The grid step must divide the delay so that the
-    delayed reads land on nodes.
-    """
-    m_delay = spec.r / h
-    if abs(m_delay - round(m_delay)) > 1e-9:
-        raise ParameterError("grid step must divide the delay", tag="PARAM_MESH")
-    m_delay = int(round(m_delay))
+def _sdd_steps(spec, x, per, t_drift, t_jump, head_drift, head_jump, c=1.0):
+    """Euler steps of a delay equation on a C-contiguous (K + 1, m) x, one
+    column per replication: row 0 is set to eta(0), and step k writes
+    X[k+1] = X[k] + b(t_drift[k], X[k-nr]) / per + sigma(t_jump[k], X[k-nr]) / c dZ_k
+    over the increment dZ_k in row k + 1. The heads hold the delayed reads of
+    the first nr steps, taken from the initial segment, so their length is
+    the lag nr. Returns x, its last row X_T."""
     bfn, sfn = spec.coef("b"), spec.coef("sigma")
-    eta = spec.eta
-    X = np.empty((zinc.shape[0], zinc.shape[1] + 1))
-    X[:, 0] = float(eta.value(0.0))
-    for k in range(zinc.shape[1]):
-        t = k * h
-        xd = X[:, k - m_delay] if k >= m_delay else float(eta.value(t - spec.r))
-        X[:, k + 1] = X[:, k] + bfn(t, xd) * h + sfn(t, xd) * zinc[:, k]
-    return X
+    nr = len(head_drift)
+    x[0] = float(spec.eta.value(0.0))
+    xk = x[0]
+    for k, (td, tj, xn) in enumerate(zip(t_drift.tolist(), t_jump.tolist(), x[1:])):
+        xd = head_drift[k] if k < nr else x[k - nr]
+        xj = head_jump[k] if k < nr else x[k - nr]
+        xn[...] = xk + bfn(td, xd) / per + sfn(tj, xj) / c * xn
+        xk = xn
+    return x
+
+
+def _limit_reads(spec, h, K):
+    """The limit scheme's step times k h, k < K, and initial-segment reads;
+    the grid step must divide the delay so delayed reads land on nodes."""
+    nr = spec.r / h
+    if abs(nr - round(nr)) > 1e-9:
+        raise ParameterError("grid step must divide the delay", tag="PARAM_MESH")
+    head = (np.arange(int(round(nr))) * h).tolist()
+    return np.arange(K) * h, [float(spec.eta.value(t - spec.r)) for t in head]
 
 
 def solve_sdd_limit(spec, z, T=None):
@@ -391,8 +395,9 @@ def solve_sdd_limit(spec, z, T=None):
     n_nodes = z.values.size
     if T is not None:
         n_nodes = min(n_nodes, int(math.floor(T / h + 1e-9)) + 1)
-    x = _sdd_limit_euler(spec, np.diff(z.values[:n_nodes])[None, :], h)
-    return GridPath(x[0], h)
+    t, head = _limit_reads(spec, h, n_nodes - 1)
+    x = np.diff(z.values[:n_nodes], prepend=0.0)[:, None]
+    return GridPath(_sdd_steps(spec, x, 1.0 / h, t, t, head, head)[:, 0], h)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +442,8 @@ def s_limit_terminal_samples(
     h = float(grid_step)
     if not h > 0:
         raise ParameterError("grid step must be > 0", tag="PARAM_MESH")
+    if not T > 0:
+        raise ParameterError("horizon must be > 0")
     nodes = _t_nodes(T, h)
     out = np.empty(reps)
     for start in range(0, reps, LIMIT_BLOCK):
@@ -461,7 +468,8 @@ def sddn_terminal_samples(spec, config, T, reps, seed):
 
     Requires deterministic unit waits (jumps at k/n) and an integer n*r so
     the delayed argument is exactly the state nr events back; the initial
-    segment is read exactly for the first nr events.
+    segment is read exactly for the first nr events. The drift is read at
+    the cell midpoints k/n + 1/2n and sigma at the events (k + 1)/n.
     """
     if config.waiting is not None:
         raise ParameterError("delay scheme ensembles need a moving-average driver", tag="PARAM_WAITING")
@@ -470,39 +478,23 @@ def sddn_terminal_samples(spec, config, T, reps, seed):
     if abs(nr - round(nr)) > 1e-9:
         raise ParameterError("n * r must be an integer for the vectorised solver", tag="PARAM_DELAY")
     nr = int(round(nr))
-    c = config.psi
-    bfn, sfn = spec.coef("b"), spec.coef("sigma")
     segment = _History(spec.eta)
     # delayed window still inside the initial segment for k < nr; the jump
     # read at k = nr - 1 is the left limit at 0 even when (k + 1)/n - r
     # rounds above 0
-    head = range(min(nr, math.ceil(n * T)))
-    seg_drift = [segment.read(k / n + 0.5 / n - spec.r) for k in head]
-    seg_jump = [segment.read(min((k + 1) / n - spec.r, 0.0), left=True) for k in head]
+    seg_drift = [segment.read(k / n + 0.5 / n - spec.r) for k in range(nr)]
+    seg_jump = [segment.read(min((k + 1) / n - spec.r, 0.0), left=True) for k in range(nr)]
     out = np.empty(reps)
     lo = 0
     for blk in iter_ctrw_chunks(config, T, reps, seed):
-        zeta = blk["zeta"]
-        m, K = zeta.shape
-        X = np.empty((m, K + 1))
-        X[:, 0] = segment.xs[0]
-        for k in range(K):
-            t_k = k / n
-            t_next = (k + 1) / n
-            if k >= nr:
-                xd_drift = X[:, k - nr]
-                xd_jump = X[:, k - nr]
-            else:
-                xd_drift = seg_drift[k]
-                xd_jump = seg_jump[k]
-            X[:, k + 1] = (
-                X[:, k]
-                + bfn(t_k + 0.5 / n, xd_drift) / n
-                + sfn(t_next, xd_jump) / c * zeta[:, k]
-            )
-        out[lo : lo + m] = X[:, K]
+        m, K = blk["zeta"].shape
+        x = np.empty((K + 1, m))
+        x[1:] = blk["zeta"].T
+        del blk
+        t_drift, t_jump = np.arange(K) / n + 0.5 / n, np.arange(1, K + 1) / n
+        out[lo : lo + m] = _sdd_steps(spec, x, n, t_drift, t_jump, seg_drift, seg_jump, config.psi)[-1]
         lo += m
-        del blk, zeta, X
+        del x
     return out
 
 
@@ -514,11 +506,16 @@ def sdd_limit_terminal_samples(
     h = float(grid_step)
     if not h > 0:
         raise ParameterError("grid step must be > 0", tag="PARAM_MESH")
+    if not T > 0:
+        raise ParameterError("horizon must be > 0")
     inc_params = _step_law(_z_law(alpha, z_params, mode), h)
     nodes = int(math.floor(T / h + 1e-9)) + 1
+    t, head = _limit_reads(spec, h, nodes - 1)
     out = np.empty(reps)
     for start in range(0, reps, BLOCK):
         m = min(BLOCK, reps - start)
-        zinc = draw_stable(inc_params, seed.generator((INNOVATION_LANE, start)), (m, nodes - 1))
-        out[start : start + m] = _sdd_limit_euler(spec, zinc, h)[:, -1]
+        x = np.empty((nodes, m))
+        # drawn (m, nodes - 1), one row per replication, then laid out by step
+        x[1:] = draw_stable(inc_params, seed.generator((INNOVATION_LANE, start)), (m, nodes - 1)).T
+        out[start : start + m] = _sdd_steps(spec, x, 1.0 / h, t, t, head, head)[-1]
     return out

@@ -11,7 +11,10 @@ The event Euler oracle steps the walk-driven SDE one grid time at a time
 with scalar coefficient reads; the column limit Euler steps the limit SDE
 on (m, nodes) rows, as sde did before its (nodes, m) layout; the
 moving-average delay recursion steps the delay scheme one event at a time
-with the delayed state read by index. The per-path moving-average, CTRW and
+with the delayed state read by index; the row delay samplers step the walk
+and limit delay schemes on (m, K + 1) rows, as sde did before its one
+column delay kernel, and _union_times is solve_sddn's time set as it was
+before mesh points an ulp from an event were dropped. The per-path moving-average, CTRW and
 counting generators draw their waits and innovations in their own loops and
 filter with np.convolve. The rectangular walk block draws every row's waits
 as one wait matrix of the same width and every row's innovations up to the
@@ -46,9 +49,10 @@ from ctrwlab.processes import (
     _wait_block,
     _z_law,
     _zeta_matrix,
+    iter_ctrw_chunks,
 )
 from ctrwlab.rng import draw_stable
-from ctrwlab.sde import _union_times
+from ctrwlab.sde import _History
 
 
 def brute_total_variation(path, t):
@@ -434,6 +438,27 @@ def operational_integral_rows(
     return out
 
 
+def _union_times(events, mesh, T, max_gap=None, extra=None):
+    """0, T, all events, uniform mesh points, with gaps capped at max_gap."""
+    pts = [np.array([0.0, T]), np.asarray(events, dtype=float)]
+    if extra is not None:
+        pts.append(np.asarray(extra, dtype=float))
+    if mesh is not None and mesh > 0:
+        pts.append(np.arange(1, int(math.floor(T / mesh + 1e-9)) + 1) * mesh)
+    u = np.unique(np.concatenate(pts))
+    u = u[(u >= 0.0) & (u <= T)]
+    if max_gap is not None:
+        gaps = np.diff(u)
+        wide = np.flatnonzero(gaps > max_gap)
+        extra = []
+        for i in wide:
+            k = int(math.ceil(gaps[i] / max_gap))
+            extra.append(u[i] + gaps[i] * np.arange(1, k) / k)
+        if extra:
+            u = np.unique(np.concatenate([u] + extra))
+    return u
+
+
 def event_euler_sn(spec, drivers, drift_mesh=2.0**-12, T=None):
     """Event-driven Euler solution of the walk-driven scheme, one scalar
     step per time of the union of the events and the drift mesh."""
@@ -494,6 +519,64 @@ def ma_delay_recursion(spec, jumps, n, psi):
             x[-1] + float(bfn((k + 0.5) / n, drift_arg)) / n + float(sfn((k + 1) / n, jump_arg)) / psi * dz
         )
     return np.array(x)
+
+
+def row_sddn_terminal_samples(spec, config, T, reps, seed):
+    """Terminal values of the moving-average delay scheme, stepped on (m, K + 1)
+    rows beside each block's innovations, as sde did before its column
+    kernel."""
+    n = config.n
+    nr = int(round(spec.r * n))
+    c = config.psi
+    bfn, sfn = spec.coef("b"), spec.coef("sigma")
+    segment = _History(spec.eta)
+    head = range(min(nr, math.ceil(n * T)))
+    seg_drift = [segment.read(k / n + 0.5 / n - spec.r) for k in head]
+    seg_jump = [segment.read(min((k + 1) / n - spec.r, 0.0), left=True) for k in head]
+    out = np.empty(reps)
+    lo = 0
+    for blk in iter_ctrw_chunks(config, T, reps, seed):
+        zeta = blk["zeta"]
+        m, K = zeta.shape
+        X = np.empty((m, K + 1))
+        X[:, 0] = segment.xs[0]
+        for k in range(K):
+            t_k = k / n
+            t_next = (k + 1) / n
+            if k >= nr:
+                xd_drift = X[:, k - nr]
+                xd_jump = X[:, k - nr]
+            else:
+                xd_drift = seg_drift[k]
+                xd_jump = seg_jump[k]
+            X[:, k + 1] = (
+                X[:, k]
+                + bfn(t_k + 0.5 / n, xd_drift) / n
+                + sfn(t_next, xd_jump) / c * zeta[:, k]
+            )
+        out[lo : lo + m] = X[:, K]
+        lo += m
+        del blk, zeta, X
+    return out
+
+
+def row_sdd_limit_euler(spec, zinc, h):
+    """Left-point Euler for the limit delay equation, one row per replication.
+
+    zinc is the (m, nodes - 1) matrix of driver increments on the grid k h;
+    returns X on the nodes. The grid step must divide the delay so that the
+    delayed reads land on nodes.
+    """
+    m_delay = int(round(spec.r / h))
+    bfn, sfn = spec.coef("b"), spec.coef("sigma")
+    eta = spec.eta
+    X = np.empty((zinc.shape[0], zinc.shape[1] + 1))
+    X[:, 0] = float(eta.value(0.0))
+    for k in range(zinc.shape[1]):
+        t = k * h
+        xd = X[:, k - m_delay] if k >= m_delay else float(eta.value(t - spec.r))
+        X[:, k + 1] = X[:, k] + bfn(t, xd) * h + sfn(t, xd) * zinc[:, k]
+    return X
 
 
 # ---------------------------------------------------------------------------

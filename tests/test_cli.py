@@ -488,6 +488,17 @@ def test_cli_parameter_errors(tmp_path):
             })
             check_fails(tmp_path, [kind, "--config", bad], "PARAM_MESH")
 
+    # a horizon that is not > 0, NaN included, is a parameter error
+    kinds = (("simulate", sim_cfg(csv_paths=0)),
+             ("sde", {"kind": "sde", "alpha": 1.5, "beta": 0.5, "n_list": [20],
+                      "replications": 10, "w1_bound": 10.0}),
+             ("sdde", {"kind": "sdde", "alpha": 1.5, "n_list": [20],
+                       "replications": 10, "w1_bound": 10.0}))
+    for kind, cfg in kinds:
+        for i, T in enumerate((0.0, -1.0, math.nan)):
+            bad = write_cfg(tmp_path, f"{kind}_T{i}.json", {**cfg, "horizon": T})
+            check_fails(tmp_path, [kind, "--config", bad], "PARAM")
+
 
 def test_run_scenario_rejects_unknown_kind(tmp_path):
     with pytest.raises(ParameterError) as ei:

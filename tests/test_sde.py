@@ -12,6 +12,8 @@ from _brute import (
     grid_terminal_inverse_subordinator,
     ma_delay_recursion,
     rect_s_limit_terminal_samples,
+    row_sdd_limit_euler,
+    row_sddn_terminal_samples,
 )
 from ctrwlab import (
     GridPath,
@@ -26,6 +28,9 @@ from ctrwlab import (
     gen_moving_average,
 )
 from ctrwlab.processes import (
+    INNOVATION_LANE,
+    _step_law,
+    _z_law,
     driver_paths,
     iter_ctrw_chunks,
     terminal_samples,
@@ -539,6 +544,18 @@ def test_solve_sddn_matches_delay_recursion_per_row():
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
 
+def test_solve_sddn_steps_once_per_event():
+    # the mesh point k (1/n) and the event k/n can differ by an ulp; such a
+    # mesh point is dropped instead of making a cell 5.6e-17 wide
+    n = 100
+    cfg = ProcessConfig(innovation=InnovationLaw(1.5, "centered"), waiting=None, coefficients=(1.0, 0.5), n=n)
+    eta = StepPath([-0.5, -0.25], [0.3, -0.2], 0.0, origin=-0.5)
+    spec = SddeSpec(b=lambda t, xd: np.sin(xd) + 0.2 * t, sigma=lambda t, xd: np.cos(xd), r=0.5, eta=eta)
+    out = solve_sddn(spec, gen_moving_average(cfg, 1.0, SeedSpec(820)), drift_mesh=1.0 / n)
+    assert out.times.size - 1 == n  # 110 steps with the ulp-wide cells
+    assert np.min(np.diff(out.times)) > 0.5 / n
+
+
 def test_solve_sddn_window_kernel():
     cfg = ProcessConfig(
         innovation=InnovationLaw(1.5, "centered"),
@@ -714,6 +731,62 @@ def test_sddn_samples_vs_per_path_law():
         small[i] = solve_sddn(spec, bun, drift_mesh=2.0 ** -6).value(1.0)
     stat, _ = ks_two_sample(big, small)
     assert stat <= 0.07  # measured 0.041 with these seeds
+
+
+# the r = 0.25 spec reads t in both coefficients, and its segment jumps
+# inside (-r, 0), so the initial-segment reads differ between drift and jump
+DELAY_TIMED = dict(
+    b=lambda t, xd: np.sin(xd) + 0.3 * t,
+    sigma=lambda t, xd: np.cos(xd) * (1.0 + t),
+    r=0.25,
+    eta=StepPath([-0.25, -0.1], [0.4, -0.2], 0.0, origin=-0.25),
+)
+
+
+def test_sddn_samples_match_row_oracle():
+    spec = SddeSpec(**DELAY_TIMED)
+    cfg = ProcessConfig(innovation=InnovationLaw(1.5, "centered"), waiting=None, coefficients=(1.0, 0.5), n=100)
+    # 700 reps span a full block and a partial one
+    out = sddn_terminal_samples(spec, cfg, 1.0, 700, SeedSpec(830))
+    assert np.array_equal(out, row_sddn_terminal_samples(spec, cfg, 1.0, 700, SeedSpec(830)))
+
+
+def test_sdd_limit_matches_row_oracle():
+    spec = SddeSpec(**DELAY_TIMED)
+    h, reps = 2.0**-6, 300
+    out = sdd_limit_terminal_samples(spec, 1.5, 1.0, reps, SeedSpec(831), grid_step=h)
+    zinc = draw_stable(
+        _step_law(_z_law(1.5, None, "centered"), h), SeedSpec(831).generator((INNOVATION_LANE, 0)), (reps, 64)
+    )
+    want = row_sdd_limit_euler(spec, zinc, h)
+    assert np.array_equal(out, want[:, -1])
+    # the per-path solver is the one-row call, on the increments of its path
+    for i in range(3):
+        z = np.append(0.0, np.cumsum(zinc[i]))
+        path = solve_sdd_limit(spec, GridPath(z, h))
+        assert np.array_equal(path.values, row_sdd_limit_euler(spec, np.diff(z)[None, :], h)[0])
+
+
+def test_solve_sdd_limit_non_dyadic_step():
+    # the kernel scales the drift by 1/(1/h), which is b h up to an ulp
+    # when 1/h is not exact
+    spec = SddeSpec(b=lambda t, xd: np.sin(xd) + t, sigma=lambda t, xd: np.cos(xd), r=0.5, eta=flat_segment(0.3))
+    h = 0.1
+    zinc = draw_stable(StableParams(1.5, 0.0, h ** (1.0 / 1.5)), np.random.default_rng(832), (1, 20))
+    z = np.append(0.0, np.cumsum(zinc[0]))
+    got = solve_sdd_limit(spec, GridPath(z, h)).values
+    want = row_sdd_limit_euler(spec, np.diff(z)[None, :], h)[0]
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+
+def test_limit_samplers_reject_bad_horizons():
+    sde = SdeSpec(**FULL)
+    sdde = SddeSpec(b=0.0, sigma=1.0, r=0.5, eta=flat_segment(1.0))
+    for T in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="horizon"):
+            s_limit_terminal_samples(sde, 1.5, 0.5, T, 10, SeedSpec(833))
+        with pytest.raises(ParameterError, match="horizon"):
+            sdd_limit_terminal_samples(sdde, 1.5, T, 10, SeedSpec(833))
 
 
 def test_sdd_limit_samples_trivial_law():
