@@ -171,9 +171,8 @@ def _w1_table(rep, ns, laws, limit, bound, reps):
 # scenario handlers (config dict -> DiagnosticReport)
 
 
-def _run_simulate(cfg, seed, reps, out_dir):
+def _run_simulate(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n", "csv_paths"}, "config")
-    T = float(cfg.get("horizon", 1.0))
     proc = _build_process(cfg["process"], cfg.get("n", 100))
     rep = DiagnosticReport("simulate", cfg, seed.seed)
     term = terminal_samples(proc, T, reps, seed)
@@ -198,13 +197,15 @@ def _run_simulate(cfg, seed, reps, out_dir):
     return rep
 
 
-def _run_attraction(cfg, seed, reps, out_dir):
+def _run_attraction(cfg, seed, reps, T, out_dir):
     _check_keys(
         cfg,
         _COMMON_KEYS
         | {"target", "innovation", "waiting", "process", "n_list", "ks_bound"},
         "config",
     )
+    if T != 1.0:
+        raise ParameterError("attraction scenarios run at horizon 1", tag="PARAM_CONFIG")
     target = cfg.get("target", "stable")
     ns = _n_list(cfg)
     bound = float(cfg.get("ks_bound", 0.03))
@@ -215,31 +216,31 @@ def _run_attraction(cfg, seed, reps, out_dir):
         law = _build_innovation(cfg["innovation"])
         ref = draw_stable(attractor_params(law), ref_seed.generator(0), reps)
         samplers = [
-            (n, lambda s, n=n: terminal_samples(ProcessConfig(innovation=law, n=n), 1.0, reps, s))
+            (n, lambda s, n=n: terminal_samples(ProcessConfig(innovation=law, n=n), T, reps, s))
             for n in ns
         ]
     elif target == "counting":
         wait = _build_waiting(cfg.get("waiting", {}))
         ref = terminal_inverse_subordinator_samples(
-            wait.beta, 1.0, reps, ref_seed,
+            wait.beta, T, reps, ref_seed,
             increment_scale=wait.scale * wait_attractor_scale(wait.beta),
         )
         samplers = [
-            (n, lambda s, n=n: terminal_counting_samples(wait, n, 1.0, reps, s)) for n in ns
+            (n, lambda s, n=n: terminal_counting_samples(wait, n, T, reps, s)) for n in ns
         ]
     elif target == "ctrw":
         proc0 = _build_process(cfg["process"], ns[0])
         if proc0.waiting is None:
             raise ParameterError("ctrw target needs a waiting law", tag="PARAM_CONFIG")
         ref = terminal_time_changed_samples(
-            proc0.innovation.alpha, proc0.waiting.beta, 1.0, reps, ref_seed,
+            proc0.innovation.alpha, proc0.waiting.beta, T, reps, ref_seed,
             z_params=_limit_z_params(proc0),
             increment_scale=proc0.waiting.scale * wait_attractor_scale(proc0.waiting.beta),
         )
         samplers = [
             (
                 n,
-                lambda s, n=n: terminal_samples(_build_process(cfg["process"], n), 1.0, reps, s),
+                lambda s, n=n: terminal_samples(_build_process(cfg["process"], n), T, reps, s),
             )
             for n in ns
         ]
@@ -250,11 +251,10 @@ def _run_attraction(cfg, seed, reps, out_dir):
     return rep
 
 
-def _run_gd(cfg, seed, reps, out_dir):
+def _run_gd(cfg, seed, reps, T, out_dir):
     _check_keys(
         cfg, _COMMON_KEYS | {"process", "n_list", "a", "r_grid", "c_grid"}, "config"
     )
-    T = float(cfg.get("horizon", 1.0))
     a = float(cfg.get("a", 1.0))
     r_grid = [float(r) for r in cfg.get("r_grid", [1.0, 2.0])]
     c_grid = [float(c) for c in cfg.get("c_grid", [1.0])]
@@ -286,9 +286,8 @@ def _run_gd(cfg, seed, reps, out_dir):
     return rep
 
 
-def _run_gdca(cfg, seed, reps, out_dir):
+def _run_gdca(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n_list", "gamma"}, "config")
-    T = float(cfg.get("horizon", 1.0))
     ns = _n_list(cfg)
     rep = DiagnosticReport("gdca", cfg, seed.seed)
     gamma = cfg.get("gamma")
@@ -305,7 +304,7 @@ def _run_gdca(cfg, seed, reps, out_dir):
     return rep
 
 
-def _run_gdci(cfg, seed, reps, out_dir):
+def _run_gdci(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n_list", "gamma", "window", "pool"}, "config")
     ns = _n_list(cfg)
     K = float(cfg.get("window", 1.0))
@@ -336,13 +335,12 @@ def _limit_z_params(proc):
     return StableParams(p.alpha, p.skew, p.scale * proc.psi)
 
 
-def _run_integrals(cfg, seed, reps, out_dir):
+def _run_integrals(cfg, seed, reps, T, out_dir):
     _check_keys(
         cfg,
         _COMMON_KEYS | {"process", "n_list", "integrand", "grid_step", "ks_bound", "upsilon"},
         "config",
     )
-    T = float(cfg.get("horizon", 1.0))
     ns = _n_list(cfg)
     grid_step = float(cfg.get("grid_step", 2.0**-12))
     bound = float(cfg.get("ks_bound", 0.05))
@@ -405,16 +403,15 @@ def _run_integrals(cfg, seed, reps, out_dir):
     return rep
 
 
-def _run_adversarial(cfg, seed, reps, out_dir):
+def _run_adversarial(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n_list"}, "config")
-    T = float(cfg.get("horizon", 1.0))
     proc = _build_process(cfg["process"], _n_list(cfg)[0])
     inner = adversarial_experiment(proc, _n_list(cfg), reps, seed, T=T)
     rep = DiagnosticReport("adversarial", cfg, seed.seed, list(inner.estimates))
     return rep
 
 
-def _run_sde(cfg, seed, reps, out_dir):
+def _run_sde(cfg, seed, reps, T, out_dir):
     _check_keys(
         cfg,
         _COMMON_KEYS
@@ -422,7 +419,6 @@ def _run_sde(cfg, seed, reps, out_dir):
            "x0", "growth", "grid_step", "w1_bound"},
         "config",
     )
-    T = float(cfg.get("horizon", 1.0))
     alpha = float(cfg.get("alpha", 1.5))
     beta = float(cfg.get("beta", 0.5))
     mode = cfg.get("mode", "symmetric")
@@ -455,7 +451,7 @@ def _run_sde(cfg, seed, reps, out_dir):
     return rep
 
 
-def _run_sdde(cfg, seed, reps, out_dir):
+def _run_sdde(cfg, seed, reps, T, out_dir):
     _check_keys(
         cfg,
         _COMMON_KEYS
@@ -463,7 +459,6 @@ def _run_sdde(cfg, seed, reps, out_dir):
            "coefficients", "grid_step", "w1_bound"},
         "config",
     )
-    T = float(cfg.get("horizon", 1.0))
     alpha = float(cfg.get("alpha", 1.5))
     mode = cfg.get("mode", "centered")
     r = float(cfg.get("delay", 0.5))
@@ -499,9 +494,8 @@ def _random_step_path(gen, T, max_breaks):
     return StepPath(times, vals, T)
 
 
-def _run_metrics(cfg, seed, reps, out_dir):
+def _run_metrics(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"breakpoints", "witness_n"}, "config")
-    T = float(cfg.get("horizon", 1.0))
     kmax = int(cfg.get("breakpoints", 6))
     gen = seed.generator(0)
     rep = DiagnosticReport("metrics", cfg, seed.seed)
@@ -610,8 +604,14 @@ def run_scenario(cfg, seed=None, reps=None, out=None):
     reps = int(cfg.get("replications", 100) if reps is None else reps)
     if reps < 1:
         raise ParameterError("replications must be >= 1", tag="PARAM_CONFIG")
+    try:
+        T = float(cfg.get("horizon", 1.0))
+    except (TypeError, ValueError):
+        T = math.nan
+    if not T > 0:
+        raise ParameterError(f"horizon must be a number > 0, got {cfg.get('horizon')!r}")
     out = Path(out) if out else Path(f"{kind}_report.json")
-    report = _HANDLERS[kind](cfg, seed_spec, reps, out.parent)
+    report = _HANDLERS[kind](cfg, seed_spec, reps, T, out.parent)
     emit_report(report, out)
     return report
 

@@ -8,10 +8,12 @@ pure function of (config, seed), with waiting times drawn from substream
 lane 0 and innovations from lane 1, so paired processes share streams
 reproducibly.
 
-iter_ctrw_chunks is the vectorised Monte Carlo backbone: it yields
-replication blocks as matrices to the ensemble samplers, where per-path
-objects would be too slow. gen_moving_average and gen_ctrw read row 0 of a
-one-row block of the same step, _block, so both draw one recursion.
+The walk's replication blocks are ragged (_block): each row holds its own
+renewals only, as flat per-row segments. terminal_samples sums each row's
+segment; iter_ctrw_chunks pads the blocks to matrices for the ensemble
+samplers that step column by column, where per-path objects would be too
+slow. gen_moving_average and gen_ctrw read row 0 of a padded one-row block
+of the same step, so all of them draw one recursion.
 """
 
 import math
@@ -48,7 +50,7 @@ COUNT_BLOCK = 1000
 # (_first_passage); a layout constant of the limit samplers' wait streams.
 PASSAGE_ROUND = 256
 # Waits per draw round of a walk row still at or below nT
-# (_grow_wait_matrix): the first round has WAIT_ROUND_SHARE (nT)^beta + 32
+# (_wait_rounds): the first round has WAIT_ROUND_SHARE (nT)^beta + 32
 # columns, about twice the mean renewal count, each later round half that,
 # and every round at least WAIT_ROUND_MIN; layout constants of the walks'
 # wait streams.
@@ -210,8 +212,9 @@ class SimulationBundle:
     def rebuild_x(self):
         """Recompute the X path from records and config (reconstruction check)."""
         cfg = self.config
-        th, peff = _pad_past(self.innovations[None, :], self.past, cfg.order)
-        zeta = _zeta_matrix(th, cfg.coefficients, peff, self.jump_count)[0]
+        peff = max(self.past, cfg.order)
+        th, starts = _segments(self.innovations, np.array([self.jump_count]), self.past, peff)
+        zeta = _zeta(th, starts, cfg.coefficients, peff)[peff + 1 :]
         if cfg.waiting is None:
             times = np.arange(1, zeta.size + 1) / cfg.n
         else:
@@ -238,14 +241,15 @@ def _staircase(times_over_n, K, horizon):
 def _bundle(config, T, seed):
     """One realisation: row 0 of a one-row replication block drawn from the
     per-path lanes, waits from seed.generator(WAIT_LANE) and innovations from
-    seed.generator(INNOVATION_LANE)."""
-    blk, J = _block(config, T, 1, seed.generator(WAIT_LANE), seed.generator(INNOVATION_LANE))
+    seed.generator(INNOVATION_LANE), padded as iter_ctrw_chunks pads it."""
+    rb = _block(config, T, 1, seed.generator(WAIT_LANE), seed.generator(INNOVATION_LANE), True)
+    blk = _padded(config, T, rb)
     K = int(blk["counts"][0])
     past = config.past_horizon
     thetas = blk["theta"][0, blk["peff"] - past :][: past + 1 + K]
     times = blk["times"][0]
     x = StepPath.from_jumps(times, blk["zeta"][0], T)
-    waits = np.ones(K) if J is None else J[0, :K]
+    waits = np.ones(K) if rb["rounds"] is None else _stack(rb["rounds"], 0, K, np.inf)[0]
     return SimulationBundle(x, _staircase(times, K, T), thetas, past, waits, config, seed, float(T))
 
 
@@ -276,10 +280,9 @@ def gen_counting(waiting, n, T, seed):
     if not T > 0:
         raise ParameterError("horizon must be > 0")
     n = int(n)
-    target = n * T
-    L = _grow_wait_matrix(waiting, seed.generator(WAIT_LANE), 1, target)[1][0]
-    K = int(np.searchsorted(L, target, side="right"))
-    counting = _staircase(L[:K] / n, K, T)
+    counts, rounds = _wait_rounds(waiting, seed.generator(WAIT_LANE), 1, n * T, True)
+    K = int(counts[0])
+    counting = _staircase(_stack(rounds, 1, K, np.inf)[0] / n, K, T)
     dn = StepPath(counting.times, counting.values * float(n) ** (-waiting.beta), T)
     return counting, dn
 
@@ -324,28 +327,31 @@ def _rounds(draw, m, first, later, T):
     are `last`, and returns a tuple of (k, width) arrays whose last one
     holds the rows' levels. The first round has `first` columns and covers
     every row; each later round has `later` columns and covers only the rows
-    whose level is still at or below T, in row order. Returns each of the
-    tuple's arrays over all rounds as an (m, cols) matrix, +inf after a
-    row's last round.
+    whose level is still at or below T, in row order. Yields (rows, arrays)
+    per round; a consumer that keeps no round holds one at a time.
     """
     rows = np.arange(m)
     last = np.zeros(m)
-    rounds = []
     width = first
     while rows.size:
         arrays = draw(rows.size, width, last[rows])
-        rounds.append((rows, arrays))
-        lv = arrays[-1][:, -1]
-        last[rows] = lv
-        rows = rows[lv <= T]
+        edge = arrays[-1][:, -1].copy()
+        yield rows, arrays
+        del arrays
+        last[rows] = edge
+        rows = rows[edge <= T]
         width = later
-    cols = first + (len(rounds) - 1) * later
-    out = tuple(np.full((m, cols), np.inf) for _ in rounds[0][1])
+
+
+def _stack(rounds, k, width, fill):
+    """The k-th arrays of kept _rounds side by side in an (m, width)
+    matrix, cut at `width` columns and `fill` after a row's last round."""
+    out = np.full((rounds[0][0].size, width), fill)
     lo = 0
     for rows, arrays in rounds:
-        for o, a in zip(out, arrays):
-            o[rows, lo : lo + a.shape[1]] = a
-        lo += arrays[0].shape[1]
+        a = arrays[k][:, : width - lo]
+        out[rows, lo : lo + a.shape[1]] = a
+        lo += a.shape[1]
     return out
 
 
@@ -362,7 +368,8 @@ def _first_passage(d_inc, T, m, gen):
     def draw(k, width, last):
         return (np.cumsum(draw_stable(d_inc, gen, (k, width)), axis=1) + last[:, None],)
 
-    return _rounds(draw, m, PASSAGE_ROUND, PASSAGE_ROUND, T)[0]
+    rounds = list(_rounds(draw, m, PASSAGE_ROUND, PASSAGE_ROUND, T))
+    return _stack(rounds, 0, len(rounds) * PASSAGE_ROUND, np.inf)
 
 
 def _counts_at(levels, keep, nodes):
@@ -488,65 +495,100 @@ def _wait_block(target, beta):
     return max(64, int(2.0 * target ** min(beta, 1.0)) + 32)
 
 
-def _grow_wait_matrix(law, gen, m, target):
-    """(J, L): (m, cols) waits from `law` on gen and their running sums
-    L = cumsum(J, axis=1), each row drawn in _rounds up to its first passage
-    over target and +inf after it.
+def _wait_rounds(law, gen, m, target, keep):
+    """Waits from `law` on gen for m rows, each drawn in _rounds up to its
+    first passage over target: (counts, rounds). counts[r] is row r's
+    renewal count, the number of its running sums L at or below target.
+    With keep, rounds holds each round's (rows, (J, L)), L = cumsum(J)
+    along the row; without, no round outlives its count and rounds is None.
 
     The first round has WAIT_ROUND_SHARE target^beta + 32 columns, the later
-    ones half that, each at least WAIT_ROUND_MIN. L passes target in every
-    row, so (L <= target).sum(1) is its renewal count.
+    ones half that, each at least WAIT_ROUND_MIN.
     """
     first = max(WAIT_ROUND_MIN, int(WAIT_ROUND_SHARE * target ** min(law.beta, 1.0)) + 32)
 
     def draw(k, width, last):
         J = _draw_waits(law, gen, (k, width))
         # seeded with the level before the round, cumsum runs on along the row
-        L = J.copy()
+        L = J.copy() if keep else J
         L[:, 0] += last
-        return J, np.cumsum(L, axis=1, out=L)
+        np.cumsum(L, axis=1, out=L)
+        return (J, L) if keep else (L,)
 
-    return _rounds(draw, m, first, max(WAIT_ROUND_MIN, first // 2), target)
+    counts = np.zeros(m, dtype=np.int64)
+    rounds = [] if keep else None
+    for rows, arrays in _rounds(draw, m, first, max(WAIT_ROUND_MIN, first // 2), target):
+        # the running sums rise along each row, so the round's count adds on
+        counts[rows] += (arrays[-1] <= target).sum(axis=1)
+        if keep:
+            rounds.append((rows, arrays))
+        del arrays
+    return counts, rounds
 
 
-def _pad_past(th, past, order):
-    """Left-pad an innovation matrix with zeros so the filter sees a uniform
-    past of length max(past, order); returns (matrix, effective past)."""
-    if order > past:
-        return np.concatenate([np.zeros((th.shape[0], order - past)), th], axis=1), order
-    return th, past
+def _segments(drawn, counts, past, peff):
+    """(theta, starts): the flat innovations of a ragged block. `drawn`
+    holds each row's theta_{-past}, ..., theta_{counts[r]}, row after row;
+    row r's segment theta[starts[r] : starts[r + 1]] is theta_{-peff}, ...,
+    theta_{counts[r]}, with the filter's zero past theta_{-peff}, ...,
+    theta_{-past-1} in front of the draws when the filter reaches further
+    back than the past (peff > past)."""
+    m = counts.size
+    starts = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(peff + 1 + counts, out=starts[1:])
+    pad = peff - past
+    if pad == 0:
+        return drawn, starts
+    theta = np.zeros(int(starts[-1]))
+    theta[np.arange(drawn.size) + pad * np.repeat(np.arange(1, m + 1), past + 1 + counts)] = drawn
+    return theta, starts
 
 
-def _zeta_matrix(th, coeffs, peff, K):
-    """zeta_i = sum_j c_j theta_{i-j} for i = 1..K, summed from the highest
-    lag down, the order np.convolve uses for short filters."""
-    z = np.zeros((th.shape[0], K))
-    for j in reversed(range(len(coeffs))):
+def _zeta(theta, starts, coeffs, peff):
+    """zeta_i = sum_j c_j theta_{i-j} at theta_i's slot of each segment of
+    a flat theta (_segments), summed from the highest lag down, the order
+    np.convolve uses for short filters; zero at the slots of theta_{-peff},
+    ..., theta_0. peff is at least the filter's order, so the sums of a
+    row read only its own segment."""
+    size, top = theta.size, len(coeffs) - 1
+    z = np.empty(size)
+    # the slots before the first full window take the lower lags' adds too
+    z[:top] = 0.0
+    np.multiply(coeffs[top], theta[: size - top], out=z[top:])
+    for j in reversed(range(top)):
         if coeffs[j] != 0.0:
-            z += coeffs[j] * th[:, peff + 1 - j : peff + 1 - j + K]
+            z[j:] += coeffs[j] * theta[: size - j]
+    z[(starts[:-1, None] + np.arange(peff + 1)).ravel()] = 0.0
     return z
 
 
-def _block(config, T, m, wgen, igen):
-    """One replication block of m rows, waits from wgen and innovations from
-    igen: (block dict as iter_ctrw_chunks yields it, wait matrix or None for
-    a moving average). The wait matrix runs past each row's last renewal;
-    an uncoupled row's waits are +inf after its last drawn round.
+def _block(config, T, m, wgen, igen, keep):
+    """One ragged replication block of m rows, waits from wgen and
+    innovations from igen: a dict with
+      counts: per-row number of jumps with L_k <= nT
+      peff:   max(past, order), the filter's past
+      theta, starts: flat innovations, row r's theta_{-peff}, ...,
+              theta_{counts[r]} at theta[starts[r] : starts[r + 1]]
+              (_segments)
+      zeta:   the scaled jumps zeta^n_i at theta_i's slots, zero at each
+              row's past slots (_zeta)
+      rounds: the kept wait rounds (_wait_rounds; one round of all rows for
+              a coupled block), or None for a moving average or without keep.
 
-    An uncoupled CTRW row draws its past + 1 + counts innovations only, as
-    one flat draw for the block, row after row; its theta is zero after
-    them. A moving average draws the full (m, past + 1 + K) matrix.
+    A row draws its past + 1 + counts innovations only: one flat draw for
+    an uncoupled block, row after row. A moving average draws the (m,
+    past + 1 + K) rectangle and a coupled block draws the rectangle its
+    waits need, each cut to the rows' counts.
     """
     n = config.n
     law = config.innovation
     past = config.past_horizon
     target = n * T
-    coupled = config.coupling == "magnitude-coupled"
-    J = None
-    if coupled:
+    rounds = None
+    if config.coupling == "magnitude-coupled":
         beta = config.waiting.beta
         block = _wait_block(target, beta)
-        th, peff = _draw_innovations(law, igen, (m, past + 1 + block)), past
+        th = _draw_innovations(law, igen, (m, past + 1 + block))
         while True:
             J = _coupled_waits(th[:, past + 1 :], law.alpha, beta)
             if np.all(J.sum(axis=1) > target):
@@ -554,34 +596,70 @@ def _block(config, T, m, wgen, igen):
             more = _draw_innovations(law, igen, (m, max(64, block // 2)))
             th = np.concatenate([th, more], axis=1)
         L = np.cumsum(J, axis=1)
-    elif config.waiting is not None:
-        J, L = _grow_wait_matrix(config.waiting, wgen, m, target)
-    if J is None:
-        K = int(math.floor(target + 1e-9))
-        times = np.broadcast_to(np.arange(1, K + 1) / n, (m, K))
-        counts = np.full(m, K)
-        th = _draw_innovations(law, igen, (m, past + 1 + K))
-    else:
         counts = (L <= target).sum(axis=1)
-        K = int(counts.max())
-        times = np.minimum(L[:, :K], target)
-        times /= n
-        del L
-        if not coupled:
-            th = np.zeros((m, past + 1 + K))
-            keep = np.arange(past + 1 + K) < (past + 1 + counts)[:, None]
-            th[keep] = _draw_innovations(law, igen, int(keep.sum()))
-    if not coupled:
-        th, peff = _pad_past(th, past, config.order)
-    blk = {
-        "theta": th,
+        if keep:
+            rounds = [(np.arange(m), (J, L))]
+        del J, L
+        drawn = th[np.arange(th.shape[1]) < (past + 1 + counts)[:, None]]
+        del th
+    elif config.waiting is not None:
+        counts, rounds = _wait_rounds(config.waiting, wgen, m, target, keep)
+        drawn = _draw_innovations(law, igen, int((past + 1 + counts).sum()))
+    else:
+        K = int(math.floor(target + 1e-9))
+        counts = np.full(m, K)
+        drawn = _draw_innovations(law, igen, (m, past + 1 + K)).reshape(-1)
+    peff = max(past, config.order)
+    theta, starts = _segments(drawn, counts, past, peff)
+    del drawn
+    zeta = _zeta(theta, starts, config.coefficients, peff)
+    zeta *= config.prefactor
+    return {"counts": counts, "peff": peff, "theta": theta, "starts": starts, "zeta": zeta, "rounds": rounds}
+
+
+def _padded(config, T, rb):
+    """The (m, K) block dict of iter_ctrw_chunks from a ragged block kept
+    with its rounds, K the largest count: theta and zeta placed row by row
+    in zeros, so their live entries are the ragged ones, and the jump times
+    min(L_k, nT)/n read from the rounds' running sums."""
+    counts, peff = rb["counts"], rb["peff"]
+    m, K = counts.size, int(counts.max())
+    if counts.min() == K:
+        # every segment is K + peff + 1 long (a moving average): the flat
+        # arrays are the rows
+        theta, zeta = rb["theta"].reshape(m, -1), rb["zeta"].reshape(m, -1)
+    else:
+        live = np.arange(peff + 1 + K) < (peff + 1 + counts)[:, None]
+        theta = np.zeros(live.shape)
+        theta[live] = rb["theta"]
+        zeta = np.zeros(live.shape)
+        zeta[live] = rb["zeta"]
+        del live
+    if config.waiting is None:
+        times = np.broadcast_to(np.arange(1, K + 1) / config.n, (m, K))
+    else:
+        target = config.n * T
+        times = _stack(rb["rounds"], 1, K, target)
+        np.minimum(times, target, out=times)
+        times /= config.n
+    return {
+        "theta": theta,
         "peff": peff,
-        "zeta": config.prefactor * _zeta_matrix(th, config.coefficients, peff, K),
+        "zeta": zeta[:, peff + 1 :],
         "times": times,
         "counts": counts,
         "mask": np.arange(K)[None, :] < counts[:, None],
     }
-    return blk, J
+
+
+def _blocks(config, T, reps, seed, keep):
+    """The ragged replication blocks of `reps` replications: block b of
+    BLOCK rows draws from seed.generator((lane, b * BLOCK))."""
+    if not T > 0:
+        raise ParameterError("horizon must be > 0")
+    for lo in range(0, reps, BLOCK):
+        wgen, igen = seed.generator((WAIT_LANE, lo)), seed.generator((INNOVATION_LANE, lo))
+        yield _block(config, T, min(BLOCK, reps - lo), wgen, igen, keep)
 
 
 def iter_ctrw_chunks(config, T, reps, seed):
@@ -596,42 +674,37 @@ def iter_ctrw_chunks(config, T, reps, seed):
       counts: per-row number of jumps with L_k <= nT
       mask:  boolean validity mask for the k columns
     Moving averages (waiting=None) have deterministic times k/n and full mask.
-    Past a row's count, theta is zero for an uncoupled CTRW and zeta is not
-    meaningful: read both through the mask.
-    Block b of BLOCK rows draws from seed.generator((lane, b * BLOCK)); the
-    per-path generators are the one-row block on seed.generator(lane).
+    Past a row's count theta and zeta are zero: the blocks are the ragged
+    blocks of _blocks padded to the largest count (_padded). The per-path
+    generators are the one-row block on seed.generator(lane).
     """
-    if not T > 0:
-        raise ParameterError("horizon must be > 0")
-    for lo in range(0, reps, BLOCK):
-        wgen, igen = seed.generator((WAIT_LANE, lo)), seed.generator((INNOVATION_LANE, lo))
-        yield _block(config, T, min(BLOCK, reps - lo), wgen, igen)[0]
+    yield from map(lambda rb: _padded(config, T, rb), _blocks(config, T, reps, seed, True))
 
 
 def terminal_samples(config, T, reps, seed):
-    """X^n_T over `reps` replications (vectorised)."""
+    """X^n_T over `reps` replications (vectorised): each row's zeta summed
+    over its own segment of the ragged blocks, no padded block built."""
     out = np.empty(reps)
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed):
-        zeta = np.where(blk["mask"], blk["zeta"], 0.0)
-        m = zeta.shape[0]
-        out[lo : lo + m] = zeta.sum(axis=1)
+    for rb in _blocks(config, T, reps, seed, False):
+        m = rb["counts"].size
+        out[lo : lo + m] = np.add.reduceat(rb["zeta"], rb["starts"][:-1])
         lo += m
-        del blk, zeta
+        del rb
     return out
 
 
 def terminal_counting_samples(waiting, n, T, reps, seed):
-    """n^(-beta) N_{nT} over `reps` replications (vectorised)."""
+    """n^(-beta) N_{nT} over `reps` replications (vectorised): counts of
+    the wait rounds, no wait matrix kept."""
     if not T > 0:
         raise ParameterError("horizon must be > 0")
     n = int(n)
-    target = n * T
     out = np.empty(reps)
     for lo in range(0, reps, COUNT_BLOCK):
         m = min(COUNT_BLOCK, reps - lo)
-        L = _grow_wait_matrix(waiting, seed.generator((WAIT_LANE, lo)), m, target)[1]
-        out[lo : lo + m] = (L <= target).sum(axis=1) * float(n) ** (-waiting.beta)
+        counts = _wait_rounds(waiting, seed.generator((WAIT_LANE, lo)), m, n * T, False)[0]
+        out[lo : lo + m] = counts * float(n) ** (-waiting.beta)
     return out
 
 

@@ -20,7 +20,10 @@ filter with np.convolve. The rectangular walk block draws every row's waits
 as one wait matrix of the same width and every row's innovations up to the
 block's largest renewal count, as processes did before its per-row rounds;
 fixed_round_first_passage is the subordinator round loop as it was before
-the walk's waits shared it.
+the walk's waits shared it. The padded walk block pads every row to the
+block's largest renewal count and filters the whole (m, K) matrix, and the
+padded terminal sum masks the padding away, as processes did before its
+ragged blocks.
 """
 
 import math
@@ -36,19 +39,19 @@ from ctrwlab.processes import (
     LIMIT_BLOCK,
     PASSAGE_ROUND,
     WAIT_LANE,
+    WAIT_ROUND_MIN,
+    WAIT_ROUND_SHARE,
     SimulationBundle,
     _coupled_waits,
     _d_law,
     _draw_innovations,
     _draw_waits,
     _first_passage,
-    _pad_past,
     _staircase,
     _step_law,
     _t_nodes,
     _wait_block,
     _z_law,
-    _zeta_matrix,
     iter_ctrw_chunks,
 )
 from ctrwlab.rng import draw_stable
@@ -793,4 +796,132 @@ def rect_terminal_counting_samples(waiting, n, T, reps, seed):
         m = min(COUNT_BLOCK, reps - lo)
         J = rect_grow_wait_matrix(waiting, seed.generator((WAIT_LANE, lo)), m, target)
         out[lo : lo + m] = (np.cumsum(J, axis=1) <= target).sum(axis=1) * float(n) ** (-waiting.beta)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the walk block padded to the block's largest renewal count, and its masked
+# terminal sum, as they were before the ragged blocks
+
+
+def stacked_rounds(draw, m, first, later, T):
+    """Per-row draws of m rows in rounds, up to each row's first passage
+    over T, as processes._rounds draws them: returns each of draw's arrays
+    over all rounds as an (m, cols) matrix, +inf after a row's last round.
+    """
+    rows = np.arange(m)
+    last = np.zeros(m)
+    rounds = []
+    width = first
+    while rows.size:
+        arrays = draw(rows.size, width, last[rows])
+        rounds.append((rows, arrays))
+        lv = arrays[-1][:, -1]
+        last[rows] = lv
+        rows = rows[lv <= T]
+        width = later
+    cols = first + (len(rounds) - 1) * later
+    out = tuple(np.full((m, cols), np.inf) for _ in rounds[0][1])
+    lo = 0
+    for rows, arrays in rounds:
+        for o, a in zip(out, arrays):
+            o[rows, lo : lo + a.shape[1]] = a
+        lo += arrays[0].shape[1]
+    return out
+
+
+def padded_grow_wait_matrix(law, gen, m, target):
+    """(J, L): (m, cols) waits from `law` on gen and their running sums,
+    each row drawn in rounds up to its first passage over target and +inf
+    after it, with the round widths of processes._wait_rounds."""
+    first = max(WAIT_ROUND_MIN, int(WAIT_ROUND_SHARE * target ** min(law.beta, 1.0)) + 32)
+
+    def draw(k, width, last):
+        J = _draw_waits(law, gen, (k, width))
+        L = J.copy()
+        L[:, 0] += last
+        return J, np.cumsum(L, axis=1, out=L)
+
+    return stacked_rounds(draw, m, first, max(WAIT_ROUND_MIN, first // 2), target)
+
+
+def _pad_past(th, past, order):
+    """Left-pad an innovation matrix with zeros so the filter sees a uniform
+    past of length max(past, order); returns (matrix, effective past)."""
+    if order > past:
+        return np.concatenate([np.zeros((th.shape[0], order - past)), th], axis=1), order
+    return th, past
+
+
+def _zeta_matrix(th, coeffs, peff, K):
+    """zeta_i = sum_j c_j theta_{i-j} for i = 1..K, summed from the highest
+    lag down, the order np.convolve uses for short filters."""
+    z = np.zeros((th.shape[0], K))
+    for j in reversed(range(len(coeffs))):
+        if coeffs[j] != 0.0:
+            z += coeffs[j] * th[:, peff + 1 - j : peff + 1 - j + K]
+    return z
+
+
+def padded_block(config, T, m, wgen, igen):
+    """One replication block of m rows padded to the largest count K, as
+    iter_ctrw_chunks yields it, and the wait matrix or None for a moving
+    average. Every row's theta, zeta, times and mask have K columns and the
+    filter runs over all of them."""
+    n = config.n
+    law = config.innovation
+    past = config.past_horizon
+    target = n * T
+    coupled = config.coupling == "magnitude-coupled"
+    J = None
+    if coupled:
+        beta = config.waiting.beta
+        block = _wait_block(target, beta)
+        th, peff = _draw_innovations(law, igen, (m, past + 1 + block)), past
+        while True:
+            J = _coupled_waits(th[:, past + 1 :], law.alpha, beta)
+            if np.all(J.sum(axis=1) > target):
+                break
+            more = _draw_innovations(law, igen, (m, max(64, block // 2)))
+            th = np.concatenate([th, more], axis=1)
+        L = np.cumsum(J, axis=1)
+    elif config.waiting is not None:
+        J, L = padded_grow_wait_matrix(config.waiting, wgen, m, target)
+    if J is None:
+        K = int(math.floor(target + 1e-9))
+        times = np.broadcast_to(np.arange(1, K + 1) / n, (m, K))
+        counts = np.full(m, K)
+        th = _draw_innovations(law, igen, (m, past + 1 + K))
+    else:
+        counts = (L <= target).sum(axis=1)
+        K = int(counts.max())
+        times = np.minimum(L[:, :K], target)
+        times /= n
+        if not coupled:
+            th = np.zeros((m, past + 1 + K))
+            keep = np.arange(past + 1 + K) < (past + 1 + counts)[:, None]
+            th[keep] = _draw_innovations(law, igen, int(keep.sum()))
+    if not coupled:
+        th, peff = _pad_past(th, past, config.order)
+    blk = {
+        "theta": th,
+        "peff": peff,
+        "zeta": config.prefactor * _zeta_matrix(th, config.coefficients, peff, K),
+        "times": times,
+        "counts": counts,
+        "mask": np.arange(K)[None, :] < counts[:, None],
+    }
+    return blk, J
+
+
+def padded_terminal_samples(config, T, reps, seed):
+    """X^n_T over `reps` replications: each padded block's zeta masked and
+    summed along its rows, blocks addressed as iter_ctrw_chunks addresses
+    them."""
+    out = np.empty(reps)
+    for lo in range(0, reps, BLOCK):
+        m = min(BLOCK, reps - lo)
+        wgen, igen = seed.generator((WAIT_LANE, lo)), seed.generator((INNOVATION_LANE, lo))
+        blk = padded_block(config, T, m, wgen, igen)[0]
+        out[lo : lo + m] = np.where(blk["mask"], blk["zeta"], 0.0).sum(axis=1)
     return out

@@ -489,15 +489,47 @@ def test_cli_parameter_errors(tmp_path):
             check_fails(tmp_path, [kind, "--config", bad], "PARAM_MESH")
 
     # a horizon that is not > 0, NaN included, is a parameter error
-    kinds = (("simulate", sim_cfg(csv_paths=0)),
-             ("sde", {"kind": "sde", "alpha": 1.5, "beta": 0.5, "n_list": [20],
-                      "replications": 10, "w1_bound": 10.0}),
-             ("sdde", {"kind": "sdde", "alpha": 1.5, "n_list": [20],
-                       "replications": 10, "w1_bound": 10.0}))
-    for kind, cfg in kinds:
+    kinds = ((["simulate"], sim_cfg(csv_paths=0)),
+             (["sde"], {"kind": "sde", "alpha": 1.5, "beta": 0.5, "n_list": [20],
+                        "replications": 10, "w1_bound": 10.0}),
+             (["sdde"], {"kind": "sdde", "alpha": 1.5, "n_list": [20],
+                         "replications": 10, "w1_bound": 10.0}))
+    for cmd, cfg in kinds:
         for i, T in enumerate((0.0, -1.0, math.nan)):
-            bad = write_cfg(tmp_path, f"{kind}_T{i}.json", {**cfg, "horizon": T})
-            check_fails(tmp_path, [kind, "--config", bad], "PARAM")
+            bad = write_cfg(tmp_path, f"{cmd[-1]}_T{i}.json", {**cfg, "horizon": T})
+            check_fails(tmp_path, [*cmd, "--config", bad], "PARAM")
+    # the gdca and metrics kinds ended in untagged errors (ValueError or
+    # ZeroDivisionError, OverflowError or ShapeError) before the horizon was
+    # checked once for every kind
+    kinds = ((["diagnose", "gdca"], {"kind": "gdca", "n_list": [20], "replications": 10,
+                                     "process": {"innovation": {"alpha": 1.5, "mode": "centered"},
+                                                 "coefficients": [1.0, 0.5],
+                                                 "waiting": {"beta": 0.8}}}),
+             (["metrics"], {"kind": "metrics", "breakpoints": 4, "witness_n": [8],
+                            "replications": 10}))
+    for cmd, cfg in kinds:
+        for i, T in enumerate((0.0, math.nan)):
+            bad = write_cfg(tmp_path, f"{cmd[-1]}_T{i}.json", {**cfg, "horizon": T})
+            check_fails(tmp_path, [*cmd, "--config", bad], "PARAM")
+
+
+def test_attraction_runs_at_horizon_one_only(tmp_path):
+    # the attraction references are laws at T = 1; any other horizon was
+    # silently a T = 1 report
+    cfgs = (
+        {"target": "stable", "innovation": {"alpha": 1.5, "mode": "symmetric"}},
+        {"target": "counting", "waiting": {"beta": 0.8}},
+        {"target": "ctrw", "process": {"innovation": {"alpha": 1.5, "mode": "symmetric"},
+                                       "waiting": {"beta": 0.8}}},
+    )
+    for extra in cfgs:
+        cfg = {"kind": "attraction", "n_list": [20], "replications": 10, **extra}
+        for T, tag in ((2.0, "PARAM_CONFIG"), (0.5, "PARAM_CONFIG"), (0.0, "PARAM"), (math.nan, "PARAM")):
+            with pytest.raises(ParameterError) as ei:
+                run_scenario({**cfg, "horizon": T}, out=tmp_path / "r.json")
+            assert ei.value.tag == tag
+        report = run_scenario({**cfg, "horizon": 1.0}, out=tmp_path / "r.json")
+        assert report.names() == run_scenario(cfg, out=tmp_path / "r.json").names()
 
 
 def test_run_scenario_rejects_unknown_kind(tmp_path):

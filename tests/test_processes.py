@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,11 +38,12 @@ from ctrwlab.processes import (
     WAIT_ROUND_SHARE,
     _d_law,
     _first_passage,
-    _grow_wait_matrix,
+    _stack,
     _step_law,
     _t_nodes,
     _time_changed_block,
     _wait_block,
+    _wait_rounds,
     _z_law,
     invert_monotone_grid,
     iter_ctrw_chunks,
@@ -316,8 +318,13 @@ def test_wait_rounds_stop_at_each_rows_passage(beta, scale, n, T):
     first = max(WAIT_ROUND_MIN, int(WAIT_ROUND_SHARE * target**beta) + 32)
     later = max(WAIT_ROUND_MIN, first // 2)
     spec = SeedSpec(690, stream=int(n))
-    J, L = _grow_wait_matrix(law, spec.generator(0), m, target)
+    counts, rounds = _wait_rounds(law, spec.generator(0), m, target, True)
+    cols = first + (len(rounds) - 1) * later
+    J, L = (_stack(rounds, k, cols, np.inf) for k in (0, 1))
     assert np.array_equal(L, np.cumsum(J, axis=1))
+    assert np.array_equal(counts, (L <= target).sum(axis=1))
+    # without kept rounds the counts are the same draws'
+    assert np.array_equal(_wait_rounds(law, spec.generator(0), m, target, False)[0], counts)
     finite = np.isfinite(J).sum(axis=1)
     # +inf only after a row's finite waits, which are whole rounds
     assert np.array_equal(np.isfinite(J), np.arange(J.shape[1]) < finite[:, None])
@@ -347,7 +354,7 @@ def test_block_draws_innovations_up_to_each_rows_count():
     for lo, blk in zip((0, BLOCK), iter_ctrw_chunks(cfg, T, reps, seed)):
         m, K = blk["zeta"].shape
         counts, mask = blk["counts"], blk["mask"]
-        L = _grow_wait_matrix(cfg.waiting, seed.generator((WAIT_LANE, lo)), m, n * T)[1]
+        L = _brute.padded_grow_wait_matrix(cfg.waiting, seed.generator((WAIT_LANE, lo)), m, n * T)[1]
         assert np.array_equal(counts, (L <= n * T).sum(axis=1)) and K == counts.max()
         assert not mask.all()
         # theta_{-past}, ..., theta_{counts} of every row are one flat draw,
@@ -370,6 +377,74 @@ def test_block_draws_innovations_up_to_each_rows_count():
     want = _brute.rect_block(ma, T, 300, None, seed.generator((INNOVATION_LANE, 0)))[0]
     for key in ("theta", "zeta", "times", "counts", "mask"):
         assert np.array_equal(blk[key], want[key])
+
+
+def _ragged_configs(n):
+    """Moving averages (one with a past shorter than the filter), uncoupled
+    CTRWs (one with a zero inner coefficient and no past) and a coupled one."""
+    sym = InnovationLaw(1.5, "symmetric")
+    yield ProcessConfig(sym, coefficients=(1.0, 0.5, 0.25), past_horizon=1, n=n)
+    yield ProcessConfig(InnovationLaw(0.7, "raw"), n=n)
+    yield ProcessConfig(InnovationLaw(1.5, "centered"), WaitingLaw(0.8), coefficients=(1.0, 0.5), n=n)
+    yield ProcessConfig(sym, WaitingLaw(0.6), coefficients=(1.0, 0.0, 0.3), past_horizon=0, n=n)
+    yield ProcessConfig(
+        InnovationLaw(1.2, "centered"), WaitingLaw(0.6), past_horizon=2, n=n, coupling="magnitude-coupled"
+    )
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+def test_padded_blocks_keep_the_padded_oracle_live_entries(n):
+    T, reps = 1.3, BLOCK + 40
+    for i, cfg in enumerate(_ragged_configs(n)):
+        seed = SeedSpec(710 + i, stream=n)
+        for lo, blk in zip((0, BLOCK), iter_ctrw_chunks(cfg, T, reps, seed)):
+            m = min(BLOCK, reps - lo)
+            wgen, igen = seed.generator((WAIT_LANE, lo)), seed.generator((INNOVATION_LANE, lo))
+            want = _brute.padded_block(cfg, T, m, wgen, igen)[0]
+            mask, counts, peff = want["mask"], want["counts"], want["peff"]
+            assert blk["peff"] == peff
+            assert np.array_equal(blk["counts"], counts) and np.array_equal(blk["mask"], mask)
+            assert np.array_equal(blk["zeta"][mask], want["zeta"][mask])
+            assert np.array_equal(blk["times"], want["times"])
+            # theta_{-peff}, ..., theta_{counts} of every row, the zero past
+            # included; past a row's count theta and zeta are zero
+            drawn = np.arange(peff + 1 + mask.shape[1]) < (peff + 1 + counts)[:, None]
+            assert np.array_equal(blk["theta"][drawn], want["theta"][:, : drawn.shape[1]][drawn])
+            assert not np.any(blk["theta"][~drawn]) and not np.any(blk["zeta"][~mask])
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+def test_terminal_samples_match_padded_sum(n):
+    # the row sums run over each row's own renewals, so they may round
+    # apart from the padded ones: within 1e-12 sum |zeta| per row
+    T, reps = 1.3, BLOCK + 40
+    for i, cfg in enumerate(_ragged_configs(n)):
+        seed = SeedSpec(720 + i, stream=n)
+        got = terminal_samples(cfg, T, reps, seed)
+        want = _brute.padded_terminal_samples(cfg, T, reps, seed)
+        size = np.concatenate([np.abs(b["zeta"]).sum(axis=1) for b in iter_ctrw_chunks(cfg, T, reps, seed)])
+        assert np.all(np.abs(got - want) <= 1e-12 * size)
+
+
+def test_terminal_block_allocates_no_padded_array():
+    # at beta = 0.5 a block's largest count K is about four times the mean,
+    # so one (m, K) float array outweighs all that a terminal block holds:
+    # its flat theta and zeta (N = sum of peff + 1 + counts slots each) and
+    # one round of waits at a time
+    cfg = ProcessConfig(InnovationLaw(1.5, "symmetric"), WaitingLaw(0.5), n=10**5)
+    seed = SeedSpec(730)
+    blk = next(iter_ctrw_chunks(cfg, 1.0, BLOCK, seed))
+    padded = blk["zeta"].size * 8
+    flat = int((blk["peff"] + 1 + blk["counts"]).sum()) * 8
+    del blk
+    tracemalloc.start()
+    try:
+        terminal_samples(cfg, 1.0, BLOCK, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * flat  # measured 2.1
+    assert peak < 0.75 * padded  # measured 0.55
 
 
 def test_per_row_draws_keep_the_walk_laws():

@@ -45,6 +45,25 @@ def test_report_digests_check(tmp_path):
     assert r.returncode == 1
 
 
+def test_terminal_sum_scenarios_keep_their_digests(tmp_path):
+    # the scenarios whose reports sum each walk row's jumps (X^n_T) or count
+    # its renewals: a rounding move in a row sum changes their --reps 300
+    # digests in scripts/digests.txt. Those digests hold for the numpy build
+    # they were made with; one whose draws round otherwise fails here as it
+    # fails the full --check
+    wanted = ("attraction_ctrw_", "attraction_counting_", "simulate_minimal")
+    lines = [
+        line for line in (ROOT / "scripts" / "digests.txt").read_text().splitlines()
+        if line.startswith(wanted)
+    ]
+    assert len(lines) == 5
+    listed = tmp_path / "terminal.txt"
+    listed.write_text("\n".join(lines) + "\n")
+    r = run_digests(["--reps", 300, "--check", listed], tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.split() == [w for line in lines for w in (line.split()[0], "same")]
+
+
 def test_tracer_names_resolve():
     # the tracer wraps public functions by name; a renamed function would
     # leave its per-layer metric silently at zero
