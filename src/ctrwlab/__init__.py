@@ -57,13 +57,11 @@ from .decompositions import (
     TcReport,
     TruncatedSplit,
     UVSplit,
-    VniFamily,
     check_tc,
     clip_mean_limit,
     estimate_bn,
     gd_statistics,
     gdca_statistic,
-    gdci_moment_sums,
     split_martingale,
     split_uv,
     truncated_mean,
@@ -135,7 +133,6 @@ __all__ = [
     "TruncatedSplit",
     "UVSplit",
     "UnsupportedDecomposition",
-    "VniFamily",
     "WaitingLaw",
     "adversarial_experiment",
     "attractor_params",
@@ -152,7 +149,6 @@ __all__ = [
     "estimate_bn",
     "gd_statistics",
     "gdca_statistic",
-    "gdci_moment_sums",
     "gen_counting",
     "gen_ctrw",
     "gen_moving_average",

@@ -21,7 +21,7 @@ from .decompositions import (
     default_gdca_gamma,
     estimate_bn,
     gdca_samples,
-    gdci_sums_mc,
+    gdci_sums,
     truncated_split_samples,
 )
 from .errors import CtrwlabError, DataError, ParameterError, RangeError, ShapeError
@@ -305,27 +305,28 @@ def _run_gdca(cfg, seed, reps, T, out_dir):
 
 
 def _run_gdci(cfg, seed, reps, T, out_dir):
-    _check_keys(cfg, _COMMON_KEYS | {"process", "n_list", "gamma", "window", "pool"}, "config")
+    _check_keys(cfg, _COMMON_KEYS | {"process", "n_list", "gamma", "window"}, "config")
+    if T != 1.0:
+        raise ParameterError(
+            "gdci moment sums run at horizon 1; window sets their range", tag="PARAM_CONFIG"
+        )
     ns = _n_list(cfg)
     K = float(cfg.get("window", 1.0))
-    pool = int(cfg.get("pool", 200_000))
     gamma = cfg.get("gamma")
     rep = DiagnosticReport("gdci", cfg, seed.seed)
     bigs, smalls = [], []
-    for i, n in enumerate(ns):
+    for n in ns:
         proc = _build_process(cfg["process"], n)
         g = float(gamma) if gamma is not None else None
-        big, small = gdci_sums_mc(
-            proc, K=K, gamma=g, pool=pool, seed=SeedSpec(seed.seed, seed.stream + 1 + i)
-        )
+        big, small = gdci_sums(proc, K=K, gamma=g)
         bigs.append(big)
         smalls.append(small)
-        _scalar(rep, f"gdci_tail_sum_n{n}", big, pool)
-        _scalar(rep, f"gdci_small_sum_n{n}", small, pool)
+        _scalar(rep, f"gdci_tail_sum_n{n}", big)
+        _scalar(rep, f"gdci_small_sum_n{n}", small)
     for name, vals in (("tail", bigs), ("small", smalls)):
         lo, hi = min(vals), max(vals)
         ratio = hi / lo if lo > 0 else (1.0 if hi == 0 else math.inf)
-        _scalar(rep, f"gdci_{name}_ratio", ratio, pool)
+        _scalar(rep, f"gdci_{name}_ratio", ratio)
     return rep
 
 

@@ -3,7 +3,7 @@
 Two exact pathwise splits:
   * truncated martingale split  X = M + A   (zero-order configs only),
   * tail-filter split           psi^{-1} X = U + V  (any finite order),
-plus the per-lag family V^{n,i} behind the small-jump/large-jump moment
+plus the exact per-lag moment sums of V^{n,i} behind the small-jump/large-jump
 diagnostics, and the scalar statistics used to probe whether a given scaling
 regime admits a well-behaved decomposition.
 
@@ -11,6 +11,7 @@ All splits are replayed from the innovation record of a SimulationBundle, so
 the defining identities hold to machine precision at every breakpoint.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -316,122 +317,77 @@ def default_gdci_gamma(alpha):
     return min(0.2, (alpha - 1.0) / 2.0) if alpha > 1.0 else 0.2
 
 
-@dataclass(frozen=True)
-class VniFamily:
-    """Per-lag components V^{n,i}, i = 1..order, sampled at the renewal times.
+@functools.cache
+def _piece_rule():
+    """Nodes and weights on [0, 1]: 64 Gauss-Legendre nodes pushed through
+    v = 1/2 + 15/16 (t - 2t^3/3 + t^5/5), whose derivative vanishes to second
+    order at both ends. The kink of |x - s|^p at x = s and the branch of
+    x = v^(1/q) at x = infinity sit at (or just past) the ends of a piece,
+    and the map clusters nodes there. Built on first use, so runs that take
+    no moment sum do not import numpy.polynomial."""
+    t, w = np.polynomial.legendre.leggauss(64)
+    at = 0.5 + 15.0 / 16.0 * (t - 2.0 * t**3 / 3.0 + t**5 / 5.0)
+    return at, 15.0 / 16.0 * (1.0 - t**2) ** 2 * w
 
-    values[i-1, k-1] = V^{n,i} at the k-th renewal; row i is zero until k = i
-    and afterwards a fixed multiple of theta_{k-i+1}.
+
+def _pareto_moment(alpha, c, p, s, lo, hi):
+    """int_lo^hi (c |x - s|)^p alpha x^(-alpha-1) dx for lo >= 1 (0 when
+    hi <= lo; hi may be infinite).
+
+    v = x^(p - alpha) makes the Pareto weight flat: the integral is
+    alpha c^p / (p - alpha) int |1 - s/x|^p dv over the image of [lo, hi],
+    which is finite for p < alpha even when hi is infinite.
     """
-
-    values: np.ndarray
-    sigma_times: np.ndarray
-    coefs: np.ndarray
-    gamma: float
-    alpha: float
-    n: int
-    beta: float
-
-    @property
-    def order(self):
-        return self.values.shape[0]
-
-    @property
-    def lambda_exp(self):
-        return self.alpha - self.gamma
-
-    @property
-    def mu_exp(self):
-        return self.alpha + self.gamma
-
-    def component_sum(self):
-        """sum_i V^{n,i} at every renewal time (equals V there)."""
-        return self.values.sum(axis=0)
+    if not hi > lo:
+        return 0.0
+    at, weights = _piece_rule()
+    q = p - alpha
+    a, b = lo**q, hi**q
+    v = a + (b - a) * at
+    f = np.abs(1.0 - s * v ** (-1.0 / q)) ** p
+    return alpha * c**p / q * (b - a) * float(f @ weights)
 
 
-def make_vni_family(bundle, gamma=None):
-    """Build the per-lag family from a realisation's innovation record."""
-    cfg = bundle.config
+def gdci_sums(config, K=1, gamma=None):
+    """(large-jump sum, small-jump sum) of the per-lag moment diagnostics.
+
+    Lag i contributes (count_i E|V^{n,i}|^lambda 1{|V^{n,i}| > 1})^(1/lambda)
+    to the first sum and the mu analogue over 1{|V^{n,i}| <= 1} to the
+    second, with lambda = alpha - gamma, mu = alpha + gamma and count_i the
+    number of the first floor(K n^beta) renewals at which lag i is live.
+    |V^{n,i}| = c_i |P - s| with c_i = scale prefactor tail_i / psi, P
+    Pareto(alpha) on [1, inf) and s its mean (centered) or 0 (symmetric),
+    so each expectation is an exact integral, split at s and s -+ 1/c_i.
+    """
+    law = config.innovation
+    alpha = law.alpha
+    if law.mode not in ("symmetric", "centered"):
+        raise ParameterError(
+            "moment sums need symmetric or centered Pareto innovations", tag="PARAM_MODE"
+        )
     if gamma is None:
-        gamma = default_gdci_gamma(cfg.innovation.alpha)
-    tails = _tail_sums(cfg.coefficients)
-    K = bundle.jump_count
-    theta_pos = bundle.innovations[bundle.past + 1 :]
-    coefs = -(cfg.prefactor / cfg.psi) * tails
-    vals = np.zeros((tails.size, K))
-    for i in range(1, tails.size + 1):
-        if K >= i:
-            vals[i - 1, i - 1 :] = coefs[i - 1] * theta_pos[: K - i + 1]
-    if cfg.waiting is None:
-        sigma = np.arange(1, K + 1) / cfg.n
-    else:
-        sigma = np.cumsum(bundle.waits) / cfg.n
-    return VniFamily(
-        vals, sigma, coefs, float(gamma), cfg.innovation.alpha, cfg.n, cfg.beta_eff
-    )
-
-
-def _check_gdci_law_mode(mode, alpha):
-    if mode == "raw":
-        raise ParameterError(
-            "moment diagnostics need centered or symmetric innovations",
-            tag="PARAM_MODE",
-        )
-    if alpha <= 1.0 and mode not in ("symmetric",):
-        raise ParameterError(
-            "alpha <= 1 moment diagnostics need symmetric innovations",
-            tag="PARAM_MODE",
-        )
-
-
-def _moment_sums(lags, terms, alpha, gamma):
-    """(large-jump sum, small-jump sum) over the lags i = 1, 2, ...
-
-    lags yields, per lag, the absolute values whose empirical moments stand
-    for E|V^{n,i}|^lambda 1{> 1} and E|V^{n,i}|^mu 1{<= 1}. Each lag
-    contributes (number of nonzero terms among the first `terms`) times its
-    moment, then the 1/lambda (resp. 1/mu) root; lags are summed.
-    """
+        gamma = default_gdci_gamma(alpha)
+    if not 0.0 < gamma < alpha:
+        raise ParameterError(f"gamma must lie in (0, alpha), got {gamma!r}", tag="PARAM_GAMMA")
+    if not K > 0:
+        raise ParameterError(f"window must be > 0, got {K!r}")
     lam = alpha - gamma
     mu = alpha + gamma
-    if lam <= 0:
-        raise ParameterError("gamma too large: alpha - gamma must be > 0", tag="PARAM_GAMMA")
+    s = alpha / (alpha - 1.0) if law.mode == "centered" else 0.0
+    terms = int(math.floor(K * config.n**config.beta_eff + 1e-9))
     big = 0.0
     small = 0.0
-    for i, av in enumerate(lags, start=1):
-        if av.size == 0:
-            continue
+    for i, ti in enumerate(_tail_sums(config.coefficients), start=1):
+        c = law.scale * config.prefactor * ti / config.psi
         count = max(terms - i + 1, 0)
-        e_big = float(np.mean(np.where(av > 1.0, av**lam, 0.0)))
-        e_small = float(np.mean(np.where(av <= 1.0, av**mu, 0.0)))
+        left, right, mid = s - 1.0 / c, max(1.0, s + 1.0 / c), max(1.0, s)
+        e_big = _pareto_moment(alpha, c, lam, s, 1.0, left)
+        e_big += _pareto_moment(alpha, c, lam, s, right, math.inf)
+        e_small = _pareto_moment(alpha, c, mu, s, max(1.0, left), mid)
+        e_small += _pareto_moment(alpha, c, mu, s, mid, right)
         big += (count * e_big) ** (1.0 / lam)
         small += (count * e_small) ** (1.0 / mu)
     return big, small
-
-
-def gdci_moment_sums(family, K=1, gamma=None, mode="centered"):
-    """(large-jump sum, small-jump sum) of the per-lag moment diagnostics,
-    with each lag's moments taken over its realised values."""
-    _check_gdci_law_mode(mode, family.alpha)
-    g = family.gamma if gamma is None else float(gamma)
-    terms = int(math.floor(K * family.n**family.beta + 1e-9))
-    lags = (np.abs(family.values[i - 1, i - 1 :]) for i in range(1, family.order + 1))
-    return _moment_sums(lags, terms, family.alpha, g)
-
-
-def gdci_sums_mc(config, K=1, gamma=None, pool=200_000, seed=None):
-    """Moment sums with the per-lag expectations estimated from a fresh
-    innovation pool instead of a single realisation (low-noise variant)."""
-    law = config.innovation
-    _check_gdci_law_mode(law.mode, law.alpha)
-    if gamma is None:
-        gamma = default_gdci_gamma(law.alpha)
-    tails = _tail_sums(config.coefficients)
-    gen = seed.generator(INNOVATION_LANE)
-    theta = _draw_innovations(law, gen, int(pool))
-    terms = int(math.floor(K * config.n**config.beta_eff + 1e-9))
-    lags = (np.abs((config.prefactor / config.psi) * ti * theta) for ti in tails)
-    return _moment_sums(lags, terms, law.alpha, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from ctrwlab import exprs
 from ctrwlab.cli import emit_report, load_config, run_scenario
 from ctrwlab.errors import DataError, ParameterError
 from ctrwlab.exprs import make_expr
+from ctrwlab.rng import SeedSpec
 from ctrwlab.stats import DiagnosticReport, Estimate
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -288,7 +289,6 @@ def test_cli_diagnose_kinds(tmp_path):
                     "innovation": {"alpha": 1.5, "mode": "centered"},
                     "waiting": {"beta": 0.8}},
         "n_list": [30, 60],
-        "pool": 3000,
         "replications": 1,
         "seed": 6,
     })
@@ -511,6 +511,42 @@ def test_cli_parameter_errors(tmp_path):
         for i, T in enumerate((0.0, math.nan)):
             bad = write_cfg(tmp_path, f"{cmd[-1]}_T{i}.json", {**cfg, "horizon": T})
             check_fails(tmp_path, [*cmd, "--config", bad], "PARAM")
+
+    # gdci: the sums do not depend on the horizon, a NaN window ended in an
+    # untagged ValueError, gamma <= 0 gave finite sums of infinite moments,
+    # and the exact sums are for Pareto laws only; the Monte Carlo pool is gone
+    gdci = {"kind": "gdci", "n_list": [20],
+            "process": {"innovation": {"alpha": 1.5, "mode": "centered"},
+                        "coefficients": [1.0, 0.5], "waiting": {"beta": 0.8}}}
+    gaussian = {**gdci["process"], "innovation": {"alpha": 2.0, "mode": "gaussian"}}
+    cases = [({"horizon": 2.0}, "PARAM_CONFIG"), ({"horizon": 0.5}, "PARAM_CONFIG"),
+             ({"window": 0.0}, "PARAM"), ({"window": math.nan}, "PARAM"),
+             ({"gamma": 0.0}, "PARAM_GAMMA"), ({"gamma": -0.3}, "PARAM_GAMMA"),
+             ({"gamma": 1.5}, "PARAM_GAMMA"), ({"gamma": math.nan}, "PARAM_GAMMA"),
+             ({"process": gaussian}, "PARAM_MODE"), ({"pool": 3000}, "PARAM_UNKNOWN_KEY")]
+    for i, (extra, tag) in enumerate(cases):
+        bad = write_cfg(tmp_path, f"gdci{i}.json", {**gdci, **extra})
+        check_fails(tmp_path, ["diagnose", "gdci", "--config", bad], tag)
+
+
+def test_gdci_report_reads_no_random_stream(tmp_path, monkeypatch):
+    # the moment sums are exact: no generator is built, and two seeds write
+    # the same report apart from the seed field itself
+    cfg = load_config(SCENARIO_DIR / "gdci_moment_sums.json")
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("gdci drew random variates")
+
+    monkeypatch.setattr(SeedSpec, "generator", no_draws)
+    docs = []
+    for seed in (1, 2):
+        out = tmp_path / f"gdci{seed}.json"
+        run_scenario(cfg, seed=seed, out=out)
+        doc = json.loads(out.read_text())
+        assert doc.pop("seed") == seed
+        doc.pop("timestamp")
+        docs.append(json.dumps(doc, sort_keys=True))
+    assert docs[0] == docs[1]
 
 
 def test_attraction_runs_at_horizon_one_only(tmp_path):

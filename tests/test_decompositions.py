@@ -25,9 +25,7 @@ from ctrwlab.decompositions import (
     gd_statistics,
     gdca_samples,
     gdca_statistic,
-    gdci_moment_sums,
-    gdci_sums_mc,
-    make_vni_family,
+    gdci_sums,
     martingale_stop_jump,
     split_martingale,
     split_uv,
@@ -252,42 +250,6 @@ def test_check_tc():
     assert abs(r1.rho_sum - (math.sqrt(2.0) + 1.0)) < 1e-12
 
 
-def test_vni_family():
-    b = inject_bundle([0.0, 0.0, 2.0, 1.0], (1.0, 1.0))
-    fam = make_vni_family(b, gamma=0.2)
-    assert fam.order == 1
-    assert np.array_equal(fam.values[0], [-1.0, -0.5])
-    assert np.array_equal(fam.sigma_times, [1.0, 2.0])
-    assert fam.lambda_exp == pytest.approx(1.3)
-    assert fam.mu_exp == pytest.approx(1.7)
-    sp = split_uv(b)
-    assert np.array_equal(fam.component_sum(), sp.v.values[1:])
-    # higher order: each lag is a shifted copy of the innovation stream
-    b3 = inject_bundle(np.arange(1.0, 9.0), (1.0, 0.5, 0.25), T=5.0)
-    fam3 = make_vni_family(b3)
-    sp3 = split_uv(b3)
-    assert fam3.order == 2
-    assert np.allclose(fam3.component_sum(), sp3.v.values[1:], rtol=1e-12, atol=0.0)
-    assert np.all(fam3.values[1, :1] == 0.0)  # lag 2 is silent before k = 2
-
-
-def test_vni_centering():
-    # conditional mean of each lag row given the sign of its previous value
-    cfg = ProcessConfig(InnovationLaw(1.5, "centered"), coefficients=(1.0, 0.5), n=100)
-    prev, cur = [], []
-    for s in range(40):
-        fam = make_vni_family(gen_moving_average(cfg, 1.0, SeedSpec(80 + s)))
-        row = fam.values[0]
-        prev.append(row[:-1])
-        cur.append(row[1:])
-    prev = np.concatenate(prev)
-    cur = np.concatenate(cur)
-    for mask in (prev > 0.0, prev < 0.0):
-        vals = cur[mask]
-        se = vals.std() / math.sqrt(vals.size)
-        assert abs(vals.mean()) <= 3.0 * se
-
-
 def test_gd_statistics_trivial_ensembles():
     law = InnovationLaw(1.5, "symmetric")
     ensembles = {}
@@ -374,24 +336,86 @@ def test_default_gammas():
 
 def test_gdci_trivial_and_errors():
     law = InnovationLaw(1.5, "centered")
-    zero = gen_moving_average(ProcessConfig(law, n=50), 1.0, SeedSpec(46))
-    fam = make_vni_family(zero)
-    assert fam.order == 0
-    assert gdci_moment_sums(fam, K=1) == (0.0, 0.0)
-    # silent family: all-zero innovations give (0, 0) even with lags present
-    silent = inject_bundle(np.zeros(16), (1.0, 0.5), T=8.0)
-    assert gdci_moment_sums(make_vni_family(silent), K=1) == (0.0, 0.0)
-    raw_cfg = ProcessConfig(InnovationLaw(0.7, "raw"), coefficients=(1.0, 0.5), n=100)
-    with pytest.raises(ParameterError):
-        gdci_sums_mc(raw_cfg, K=1, pool=100, seed=SeedSpec(46))
-    fam2 = make_vni_family(inject_bundle([0.0, 0.0, 2.0, 1.0], (1.0, 1.0)))
-    with pytest.raises(ParameterError):
-        gdci_moment_sums(fam2, K=1, gamma=2.0)  # alpha - gamma < 0
-    with pytest.raises(ParameterError):
-        gdci_moment_sums(fam2, K=1, mode="raw")
-    fam_a1 = SimpleNamespace(alpha=1.0)
-    with pytest.raises(ParameterError):
-        gdci_moment_sums(fam_a1, K=1, mode="centered")
+    assert gdci_sums(ProcessConfig(law, n=50)) == (0.0, 0.0)
+    cfg = ProcessConfig(law, coefficients=(1.0, 0.5), n=100)
+    for bad_law in (InnovationLaw(0.7, "raw"), InnovationLaw(2.0, "gaussian")):
+        with pytest.raises(ParameterError) as ei:
+            gdci_sums(ProcessConfig(bad_law, coefficients=(1.0, 0.5), n=100))
+        assert ei.value.tag == "PARAM_MODE"
+    # the large-jump moment is infinite at gamma <= 0 and lambda <= 0 past alpha
+    for gamma in (0.0, -0.3, 1.5, 2.0, math.nan):
+        with pytest.raises(ParameterError) as ei:
+            gdci_sums(cfg, gamma=gamma)
+        assert ei.value.tag == "PARAM_GAMMA"
+    for K in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError) as ei:
+            gdci_sums(cfg, K=K)
+        assert ei.value.tag == "PARAM"
+
+
+def _quad_gdci_sums(cfg, K, gamma):
+    """gdci_sums with each lag's moments integrated by scipy quad against
+    the Pareto density, on pieces where the indicator is constant."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    law = cfg.innovation
+    alpha = law.alpha
+    lam, mu = alpha - gamma, alpha + gamma
+    s = alpha / (alpha - 1.0) if law.mode == "centered" else 0.0
+    terms = math.floor(K * cfg.n**cfg.beta_eff + 1e-9)
+    tails = np.cumsum(cfg.coefficients[::-1])[::-1][1:]
+    big = small = 0.0
+    for i, ti in enumerate(tails, start=1):
+        c = law.scale * cfg.prefactor * ti / cfg.psi
+        cuts = [x for x in (s - 1.0 / c, s, s + 1.0 / c) if x > 1.0]
+        edges = [1.0, *cuts, math.inf]
+        e_big = e_small = 0.0
+        for a, b in zip(edges, edges[1:]):
+            probe = a + 1.0 if math.isinf(b) else 0.5 * (a + b)
+            p = lam if c * abs(probe - s) > 1.0 else mu
+            val = quad(lambda x: (c * abs(x - s)) ** p * alpha * x ** (-alpha - 1.0),
+                       a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+            if p == lam:
+                e_big += val
+            else:
+                e_small += val
+        count = terms - i + 1
+        big += (count * e_big) ** (1.0 / lam)
+        small += (count * e_small) ** (1.0 / mu)
+    return big, small
+
+
+def test_gdci_sums_match_quad():
+    # lag 1 has c = c1 and lag 2 c1 / 3; c1 runs across 1 and, for centered
+    # laws, across alpha - 1, where the piece below the shift s - 1/c > 1 opens
+    coeffs = (1.0, 0.5, 0.25)
+    for alpha, mode in ((0.8, "symmetric"), (1.5, "symmetric"), (1.9, "symmetric"),
+                        (1.2, "centered"), (1.5, "centered"), (1.9, "centered")):
+        pref = 4.0 ** (-1.0 / alpha)
+        c1s = [1e-3, 0.7, 2.5, 40.0]
+        if mode == "centered":
+            c1s += [0.5 * (alpha - 1.0), 2.0 * (alpha - 1.0)]
+        for c1 in c1s:
+            law = InnovationLaw(alpha, mode, scale=c1 * 1.75 / (0.75 * pref))
+            cfg = ProcessConfig(law, coefficients=coeffs, n=4)
+            for gamma in (default_gdci_gamma(alpha), 0.6 * alpha):
+                got = gdci_sums(cfg, K=1.5, gamma=gamma)
+                want = _quad_gdci_sums(cfg, 1.5, gamma)
+                assert got == pytest.approx(want, rel=1e-7, abs=0.0), (alpha, mode, c1, gamma)
+
+
+def test_gdci_sums_symmetric_closed_form():
+    # E (c|theta|)^p over c|theta| > 1 and <= 1 with x0 = max(1, 1/c):
+    # c^p alpha x0^(p - alpha) / (alpha - p) and c^p alpha (x0^(p - alpha) - 1) / (p - alpha)
+    for alpha in (0.8, 1.5):
+        lam, mu = alpha - 0.2, alpha + 0.2
+        for c in (1e-3, 0.5, 1.0, 7.0):
+            cfg = ProcessConfig(InnovationLaw(alpha, "symmetric", scale=2.0 * c), coefficients=(1.0, 1.0))
+            x0 = max(1.0, 1.0 / c)
+            e_big = c**lam * alpha * x0 ** (lam - alpha) / (alpha - lam)
+            e_small = c**mu * alpha * (x0 ** (mu - alpha) - 1.0) / (mu - alpha)
+            big, small = gdci_sums(cfg, K=1, gamma=0.2)
+            assert big == pytest.approx(e_big ** (1.0 / lam), rel=1e-12, abs=0.0)
+            assert small == pytest.approx(e_small ** (1.0 / mu), rel=1e-12, abs=1e-300)
 
 
 def test_gdci_bounded_across_n():
@@ -399,7 +423,7 @@ def test_gdci_bounded_across_n():
     sums = []
     for n in (100, 1000):
         cfg = ProcessConfig(law, coefficients=(1.0, 0.5), waiting=WaitingLaw(0.8), n=n)
-        sums.append(gdci_sums_mc(cfg, K=1, gamma=0.2, pool=100_000, seed=SeedSpec(46)))
+        sums.append(gdci_sums(cfg, K=1, gamma=0.2))
     (b1, s1), (b2, s2) = sums
     assert b2 <= 1.5 * b1
     assert s2 <= 1.5 * s1
