@@ -10,6 +10,7 @@ digits, and a "timestamp" field that comparison tooling must strip.
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import replace
@@ -29,6 +30,7 @@ from .exprs import make_expr
 from .integrals import (
     DeterministicIntegrand,
     LipschitzFollower,
+    _follower_slope,
     adversarial_experiment,
     deterministic_integral_samples,
     follower_integral_samples,
@@ -92,12 +94,34 @@ def _check_keys(d, allowed, where):
         )
 
 
+def _number(value, name, kind=float):
+    """A config value that must be a number, as `kind` (float, or int for a
+    whole number); a string, bool, null, list or a fraction where a whole
+    number is due is a PARAM error naming its key."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            out = kind(value)
+        except (OverflowError, ValueError):
+            out = None
+        if out is not None and (kind is float or out == value):
+            return out
+    what = "a whole number" if kind is int else "a number"
+    raise ParameterError(f"{name} must be {what}, got {value!r}")
+
+
+def _numbers(value, name, kind=float):
+    """A config value that must be a list of numbers (_number)."""
+    if not isinstance(value, (list, tuple)):
+        raise ParameterError(f"{name} must be a list of numbers, got {value!r}")
+    return [_number(v, name, kind) for v in value]
+
+
 def _build_innovation(d):
     _check_keys(d, {"alpha", "mode", "scale"}, "innovation")
     return InnovationLaw(
-        float(d.get("alpha", 2.0)),
+        _number(d.get("alpha", 2.0), "alpha"),
         d.get("mode", "symmetric"),
-        float(d.get("scale", 1.0)),
+        _number(d.get("scale", 1.0), "scale"),
     )
 
 
@@ -105,7 +129,7 @@ def _build_waiting(d):
     if d is None:
         return None
     _check_keys(d, {"beta", "scale"}, "waiting")
-    return WaitingLaw(float(d.get("beta", 0.5)), float(d.get("scale", 1.0)))
+    return WaitingLaw(_number(d.get("beta", 0.5), "beta"), _number(d.get("scale", 1.0), "scale"))
 
 
 def _build_process(d, n):
@@ -114,12 +138,13 @@ def _build_process(d, n):
     )
     if "innovation" not in d:
         raise ParameterError("process needs an innovation block", tag="PARAM_CONFIG")
+    past = d.get("past_horizon")
     return ProcessConfig(
         innovation=_build_innovation(d["innovation"]),
         waiting=_build_waiting(d.get("waiting")),
-        coefficients=tuple(float(c) for c in d.get("coefficients", (1.0,))),
-        past_horizon=d.get("past_horizon"),
-        n=int(n),
+        coefficients=tuple(_numbers(d.get("coefficients", [1.0]), "coefficients")),
+        past_horizon=None if past is None else _number(past, "past_horizon", int),
+        n=_number(n, "n", int),
         coupling=d.get("coupling", "uncoupled"),
     )
 
@@ -128,7 +153,7 @@ def _n_list(cfg):
     ns = cfg.get("n_list", [100])
     if not isinstance(ns, (list, tuple)) or not ns:
         raise ParameterError("n_list must be a non-empty list", tag="PARAM_CONFIG")
-    return [int(v) for v in ns]
+    return _numbers(ns, "n_list", int)
 
 
 def _flag(report, name, ok, n=1):
@@ -179,7 +204,7 @@ def _run_simulate(cfg, seed, reps, T, out_dir):
     rep.add(mean_estimate(term, name="terminal_mean"))
     _scalar(rep, "terminal_std", float(np.std(term, ddof=1)) if reps > 1 else 0.0, reps)
     _scalar(rep, "terminal_median", float(np.median(term)), reps)
-    k = int(cfg.get("csv_paths", min(3, reps)))
+    k = _number(cfg.get("csv_paths", min(3, reps)), "csv_paths", int)
     gen = gen_ctrw if proc.waiting is not None else gen_moving_average
 
     def one(i):
@@ -208,7 +233,7 @@ def _run_attraction(cfg, seed, reps, T, out_dir):
         raise ParameterError("attraction scenarios run at horizon 1", tag="PARAM_CONFIG")
     target = cfg.get("target", "stable")
     ns = _n_list(cfg)
-    bound = float(cfg.get("ks_bound", 0.03))
+    bound = _number(cfg.get("ks_bound", 0.03), "ks_bound")
     rep = DiagnosticReport("attraction", cfg, seed.seed)
     ref_seed = SeedSpec(seed.seed, seed.stream + 900)
 
@@ -255,9 +280,9 @@ def _run_gd(cfg, seed, reps, T, out_dir):
     _check_keys(
         cfg, _COMMON_KEYS | {"process", "n_list", "a", "r_grid", "c_grid"}, "config"
     )
-    a = float(cfg.get("a", 1.0))
-    r_grid = [float(r) for r in cfg.get("r_grid", [1.0, 2.0])]
-    c_grid = [float(c) for c in cfg.get("c_grid", [1.0])]
+    a = _number(cfg.get("a", 1.0), "a")
+    r_grid = _numbers(cfg.get("r_grid", [1.0, 2.0]), "r_grid")
+    c_grid = _numbers(cfg.get("c_grid", [1.0]), "c_grid")
     ns = _n_list(cfg)
     rep = DiagnosticReport("gd", cfg, seed.seed)
     tails = {r: [] for r in r_grid}
@@ -294,7 +319,7 @@ def _run_gdca(cfg, seed, reps, T, out_dir):
     meds = []
     for i, n in enumerate(ns):
         proc = _build_process(cfg["process"], n)
-        g = float(gamma) if gamma is not None else default_gdca_gamma(proc)
+        g = _number(gamma, "gamma") if gamma is not None else default_gdca_gamma(proc)
         vals = gdca_samples(proc, T, reps, SeedSpec(seed.seed, seed.stream + 1 + i), gamma=g)
         m = float(np.median(vals))
         meds.append(m)
@@ -311,13 +336,13 @@ def _run_gdci(cfg, seed, reps, T, out_dir):
             "gdci moment sums run at horizon 1; window sets their range", tag="PARAM_CONFIG"
         )
     ns = _n_list(cfg)
-    K = float(cfg.get("window", 1.0))
+    K = _number(cfg.get("window", 1.0), "window")
     gamma = cfg.get("gamma")
     rep = DiagnosticReport("gdci", cfg, seed.seed)
     bigs, smalls = [], []
     for n in ns:
         proc = _build_process(cfg["process"], n)
-        g = float(gamma) if gamma is not None else None
+        g = _number(gamma, "gamma") if gamma is not None else None
         big, small = gdci_sums(proc, K=K, gamma=g)
         bigs.append(big)
         smalls.append(small)
@@ -343,11 +368,17 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
         "config",
     )
     ns = _n_list(cfg)
-    grid_step = float(cfg.get("grid_step", 2.0**-12))
-    bound = float(cfg.get("ks_bound", 0.05))
+    grid_step = _number(cfg.get("grid_step", 2.0**-12), "grid_step")
+    bound = _number(cfg.get("ks_bound", 0.05), "ks_bound")
     spec = cfg.get("integrand", {"type": "deterministic", "expr": "tanh(t)"})
     _check_keys(spec, {"type", "expr", "slope", "gamma"}, "integrand")
     kind = spec.get("type", "deterministic")
+    ups = cfg.get("upsilon")
+    if ups:
+        _check_keys(ups, {"eps_list", "pieces", "replications"}, "upsilon")
+        eps_list = _numbers(ups.get("eps_list", [0.5, 0.25]), "eps_list")
+        m = _number(ups.get("pieces", 8), "pieces", int)
+        ureps = _number(ups.get("replications", 60), "replications", int)
     rep = DiagnosticReport("integrals", cfg, seed.seed)
     proc0 = _build_process(cfg["process"], ns[0])
     alpha = proc0.innovation.alpha
@@ -363,8 +394,10 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
         )
     elif kind == "follower":
         base = make_expr(spec.get("expr", "tanh(x)"), ("x",))
-        C = float(spec.get("slope", 1.0))
-        gamma = float(spec.get("gamma", 0.5 * beta / alpha))
+        C = _number(spec.get("slope", 1.0), "slope")
+        gamma = _number(spec.get("gamma", 0.5 * beta / alpha), "gamma")
+        # a bad slope fails before the limit law is drawn
+        _follower_slope(C, gamma, max(ns))
         _scalar(rep, "gamma", gamma, reps)
         sample = lambda p, s: follower_integral_samples(p, T, reps, s, base=base, C=C, gamma=gamma)
         limit = tc_grid_integral_samples(
@@ -377,12 +410,7 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
     samplers = [(n, lambda s, n=n: sample(_build_process(cfg["process"], n), s)) for n in ns]
     _ks_table(rep, seed, samplers, limit, bound, reps)
 
-    ups = cfg.get("upsilon")
     if ups:
-        _check_keys(ups, {"eps_list", "pieces", "replications"}, "upsilon")
-        eps_list = [float(e) for e in ups.get("eps_list", [0.5, 0.25])]
-        m = int(ups.get("pieces", 8))
-        ureps = int(ups.get("replications", 60))
 
         def bundles_for(i_n):
             i, n = i_n
@@ -420,18 +448,21 @@ def _run_sde(cfg, seed, reps, T, out_dir):
            "x0", "growth", "grid_step", "w1_bound"},
         "config",
     )
-    alpha = float(cfg.get("alpha", 1.5))
-    beta = float(cfg.get("beta", 0.5))
+    alpha = _number(cfg.get("alpha", 1.5), "alpha")
+    beta = _number(cfg.get("beta", 0.5), "beta")
     mode = cfg.get("mode", "symmetric")
     ns = _n_list(cfg)
-    h = float(cfg.get("grid_step", 2.0**-10))
-    g = cfg.get("growth", [1.0, 10.0, 0.5])
+    h = _number(cfg.get("grid_step", 2.0**-10), "grid_step")
+    bound = _number(cfg.get("w1_bound", 0.05), "w1_bound")
+    g = _numbers(cfg.get("growth", [1.0, 10.0, 0.5]), "growth")
+    if len(g) != 3:
+        raise ParameterError(f"growth must be [K, C, p], got {g!r}", tag="PARAM_GROWTH")
     spec = SdeSpec(
         b=make_expr(cfg.get("drift", "0"), ("t", "ytilde", "y")),
         mu=make_expr(cfg.get("time_drift", "0"), ("t", "ytilde", "y")),
         sigma=make_expr(cfg.get("diffusion", "1"), ("t", "ytilde", "y")),
-        x0=float(cfg.get("x0", 0.0)),
-        growth=(float(g[0]), float(g[1]), float(g[2])),
+        x0=_number(cfg.get("x0", 0.0), "x0"),
+        growth=tuple(g),
     )
     rep = DiagnosticReport("sde", cfg, seed.seed)
     laws = []
@@ -448,7 +479,7 @@ def _run_sde(cfg, seed, reps, T, out_dir):
         spec, alpha, beta, T, reps, SeedSpec(seed.seed, seed.stream + 900),
         grid_step=h, mode=mode,
     )
-    _w1_table(rep, ns, laws, limit, float(cfg.get("w1_bound", 0.05)), reps)
+    _w1_table(rep, ns, laws, limit, bound, reps)
     return rep
 
 
@@ -460,11 +491,13 @@ def _run_sdde(cfg, seed, reps, T, out_dir):
            "coefficients", "grid_step", "w1_bound"},
         "config",
     )
-    alpha = float(cfg.get("alpha", 1.5))
+    alpha = _number(cfg.get("alpha", 1.5), "alpha")
     mode = cfg.get("mode", "centered")
-    r = float(cfg.get("delay", 0.5))
-    eta0 = float(cfg.get("eta", 0.0))
-    coeffs = tuple(float(c) for c in cfg.get("coefficients", (1.0, 0.5)))
+    r = _number(cfg.get("delay", 0.5), "delay")
+    eta0 = _number(cfg.get("eta", 0.0), "eta")
+    coeffs = tuple(_numbers(cfg.get("coefficients", [1.0, 0.5]), "coefficients"))
+    h = _number(cfg.get("grid_step", 2.0**-10), "grid_step")
+    bound = _number(cfg.get("w1_bound", 0.05), "w1_bound")
     ns = _n_list(cfg)
     spec = SddeSpec(
         b=make_expr(cfg.get("drift", "sin(xdel)"), ("t", "xdel")),
@@ -481,9 +514,9 @@ def _run_sdde(cfg, seed, reps, T, out_dir):
         )
     limit = sdd_limit_terminal_samples(
         spec, alpha, T, reps, SeedSpec(seed.seed, seed.stream + 900),
-        grid_step=float(cfg.get("grid_step", 2.0**-10)), mode=mode,
+        grid_step=h, mode=mode,
     )
-    _w1_table(rep, ns, laws, limit, float(cfg.get("w1_bound", 0.05)), reps)
+    _w1_table(rep, ns, laws, limit, bound, reps)
     return rep
 
 
@@ -497,7 +530,7 @@ def _random_step_path(gen, T, max_breaks):
 
 def _run_metrics(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"breakpoints", "witness_n"}, "config")
-    kmax = int(cfg.get("breakpoints", 6))
+    kmax = _number(cfg.get("breakpoints", 6), "breakpoints", int)
     gen = seed.generator(0)
     rep = DiagnosticReport("metrics", cfg, seed.seed)
     order_ok = 0
@@ -518,8 +551,7 @@ def _run_metrics(cfg, seed, reps, T, out_dir):
     _scalar(rep, "ordering_holds", order_ok / reps, reps)
     _scalar(rep, "triangle_holds", tri_ok / reps, reps)
     jump = StepPath([0.0, 0.5], [0.0, 1.0], 1.0)
-    for n in cfg.get("witness_n", [10, 100]):
-        n = int(n)
+    for n in _numbers(cfg.get("witness_n", [10, 100]), "witness_n", int):
         halves = StepPath([0.0, 0.5 - 1.0 / n, 0.5], [0.0, 0.5, 1.0], 1.0)
         _scalar(rep, f"witness_j1_n{n}", d_j1(halves, jump).value, 1)
         _scalar(rep, f"witness_m1_n{n}", d_m1(halves, jump).value, 1)
@@ -600,17 +632,15 @@ def run_scenario(cfg, seed=None, reps=None, out=None):
     if kind not in _KINDS:
         raise ParameterError(f"unknown scenario kind {kind!r}", tag="PARAM_KIND")
     seed_spec = SeedSpec(
-        int(cfg.get("seed", 0) if seed is None else seed), int(cfg.get("stream", 0))
+        _number(cfg.get("seed", 0) if seed is None else seed, "seed", int),
+        _number(cfg.get("stream", 0), "stream", int),
     )
-    reps = int(cfg.get("replications", 100) if reps is None else reps)
+    reps = _number(cfg.get("replications", 100) if reps is None else reps, "replications", int)
     if reps < 1:
         raise ParameterError("replications must be >= 1", tag="PARAM_CONFIG")
-    try:
-        T = float(cfg.get("horizon", 1.0))
-    except (TypeError, ValueError):
-        T = math.nan
+    T = _number(cfg.get("horizon", 1.0), "horizon")
     if not T > 0:
-        raise ParameterError(f"horizon must be a number > 0, got {cfg.get('horizon')!r}")
+        raise ParameterError(f"horizon must be > 0, got {T!r}")
     out = Path(out) if out else Path(f"{kind}_report.json")
     report = _HANDLERS[kind](cfg, seed_spec, reps, T, out.parent)
     emit_report(report, out)

@@ -23,6 +23,7 @@ from .processes import (
     INNOVATION_LANE,
     LIMIT_BLOCK,
     WAIT_LANE,
+    _blocks,
     _d_law,
     _first_passage,
     _inverse_at,
@@ -95,6 +96,17 @@ class AdversarialIntegrand:
         return self._path.value_before(times)
 
 
+def _follower_slope(C, gamma, n):
+    """The tracker's slope cap C n^gamma, for C > 0 and a finite gamma."""
+    C, gamma = float(C), float(gamma)
+    if not (C > 0 and math.isfinite(gamma)):
+        raise ParameterError(f"follower needs slope > 0 and a finite gamma, got {C!r} and {gamma!r}")
+    try:
+        return C * float(n) ** gamma
+    except OverflowError:
+        raise ParameterError(f"follower slope {C!r} n^{gamma!r} overflows at n = {n}") from None
+
+
 def _follow(v, target, reach):
     """One step of the slope-capped tracker: v moves toward target by at most
     reach, the slope cap times the elapsed time."""
@@ -113,12 +125,10 @@ class LipschitzFollower:
     kind = "adapted-lipschitz"
 
     def __init__(self, bundle, base=np.tanh, C=1.0, gamma=0.5):
-        if C <= 0:
-            raise ParameterError("slope constant must be > 0")
+        self.slope = _follower_slope(C, gamma, bundle.config.n)
         self.C = float(C)
         self.gamma = float(gamma)
         self.base = base
-        self.slope = self.C * float(bundle.config.n) ** self.gamma
         x = bundle.x
         times = np.concatenate([x.times, [bundle.horizon]])
         g0 = float(base(0.0))
@@ -404,30 +414,61 @@ def adversarial_sup_samples(config, T, reps, seed):
 def follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=0.5):
     """Terminal integral of the slope-capped tracker against X^n, vectorised.
 
-    Replays the step of LipschitzFollower column by column across a
-    replication block. Masked columns become zero jumps at time T, so they
-    add nothing to a row's integral or to its X.
+    Replays the step of LipschitzFollower column by column across each
+    ragged replication block, over each row's own renewals only. The rows
+    are sorted by count, descending and stable, so the rows still live at
+    column k are a prefix of ncol[k] rows; their jumps and reaches lie column
+    after column in one flat array, and each column steps that prefix. The
+    integrals go back in row order.
     """
-    slope = float(C) * float(config.n) ** float(gamma)
+    slope = _follower_slope(C, gamma, config.n)
     out = np.empty(reps)
     lo = 0
     g0 = float(base(0.0))
-    for blk in iter_ctrw_chunks(config, T, reps, seed):
-        zeta = np.where(blk["mask"], blk["zeta"], 0.0)
-        times = np.where(blk["mask"], blk["times"], T)
-        m, K = zeta.shape
+    for rb in _blocks(config, T, reps, seed, True):
+        counts, times, peff, starts = rb["counts"], rb["times"], rb["peff"], rb["starts"]
+        zeta = rb["zeta"]
+        del rb
+        m, N = counts.size, int(counts.sum())
+        if times is None:
+            # a moving average jumps at k/n
+            times = np.tile(np.arange(1, N // m + 1) / config.n, m)
+        # the live jumps, row after row as the times
+        zeta = np.delete(zeta, (starts[:-1, None] + np.arange(peff + 1)).ravel())
+        # slope (t_j - t_{j-1}), with t_{-1} = 0 at each row's first event
+        firsts = np.cumsum(counts) - counts
+        step = np.empty(N)
+        np.subtract(times[1:], times[:-1], out=step[1:])
+        heads = firsts[counts > 0]
+        step[heads] = times[heads]
+        step *= slope
+        del times, heads
+        order = np.argsort(-counts, kind="stable")
+        ncol = np.searchsorted(-counts[order], -np.arange(int(counts.max(initial=0))), side="left")
+        cols = np.concatenate([[0], np.cumsum(ncol)])
+        # event j of row r goes to column j's slot of r's rank in the order
+        rank = np.empty(m, dtype=np.int64)
+        rank[order] = np.arange(m)
+        at = np.arange(N)
+        at -= np.repeat(firsts, counts)
+        at = cols[at]
+        at += np.repeat(rank, counts)
+        z = np.empty(N)
+        z[at] = zeta
+        del zeta
+        reach = np.empty(N)
+        reach[at] = step
+        del step, at
         v = np.full(m, g0)
         xprev = np.zeros(m)
-        tprev = np.zeros(m)
         acc = np.zeros(m)
-        for k in range(K):
-            v = _follow(v, base(xprev), slope * (times[:, k] - tprev))
-            acc += v * zeta[:, k]
-            xprev += zeta[:, k]
-            tprev = times[:, k]
-        out[lo : lo + m] = acc
+        for p, a, b in zip(ncol.tolist(), cols[:-1].tolist(), cols[1:].tolist()):
+            vk = _follow(v[:p], base(xprev[:p]), reach[a:b])
+            v[:p] = vk
+            acc[:p] += vk * z[a:b]
+            xprev[:p] += z[a:b]
+        out[lo + order] = acc
         lo += m
-        del blk, zeta, times
     return out
 
 

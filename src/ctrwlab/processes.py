@@ -9,11 +9,13 @@ lane 0 and innovations from lane 1, so paired processes share streams
 reproducibly.
 
 The walk's replication blocks are ragged (_block): each row holds its own
-renewals only, as flat per-row segments. terminal_samples sums each row's
-segment; iter_ctrw_chunks pads the blocks to matrices for the ensemble
-samplers that step column by column, where per-path objects would be too
-slow. gen_moving_average and gen_ctrw read row 0 of a padded one-row block
-of the same step, so all of them draw one recursion.
+renewals only, as flat per-row segments, with its jump times and waits
+when kept. terminal_samples sums each row's segment, and the follower
+integral steps the rows' renewals column by column; iter_ctrw_chunks pads
+the blocks to matrices for the other ensemble samplers that step column by
+column, where per-path objects would be too slow. gen_moving_average and
+gen_ctrw read row 0 of a padded one-row block of the same step, so all of
+them draw one recursion.
 """
 
 import math
@@ -249,7 +251,7 @@ def _bundle(config, T, seed):
     thetas = blk["theta"][0, blk["peff"] - past :][: past + 1 + K]
     times = blk["times"][0]
     x = StepPath.from_jumps(times, blk["zeta"][0], T)
-    waits = np.ones(K) if rb["rounds"] is None else _stack(rb["rounds"], 0, K, np.inf)[0]
+    waits = np.ones(K) if rb["waits"] is None else rb["waits"]
     return SimulationBundle(x, _staircase(times, K, T), thetas, past, waits, config, seed, float(T))
 
 
@@ -280,9 +282,8 @@ def gen_counting(waiting, n, T, seed):
     if not T > 0:
         raise ParameterError("horizon must be > 0")
     n = int(n)
-    counts, rounds = _wait_rounds(waiting, seed.generator(WAIT_LANE), 1, n * T, True)
-    K = int(counts[0])
-    counting = _staircase(_stack(rounds, 1, K, np.inf)[0] / n, K, T)
+    counts, L, _ = _wait_rounds(waiting, seed.generator(WAIT_LANE), 1, n * T, True)
+    counting = _staircase(L / n, int(counts[0]), T)
     dn = StepPath(counting.times, counting.values * float(n) ** (-waiting.beta), T)
     return counting, dn
 
@@ -343,18 +344,6 @@ def _rounds(draw, m, first, later, T):
         width = later
 
 
-def _stack(rounds, k, width, fill):
-    """The k-th arrays of kept _rounds side by side in an (m, width)
-    matrix, cut at `width` columns and `fill` after a row's last round."""
-    out = np.full((rounds[0][0].size, width), fill)
-    lo = 0
-    for rows, arrays in rounds:
-        a = arrays[k][:, : width - lo]
-        out[rows, lo : lo + a.shape[1]] = a
-        lo += a.shape[1]
-    return out
-
-
 def _first_passage(d_inc, T, m, gen):
     """Levels of m subordinator paths on the s-grid of step h, with
     increments `d_inc` over h, up to each row's first passage over T:
@@ -369,7 +358,10 @@ def _first_passage(d_inc, T, m, gen):
         return (np.cumsum(draw_stable(d_inc, gen, (k, width)), axis=1) + last[:, None],)
 
     rounds = list(_rounds(draw, m, PASSAGE_ROUND, PASSAGE_ROUND, T))
-    return _stack(rounds, 0, len(rounds) * PASSAGE_ROUND, np.inf)
+    D = np.full((m, len(rounds) * PASSAGE_ROUND), np.inf)
+    for i, (rows, (levels,)) in enumerate(rounds):
+        D[rows, i * PASSAGE_ROUND : (i + 1) * PASSAGE_ROUND] = levels
+    return D
 
 
 def _counts_at(levels, keep, nodes):
@@ -497,10 +489,12 @@ def _wait_block(target, beta):
 
 def _wait_rounds(law, gen, m, target, keep):
     """Waits from `law` on gen for m rows, each drawn in _rounds up to its
-    first passage over target: (counts, rounds). counts[r] is row r's
-    renewal count, the number of its running sums L at or below target.
-    With keep, rounds holds each round's (rows, (J, L)), L = cumsum(J)
-    along the row; without, no round outlives its count and rounds is None.
+    first passage over target: (counts, L, J). counts[r] is row r's renewal
+    count, the number of its running sums L at or below target. With keep,
+    L and J are flat: each row's live running sums and their waits, row
+    after row; each round gives up its live entries (a prefix of each of its
+    rows) and is dropped. Without keep, L and J are None and each round is
+    dropped once counted.
 
     The first round has WAIT_ROUND_SHARE target^beta + 32 columns, the later
     ones half that, each at least WAIT_ROUND_MIN.
@@ -516,14 +510,31 @@ def _wait_rounds(law, gen, m, target, keep):
         return (J, L) if keep else (L,)
 
     counts = np.zeros(m, dtype=np.int64)
-    rounds = [] if keep else None
+    pieces = []
     for rows, arrays in _rounds(draw, m, first, max(WAIT_ROUND_MIN, first // 2), target):
-        # the running sums rise along each row, so the round's count adds on
-        counts[rows] += (arrays[-1] <= target).sum(axis=1)
+        # the running sums rise along each row, so the live entries are a
+        # prefix of it and the round's count adds on
+        live = arrays[-1] <= target
+        got = live.sum(axis=1)
         if keep:
-            rounds.append((rows, arrays))
-        del arrays
-    return counts, rounds
+            pieces.append([rows, counts[rows], got, arrays[-1][live], arrays[0][live]])
+        counts[rows] += got
+        del arrays, live
+    if not keep:
+        return counts, None, None
+    # a row's entries of a round go after those of its earlier rounds; all
+    # live L are placed, and dropped from the rounds, before the live J
+    starts = np.cumsum(counts) - counts
+    flat = []
+    for k in (3, 4):
+        out = np.empty(int(counts.sum()))
+        for piece in pieces:
+            rows, before, got = piece[:3]
+            at = np.repeat(starts[rows] + before - np.cumsum(got) + got, got)
+            at += np.arange(at.size)
+            out[at], piece[k] = piece[k], None
+        flat.append(out)
+    return counts, flat[0], flat[1]
 
 
 def _segments(drawn, counts, past, peff):
@@ -572,8 +583,10 @@ def _block(config, T, m, wgen, igen, keep):
               (_segments)
       zeta:   the scaled jumps zeta^n_i at theta_i's slots, zero at each
               row's past slots (_zeta)
-      rounds: the kept wait rounds (_wait_rounds; one round of all rows for
-              a coupled block), or None for a moving average or without keep.
+      times, waits: with keep, the jump times L_k/n and the waits J_k of
+              each row's live renewals, flat and row after row in the order
+              of zeta's live slots; None without keep or for a moving
+              average, whose k-th jump is at k/n.
 
     A row draws its past + 1 + counts innovations only: one flat draw for
     an uncoupled block, row after row. A moving average draws the (m,
@@ -584,7 +597,7 @@ def _block(config, T, m, wgen, igen, keep):
     law = config.innovation
     past = config.past_horizon
     target = n * T
-    rounds = None
+    times = waits = None
     if config.coupling == "magnitude-coupled":
         beta = config.waiting.beta
         block = _wait_block(target, beta)
@@ -596,14 +609,17 @@ def _block(config, T, m, wgen, igen, keep):
             more = _draw_innovations(law, igen, (m, max(64, block // 2)))
             th = np.concatenate([th, more], axis=1)
         L = np.cumsum(J, axis=1)
-        counts = (L <= target).sum(axis=1)
+        live = L <= target
+        counts = live.sum(axis=1)
         if keep:
-            rounds = [(np.arange(m), (J, L))]
-        del J, L
+            times, waits = L[live] / n, J[live]
+        del J, L, live
         drawn = th[np.arange(th.shape[1]) < (past + 1 + counts)[:, None]]
         del th
     elif config.waiting is not None:
-        counts, rounds = _wait_rounds(config.waiting, wgen, m, target, keep)
+        counts, times, waits = _wait_rounds(config.waiting, wgen, m, target, keep)
+        if keep:
+            times /= n
         drawn = _draw_innovations(law, igen, int((past + 1 + counts).sum()))
     else:
         K = int(math.floor(target + 1e-9))
@@ -614,16 +630,21 @@ def _block(config, T, m, wgen, igen, keep):
     del drawn
     zeta = _zeta(theta, starts, config.coefficients, peff)
     zeta *= config.prefactor
-    return {"counts": counts, "peff": peff, "theta": theta, "starts": starts, "zeta": zeta, "rounds": rounds}
+    return {
+        "counts": counts, "peff": peff, "theta": theta, "starts": starts, "zeta": zeta,
+        "times": times, "waits": waits,
+    }
 
 
 def _padded(config, T, rb):
     """The (m, K) block dict of iter_ctrw_chunks from a ragged block kept
-    with its rounds, K the largest count: theta and zeta placed row by row
+    with its times, K the largest count: theta and zeta placed row by row
     in zeros, so their live entries are the ragged ones, and the jump times
-    min(L_k, nT)/n read from the rounds' running sums."""
+    placed in nT/n, the time min(L_k, nT)/n of every renewal past a row's
+    count."""
     counts, peff = rb["counts"], rb["peff"]
     m, K = counts.size, int(counts.max())
+    mask = np.arange(K)[None, :] < counts[:, None]
     if counts.min() == K:
         # every segment is K + peff + 1 long (a moving average): the flat
         # arrays are the rows
@@ -638,17 +659,15 @@ def _padded(config, T, rb):
     if config.waiting is None:
         times = np.broadcast_to(np.arange(1, K + 1) / config.n, (m, K))
     else:
-        target = config.n * T
-        times = _stack(rb["rounds"], 1, K, target)
-        np.minimum(times, target, out=times)
-        times /= config.n
+        times = np.full((m, K), config.n * T / config.n)
+        times[mask] = rb["times"]
     return {
         "theta": theta,
         "peff": peff,
         "zeta": zeta[:, peff + 1 :],
         "times": times,
         "counts": counts,
-        "mask": np.arange(K)[None, :] < counts[:, None],
+        "mask": mask,
     }
 
 

@@ -157,8 +157,11 @@ class WaitingLaw:
 
 def _cms_standard(alpha, skew, gen, size):
     # Chambers-Mallows-Stuck transform of (uniform angle, unit exponential);
-    # returns S1-parametrised samples with sigma = 1.
-    V = (gen.random(size) - 0.5) * np.pi
+    # returns S1-parametrised samples with sigma = 1. Computed in place, one
+    # ufunc at a time, in the order of the textbook expression
+    V = gen.random(size)
+    V -= 0.5
+    V *= np.pi
     W = gen.exponential(1.0, size)
     if alpha == 2.0:
         return 2.0 * np.sqrt(W) * np.sin(V)
@@ -166,17 +169,29 @@ def _cms_standard(alpha, skew, gen, size):
         # skew 0 is the only admissible case here (validated upstream)
         return np.tan(V)
     if skew == 0.0:
-        return (np.sin(alpha * V) / np.cos(V) ** (1.0 / alpha)) * (
-            np.cos((1.0 - alpha) * V) / W
-        ) ** ((1.0 - alpha) / alpha)
-    zeta = skew * math.tan(math.pi * alpha / 2.0)
-    B = math.atan(zeta) / alpha
-    S = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
-    return (
-        S
-        * (np.sin(alpha * (V + B)) / np.cos(V) ** (1.0 / alpha))
-        * (np.cos(V - alpha * (V + B)) / W) ** ((1.0 - alpha) / alpha)
-    )
+        # sin(a V) / cos(V)^(1/a) * (cos((1 - a) V) / W)^((1 - a)/a)
+        out = np.multiply(alpha, V)
+        np.sin(out, out=out)
+        arg = np.multiply(1.0 - alpha, V)
+    else:
+        # S sin(a (V + B)) / cos(V)^(1/a) * (cos(V - a (V + B)) / W)^((1 - a)/a)
+        zeta = skew * math.tan(math.pi * alpha / 2.0)
+        B = math.atan(zeta) / alpha
+        S = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
+        arg = np.add(V, B)
+        arg *= alpha
+        out = np.sin(arg)
+        np.subtract(V, arg, out=arg)
+    np.cos(V, out=V)
+    V **= 1.0 / alpha
+    out /= V
+    if skew != 0.0:
+        out *= S
+    np.cos(arg, out=arg)
+    arg /= W
+    arg **= (1.0 - alpha) / alpha
+    out *= arg
+    return out
 
 
 def _stable_sigma(params):

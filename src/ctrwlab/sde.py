@@ -159,11 +159,11 @@ def _sn_euler(spec, ev_t, live, dd, dz, T, drift_mesh):
     after the grid points (mesh and T) strictly before it, so at equal times
     an event comes before the mesh point and T, and the times are one sort of
     values in place. Each step is a few vector ops on contiguous rows of
-    three (L + 1, m) float arrays: the times, the D jumps (zero off the live
-    events), each overwritten by D once its step has run, and the Z jumps,
-    each overwritten by X. The growth bound is checked once per call, on the
-    live events' left limits rebuilt from the stored rows before them, and
-    warns at most once.
+    two (L + 1, m) float arrays, the times and X; the live events, sorted by
+    their place in that layout, give each step its replications with a jump
+    as one slice, and only those read mu and sigma and take the jump. The
+    growth bound is checked once per call, on the live events' left limits,
+    D and times recorded as they are stepped, and warns at most once.
     """
     if drift_mesh is not None and not drift_mesh > 0:
         raise ParameterError("drift mesh must be > 0", tag="PARAM_MESH")
@@ -184,34 +184,32 @@ def _sn_euler(spec, ev_t, live, dd, dz, T, drift_mesh):
     # equal times are equal values, so sorting each column's values puts
     # every event time in the row that its position above gives it
     times.sort(axis=0)
-    jumps = np.zeros(shape, dtype=bool)
-    jumps.ravel()[at] = True
-    any_jump = jumps.any(axis=1).tolist()
-    dvals = np.zeros(shape)
-    x = np.zeros(shape)
-    dvals.ravel()[at] = dd[live]
-    x.ravel()[at] = dz[live]
-    del at
+    order = np.argsort(at)
+    at = at[order]
+    dd, dz = dd[live][order], dz[live][order]
+    del order
+    # the live events of layout row j are at[edges[j] : edges[j + 1]], in
+    # the replications at - j m, at the times tl
+    edges = np.searchsorted(at, np.arange(shape[0] + 1) * m).tolist()
+    tl = np.take(times, at)
+    at -= np.repeat(np.arange(shape[0]) * m, np.diff(edges))
+    x = np.empty(shape)
     x[0] = spec.x0
-    xk, d, u = x[0], dvals[0], times[0]
-    for v, jump, dj, xj, some in zip(times[1:], jumps[1:], dvals[1:], x[1:], any_jump[1:]):
+    # the live events' left limits and D, kept for the growth check
+    xl, dl = np.empty(at.size), np.empty(at.size)
+    xk, d, u = x[0], np.zeros(m), times[0]
+    for v, xj, lo, hi in zip(times[1:], x[1:], edges[1:-1], edges[2:]):
         xk = xk + bfn(u, d, xk) * (v - u)
-        if some:
-            np.add(xk, mfn(v, d, xk) * dj + sfn(v, d, xk) * xj, out=xk, where=jump)
+        if hi > lo:
+            r, t, dj = at[lo:hi], tl[lo:hi], dd[lo:hi]
+            xl[lo:hi] = xr = xk[r]
+            dl[lo:hi] = dr = d[r]
+            xk[r] = xr + (mfn(t, dr, xr) * dj + sfn(t, dr, xr) * dz[lo:hi])
+            d[r] = dr + dj
         xj[...] = xk
-        dj += d
-        d, u = dj, v
-    # the row views would keep jumps and dvals alive through the check
-    del jump, dj, xj, d
-    at = np.flatnonzero(jumps)
-    del jumps
-    d = np.take(dvals, at - m)
-    del dvals
-    u, v, xp = np.take(times, at - m), np.take(times, at), np.take(x, at - m)
-    del at
-    xl = xp + bfn(u, d, xp) * (v - u)
+        u = v
     Kg, Cg, p = spec.growth
-    if np.any(np.maximum(np.abs(mfn(v, d, xl)), np.abs(sfn(v, d, xl))) > Kg * np.abs(xl) ** p + Cg):
+    if np.any(np.maximum(np.abs(mfn(tl, dl, xl)), np.abs(sfn(tl, dl, xl))) > Kg * np.abs(xl) ** p + Cg):
         warnings.warn("coefficient exceeded the declared growth bound during integration", RuntimeWarning, stacklevel=3)
     return times, x
 

@@ -23,7 +23,9 @@ fixed_round_first_passage is the subordinator round loop as it was before
 the walk's waits shared it. The padded walk block pads every row to the
 block's largest renewal count and filters the whole (m, K) matrix, and the
 padded terminal sum masks the padding away, as processes did before its
-ragged blocks.
+ragged blocks. The padded follower steps the slope-capped tracker over
+every column of the padded blocks, as integrals did before it stepped each
+ragged row over its own renewals.
 """
 
 import math
@@ -54,6 +56,7 @@ from ctrwlab.processes import (
     _z_law,
     iter_ctrw_chunks,
 )
+from ctrwlab.integrals import _follow
 from ctrwlab.rng import draw_stable
 from ctrwlab.sde import _History
 
@@ -924,4 +927,34 @@ def padded_terminal_samples(config, T, reps, seed):
         wgen, igen = seed.generator((WAIT_LANE, lo)), seed.generator((INNOVATION_LANE, lo))
         blk = padded_block(config, T, m, wgen, igen)[0]
         out[lo : lo + m] = np.where(blk["mask"], blk["zeta"], 0.0).sum(axis=1)
+    return out
+
+
+def padded_follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=0.5):
+    """Terminal integral of the slope-capped tracker against X^n, vectorised.
+
+    Replays the step of LipschitzFollower column by column across a
+    replication block. Masked columns become zero jumps at time T, so they
+    add nothing to a row's integral or to its X.
+    """
+    slope = float(C) * float(config.n) ** float(gamma)
+    out = np.empty(reps)
+    lo = 0
+    g0 = float(base(0.0))
+    for blk in iter_ctrw_chunks(config, T, reps, seed):
+        zeta = np.where(blk["mask"], blk["zeta"], 0.0)
+        times = np.where(blk["mask"], blk["times"], T)
+        m, K = zeta.shape
+        v = np.full(m, g0)
+        xprev = np.zeros(m)
+        tprev = np.zeros(m)
+        acc = np.zeros(m)
+        for k in range(K):
+            v = _follow(v, base(xprev), slope * (times[:, k] - tprev))
+            acc += v * zeta[:, k]
+            xprev += zeta[:, k]
+            tprev = times[:, k]
+        out[lo : lo + m] = acc
+        lo += m
+        del blk, zeta, times
     return out

@@ -528,6 +528,73 @@ def test_cli_parameter_errors(tmp_path):
         bad = write_cfg(tmp_path, f"gdci{i}.json", {**gdci, **extra})
         check_fails(tmp_path, ["diagnose", "gdci", "--config", bad], tag)
 
+    # a follower slope that is not > 0, or a gamma that is not finite, ran
+    # to a normal report
+    follower = {"kind": "integrals", "n_list": [20], "replications": 10,
+                "process": {"innovation": {"alpha": 1.5, "mode": "centered"},
+                            "coefficients": [1.0, 0.5], "waiting": {"beta": 0.8}}}
+    for i, over in enumerate(({"slope": 0.0}, {"slope": -1.0}, {"slope": math.nan},
+                              {"gamma": math.nan})):
+        bad = write_cfg(tmp_path, f"follower{i}.json",
+                        {**follower, "integrand": {"type": "follower", **over}})
+        check_fails(tmp_path, ["integrals", "--config", bad], "PARAM")
+
+
+def test_numeric_config_values_given_as_strings(tmp_path):
+    # float("tight") raised a ValueError that the CLI reported as INTERNAL
+    # with exit 3
+    attraction = {"kind": "attraction", "target": "stable", "n_list": [20], "replications": 10,
+                  "innovation": {"alpha": 1.5, "mode": "symmetric"}, "ks_bound": "tight"}
+    check_fails(tmp_path, ["simulate", "--config", write_cfg(tmp_path, "a.json", attraction)], "PARAM")
+    gdci = {"kind": "gdci", "n_list": [20], "window": "wide",
+            "process": {"innovation": {"alpha": 1.5, "mode": "centered"}, "waiting": {"beta": 0.8}}}
+    check_fails(tmp_path, ["diagnose", "gdci", "--config", write_cfg(tmp_path, "g.json", gdci)], "PARAM")
+    # every per-kind numeric key, at the top level, in a nested block or in
+    # a list, and a number given as a string even when it would parse
+    proc = {"innovation": {"alpha": 1.5, "mode": "centered"}, "waiting": {"beta": 0.8}}
+    base = {
+        "simulate": {"process": proc, "n": 20, "csv_paths": 0},
+        "gd": {"process": proc, "n_list": [20]},
+        "gdca": {"process": proc, "n_list": [20]},
+        "integrals": {"process": proc, "n_list": [20],
+                      "integrand": {"type": "follower"}},
+        "sde": {"alpha": 1.5, "beta": 0.5, "n_list": [20]},
+        "sdde": {"alpha": 1.5, "n_list": [20]},
+        "metrics": {"breakpoints": 4, "witness_n": [8]},
+    }
+    cases = [
+        ("simulate", {"n": "20"}), ("simulate", {"csv_paths": "2"}),
+        ("simulate", {"process": {**proc, "innovation": {"alpha": "1.5"}}}),
+        ("simulate", {"process": {**proc, "waiting": {"beta": "0.8"}}}),
+        ("simulate", {"process": {**proc, "coefficients": [1.0, "0.5"]}}),
+        ("simulate", {"process": {**proc, "coefficients": 1.0}}),
+        ("simulate", {"process": {**proc, "past_horizon": "1"}}),
+        ("simulate", {"seed": "7"}), ("simulate", {"replications": "10"}),
+        ("simulate", {"horizon": "1"}), ("simulate", {"stream": None}),
+        ("gd", {"a": "1"}), ("gd", {"r_grid": [1.0, "2"]}), ("gd", {"c_grid": "1"}),
+        ("gdca", {"gamma": "0.1"}), ("gdca", {"n_list": ["20"]}),
+        ("integrals", {"grid_step": "0.01"}), ("integrals", {"ks_bound": True}),
+        ("integrals", {"integrand": {"type": "follower", "slope": "1"}}),
+        ("integrals", {"integrand": {"type": "follower", "gamma": "0.2"}}),
+        ("integrals", {"upsilon": {"eps_list": ["0.5"]}}),
+        ("integrals", {"upsilon": {"pieces": "8"}}),
+        ("integrals", {"upsilon": {"replications": [4]}}),
+        ("sde", {"alpha": "1.5"}), ("sde", {"beta": "0.5"}), ("sde", {"grid_step": "0.01"}),
+        ("sde", {"x0": "0"}), ("sde", {"growth": [1.0, "10", 0.5]}), ("sde", {"w1_bound": "0.1"}),
+        ("sdde", {"alpha": "1.5"}), ("sdde", {"delay": "0.5"}), ("sdde", {"eta": "0"}),
+        ("sdde", {"coefficients": ["1", 0.5]}), ("sdde", {"grid_step": "0.01"}),
+        ("sdde", {"w1_bound": "0.1"}),
+        ("metrics", {"breakpoints": "4"}), ("metrics", {"witness_n": ["8"]}),
+        # a fraction where a whole number is due was cut to its integer part
+        ("simulate", {"n": 20.5}), ("gd", {"n_list": [20, 40.5]}), ("simulate", {"replications": 9.5}),
+        ("metrics", {"witness_n": [math.inf]}),
+    ]
+    for i, (kind, over) in enumerate(cases):
+        cfg = {"kind": kind, "replications": 10, **base[kind], **over}
+        with pytest.raises(ParameterError) as err:
+            run_scenario(cfg, out=tmp_path / f"r{i}.json")
+        assert err.value.tag == "PARAM" and "number" in str(err.value), (kind, over, err.value)
+
 
 def test_gdci_report_reads_no_random_stream(tmp_path, monkeypatch):
     # the moment sums are exact: no generator is built, and two seeds write

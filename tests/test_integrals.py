@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from _brute import (
     grid_terminal_time_changed,
     operational_integral_rows,
+    padded_follower_integral_samples,
     random_step_path,
     tgrid_integral_samples,
 )
@@ -20,6 +22,7 @@ from ctrwlab import (
     SeedSpec,
     ShapeError,
     StepPath,
+    WaitingLaw,
     gen_moving_average,
 )
 from ctrwlab.integrals import (
@@ -37,7 +40,8 @@ from ctrwlab.integrals import (
     tc_grid_integral_samples,
     upsilon_estimate,
 )
-from ctrwlab.processes import terminal_samples, terminal_time_changed_samples
+from ctrwlab.exprs import make_expr
+from ctrwlab.processes import BLOCK, iter_ctrw_chunks, terminal_samples, terminal_time_changed_samples
 from ctrwlab.stats import ks_two_sample, wasserstein1
 
 
@@ -233,6 +237,69 @@ def test_follower_vectorised_matches_streams():
     assert np.all(np.isfinite(vals))
     again = follower_integral_samples(cfg, 1.0, 40, SeedSpec(204), C=1.0, gamma=0.3)
     assert np.array_equal(vals, again)
+
+
+def _follower_configs(n):
+    """An uncorrelated CTRW, a correlated one with a past shorter than its
+    filter, a magnitude-coupled walk and a moving average."""
+    yield ProcessConfig(InnovationLaw(1.5, "symmetric"), WaitingLaw(0.8), n=n)
+    yield ProcessConfig(
+        InnovationLaw(1.5, "centered"), WaitingLaw(0.6), coefficients=(1.0, 0.5, 0.25), past_horizon=1, n=n
+    )
+    yield ProcessConfig(
+        InnovationLaw(1.2, "centered"), WaitingLaw(0.6), past_horizon=2, n=n, coupling="magnitude-coupled"
+    )
+    yield ProcessConfig(InnovationLaw(1.0, "symmetric"), coefficients=(1.0, 0.5), n=n)
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+def test_follower_steps_the_padded_recursion(n):
+    # each row steps its own renewals only, with the padded sampler's
+    # arithmetic in its order, so the integrals are equal bit for bit; the
+    # last block is partial, and at n = 1 most walk rows have no renewal
+    T, reps = 1.3, BLOCK + 40
+    base = make_expr("tanh(x)", ("x",))
+    for i, cfg in enumerate(_follower_configs(n)):
+        seed = SeedSpec(740 + i, stream=n)
+        for kw in ({"C": 1.0, "gamma": 0.3}, {"base": base, "C": 0.7, "gamma": 0.4}):
+            got = follower_integral_samples(cfg, T, reps, seed, **kw)
+            assert np.array_equal(got, padded_follower_integral_samples(cfg, T, reps, seed, **kw))
+        if n == 1 and cfg.waiting is not None:
+            assert np.any(next(iter_ctrw_chunks(cfg, T, reps, seed))["counts"] == 0)
+
+
+def test_follower_block_allocates_no_padded_array():
+    # at beta = 0.5 a block's largest count K is about four times the mean,
+    # so one (m, K) float array weighs about four flat arrays of N = sum of
+    # 1 + counts slots; a follower block holds a few flat arrays at a time
+    cfg = ProcessConfig(InnovationLaw(1.5, "symmetric"), WaitingLaw(0.5), n=10**5)
+    seed = SeedSpec(730)
+    blk = next(iter_ctrw_chunks(cfg, 1.0, BLOCK, seed))
+    padded = blk["zeta"].size * 8
+    flat = int((blk["peff"] + 1 + blk["counts"]).sum()) * 8
+    del blk
+    tracemalloc.start()
+    try:
+        follower_integral_samples(cfg, 1.0, BLOCK, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert padded > 3.5 * flat  # measured 3.8
+    assert peak <= 5.0 * flat  # measured 4.4, so no (m, K) array fits on top
+    assert peak < 1.3 * padded  # measured 1.1
+
+
+def test_follower_rejects_a_bad_slope():
+    b = gen_moving_average(ProcessConfig(InnovationLaw(1.5, "symmetric"), n=20), 1.0, SeedSpec(205))
+    cfg = b.config
+    for C, gamma in ((0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ParameterError):
+            LipschitzFollower(b, C=C, gamma=gamma)
+        with pytest.raises(ParameterError):
+            follower_integral_samples(cfg, 1.0, 10, SeedSpec(206), C=C, gamma=gamma)
+    # n^gamma past the float range
+    with pytest.raises(ParameterError):
+        follower_integral_samples(cfg, 1.0, 10, SeedSpec(206), C=1.0, gamma=1e3)
 
 
 def test_sup_difference_cap():

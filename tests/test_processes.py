@@ -38,7 +38,6 @@ from ctrwlab.processes import (
     WAIT_ROUND_SHARE,
     _d_law,
     _first_passage,
-    _stack,
     _step_law,
     _t_nodes,
     _time_changed_block,
@@ -318,13 +317,20 @@ def test_wait_rounds_stop_at_each_rows_passage(beta, scale, n, T):
     first = max(WAIT_ROUND_MIN, int(WAIT_ROUND_SHARE * target**beta) + 32)
     later = max(WAIT_ROUND_MIN, first // 2)
     spec = SeedSpec(690, stream=int(n))
-    counts, rounds = _wait_rounds(law, spec.generator(0), m, target, True)
-    cols = first + (len(rounds) - 1) * later
-    J, L = (_stack(rounds, k, cols, np.inf) for k in (0, 1))
+    gen, oracle = spec.generator(0), spec.generator(0)
+    counts, Lf, Jf = _wait_rounds(law, gen, m, target, True)
+    # the rounds side by side, +inf after a row's last round
+    J, L = _brute.padded_grow_wait_matrix(law, oracle, m, target)
     assert np.array_equal(L, np.cumsum(J, axis=1))
-    assert np.array_equal(counts, (L <= target).sum(axis=1))
-    # without kept rounds the counts are the same draws'
-    assert np.array_equal(_wait_rounds(law, spec.generator(0), m, target, False)[0], counts)
+    live = L <= target
+    assert np.array_equal(counts, live.sum(axis=1))
+    # the flat arrays hold each row's live entries, row after row, and the
+    # rounds leave the generator where the oracle's leave it
+    assert np.array_equal(Lf, L[live]) and np.array_equal(Jf, J[live])
+    assert gen.random() == oracle.random()
+    # without kept entries the counts are the same draws'
+    bare, Lb, Jb = _wait_rounds(law, spec.generator(0), m, target, False)
+    assert np.array_equal(bare, counts) and Lb is None and Jb is None
     finite = np.isfinite(J).sum(axis=1)
     # +inf only after a row's finite waits, which are whole rounds
     assert np.array_equal(np.isfinite(J), np.arange(J.shape[1]) < finite[:, None])

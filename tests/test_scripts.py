@@ -45,23 +45,34 @@ def test_report_digests_check(tmp_path):
     assert r.returncode == 1
 
 
-def test_terminal_sum_scenarios_keep_their_digests(tmp_path):
-    # the scenarios whose reports sum each walk row's jumps (X^n_T) or count
-    # its renewals: a rounding move in a row sum changes their --reps 300
-    # digests in scripts/digests.txt. Those digests hold for the numpy build
-    # they were made with; one whose draws round otherwise fails here as it
-    # fails the full --check
-    wanted = ("attraction_ctrw_", "attraction_counting_", "simulate_minimal")
+def check_committed_digests(tmp_path, wanted, count):
+    """Re-run the scenarios of scripts/digests.txt whose names start with
+    one of `wanted` at --reps 300 and require `same` for each. Those digests
+    hold for the numpy build they were made with; one whose draws round
+    otherwise fails here as it fails the full --check."""
     lines = [
         line for line in (ROOT / "scripts" / "digests.txt").read_text().splitlines()
         if line.startswith(wanted)
     ]
-    assert len(lines) == 5
-    listed = tmp_path / "terminal.txt"
+    assert len(lines) == count
+    listed = tmp_path / "listed.txt"
     listed.write_text("\n".join(lines) + "\n")
     r = run_digests(["--reps", 300, "--check", listed], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
     assert r.stdout.split() == [w for line in lines for w in (line.split()[0], "same")]
+
+
+def test_terminal_sum_scenarios_keep_their_digests(tmp_path):
+    # the scenarios whose reports sum each walk row's jumps (X^n_T) or count
+    # its renewals: a rounding move in a row sum changes their digests
+    check_committed_digests(tmp_path, ("attraction_ctrw_", "attraction_counting_", "simulate_minimal"), 5)
+
+
+def test_walk_kernel_scenarios_keep_their_digests(tmp_path):
+    # the scenarios that step the follower over each row's renewals and the
+    # walk-driven SDE over its live events: a rounding move in either
+    # kernel changes their digests
+    check_committed_digests(tmp_path, ("integrals_follower_", "sde_full"), 3)
 
 
 def test_tracer_names_resolve():
