@@ -156,42 +156,53 @@ class WaitingLaw:
 
 
 def _cms_standard(alpha, skew, gen, size):
-    # Chambers-Mallows-Stuck transform of (uniform angle, unit exponential);
-    # returns S1-parametrised samples with sigma = 1. Computed in place, one
-    # ufunc at a time, in the order of the textbook expression
+    # Chambers-Mallows-Stuck transform of (uniform angle V, unit exponential
+    # W); returns S1-parametrised samples with sigma = 1. Off alpha in {1, 2}
+    # it is S sin(a) / cos(V)^(1/a) * (cos(V - a) / W)^((1 - a)/a) with
+    # a = alpha (V + B), taken in tangent form: both cosine arguments lie in
+    # (-pi/2, pi/2], where cos x = (1 + tan^2 x)^(-1/2), and
+    # sin a = 2t / (1 + t^2) with t = tan(a/2). Four arrays, in place; W is
+    # never squared, since W^2 underflows where W itself does not
     V = gen.random(size)
     V -= 0.5
     V *= np.pi
-    W = gen.exponential(1.0, size)
+    W = gen.standard_exponential(size)
     if alpha == 2.0:
         return 2.0 * np.sqrt(W) * np.sin(V)
     if alpha == 1.0:
         # skew 0 is the only admissible case here (validated upstream)
         return np.tan(V)
-    if skew == 0.0:
-        # sin(a V) / cos(V)^(1/a) * (cos((1 - a) V) / W)^((1 - a)/a)
-        out = np.multiply(alpha, V)
-        np.sin(out, out=out)
-        arg = np.multiply(1.0 - alpha, V)
-    else:
-        # S sin(a (V + B)) / cos(V)^(1/a) * (cos(V - a (V + B)) / W)^((1 - a)/a)
-        zeta = skew * math.tan(math.pi * alpha / 2.0)
-        B = math.atan(zeta) / alpha
-        S = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
-        arg = np.add(V, B)
-        arg *= alpha
-        out = np.sin(arg)
-        np.subtract(V, arg, out=arg)
-    np.cos(V, out=V)
-    V **= 1.0 / alpha
-    out /= V
-    if skew != 0.0:
-        out *= S
-    np.cos(arg, out=arg)
-    arg /= W
-    arg **= (1.0 - alpha) / alpha
-    out *= arg
-    return out
+    zeta = skew * math.tan(math.pi * alpha / 2.0)
+    B = math.atan(zeta) / alpha
+    S = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
+    arg = np.add(V, B)
+    arg *= alpha
+    out = np.multiply(arg, 0.5)
+    np.tan(out, out=out)
+    np.subtract(V, arg, out=arg)
+    # (1 + tan^2 V)^(1/(2a)) = cos(V)^(-1/a)
+    np.tan(V, out=V)
+    V *= V
+    V += 1.0
+    V **= 1.0 / (2.0 * alpha)
+    # (sqrt(1 + tan^2 (V - a)) W)^((a - 1)/a) = (cos(V - a) / W)^((1 - a)/a)
+    np.tan(arg, out=arg)
+    arg *= arg
+    arg += 1.0
+    np.sqrt(arg, out=arg)
+    arg *= W
+    arg **= (alpha - 1.0) / alpha
+    # 2S t / (1 + t^2) = S sin(a). It is multiplied in first, so a zero sine
+    # stays 0 where the product of the two powers alone would overflow. The
+    # result goes to the first array drawn, which left a lower peak RSS than
+    # the last one did
+    np.multiply(out, out, out=W)
+    W += 1.0
+    out /= W
+    out *= 2.0 * S
+    np.multiply(out, V, out=V)
+    V *= arg
+    return V
 
 
 def _stable_sigma(params):
@@ -207,7 +218,9 @@ def draw_stable(params, gen, size):
     if params.scale == 0.0:
         return np.full(size, params.shift, dtype=float)
     x = _cms_standard(params.alpha, params.skew, gen, size)
-    return params.shift + _stable_sigma(params) * x
+    x *= _stable_sigma(params)
+    x += params.shift
+    return x
 
 
 def sample_stable(params, seed, count):
@@ -220,7 +233,8 @@ def sample_stable(params, seed, count):
 def draw_innovation(law, gen, size):
     """Innovation samples from an existing Generator: the magnitudes
     U^(-1/alpha) are built in place in the array of their uniforms, and a
-    symmetric law draws its sign uniforms after all of them."""
+    symmetric law draws its sign uniforms after all of them (negative below
+    1/2)."""
     if law.mode == "gaussian":
         return law.scale * gen.standard_normal(size)
     mag = gen.random(size)
@@ -229,8 +243,11 @@ def draw_innovation(law, gen, size):
         mag -= law.alpha / (law.alpha - 1.0)
     mag *= law.scale
     if law.mode == "symmetric":
-        # negating scale * mag is exactly (-scale) * mag
-        np.negative(mag, out=mag, where=gen.random(size) < 0.5)
+        # mag > 0, so copying the sign of u - 1/2 negates exactly where
+        # u < 1/2; u = 1/2 gives +0 and keeps mag positive
+        sign = gen.random(size)
+        sign -= 0.5
+        np.copysign(mag, sign, out=mag)
     return mag
 
 

@@ -25,7 +25,8 @@ block's largest renewal count and filters the whole (m, K) matrix, and the
 padded terminal sum masks the padding away, as processes did before its
 ragged blocks. The padded follower steps the slope-capped tracker over
 every column of the padded blocks, as integrals did before it stepped each
-ragged row over its own renewals.
+ragged row over its own renewals. The trigonometric CMS transform calls sin
+and cos, as rng did before its tangent form.
 """
 
 import math
@@ -957,4 +958,43 @@ def padded_follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0,
         out[lo : lo + m] = acc
         lo += m
         del blk, zeta, times
+    return out
+
+
+def cms_standard(alpha, skew, gen, size):
+    # Chambers-Mallows-Stuck transform of (uniform angle, unit exponential);
+    # returns S1-parametrised samples with sigma = 1. Computed in place, one
+    # ufunc at a time, in the order of the textbook expression
+    V = gen.random(size)
+    V -= 0.5
+    V *= np.pi
+    W = gen.exponential(1.0, size)
+    if alpha == 2.0:
+        return 2.0 * np.sqrt(W) * np.sin(V)
+    if alpha == 1.0:
+        # skew 0 is the only admissible case here (validated upstream)
+        return np.tan(V)
+    if skew == 0.0:
+        # sin(a V) / cos(V)^(1/a) * (cos((1 - a) V) / W)^((1 - a)/a)
+        out = np.multiply(alpha, V)
+        np.sin(out, out=out)
+        arg = np.multiply(1.0 - alpha, V)
+    else:
+        # S sin(a (V + B)) / cos(V)^(1/a) * (cos(V - a (V + B)) / W)^((1 - a)/a)
+        zeta = skew * math.tan(math.pi * alpha / 2.0)
+        B = math.atan(zeta) / alpha
+        S = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
+        arg = np.add(V, B)
+        arg *= alpha
+        out = np.sin(arg)
+        np.subtract(V, arg, out=arg)
+    np.cos(V, out=V)
+    V **= 1.0 / alpha
+    out /= V
+    if skew != 0.0:
+        out *= S
+    np.cos(arg, out=arg)
+    arg /= W
+    arg **= (1.0 - alpha) / alpha
+    out *= arg
     return out

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from _brute import cms_standard
 
 from ctrwlab import (
     InnovationLaw,
@@ -15,6 +16,7 @@ from ctrwlab import (
     sample_waiting,
     wait_attractor_scale,
 )
+from ctrwlab.rng import _cms_standard
 
 
 def symmetric_stable_cdf(xs, alpha, umax=12.0, nu=6000):
@@ -93,6 +95,74 @@ def test_symmetric_cf_inversion_ks():
     cdf = np.interp(x, grid, cdf_grid, left=0.0, right=1.0)
     ks = np.max(np.abs(cdf - np.arange(1, n + 1) / n))
     assert ks < 0.02
+
+
+CMS_ALPHAS = (0.1, 0.3, 0.5, 2.0 / 3.0, 0.9, 0.999, 1.001, 1.2, 1.5, 1.8, 1.99)
+CMS_SKEWS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+def test_tangent_cms_matches_the_trigonometric_oracle():
+    # same uniforms and exponentials, same transform; only sin/cos are
+    # rewritten through tangents, so draws agree to rounding
+    for i, alpha in enumerate(CMS_ALPHAS):
+        for j, skew in enumerate(CMS_SKEWS):
+            seed = SeedSpec(67 + i, stream=j)
+            gen, oracle_gen = seed.generator(), seed.generator()
+            with np.errstate(all="ignore"):
+                got = _cms_standard(alpha, skew, gen, 100_000)
+                want = cms_standard(alpha, skew, oracle_gen, 100_000)
+            assert gen.random() == oracle_gen.random()
+            fin = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), fin), (alpha, skew)
+            rel = np.abs(got[fin] - want[fin]) <= 1e-13 * np.abs(want[fin])
+            assert np.all(rel), (alpha, skew)
+
+
+class EdgeDraws:
+    """Stub generator that returns fixed uniforms and exponentials."""
+
+    def __init__(self, u, w):
+        self.u, self.w = u, w
+
+    def random(self, size):
+        return self.u.copy()
+
+    def standard_exponential(self, size):
+        return self.w.copy()
+
+    def exponential(self, scale, size):
+        return scale * self.w
+
+
+def test_tangent_cms_edge_draws():
+    u = np.repeat([0.0, 1.0 - 2.0**-53, 0.5], 2)
+    w = np.tile([0.0, 1.0], 3)
+    for alpha in CMS_ALPHAS:
+        for skew in CMS_SKEWS:
+            with np.errstate(all="ignore"):
+                got = _cms_standard(alpha, skew, EdgeDraws(u, w), u.size)
+                want = cms_standard(alpha, skew, EdgeDraws(u, w), u.size)
+            fin = np.isfinite(want)
+            assert np.all(np.isfinite(got[fin])), (alpha, skew)
+            assert np.all(np.abs(got[fin] - want[fin]) <= 1e-13 * np.abs(want[fin])), (alpha, skew)
+            # at u = 0 (V = -pi/2) the second cosine argument V - a can round
+            # just past pi/2, where cos < 0 and its fractional power is NaN;
+            # 1 + tan^2 stays positive there
+            extra = np.isfinite(got) & ~fin
+            assert np.all(u[extra] == 0.0), (alpha, skew)
+            if (alpha, skew) == (1.5, 1.0):
+                assert np.isnan(want[1]) and np.isfinite(got[1])
+
+
+def test_skewed_s1_characteristic_function():
+    # E exp(iuX) = exp(-|u|^a (1 - i skew sgn(u) tan(pi a / 2))) at sigma = 1;
+    # the noise of a 2e5-draw mean of exp(iuX) is about 0.0022
+    us = np.array([0.3, 1.0, 2.0])
+    for k, (alpha, skew) in enumerate(((1.5, 1.0), (1.2, -0.7), (0.7, 0.4))):
+        x = sample_stable(StableParams(alpha, skew, 1.0), SeedSpec(73, stream=k), 200_000)
+        emp = np.array([np.mean(np.exp(1j * u * x)) for u in us])
+        want = np.exp(-(us**alpha) * (1.0 - 1j * skew * math.tan(math.pi * alpha / 2.0)))
+        assert np.max(np.abs(emp - want)) < 0.01, (alpha, skew)
 
 
 def test_gaussian_case():

@@ -75,6 +75,12 @@ def test_walk_kernel_scenarios_keep_their_digests(tmp_path):
     check_committed_digests(tmp_path, ("integrals_follower_", "sde_full"), 3)
 
 
+def test_stable_limit_scenarios_keep_their_digests(tmp_path):
+    # the other scenarios that draw CMS stable limits or references: a
+    # rounding move in the stable sampler changes their digests
+    check_committed_digests(tmp_path, ("integrals_deterministic", "sdde_full", "attraction_alpha"), 6)
+
+
 def test_tracer_names_resolve():
     # the tracer wraps public functions by name; a renamed function would
     # leave its per-layer metric silently at zero
