@@ -23,13 +23,13 @@ from .processes import (
     INNOVATION_LANE,
     LIMIT_BLOCK,
     WAIT_LANE,
-    _blocks,
     _d_law,
     _first_passage,
     _inverse_at,
     _step_law,
     _z_law,
     iter_ctrw_chunks,
+    ragged_blocks,
 )
 from .rng import draw_stable
 from .stats import DiagnosticReport, Estimate, mean_estimate
@@ -425,7 +425,7 @@ def follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=
     out = np.empty(reps)
     lo = 0
     g0 = float(base(0.0))
-    for rb in _blocks(config, T, reps, seed, True):
+    for rb in ragged_blocks(config, T, reps, seed, True):
         counts, times, peff, starts = rb["counts"], rb["times"], rb["peff"], rb["starts"]
         zeta = rb["zeta"]
         del rb

@@ -4,8 +4,9 @@ All three are exact. d_j1 works on step paths: the optimal time warp is
 piecewise linear with knots at jump times, so the infimum reduces to a
 min-max dynamic program over jump alignments. d_m1 is the continuous
 Frechet distance under the max norm between the completed graphs, which
-are polylines (staircases for step paths); it is found by a binary search
-over closed-form critical values with the Alt-Godau reachability decision.
+are polylines (staircases for step paths); it is found by a search over
+closed-form critical values with the Alt-Godau reachability decision, which
+visits only the reachable cells of the free space.
 """
 
 from dataclasses import dataclass
@@ -69,41 +70,44 @@ def d_j1(x, y):
     lx = x0 + np.concatenate([[0.0], np.cumsum(dx)])
     ly = y0 + np.concatenate([[0.0], np.cumsum(dy)])
     # value cost of visiting state (i, j)
-    state = np.abs(lx[:, None] - ly[None, :])
+    state = np.abs(lx[:, None] - ly[None, :]).tolist()
     # slot boundaries on the y timeline: slot j is [t_j, t_{j+1}]
-    lo = np.concatenate([[0.0], sy])
-    hi = np.concatenate([sy, [T]])
+    lo = [0.0] + sy.tolist()
+    hi = sy.tolist() + [T]
+    sx, sy = sx.tolist(), sy.tolist()
     INF = float("inf")
-    dp = np.full((p + 1, q + 1), INF)
-    move = np.zeros((p + 1, q + 1), dtype=np.int8)
-    dp[0, 0] = state[0, 0]
+    # pulled in row order, each state tries its moves in the order 3, 1, 2
+    # (the order in which a row-major sweep reaches their sources) and keeps
+    # a later one only if it is strictly cheaper
+    prev, moves = None, []
     for i in range(p + 1):
+        st = state[i]
+        cur, move = [INF] * (q + 1), [0] * (q + 1)
+        if i == 0:
+            cur[0] = st[0]
+        s = sx[i - 1] if i else 0.0
         for j in range(q + 1):
-            base = dp[i, j]
-            if base == INF:
-                continue
-            if i < p:
-                # place x-jump i+1 inside slot j: time cost = distance to the slot
-                c = max(base, max(0.0, lo[j] - sx[i], sx[i] - hi[j]), state[i + 1, j])
-                if c < dp[i + 1, j]:
-                    dp[i + 1, j] = c
-                    move[i + 1, j] = 1
-            if j < q:
-                c = max(base, state[i, j + 1])
-                if c < dp[i, j + 1]:
-                    dp[i, j + 1] = c
-                    move[i, j + 1] = 2
-            if i < p and j < q:
+            if i and j:
                 # merge the jumps: they fire simultaneously after the warp
-                c = max(base, abs(sx[i] - sy[j]), state[i + 1, j + 1])
-                if c < dp[i + 1, j + 1]:
-                    dp[i + 1, j + 1] = c
-                    move[i + 1, j + 1] = 3
+                c = max(prev[j - 1], abs(s - sy[j - 1]), st[j])
+                if c < cur[j]:
+                    cur[j], move[j] = c, 3
+            if i:
+                # place x-jump i inside slot j: time cost = distance to the slot
+                c = max(prev[j], max(0.0, lo[j] - s, s - hi[j]), st[j])
+                if c < cur[j]:
+                    cur[j], move[j] = c, 1
+            if j:
+                c = max(cur[j - 1], st[j])
+                if c < cur[j]:
+                    cur[j], move[j] = c, 2
+        moves.append(move)
+        prev = cur
     # recover the matching for the witness
     matched = 0
     i, j = p, q
     while i > 0 or j > 0:
-        m = move[i, j]
+        m = moves[i][j]
         if m == 3:
             matched += 1
             i, j = i - 1, j - 1
@@ -112,7 +116,7 @@ def d_j1(x, y):
         else:
             j -= 1
     return MetricResult(
-        float(dp[p, q]),
+        float(prev[q]),
         witness=f"{matched} jump pair(s) matched of {p} vs {q}",
         exact=True,
     )
@@ -172,83 +176,148 @@ def _free_space(a, b):
     return u, span, flat, dist
 
 
-def _monotone_values(u, span, dist, floor):
-    """Type (c) critical values: for vertices i < k against one segment, the
-    eps at which the lower end of i's free interval meets the upper end of
-    k's, (x_i,c - x_k,c') / (w_c + w_c') in Alt-Godau's terms, i.e.
-    (u_i,c span_c' - u_k,c' span_c) / (span_c + span_c'), which is
-    (u_i,c - u_k,c) / 2 for c = c'. Kept only where it is at least `floor`
-    and both intervals are open; pairs through a d_c = 0 coordinate are nan
-    and drop out."""
-    i, k = np.triu_indices(u.shape[0], 1)
-    ui, uk = u[i], u[k]
-    val = (ui[..., :, None] * span[:, None, :] - uk[..., None, :] * span[:, :, None]) / (
-        span[:, :, None] + span[:, None, :]
-    )
-    val[..., [0, 1], [0, 1]] = (ui - uk) / 2.0
-    need = np.maximum(np.maximum(dist[i], dist[k]), floor)[..., None, None]
-    return val[val >= need]
+def _segment_values(params, lo, hi):
+    """Type (c) critical values in (lo, hi): for vertices i < k against one
+    segment, the eps at which the lower end of i's free interval meets the
+    upper end of k's, (x_i,c - x_k,c') / (w_c + w_c') in Alt-Godau's terms,
+    i.e. (u_i,c span_c' - u_k,c' span_c) / (span_c + span_c'), which is
+    (u_i,c - u_k,c) / 2 for c = c'. One counts only once both intervals are
+    open, so a segment takes only the vertex pairs whose distances to it are
+    both below hi, one segment at a time; pairs through a d_c = 0
+    coordinate are nan and drop out."""
+    u, span, _, dist = params
+    vals = []
+    for j, s in enumerate(span):
+        near = np.flatnonzero(dist[:, j] < hi)
+        i, k = (near[t] for t in np.triu_indices(near.size, 1))
+        ui, uk = u[i, j], u[k, j]
+        need = np.maximum(dist[i, j], dist[k, j])
+        if np.isnan(s).any():
+            # one coordinate c moves (a staircase segment): only c = c' counts
+            c = int(np.isnan(s[0]))
+            val = (ui[:, c] - uk[:, c]) / 2.0
+        else:
+            val = (ui[:, :, None] * s[None, :] - uk[:, None, :] * s[:, None]) / (s[:, None] + s[None, :])
+            val[:, [0, 1], [0, 1]] = (ui - uk) / 2.0
+            need = need[:, None, None]
+        vals.append(val[(val >= need) & (val > lo) & (val < hi)])
+    return np.concatenate(vals)
 
 
-def _intervals(params, eps):
-    """Free intervals at eps, from _free_space's params, as nested lists
-    (lo, hi); empty where lo > hi. A segment too short for the division
-    gives +-inf ends, which clamp."""
+def _edges(params):
+    """_free_space's params for the decision, as flat memoryviews of its
+    arrays (no per-float objects): u_c and flat of vertex i against segment
+    j at 2 (i m + j) + c and i m + j, (span_0, span_1) per segment, and the
+    segment count m."""
     u, span, flat, _ = params
-    with np.errstate(over="ignore"):
-        lo = np.fmax(np.fmax.reduce((u - eps) / span, axis=2), 0.0)
-        hi = np.fmin(np.fmin.reduce((u + eps) / span, axis=2), 1.0)
-    lo[flat > eps] = np.inf
-    return lo.tolist(), hi.tolist()
+    return memoryview(u.reshape(-1)), memoryview(flat.reshape(-1)), span.tolist(), span.shape[0]
 
 
-def _frechet_at_most(eps, pa, pb):
+def _free_interval(edges, i, j, eps):
+    """The free interval (lo, hi) of vertex i against segment j at eps, or
+    None where it is empty: [max(0, max_c (u_c - eps) / span_c),
+    min(1, min_c (u_c + eps) / span_c)] over the coordinates with d_c != 0,
+    empty where flat > eps (_free_space). A segment too short for the
+    division gives +-inf ends, which clamp."""
+    u, flat, span, m = edges
+    k = i * m + j
+    if flat[k] > eps:
+        return None
+    s0, s1 = span[j]
+    u0, u1 = u[2 * k], u[2 * k + 1]
+    if s0 != s0:
+        lo, hi = (u1 - eps) / s1, (u1 + eps) / s1
+    elif s1 != s1:
+        lo, hi = (u0 - eps) / s0, (u0 + eps) / s0
+    else:
+        lo = max((u0 - eps) / s0, (u1 - eps) / s1)
+        hi = min((u0 + eps) / s0, (u1 + eps) / s1)
+    lo, hi = max(lo, 0.0), min(hi, 1.0)
+    return (lo, hi) if lo <= hi else None
+
+
+def _frechet_at_most(eps, ea, eb):
     """Alt-Godau decision: is the Frechet distance <= eps?
 
-    pa holds the free-space parameters of the vertices of a against the
-    segments of b (the vertical cell edges), pb those of b against a (the
-    horizontal ones). Cells are convex under L-inf, so the reachable part of
-    each cell edge is the free interval cut below at one entry point, which
-    is all that is propagated (None where nothing is reachable).
+    ea holds the edges (_edges) of the vertices of a against the segments
+    of b (the vertical cell edges), eb those of b against a (the horizontal
+    ones). Cells are convex under L-inf, so the reachable part of each cell
+    edge is the free interval cut below at one entry point, which is all
+    that is propagated. A row of cells is swept only where something enters
+    it, from the left or from below, so only reachable cells are visited.
     """
-    vlo, vhi = _intervals(pa, eps)
-    hlo, hhi = _intervals(pb, eps)
-    n, m = len(vlo) - 1, len(hlo) - 1
+    n, m = eb[-1], ea[-1]
     # an edge on s = 0 or t = 0 is reachable from (0, 0) while it is free at
     # its start and every edge before it is free end to end
-    left, ok = [], True
+    left = []
     for j in range(m):
-        ok = ok and vlo[0][j] == 0.0 <= vhi[0][j]
-        left.append(0.0 if ok else None)
-        ok = ok and vhi[0][j] >= 1.0
+        iv = _free_interval(ea, 0, j, eps)
+        if iv is None or iv[0] != 0.0:
+            break
+        left.append((j, 0.0))
+        if iv[1] < 1.0:
+            break
     ok = True
     for i in range(n):
-        ok = ok and hlo[0][i] == 0.0 <= hhi[0][i]
+        iv = _free_interval(eb, 0, i, eps) if ok else None
+        ok = iv is not None and iv[0] == 0.0
         below = 0.0 if ok else None
-        ok = ok and hhi[0][i] >= 1.0
-        right = []
-        lo_r, hi_r = vlo[i + 1], vhi[i + 1]
-        for j in range(m):
-            into = left[j]
-            if lo_r[j] > hi_r[j]:
-                right.append(None)
-            elif below is not None:
-                right.append(lo_r[j])
-            elif into is not None and max(into, lo_r[j]) <= hi_r[j]:
-                right.append(max(into, lo_r[j]))
+        ok = ok and iv[1] >= 1.0
+        # (j, entry) of the reachable right edges, in column order
+        right, k, j = [], 0, 0
+        while True:
+            if below is None:
+                if k == len(left):
+                    break
+                j, into = left[k]
+                k += 1
+            elif j == m:
+                break
+            elif k < len(left) and left[k][0] == j:
+                into = left[k][1]
+                k += 1
             else:
-                right.append(None)
-            lo_t, hi_t = hlo[j + 1][i], hhi[j + 1][i]
-            if lo_t > hi_t:
+                into = None
+            iv = _free_interval(ea, i + 1, j, eps)
+            if iv is not None:
+                if below is not None:
+                    right.append((j, iv[0]))
+                elif max(into, iv[0]) <= iv[1]:
+                    right.append((j, max(into, iv[0])))
+            iv = _free_interval(eb, j + 1, i, eps)
+            if iv is None:
                 below = None
             elif into is not None:
-                below = lo_t
-            elif below is not None and max(below, lo_t) <= hi_t:
-                below = max(below, lo_t)
+                below = iv[0]
+            elif max(below, iv[0]) <= iv[1]:
+                below = max(below, iv[0])
             else:
                 below = None
+            j += 1
         left = right
-    return left[m - 1] is not None and vhi[n][m - 1] >= 1.0
+        if not left and not ok:
+            return False
+    return bool(left) and left[-1][0] == m - 1 and _free_interval(ea, n, m - 1, eps)[1] >= 1.0
+
+
+def _first_feasible(vals, feasible, hi):
+    """The first index of the sorted vals at which `feasible`, monotone in
+    its argument, holds, given that it holds at vals[hi] (or hi = vals.size):
+    a gallop from the front, then a binary search."""
+    lo, step = -1, 1
+    while lo + step < hi:
+        if feasible(vals[lo + step]):
+            hi = lo + step
+            break
+        lo += step
+        step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(vals[mid]):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def d_m1(x, y):
@@ -260,16 +329,20 @@ def d_m1(x, y):
     Stochastic-Process Limits, 2002, ch. 12), i.e. the Frechet distance
     between the graph polylines under the max norm. It is computed as in
     Alt & Godau, "Computing the Frechet distance between two polygonal
-    curves", IJCGA 5 (1995): the distance is one of the critical values
+    curves", IJCGA 5 (1995): the distance is the smallest feasible one of
+    the critical values
       (a) the distances between the two start and the two end vertices,
       (b) the L-inf distance from a vertex to a segment of the other curve,
       (c) (x_i,c - x_k,c') / (w_c + w_c') for vertices i < k against one
           segment, with x = r/d and w = 1/|d| per coordinate (_free_space,
-          _monotone_values),
-    which are found in closed form, and a binary search over them with the
-    reachability decision picks the smallest one that is feasible. The
-    decision runs at eps padded by a relative 1e-12 so an exactly critical
-    eps lands on the feasible side of rounding.
+          _segment_values),
+    all in closed form. A gallop from the lower bound `floor` over the sorted
+    (a) and (b) values, with the reachability decision, brackets the answer
+    in (lo, hi] between two of them; `floor` itself, the usual answer, takes
+    one decision. Only the (c) values in (lo, hi) are then built, and a
+    binary search over them picks the smallest feasible one. The decision
+    runs at eps padded by a relative 1e-12 so an exactly critical eps lands
+    on the feasible side of rounding.
     """
     for p in (x, y):
         if not isinstance(p, (StepPath, GridPath)):
@@ -286,16 +359,21 @@ def d_m1(x, y):
     ends = np.abs(np.array([a[0] - b[0], a[-1] - b[-1]])).max(axis=1)
     # every vertex has to be matched somewhere: a lower bound that is itself critical
     floor = max(ends.max(), pa[3].min(axis=1).max(), pb[3].min(axis=1).max())
-    cands = [ends]
-    for u, span, _, dist in (pa, pb):
-        cands += [dist.ravel(), _monotone_values(u, span, dist, floor)]
-    cands = np.concatenate(cands)
-    cands = np.unique(cands[cands >= floor])
-    lo, hi = 0, cands.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _frechet_at_most(float(cands[mid]) * (1.0 + 1e-12), pa, pb):
-            hi = mid
-        else:
-            lo = mid + 1
-    return MetricResult(float(cands[lo]), witness=f"{witness}, {cands.size} critical values")
+    crit = np.concatenate([ends, pa[3].ravel(), pb[3].ravel()])
+    crit = np.unique(crit[crit >= floor])
+    ea, eb = _edges(pa), _edges(pb)
+
+    def feasible(eps):
+        return _frechet_at_most(float(eps) * (1.0 + 1e-12), ea, eb)
+
+    k = _first_feasible(crit, feasible, crit.size)
+    if k > 0:
+        lo, hi = crit[k - 1], (crit[k] if k < crit.size else np.inf)
+        # hi is feasible and the largest candidate. Past the largest (a)/(b)
+        # value the largest (c) value is taken as feasible, as a search over
+        # every candidate takes its largest one; crit[-1] then stays in
+        # front so that the list is never empty
+        top = crit[k : k + 1] if k < crit.size else crit[-1:]
+        crit = np.unique(np.concatenate([_segment_values(pa, lo, hi), _segment_values(pb, lo, hi), top]))
+        k = _first_feasible(crit, feasible, crit.size - 1)
+    return MetricResult(float(crit[k]), witness=f"{witness}, {crit.size} critical values in the last search")

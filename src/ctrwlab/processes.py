@@ -671,9 +671,10 @@ def _padded(config, T, rb):
     }
 
 
-def _blocks(config, T, reps, seed, keep):
-    """The ragged replication blocks of `reps` replications: block b of
-    BLOCK rows draws from seed.generator((lane, b * BLOCK))."""
+def ragged_blocks(config, T, reps, seed, keep):
+    """Yield the ragged replication blocks (_block dicts; with `keep`, the
+    jump times and waits too) of `reps` replications: block b of BLOCK rows
+    draws from seed.generator((lane, b * BLOCK))."""
     if not T > 0:
         raise ParameterError("horizon must be > 0")
     for lo in range(0, reps, BLOCK):
@@ -693,11 +694,11 @@ def iter_ctrw_chunks(config, T, reps, seed):
       counts: per-row number of jumps with L_k <= nT
       mask:  boolean validity mask for the k columns
     Moving averages (waiting=None) have deterministic times k/n and full mask.
-    Past a row's count theta and zeta are zero: the blocks are the ragged
-    blocks of _blocks padded to the largest count (_padded). The per-path
+    Past a row's count theta and zeta are zero: the blocks are those of
+    ragged_blocks padded to the largest count (_padded). The per-path
     generators are the one-row block on seed.generator(lane).
     """
-    yield from map(lambda rb: _padded(config, T, rb), _blocks(config, T, reps, seed, True))
+    yield from map(lambda rb: _padded(config, T, rb), ragged_blocks(config, T, reps, seed, True))
 
 
 def terminal_samples(config, T, reps, seed):
@@ -705,7 +706,7 @@ def terminal_samples(config, T, reps, seed):
     over its own segment of the ragged blocks, no padded block built."""
     out = np.empty(reps)
     lo = 0
-    for rb in _blocks(config, T, reps, seed, False):
+    for rb in ragged_blocks(config, T, reps, seed, False):
         m = rb["counts"].size
         out[lo : lo + m] = np.add.reduceat(rb["zeta"], rb["starts"][:-1])
         lo += m

@@ -155,14 +155,22 @@ class WaitingLaw:
             raise ParameterError("scale must be > 0", tag="PARAM_SCALE")
 
 
+# entries per slice of the CMS transform: two slice-sized scratch arrays
+# (256 KB) stay in L2 while the slice passes through its ufuncs
+CMS_SLICE = 16384
+
+
 def _cms_standard(alpha, skew, gen, size):
     # Chambers-Mallows-Stuck transform of (uniform angle V, unit exponential
     # W); returns S1-parametrised samples with sigma = 1. Off alpha in {1, 2}
     # it is S sin(a) / cos(V)^(1/a) * (cos(V - a) / W)^((1 - a)/a) with
     # a = alpha (V + B), taken in tangent form: both cosine arguments lie in
     # (-pi/2, pi/2], where cos x = (1 + tan^2 x)^(-1/2), and
-    # sin a = 2t / (1 + t^2) with t = tan(a/2). Four arrays, in place; W is
-    # never squared, since W^2 underflows where W itself does not
+    # sin a = 2t / (1 + t^2) with t = tan(a/2). V and W are the only
+    # full-size arrays: the transform runs over CMS_SLICE entries at a time
+    # with two slice-sized scratch arrays, elementwise as on whole arrays,
+    # and writes the result into V. W is never squared, since W^2
+    # underflows where W itself does not
     V = gen.random(size)
     V -= 0.5
     V *= np.pi
@@ -175,33 +183,37 @@ def _cms_standard(alpha, skew, gen, size):
     zeta = skew * math.tan(math.pi * alpha / 2.0)
     B = math.atan(zeta) / alpha
     S = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
-    arg = np.add(V, B)
-    arg *= alpha
-    out = np.multiply(arg, 0.5)
-    np.tan(out, out=out)
-    np.subtract(V, arg, out=arg)
-    # (1 + tan^2 V)^(1/(2a)) = cos(V)^(-1/a)
-    np.tan(V, out=V)
-    V *= V
-    V += 1.0
-    V **= 1.0 / (2.0 * alpha)
-    # (sqrt(1 + tan^2 (V - a)) W)^((a - 1)/a) = (cos(V - a) / W)^((1 - a)/a)
-    np.tan(arg, out=arg)
-    arg *= arg
-    arg += 1.0
-    np.sqrt(arg, out=arg)
-    arg *= W
-    arg **= (alpha - 1.0) / alpha
-    # 2S t / (1 + t^2) = S sin(a). It is multiplied in first, so a zero sine
-    # stays 0 where the product of the two powers alone would overflow. The
-    # result goes to the first array drawn, which left a lower peak RSS than
-    # the last one did
-    np.multiply(out, out, out=W)
-    W += 1.0
-    out /= W
-    out *= 2.0 * S
-    np.multiply(out, V, out=V)
-    V *= arg
+    flat_v, flat_w = V.reshape(-1), W.reshape(-1)
+    scratch = np.empty((2, min(CMS_SLICE, V.size)))
+    for lo in range(0, V.size, CMS_SLICE):
+        v, w = flat_v[lo : lo + CMS_SLICE], flat_w[lo : lo + CMS_SLICE]
+        arg, out = scratch[:, : v.size]
+        np.add(v, B, out=arg)
+        arg *= alpha
+        np.multiply(arg, 0.5, out=out)
+        np.tan(out, out=out)
+        np.subtract(v, arg, out=arg)
+        # (1 + tan^2 V)^(1/(2a)) = cos(V)^(-1/a)
+        np.tan(v, out=v)
+        v *= v
+        v += 1.0
+        v **= 1.0 / (2.0 * alpha)
+        # (sqrt(1 + tan^2 (V - a)) W)^((a - 1)/a) = (cos(V - a) / W)^((1 - a)/a)
+        np.tan(arg, out=arg)
+        arg *= arg
+        arg += 1.0
+        np.sqrt(arg, out=arg)
+        arg *= w
+        arg **= (alpha - 1.0) / alpha
+        # 2S t / (1 + t^2) = S sin(a). It is multiplied in first, so a zero
+        # sine stays 0 where the product of the two powers alone would
+        # overflow
+        np.multiply(out, out, out=w)
+        w += 1.0
+        out /= w
+        out *= 2.0 * S
+        np.multiply(out, v, out=v)
+        v *= arg
     return V
 
 

@@ -26,7 +26,10 @@ padded terminal sum masks the padding away, as processes did before its
 ragged blocks. The padded follower steps the slope-capped tracker over
 every column of the padded blocks, as integrals did before it stepped each
 ragged row over its own renewals. The trigonometric CMS transform calls sin
-and cos, as rng did before its tangent form.
+and cos, as rng did before its tangent form, and the tangent CMS transform
+holds four full-size arrays, as rng did before it ran in slices. The scalar
+J1 program and the all-pairs M1 distance are the metrics as they were before
+the J1 program ran on lists and M1 bracketed its answer first.
 """
 
 import math
@@ -34,7 +37,7 @@ import warnings
 
 import numpy as np
 
-from ctrwlab import DataError, GridPath, ParameterError, StepPath
+from ctrwlab import DataError, GridPath, ParameterError, ShapeError, StepPath
 from ctrwlab.processes import (
     BLOCK,
     COUNT_BLOCK,
@@ -58,6 +61,13 @@ from ctrwlab.processes import (
     iter_ctrw_chunks,
 )
 from ctrwlab.integrals import _follow
+from ctrwlab.metrics import (
+    MetricResult,
+    _canonical_jumps,
+    _check_common_horizon,
+    _free_space,
+    _graph_vertices,
+)
 from ctrwlab.rng import draw_stable
 from ctrwlab.sde import _History
 
@@ -998,3 +1008,258 @@ def cms_standard(alpha, skew, gen, size):
     arg **= (1.0 - alpha) / alpha
     out *= arg
     return out
+
+
+def tangent_cms_standard(alpha, skew, gen, size):
+    # rng._cms_standard as it was before it ran in slices, four full-size
+    # arrays at once. Chambers-Mallows-Stuck transform of (uniform angle V,
+    # unit exponential W); returns S1-parametrised samples with sigma = 1. Off alpha in {1, 2}
+    # it is S sin(a) / cos(V)^(1/a) * (cos(V - a) / W)^((1 - a)/a) with
+    # a = alpha (V + B), taken in tangent form: both cosine arguments lie in
+    # (-pi/2, pi/2], where cos x = (1 + tan^2 x)^(-1/2), and
+    # sin a = 2t / (1 + t^2) with t = tan(a/2). Four arrays, in place; W is
+    # never squared, since W^2 underflows where W itself does not
+    V = gen.random(size)
+    V -= 0.5
+    V *= np.pi
+    W = gen.standard_exponential(size)
+    if alpha == 2.0:
+        return 2.0 * np.sqrt(W) * np.sin(V)
+    if alpha == 1.0:
+        # skew 0 is the only admissible case here (validated upstream)
+        return np.tan(V)
+    zeta = skew * math.tan(math.pi * alpha / 2.0)
+    B = math.atan(zeta) / alpha
+    S = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
+    arg = np.add(V, B)
+    arg *= alpha
+    out = np.multiply(arg, 0.5)
+    np.tan(out, out=out)
+    np.subtract(V, arg, out=arg)
+    # (1 + tan^2 V)^(1/(2a)) = cos(V)^(-1/a)
+    np.tan(V, out=V)
+    V *= V
+    V += 1.0
+    V **= 1.0 / (2.0 * alpha)
+    # (sqrt(1 + tan^2 (V - a)) W)^((a - 1)/a) = (cos(V - a) / W)^((1 - a)/a)
+    np.tan(arg, out=arg)
+    arg *= arg
+    arg += 1.0
+    np.sqrt(arg, out=arg)
+    arg *= W
+    arg **= (alpha - 1.0) / alpha
+    # 2S t / (1 + t^2) = S sin(a). It is multiplied in first, so a zero sine
+    # stays 0 where the product of the two powers alone would overflow. The
+    # result goes to the first array drawn, which left a lower peak RSS than
+    # the last one did
+    np.multiply(out, out, out=W)
+    W += 1.0
+    out /= W
+    out *= 2.0 * S
+    np.multiply(out, V, out=V)
+    V *= arg
+    return V
+
+
+def scalar_d_j1(x, y):
+    """Exact J1 distance between step paths, as metrics.d_j1 computed it
+    before its dynamic program ran on lists: numpy scalar indexing, pushing
+    each state to its successors.
+
+    inf over increasing bijections lam of max(||lam - id||, ||x o lam - y||).
+    For step paths the optimum interleaves the two jump sequences; a jump of
+    x placed strictly inside a y-cell pays its displacement to that cell,
+    a jump matched to a y-jump pays their time gap, and every level pair that
+    becomes visible on the way pays |x_level - y_level|. The min-max dynamic
+    program below scans that lattice.
+    """
+    if not isinstance(x, StepPath) or not isinstance(y, StepPath):
+        raise ShapeError("d_j1 is defined for step paths")
+    T = _check_common_horizon(x, y)
+    x0, sx, dx = _canonical_jumps(x)
+    y0, sy, dy = _canonical_jumps(y)
+    p, q = dx.size, dy.size
+    # levels after consuming i jumps
+    lx = x0 + np.concatenate([[0.0], np.cumsum(dx)])
+    ly = y0 + np.concatenate([[0.0], np.cumsum(dy)])
+    # value cost of visiting state (i, j)
+    state = np.abs(lx[:, None] - ly[None, :])
+    # slot boundaries on the y timeline: slot j is [t_j, t_{j+1}]
+    lo = np.concatenate([[0.0], sy])
+    hi = np.concatenate([sy, [T]])
+    INF = float("inf")
+    dp = np.full((p + 1, q + 1), INF)
+    move = np.zeros((p + 1, q + 1), dtype=np.int8)
+    dp[0, 0] = state[0, 0]
+    for i in range(p + 1):
+        for j in range(q + 1):
+            base = dp[i, j]
+            if base == INF:
+                continue
+            if i < p:
+                # place x-jump i+1 inside slot j: time cost = distance to the slot
+                c = max(base, max(0.0, lo[j] - sx[i], sx[i] - hi[j]), state[i + 1, j])
+                if c < dp[i + 1, j]:
+                    dp[i + 1, j] = c
+                    move[i + 1, j] = 1
+            if j < q:
+                c = max(base, state[i, j + 1])
+                if c < dp[i, j + 1]:
+                    dp[i, j + 1] = c
+                    move[i, j + 1] = 2
+            if i < p and j < q:
+                # merge the jumps: they fire simultaneously after the warp
+                c = max(base, abs(sx[i] - sy[j]), state[i + 1, j + 1])
+                if c < dp[i + 1, j + 1]:
+                    dp[i + 1, j + 1] = c
+                    move[i + 1, j + 1] = 3
+    # recover the matching for the witness
+    matched = 0
+    i, j = p, q
+    while i > 0 or j > 0:
+        m = move[i, j]
+        if m == 3:
+            matched += 1
+            i, j = i - 1, j - 1
+        elif m == 1:
+            i -= 1
+        else:
+            j -= 1
+    return MetricResult(
+        float(dp[p, q]),
+        witness=f"{matched} jump pair(s) matched of {p} vs {q}",
+        exact=True,
+    )
+
+
+
+def _allpairs_monotone_values(u, span, dist, floor):
+    """Type (c) critical values: for vertices i < k against one segment, the
+    eps at which the lower end of i's free interval meets the upper end of
+    k's, (x_i,c - x_k,c') / (w_c + w_c') in Alt-Godau's terms, i.e.
+    (u_i,c span_c' - u_k,c' span_c) / (span_c + span_c'), which is
+    (u_i,c - u_k,c) / 2 for c = c'. Kept only where it is at least `floor`
+    and both intervals are open; pairs through a d_c = 0 coordinate are nan
+    and drop out."""
+    i, k = np.triu_indices(u.shape[0], 1)
+    ui, uk = u[i], u[k]
+    val = (ui[..., :, None] * span[:, None, :] - uk[..., None, :] * span[:, :, None]) / (
+        span[:, :, None] + span[:, None, :]
+    )
+    val[..., [0, 1], [0, 1]] = (ui - uk) / 2.0
+    need = np.maximum(np.maximum(dist[i], dist[k]), floor)[..., None, None]
+    return val[val >= need]
+
+
+def _grid_intervals(params, eps):
+    """Free intervals at eps, from _free_space's params, as nested lists
+    (lo, hi); empty where lo > hi. A segment too short for the division
+    gives +-inf ends, which clamp."""
+    u, span, flat, _ = params
+    with np.errstate(over="ignore"):
+        lo = np.fmax(np.fmax.reduce((u - eps) / span, axis=2), 0.0)
+        hi = np.fmin(np.fmin.reduce((u + eps) / span, axis=2), 1.0)
+    lo[flat > eps] = np.inf
+    return lo.tolist(), hi.tolist()
+
+
+def _grid_frechet_at_most(eps, pa, pb):
+    """Alt-Godau decision: is the Frechet distance <= eps?
+
+    pa holds the free-space parameters of the vertices of a against the
+    segments of b (the vertical cell edges), pb those of b against a (the
+    horizontal ones). Cells are convex under L-inf, so the reachable part of
+    each cell edge is the free interval cut below at one entry point, which
+    is all that is propagated (None where nothing is reachable).
+    """
+    vlo, vhi = _grid_intervals(pa, eps)
+    hlo, hhi = _grid_intervals(pb, eps)
+    n, m = len(vlo) - 1, len(hlo) - 1
+    # an edge on s = 0 or t = 0 is reachable from (0, 0) while it is free at
+    # its start and every edge before it is free end to end
+    left, ok = [], True
+    for j in range(m):
+        ok = ok and vlo[0][j] == 0.0 <= vhi[0][j]
+        left.append(0.0 if ok else None)
+        ok = ok and vhi[0][j] >= 1.0
+    ok = True
+    for i in range(n):
+        ok = ok and hlo[0][i] == 0.0 <= hhi[0][i]
+        below = 0.0 if ok else None
+        ok = ok and hhi[0][i] >= 1.0
+        right = []
+        lo_r, hi_r = vlo[i + 1], vhi[i + 1]
+        for j in range(m):
+            into = left[j]
+            if lo_r[j] > hi_r[j]:
+                right.append(None)
+            elif below is not None:
+                right.append(lo_r[j])
+            elif into is not None and max(into, lo_r[j]) <= hi_r[j]:
+                right.append(max(into, lo_r[j]))
+            else:
+                right.append(None)
+            lo_t, hi_t = hlo[j + 1][i], hhi[j + 1][i]
+            if lo_t > hi_t:
+                below = None
+            elif into is not None:
+                below = lo_t
+            elif below is not None and max(below, lo_t) <= hi_t:
+                below = max(below, lo_t)
+            else:
+                below = None
+        left = right
+    return left[m - 1] is not None and vhi[n][m - 1] >= 1.0
+
+
+
+def allpairs_d_m1(x, y):
+    """Exact M1 distance: the continuous Frechet distance under L-inf between
+    the completed graphs of x and y, as metrics.d_m1 computed it before its
+    floor-first bracket: every type (c) critical value at once, and the
+    decision run over every cell.
+
+    M1 is the infimum over parametric representations of the completed
+    graphs of the sup-norm distance in time and space (Whitt,
+    Stochastic-Process Limits, 2002, ch. 12), i.e. the Frechet distance
+    between the graph polylines under the max norm. It is computed as in
+    Alt & Godau, "Computing the Frechet distance between two polygonal
+    curves", IJCGA 5 (1995): the distance is one of the critical values
+      (a) the distances between the two start and the two end vertices,
+      (b) the L-inf distance from a vertex to a segment of the other curve,
+      (c) (x_i,c - x_k,c') / (w_c + w_c') for vertices i < k against one
+          segment, with x = r/d and w = 1/|d| per coordinate (_free_space,
+          _allpairs_monotone_values),
+    which are found in closed form, and a binary search over them with the
+    reachability decision picks the smallest one that is feasible. The
+    decision runs at eps padded by a relative 1e-12 so an exactly critical
+    eps lands on the feasible side of rounding.
+    """
+    for p in (x, y):
+        if not isinstance(p, (StepPath, GridPath)):
+            raise ShapeError("d_m1 is defined for StepPath and GridPath")
+    T = _check_common_horizon(x, y)
+    a = _graph_vertices(x, T)
+    b = _graph_vertices(y, T)
+    witness = f"continuous Frechet on {len(a)} x {len(b)} graph vertices"
+    if len(a) == 1 or len(b) == 1:
+        # a point is matched to the whole other curve
+        val = float(np.abs(a[:, None, :] - b[None, :, :]).max())
+        return MetricResult(val, witness=witness)
+    pa, pb = _free_space(a, b), _free_space(b, a)
+    ends = np.abs(np.array([a[0] - b[0], a[-1] - b[-1]])).max(axis=1)
+    # every vertex has to be matched somewhere: a lower bound that is itself critical
+    floor = max(ends.max(), pa[3].min(axis=1).max(), pb[3].min(axis=1).max())
+    cands = [ends]
+    for u, span, _, dist in (pa, pb):
+        cands += [dist.ravel(), _allpairs_monotone_values(u, span, dist, floor)]
+    cands = np.concatenate(cands)
+    cands = np.unique(cands[cands >= floor])
+    lo, hi = 0, cands.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _grid_frechet_at_most(float(cands[mid]) * (1.0 + 1e-12), pa, pb):
+            hi = mid
+        else:
+            lo = mid + 1
+    return MetricResult(float(cands[lo]), witness=f"{witness}, {cands.size} critical values")

@@ -1,10 +1,22 @@
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrwlab import GridPath, ShapeError, StepPath, d_j1, d_m1, d_uniform
-from _brute import discrete_m1, random_step_path
+from ctrwlab import GridPath, SeedSpec, ShapeError, StepPath, d_j1, d_m1, d_uniform
+from ctrwlab.cli import _random_step_path
+from ctrwlab.metrics import _graph_vertices
+from _brute import allpairs_d_m1, discrete_m1, random_step_path, scalar_d_j1
+
+_SPEC = importlib.util.spec_from_file_location(
+    "coupled_distances", Path(__file__).resolve().parents[1] / "scripts" / "coupled_distances.py"
+)
+coupled_distances = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(coupled_distances)
 
 STEP = StepPath([0.0, 0.5], [0.0, 1.0], 1.0)
 LATE = StepPath([0.0, 0.6], [0.0, 1.0], 1.0)
@@ -62,6 +74,72 @@ def _linear_paths():
     return st.tuples(st.lists(_LEVEL, min_size=2, max_size=6), st.sampled_from([1.0, 0.75])).map(
         lambda a: GridPath(a[0], a[1] / (len(a[0]) - 1), horizon=1.0, interp="linear")
     )
+
+
+def _axiom_paths():
+    # the step paths of the metrics_axioms scenario
+    return st.integers(0, 2**32 - 1).map(lambda s: _random_step_path(np.random.default_rng(s), 1.0, 6))
+
+
+def _first_jumps(path, k):
+    return StepPath(path.times[: k + 1], path.values[: k + 1], path.horizon)
+
+
+def _coupled_walks():
+    # the correlated walk and psi times the uncorrelated one on the same
+    # renewals and innovations, cut to their first 50 jumps
+    return st.tuples(st.sampled_from([30, 100, 300, 1000]), st.integers(0, 2**20)).map(
+        lambda a: tuple(_first_jumps(p, 50) for p in coupled_distances.coupled_pair(a[0], SeedSpec(11, a[1])))
+    )
+
+
+_ANY = st.one_of(_step_paths(), _linear_paths(), _axiom_paths())
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_ANY, y=_ANY)
+def test_m1_matches_the_allpairs_oracle(x, y):
+    assert d_m1(x, y).value == allpairs_d_m1(x, y).value
+    assert d_m1(y, x).value == allpairs_d_m1(y, x).value
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=_coupled_walks())
+def test_m1_and_j1_match_their_oracles_on_coupled_walks(pair):
+    x, y = pair
+    for a, b in ((x, y), (y, x)):
+        assert d_m1(a, b).value == allpairs_d_m1(a, b).value
+        assert d_j1(a, b) == scalar_d_j1(a, b)
+
+
+_STEPS = st.one_of(_step_paths(), _axiom_paths())
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_STEPS, y=_STEPS)
+def test_j1_matches_the_scalar_oracle(x, y):
+    # value and witness: the same program with the same tie-breaking
+    assert d_j1(x, y) == scalar_d_j1(x, y)
+    assert d_j1(y, x) == scalar_d_j1(y, x)
+
+
+def test_m1_memory_at_walk_scale():
+    # a 150-jump coupled walk pair, about 300 graph vertices a side: every
+    # type (c) value at once is N^2 M / 2 x 4 doubles (0.4 GB here); the
+    # bracket keeps the free-space arrays, O(N M)
+    x, y = (_first_jumps(p, 150) for p in coupled_distances.coupled_pair(3000, SeedSpec(11, 1)))
+    N, M = len(_graph_vertices(x, 1.0)), len(_graph_vertices(y, 1.0))
+    assert min(N, M) > 280
+    enumerated = N * N * M / 2 * 4 * 8
+    tracemalloc.start()
+    try:
+        value = d_m1(x, y).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert peak < 200 * N * M  # measured 126 bytes per vertex-segment pair
+    assert peak < enumerated / 20  # measured 1/38
 
 
 @settings(max_examples=80, deadline=None)

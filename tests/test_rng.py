@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from _brute import cms_standard
+from _brute import cms_standard, tangent_cms_standard
 
 from ctrwlab import (
     InnovationLaw,
@@ -16,7 +17,7 @@ from ctrwlab import (
     sample_waiting,
     wait_attractor_scale,
 )
-from ctrwlab.rng import _cms_standard
+from ctrwlab.rng import CMS_SLICE, _cms_standard
 
 
 def symmetric_stable_cdf(xs, alpha, umax=12.0, nu=6000):
@@ -116,6 +117,37 @@ def test_tangent_cms_matches_the_trigonometric_oracle():
             assert np.array_equal(np.isfinite(got), fin), (alpha, skew)
             rel = np.abs(got[fin] - want[fin]) <= 1e-13 * np.abs(want[fin])
             assert np.all(rel), (alpha, skew)
+
+
+def test_sliced_cms_is_bitwise_the_whole_array_transform():
+    # sizes below, at and across the slice length, and a 2-d block
+    sizes = (5, CMS_SLICE, CMS_SLICE + 1, 40_000, (37, 1000))
+    for i, alpha in enumerate((0.1, 0.5, 0.7, 1.2, 1.5, 1.99)):
+        for j, skew in enumerate((-1.0, 0.0, 0.5, 1.0)):
+            for size in sizes:
+                seed = SeedSpec(79 + i, stream=j)
+                gen, oracle_gen = seed.generator(), seed.generator()
+                with np.errstate(all="ignore"):
+                    got = _cms_standard(alpha, skew, gen, size)
+                    want = tangent_cms_standard(alpha, skew, oracle_gen, size)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (alpha, skew, size)
+                assert gen.random() == oracle_gen.random()
+
+
+def test_sliced_cms_holds_two_full_arrays():
+    # V and W at full size and two slice-sized scratch arrays; the whole
+    # array transform held four
+    size = 200_000
+    gen = SeedSpec(83).generator()
+    _cms_standard(1.5, 1.0, gen, 10)
+    tracemalloc.start()
+    try:
+        _cms_standard(1.5, 1.0, gen, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * size  # measured 2.16 arrays
 
 
 class EdgeDraws:

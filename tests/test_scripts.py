@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -75,18 +76,29 @@ def test_walk_kernel_scenarios_keep_their_digests(tmp_path):
     check_committed_digests(tmp_path, ("integrals_follower_", "sde_full"), 3)
 
 
+def test_metric_scenarios_keep_their_digests(tmp_path):
+    # the scenario that computes the exact J1 and M1 distances: a changed
+    # distance moves its ordering share or its witness values
+    check_committed_digests(tmp_path, ("metrics_axioms",), 1)
+
+
 def test_stable_limit_scenarios_keep_their_digests(tmp_path):
     # the other scenarios that draw CMS stable limits or references: a
     # rounding move in the stable sampler changes their digests
     check_committed_digests(tmp_path, ("integrals_deterministic", "sdde_full", "attraction_alpha"), 6)
 
 
-def test_tracer_names_resolve():
-    # the tracer wraps public functions by name; a renamed function would
-    # leave its per-layer metric silently at zero
+def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_names_resolve():
+    # the tracer wraps public functions by name; a renamed function would
+    # leave its per-layer metric silently at zero
+    tracer = load_tracer()
     names = {n for group in tracer.INCLUSIVE.values() for n in group} | set(tracer.COUNTERS)
     # exprs.expr names the callables that make_expr returns, not a function
     names.discard("exprs.expr")
@@ -99,6 +111,47 @@ def test_tracer_names_resolve():
         assert not attr.startswith("_") and inspect.isfunction(obj), name
         assert obj.__module__ == mod.__name__, name
     assert inspect.isfunction(importlib.import_module("ctrwlab.exprs").make_expr)
+
+
+def test_tracer_sees_the_ragged_blocks():
+    # the follower draws its walk through processes.ragged_blocks, which the
+    # tracer wraps as a public generator, so the block assembly is
+    # processes time rather than integrals time
+    import ctrwlab.cli  # noqa: F401  (every traced layer)
+    from ctrwlab import InnovationLaw, ProcessConfig, SeedSpec, WaitingLaw, integrals
+
+    saved = {
+        name: dict(vars(mod)) for name, mod in sys.modules.items()
+        if name == "ctrwlab" or name.startswith("ctrwlab.")
+    }
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        cfg = ProcessConfig(InnovationLaw(1.5, "symmetric"), WaitingLaw(0.8), (1.0, 0.5), n=1000)
+        integrals.follower_integral_samples(cfg, 1.0, 600, SeedSpec(5))
+    finally:
+        for name, names in saved.items():
+            vars(sys.modules[name]).update(names)
+    layers = tracer.summarize()
+    assert layers["processes.s"] > 0.0
+    assert layers["integrals.walk_s"] > layers["processes.s"]
+
+
+def test_coupled_distances_smoke():
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "coupled_distances.py"), "--n", "100", "--pairs", "2"],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    (line,) = r.stdout.splitlines()
+    row = json.loads(line)
+    assert row["n"] == 100 and row["pairs"] == 2
+    for name in ("d_m1", "d_j1", "d_u"):
+        assert row[name]["q25"] <= row[name]["median"] <= row[name]["q75"]
+        assert row[f"{name}_slowest_s"] >= 0.0
+    # M1 <= J1 <= U holds pair by pair, so it holds for the medians of two
+    assert row["d_m1"]["median"] <= row["d_j1"]["median"] + 1e-12
+    assert row["d_j1"]["median"] <= row["d_u"]["median"] + 1e-12
 
 
 def test_committed_digests_name_every_scenario_once():
