@@ -224,15 +224,26 @@ def _free_interval(edges, i, j, eps):
     if flat[k] > eps:
         return None
     s0, s1 = span[j]
-    u0, u1 = u[2 * k], u[2 * k + 1]
     if s0 != s0:
-        lo, hi = (u1 - eps) / s1, (u1 + eps) / s1
+        x = u[2 * k + 1]
+        lo, hi = (x - eps) / s1, (x + eps) / s1
     elif s1 != s1:
-        lo, hi = (u0 - eps) / s0, (u0 + eps) / s0
+        x = u[2 * k]
+        lo, hi = (x - eps) / s0, (x + eps) / s0
     else:
-        lo = max((u0 - eps) / s0, (u1 - eps) / s1)
-        hi = min((u0 + eps) / s0, (u1 + eps) / s1)
-    lo, hi = max(lo, 0.0), min(hi, 1.0)
+        x, y = u[2 * k], u[2 * k + 1]
+        lo, hi = (x - eps) / s0, (x + eps) / s0
+        lo_y, hi_y = (y - eps) / s1, (y + eps) / s1
+        if lo_y > lo:
+            lo = lo_y
+        if hi_y < hi:
+            hi = hi_y
+    # clamped by comparisons rather than max/min calls, which cost as much
+    # as the rest of the interval
+    if lo < 0.0:
+        lo = 0.0
+    if hi > 1.0:
+        hi = 1.0
     return (lo, hi) if lo <= hi else None
 
 
@@ -282,17 +293,19 @@ def _frechet_at_most(eps, ea, eb):
             if iv is not None:
                 if below is not None:
                     right.append((j, iv[0]))
-                elif max(into, iv[0]) <= iv[1]:
-                    right.append((j, max(into, iv[0])))
+                else:
+                    entry = iv[0] if iv[0] > into else into
+                    if entry <= iv[1]:
+                        right.append((j, entry))
             iv = _free_interval(eb, j + 1, i, eps)
             if iv is None:
                 below = None
             elif into is not None:
                 below = iv[0]
-            elif max(below, iv[0]) <= iv[1]:
-                below = max(below, iv[0])
             else:
-                below = None
+                below = iv[0] if iv[0] > below else below
+                if below > iv[1]:
+                    below = None
             j += 1
         left = right
         if not left and not ok:
