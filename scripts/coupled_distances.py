@@ -1,9 +1,9 @@
 """Print the exact M1, J1 and uniform distances of a correlated CTRW from
 its coupled limit-scale walk, one JSON line per n.
 
-    python3 scripts/coupled_distances.py [--n 100 1000 10000] [--pairs P] [--seed S]
+    python3 scripts/coupled_distances.py [--n 100 1000 10000] [--pairs P]
 
-Pair p draws, on SeedSpec(S, stream=p), the walk of the
+Pair p draws, on SeedSpec(20260406, stream=p), the walk of the
 `attraction_ctrw_correlated` scenario (symmetric alpha = 1.5 innovations,
 Pareto(0.8) waits, coefficients c = (1, 0.5)) on [0, 1], and psi = c_0 + c_1
 times the uncorrelated walk (c = (1,)) on the same seed and the same past
@@ -15,8 +15,9 @@ fall with n while d_J1 need not.
 Each line gives n, the number of pairs, the median jump count of the
 correlated walk, the median and interquartile range (q25, q75) of d_M1,
 d_J1 and d_U over the pairs, and the wall time in seconds of the slowest
-pair for each distance. ctrwlab is imported from this checkout's `src`, so
-no install is needed.
+pair for each distance. ctrwlab is imported from this checkout's `src`, and
+the coupling from `tests/_brute.py`, which the metric tests share, so no
+install is needed.
 """
 
 import argparse
@@ -29,41 +30,21 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
-from ctrwlab import (  # noqa: E402
-    InnovationLaw,
-    ProcessConfig,
-    SeedSpec,
-    StepPath,
-    WaitingLaw,
-    d_j1,
-    d_m1,
-    d_uniform,
-    gen_ctrw,
-)
+from ctrwlab import SeedSpec, d_j1, d_m1, d_uniform  # noqa: E402
+from _brute import coupled_pair  # noqa: E402
 
-COEFFICIENTS = (1.0, 0.5)
 SEED = 20260406  # the committed seed of attraction_ctrw_correlated
 
 
-def coupled_pair(n, seed):
-    """(X^n, psi Y^n): the correlated walk and psi times the uncorrelated
-    walk on the same waits and innovations."""
-    law, waiting = InnovationLaw(1.5, "symmetric"), WaitingLaw(0.8)
-    walk = ProcessConfig(law, waiting, COEFFICIENTS, n=n)
-    plain = ProcessConfig(law, waiting, (1.0,), past_horizon=walk.past_horizon, n=n)
-    x = gen_ctrw(walk, 1.0, seed).x
-    y = gen_ctrw(plain, 1.0, seed).x
-    return x, StepPath(y.times, walk.psi * y.values, y.horizon)
-
-
-def summary(n, pairs, seed):
+def summary(n, pairs):
     metrics = {"d_m1": d_m1, "d_j1": d_j1, "d_u": d_uniform}
     values = {name: [] for name in metrics}
     slowest = dict.fromkeys(metrics, 0.0)
     jumps = []
     for p in range(pairs):
-        x, y = coupled_pair(n, SeedSpec(seed, stream=p))
+        x, y = coupled_pair(n, SeedSpec(SEED, stream=p))
         jumps.append(x.times.size - 1)
         for name, metric in metrics.items():
             t0 = time.perf_counter()
@@ -81,12 +62,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, nargs="+", default=[100, 1000, 10000])
     parser.add_argument("--pairs", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=SEED)
     args = parser.parse_args(argv)
     if args.pairs < 1 or min(args.n) < 1:
         parser.error("--pairs and every --n must be >= 1")
     for n in args.n:
-        print(json.dumps(summary(n, args.pairs, args.seed)), flush=True)
+        print(json.dumps(summary(n, args.pairs)), flush=True)
     return 0
 
 

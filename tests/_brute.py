@@ -29,7 +29,9 @@ ragged row over its own renewals. The trigonometric CMS transform calls sin
 and cos, as rng did before its tangent form, and the tangent CMS transform
 holds four full-size arrays, as rng did before it ran in slices. The scalar
 J1 program and the all-pairs M1 distance are the metrics as they were before
-the J1 program ran on lists and M1 bracketed its answer first.
+the J1 program ran on lists and M1 bracketed its answer first. coupled_pair
+is the correlated walk and its coupled limit-scale walk on the same renewals,
+shared by the metric tests and scripts/coupled_distances.py.
 """
 
 import math
@@ -37,7 +39,17 @@ import warnings
 
 import numpy as np
 
-from ctrwlab import DataError, GridPath, ParameterError, ShapeError, StepPath
+import ctrwlab
+from ctrwlab import (
+    DataError,
+    GridPath,
+    InnovationLaw,
+    ParameterError,
+    ProcessConfig,
+    ShapeError,
+    StepPath,
+    WaitingLaw,
+)
 from ctrwlab.processes import (
     BLOCK,
     COUNT_BLOCK,
@@ -159,6 +171,22 @@ def random_step_path(rng, horizon=1.0, max_breaks=8, big=True):
     if big and rng.random() < 0.3:
         vals[rng.integers(0, vals.size)] += rng.choice([-5.0, 5.0])
     return StepPath(times, vals, horizon)
+
+
+COUPLED_COEFFICIENTS = (1.0, 0.5)
+
+
+def coupled_pair(n, seed):
+    """(X^n, psi Y^n): the attraction_ctrw_correlated walk (symmetric
+    alpha = 1.5, Pareto(0.8) waits, c = (1, 0.5)) on [0, 1] and psi times the
+    uncorrelated walk (c = (1,)) on the same seed and past horizon, so both
+    jump at the same renewals with the same innovations."""
+    law, waiting = InnovationLaw(1.5, "symmetric"), WaitingLaw(0.8)
+    walk = ProcessConfig(law, waiting, COUPLED_COEFFICIENTS, n=n)
+    plain = ProcessConfig(law, waiting, (1.0,), past_horizon=walk.past_horizon, n=n)
+    x = ctrwlab.gen_ctrw(walk, 1.0, seed).x
+    y = ctrwlab.gen_ctrw(plain, 1.0, seed).x
+    return x, StepPath(y.times, walk.psi * y.values, y.horizon)
 
 
 # Discrete Frechet distance of sampled completed graphs: an oracle that

@@ -1,6 +1,4 @@
-import importlib.util
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +8,7 @@ from hypothesis import strategies as st
 from ctrwlab import GridPath, SeedSpec, ShapeError, StepPath, d_j1, d_m1, d_uniform
 from ctrwlab.cli import _random_step_path
 from ctrwlab.metrics import _graph_vertices
-from _brute import allpairs_d_m1, discrete_m1, random_step_path, scalar_d_j1
-
-_SPEC = importlib.util.spec_from_file_location(
-    "coupled_distances", Path(__file__).resolve().parents[1] / "scripts" / "coupled_distances.py"
-)
-coupled_distances = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(coupled_distances)
+from _brute import allpairs_d_m1, coupled_pair, discrete_m1, random_step_path, scalar_d_j1
 
 STEP = StepPath([0.0, 0.5], [0.0, 1.0], 1.0)
 LATE = StepPath([0.0, 0.6], [0.0, 1.0], 1.0)
@@ -89,7 +81,7 @@ def _coupled_walks():
     # the correlated walk and psi times the uncorrelated one on the same
     # renewals and innovations, cut to their first 50 jumps
     return st.tuples(st.sampled_from([30, 100, 300, 1000]), st.integers(0, 2**20)).map(
-        lambda a: tuple(_first_jumps(p, 50) for p in coupled_distances.coupled_pair(a[0], SeedSpec(11, a[1])))
+        lambda a: tuple(_first_jumps(p, 50) for p in coupled_pair(a[0], SeedSpec(11, a[1])))
     )
 
 
@@ -127,7 +119,7 @@ def test_m1_memory_at_walk_scale():
     # a 150-jump coupled walk pair, about 300 graph vertices a side: every
     # type (c) value at once is N^2 M / 2 x 4 doubles (0.4 GB here); the
     # bracket keeps the free-space arrays, O(N M)
-    x, y = (_first_jumps(p, 150) for p in coupled_distances.coupled_pair(3000, SeedSpec(11, 1)))
+    x, y = (_first_jumps(p, 150) for p in coupled_pair(3000, SeedSpec(11, 1)))
     N, M = len(_graph_vertices(x, 1.0)), len(_graph_vertices(y, 1.0))
     assert min(N, M) > 280
     enumerated = N * N * M / 2 * 4 * 8
