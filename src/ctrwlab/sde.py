@@ -458,6 +458,9 @@ def s_limit_terminal_samples(
         w = np.take(zcum, idx)
         del zcum, idx
         out[start : start + m] = _s_limit_euler(spec, dinv, w, h)[-1]
+        # dropped before the next block's draws, which they would otherwise
+        # outlive: 4 MB more at that block's peak, above the walk scheme's
+        del dinv, w
     return out
 
 
