@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError, UnsupportedDecomposition
-from .paths import StepPath, total_variation
+from .paths import StepPath, sorted_union, total_variation
 from .processes import INNOVATION_LANE, _counts_at, _draw_innovations, iter_ctrw_chunks
 from .stats import DiagnosticReport, Estimate, mean_estimate, tail_estimate
 
@@ -301,7 +301,7 @@ def gdca_statistic(split, gamma, bundle):
     T = bundle.horizon
     step = float(n) ** (-cfg.beta_eff) * T
     grid = np.arange(int(math.floor(T / step + 1e-9)) + 1) * step
-    pts = np.union1d(grid, split.v.times)
+    pts = sorted_union(grid, split.v.times)
     pts = pts[pts <= T]
     return float(n) ** (-gamma) * float(np.sum(np.abs(split.v.value(pts))))
 

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import AdaptednessViolation, DataError, ParameterError, ShapeError
-from .paths import GridPath, StepPath
+from .paths import GridPath, StepPath, sorted_union
 from .processes import (
     INNOVATION_LANE,
     LIMIT_BLOCK,
@@ -222,7 +222,7 @@ def _partition_step(path, eps, grid, T):
     """Sequential partition for a step path: the reference value resets at
     every emitted point, grid points included, so each cell's deviation from
     its left endpoint stays below eps."""
-    events = np.union1d(path.times, grid)
+    events = sorted_union(path.times, grid)
     events = events[(events > 0.0) & (events <= T)]
     taus = [0.0]
     ref = path.values[0]
@@ -237,7 +237,7 @@ def _partition_step(path, eps, grid, T):
 
 def _partition_linear(times, values, eps, grid, T):
     """Sequential partition for a continuous piecewise-linear path."""
-    kinks = np.union1d(times, grid)
+    kinks = sorted_union(times, grid)
     kinks = kinks[(kinks >= 0.0) & (kinks <= T)]
     taus = [0.0]
     ref = float(np.interp(0.0, times, values))
@@ -320,7 +320,7 @@ def discretize_integrand(H, eps, m, T):
         H = DeterministicIntegrand(fn)
     else:
         raise ParameterError(f"cannot discretise integrand of kind {type(H).__name__}")
-    pts = np.union1d(np.asarray(taus), grid)
+    pts = sorted_union(taus, grid)
     pts = pts[pts <= T]
     if isinstance(H, DeterministicIntegrand):
         vals = np.asarray(H.fn(pts), dtype=float)

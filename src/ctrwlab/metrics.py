@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .paths import GridPath, StepPath
+from .paths import GridPath, StepPath, sorted_union
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def _check_common_horizon(x, y):
 def d_uniform(x, y):
     """sup_t |x(t) - y(t)|, evaluated on the union of breakpoints."""
     _check_common_horizon(x, y)
-    grid = np.union1d(np.asarray(x.times), np.asarray(y.times))
+    grid = sorted_union(x.times, y.times)
     diff = np.abs(np.asarray(x.value(grid)) - np.asarray(y.value(grid)))
     k = int(np.argmax(diff))
     return MetricResult(float(diff[k]), witness=f"attained at t={grid[k]:.6g}", exact=True)
@@ -163,16 +163,35 @@ def _free_space(a, b):
     """
     lo, hi = np.minimum(b[:-1], b[1:]), np.maximum(b[:-1], b[1:])
     d = b[1:] - b[:-1]
-    r = a[:, None, :] - b[None, :-1, :]
     fixed = d == 0.0
-    u = np.where(fixed, np.nan, r * np.sign(d))
+    sign = np.sign(d)
     span = np.where(fixed, np.nan, np.abs(d))
-    flat = np.where(fixed, np.abs(r), 0.0).max(axis=2)
-    # distance to the bounding box, and where the segment is diagonal the
-    # eps at which the two coordinate windows first overlap
-    box = np.maximum(lo - a[:, None, :], a[:, None, :] - hi).max(axis=2)
-    tilt = np.abs(u[..., 0] * span[:, 1] - u[..., 1] * span[:, 0]) / (span[:, 0] + span[:, 1])
-    dist = np.fmax(np.maximum(box, 0.0), tilt)
+    # built one coordinate at a time into the kept arrays, through two
+    # (N, M) scratch arrays: no (N, M, 2) temporary
+    shape = (a.shape[0], d.shape[0])
+    u = np.empty(shape + (2,))
+    flat, dist = np.zeros(shape), np.zeros(shape)
+    r, s = np.empty(shape), np.empty(shape)
+    for c in range(2):
+        ac = a[:, c, None]
+        np.subtract(ac, b[:-1, c], out=r)
+        np.multiply(r, sign[:, c], out=u[..., c])
+        u[:, fixed[:, c], c] = np.nan
+        np.abs(r, out=r)
+        np.maximum(flat, r, out=flat, where=fixed[:, c])
+        # distance to the bounding box, floored at 0
+        np.subtract(lo[:, c], ac, out=r)
+        np.subtract(ac, hi[:, c], out=s)
+        np.maximum(r, s, out=r)
+        np.maximum(dist, r, out=dist)
+    # where the segment is diagonal, the eps at which the two coordinate
+    # windows first overlap
+    np.multiply(u[..., 0], span[:, 1], out=r)
+    np.multiply(u[..., 1], span[:, 0], out=s)
+    r -= s
+    np.abs(r, out=r)
+    r /= span[:, 0] + span[:, 1]
+    np.fmax(dist, r, out=dist)
     return u, span, flat, dist
 
 
@@ -372,8 +391,10 @@ def d_m1(x, y):
     ends = np.abs(np.array([a[0] - b[0], a[-1] - b[-1]])).max(axis=1)
     # every vertex has to be matched somewhere: a lower bound that is itself critical
     floor = max(ends.max(), pa[3].min(axis=1).max(), pb[3].min(axis=1).max())
-    crit = np.concatenate([ends, pa[3].ravel(), pb[3].ravel()])
-    crit = np.unique(crit[crit >= floor])
+    # most distances repeat (a staircase's segments share their levels), so
+    # the union is much smaller than its input and is taken before the floor
+    crit = sorted_union(ends, pa[3], pb[3])
+    crit = crit[crit >= floor]
     ea, eb = _edges(pa), _edges(pb)
 
     def feasible(eps):
@@ -387,6 +408,6 @@ def d_m1(x, y):
         # every candidate takes its largest one; crit[-1] then stays in
         # front so that the list is never empty
         top = crit[k : k + 1] if k < crit.size else crit[-1:]
-        crit = np.unique(np.concatenate([_segment_values(pa, lo, hi), _segment_values(pb, lo, hi), top]))
+        crit = sorted_union(_segment_values(pa, lo, hi), _segment_values(pb, lo, hi), top)
         k = _first_feasible(crit, feasible, crit.size - 1)
     return MetricResult(float(crit[k]), witness=f"{witness}, {crit.size} critical values in the last search")

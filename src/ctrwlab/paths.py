@@ -18,6 +18,18 @@ import numpy as np
 from .errors import DataError, ParameterError, RangeError, ShapeError
 
 
+def sorted_union(*arrays):
+    """The distinct values of the arrays, sorted: what np.unique gives for
+    their NaN-free concatenation, without its masked-array check, which
+    imports numpy.ma."""
+    u = np.concatenate(arrays, axis=None)
+    u.sort()
+    keep = np.empty(u.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(u[1:], u[:-1], out=keep[1:])
+    return u[keep]
+
+
 class StepPath:
     """Right-continuous step path: value at t is values[k] for the largest
     breakpoint time <= t.
@@ -252,7 +264,7 @@ def avci_functional(x, y, delta, t=None):
     t = x.horizon if t is None else t
     ux, _ = _skeleton(x, t)
     uy, _ = _skeleton(y, t)
-    grid = np.union1d(ux, uy)
+    grid = sorted_union(ux, uy)
     xv = np.asarray(x.value(grid), dtype=float)
     yv = np.asarray(y.value(grid), dtype=float)
     m = grid.size

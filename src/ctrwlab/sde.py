@@ -1,14 +1,15 @@
-"""Event-driven solvers for walk-driven SDEs and delay SDEs, grid Euler
-schemes for their scaling limits, and vectorised terminal-law samplers.
+"""Solvers for walk-driven SDEs and delay SDEs, grid Euler schemes for
+their scaling limits, and vectorised terminal-law samplers.
 
 Prelimit equations are driven by the exact step drivers (D^n, Z^n) of a
 SimulationBundle, so every pure-jump reduction is solved without any
 discretisation error; only the dt term needs a quadrature mesh. One kernel
-steps the walk-driven scheme for the per-path solver and the block sampler.
+steps the walk-driven scheme through its events and drift mesh, and one
+steps every delay scheme, walk or limit, a cell at a time; the per-path
+solvers are their one-row calls and the samplers run them block by block.
 Limit equations are left-point Euler schemes on uniform grids.
 """
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .paths import GridPath, StepPath
+from .paths import GridPath, StepPath, sorted_union
 from .processes import (
     BLOCK,
     INNOVATION_LANE,
@@ -31,8 +32,6 @@ from .processes import (
     iter_ctrw_chunks,
 )
 from .rng import draw_stable
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 _SDDE_BOUND = 1e6  # SddeSpec warns above this coefficient magnitude
 
@@ -93,14 +92,12 @@ class SdeSpec:
 @dataclass(frozen=True)
 class SddeSpec:
     """Coefficients of dX = b(t, X_{t-r}) dt + c^{-1} sigma(t, X_{t-r}) dZ^n,
-    with initial segment eta on [-r, 0] and an optional window kernel phi
-    adding sigma_tilde(t) = integral of phi(t, s, X_s) over [t-r, t]."""
+    with initial segment eta on [-r, 0]."""
 
     b: object
     sigma: object
     r: float
     eta: StepPath
-    phi: object = None
 
     def __post_init__(self):
         if self.r <= 0:
@@ -125,23 +122,6 @@ class SddeSpec:
 
     def coef(self, name):
         return _as_vec_fn(getattr(self, name))
-
-
-def _union_times(events, mesh, T, max_gap, extra):
-    """0, T, all events, the extra times and the mesh points k mesh, with gaps
-    capped at max_gap. A mesh point within a relative 1e-12 of an event is
-    dropped, so k mesh and an event k/n an ulp apart make no ulp-wide cell."""
-    grid = np.arange(1, int(math.floor(T / mesh + 1e-9)) + 1) * mesh
-    tol = 1e-12 * np.maximum(1.0, grid)
-    grid = grid[np.searchsorted(events, grid - tol) == np.searchsorted(events, grid + tol, side="right")]
-    u = np.unique(np.concatenate([[0.0, T], events, extra, grid]))
-    u = u[(u >= 0.0) & (u <= T)]
-    gaps = np.diff(u)
-    fill = []
-    for i in np.flatnonzero(gaps > max_gap):
-        k = math.ceil(gaps[i] / max_gap)
-        fill.append(u[i] + gaps[i] * np.arange(1, k) / k)
-    return np.unique(np.concatenate([u] + fill)) if fill else u
 
 
 def _sn_euler(spec, ev_t, live, dd, dz, T, drift_mesh):
@@ -225,7 +205,7 @@ def solve_sn(spec, drivers, drift_mesh=2.0**-12, T=None):
     """
     dn, zn = drivers
     T = zn.horizon if T is None else float(T)
-    ev = np.union1d(dn.jump_times(), zn.jump_times())
+    ev = sorted_union(dn.jump_times(), zn.jump_times())
     ev = ev[None, ev <= T]
     dd, dz = (path.value(ev) - path.value_before(ev) for path in drivers)
     times, x = _sn_euler(spec, ev, np.ones(ev.shape, dtype=bool), dd, dz, T, drift_mesh)
@@ -275,88 +255,6 @@ def solve_s_limit(spec, drivers, T=None):
 # delay equations
 
 
-class _History:
-    """Computed trajectory plus the initial segment, with cadlag and
-    left-limit reads across the [-r, 0] boundary."""
-
-    def __init__(self, eta):
-        self.eta = eta
-        self.ts = [0.0]
-        self.xs = [float(eta.value(0.0))]
-
-    def read(self, tau, left=False):
-        if left:
-            # a delayed time v - r can round just above the event time it
-            # stands for; snapping keeps the read before that event
-            tau -= 1e-12 * max(1.0, abs(tau))
-        if tau < 0.0 or (tau == 0.0 and left):
-            read = self.eta.value_before if left else self.eta.value
-            return float(read(max(tau, self.eta.origin)))
-        ts = self.ts
-        i = (bisect.bisect_left(ts, tau) if left else bisect.bisect_right(ts, tau)) - 1
-        if i < 0:
-            return float(self.eta.value(0.0))
-        return self.xs[i]
-
-    def push(self, t, x):
-        self.ts.append(float(t))
-        self.xs.append(float(x))
-
-
-def _window_quadrature(phi, t, r, hist, mesh):
-    """Trapezoid of phi(t, s, X_s) over s in [t-r, t] on the union of the
-    stored breakpoints, the segment breakpoints, and a uniform refinement."""
-    lo, hi = t - r, t
-    pts = [lo, hi]
-    pts.extend(s for s in hist.eta.times if lo <= s <= hi)
-    pts.extend(s for s in hist.ts if lo <= s <= hi)
-    k = max(8, int(math.ceil(r / mesh)) if mesh else 8)
-    pts.extend(lo + (hi - lo) * np.arange(1, k) / k)
-    s = np.unique(np.asarray(pts))
-    g = np.array([phi(t, si, hist.read(si)) for si in s], dtype=float)
-    return float(_trapezoid(g, s))
-
-
-def solve_sddn(spec, bundle, drift_mesh=2.0**-12, T=None):
-    """Exact event-driven solution of the delay scheme driven by bundle.x.
-
-    The delayed argument lags by r, so it is always known before it is
-    needed; the drift is integrated by midpoint quadrature on cells no wider
-    than the drift mesh (and never wider than r/2, keeping the delayed read
-    behind the solution frontier). With b identically 0 the jump part is
-    exact. When spec.phi is set, sigma is augmented by the trapezoid
-    quadrature of phi over the trailing r-window.
-    """
-    zn = bundle.x
-    c = bundle.config.psi
-    T = bundle.horizon if T is None else float(T)
-    events = zn.jump_times()
-    events = events[events <= T]
-    mesh = drift_mesh if drift_mesh and drift_mesh > 0 else spec.r / 2.0
-    # cells never straddle a jump of the shifted initial segment, so the
-    # drift quadrature sees a constant delayed argument inside each cell
-    shifted = spec.eta.times + spec.r
-    times = _union_times(events, mesh, T, max_gap=spec.r / 2.0, extra=shifted[shifted <= T])
-    bfn, sfn = spec.coef("b"), spec.coef("sigma")
-    hist = _History(spec.eta)
-    ev = set(events.tolist())
-    x = hist.xs[0]
-    vals = np.empty(times.size)
-    vals[0] = x
-    for i in range(1, times.size):
-        u, v = times[i - 1], times[i]
-        mid = 0.5 * (u + v)
-        x += float(bfn(mid, hist.read(mid - spec.r))) * (v - u)
-        if v in ev:
-            sig = float(sfn(v, hist.read(v - spec.r, left=True)))
-            if spec.phi is not None:
-                sig += _window_quadrature(spec.phi, v, spec.r, hist, mesh)
-            x += sig / c * float(zn.value(v) - zn.value_before(v))
-        hist.push(v, x)
-        vals[i] = x
-    return StepPath(times, vals, T)
-
-
 def _sdd_steps(spec, x, per, t_drift, t_jump, head_drift, head_jump, c=1.0):
     """Euler steps of a delay equation on a C-contiguous (K + 1, m) x, one
     column per replication: row 0 is set to eta(0), and step k writes
@@ -374,6 +272,44 @@ def _sdd_steps(spec, x, per, t_drift, t_jump, head_drift, head_jump, c=1.0):
         xn[...] = xk + bfn(td, xd) / per + sfn(tj, xj) / c * xn
         xk = xn
     return x
+
+
+def _walk_sdd_steps(spec, config, x):
+    """The delay scheme driven by a moving average, stepped by _sdd_steps
+    on a (K + 1, m) x whose rows 1..K hold the jumps at k/n. The drift is
+    read at the cell midpoints (k + 1/2)/n and sigma at the events
+    (k + 1)/n, both at the state nr = n r events back, or in the initial
+    segment for k < nr, where sigma reads the left limit at (k + 1)/n - r:
+    at k = nr - 1 that is the left limit at 0, and the read is snapped down
+    by a relative 1e-12, since (k + 1)/n - r can round just above a jump of
+    eta that it stands for. Requires deterministic unit waits and an integer
+    n r. Returns x."""
+    if config.waiting is not None:
+        raise ParameterError("delay scheme ensembles need a moving-average driver", tag="PARAM_WAITING")
+    n = config.n
+    nr = spec.r * n
+    if abs(nr - round(nr)) > 1e-9:
+        raise ParameterError("n * r must be an integer for the delay scheme", tag="PARAM_DELAY")
+    eta, k = spec.eta, np.arange(int(round(nr)))
+    head_drift = eta.value(k / n + 0.5 / n - spec.r)
+    tau = np.minimum((k + 1) / n - spec.r, 0.0)
+    tau -= 1e-12 * np.maximum(1.0, np.abs(tau))
+    head_jump = eta.value_before(np.maximum(tau, eta.origin))
+    K = x.shape[0] - 1
+    t_drift, t_jump = np.arange(K) / n + 0.5 / n, np.arange(1, K + 1) / n
+    return _sdd_steps(spec, x, n, t_drift, t_jump, head_drift.tolist(), head_jump.tolist(), config.psi)
+
+
+def solve_sddn(spec, bundle, T=None):
+    """The delay scheme driven by the moving average bundle.x, as a step
+    path on [0, T] with the driver's breakpoints: the one-row call of the
+    kernel that sddn_terminal_samples runs, on the bundle's jumps at k/n.
+    With b identically 0 it is exact."""
+    zn = bundle.x
+    T = bundle.horizon if T is None else float(T)
+    K = int(np.searchsorted(zn.times, T, side="right")) - 1
+    x = np.diff(zn.values[: K + 1], prepend=0.0)[:, None]
+    return StepPath(zn.times[: K + 1], _walk_sdd_steps(spec, bundle.config, x)[:, 0], T)
 
 
 def _limit_reads(spec, h, K):
@@ -465,26 +401,11 @@ def s_limit_terminal_samples(
 
 
 def sddn_terminal_samples(spec, config, T, reps, seed):
-    """Terminal values of the delay scheme driven by moving averages.
-
-    Requires deterministic unit waits (jumps at k/n) and an integer n*r so
-    the delayed argument is exactly the state nr events back; the initial
-    segment is read exactly for the first nr events. The drift is read at
-    the cell midpoints k/n + 1/2n and sigma at the events (k + 1)/n.
-    """
-    if config.waiting is not None:
-        raise ParameterError("delay scheme ensembles need a moving-average driver", tag="PARAM_WAITING")
-    n = config.n
-    nr = spec.r * n
-    if abs(nr - round(nr)) > 1e-9:
-        raise ParameterError("n * r must be an integer for the vectorised solver", tag="PARAM_DELAY")
-    nr = int(round(nr))
-    segment = _History(spec.eta)
-    # delayed window still inside the initial segment for k < nr; the jump
-    # read at k = nr - 1 is the left limit at 0 even when (k + 1)/n - r
-    # rounds above 0
-    seg_drift = [segment.read(k / n + 0.5 / n - spec.r) for k in range(nr)]
-    seg_jump = [segment.read(min((k + 1) / n - spec.r, 0.0), left=True) for k in range(nr)]
+    """Terminal values of the delay scheme driven by moving averages: the
+    solve_sddn kernel run on each replication block, so every value is what
+    solve_sddn gives on that row's driver. Requires deterministic unit waits
+    (jumps at k/n) and an integer n*r so the delayed argument is exactly
+    the state nr events back."""
     out = np.empty(reps)
     lo = 0
     for blk in iter_ctrw_chunks(config, T, reps, seed):
@@ -492,8 +413,7 @@ def sddn_terminal_samples(spec, config, T, reps, seed):
         x = np.empty((K + 1, m))
         x[1:] = blk["zeta"].T
         del blk
-        t_drift, t_jump = np.arange(K) / n + 0.5 / n, np.arange(1, K + 1) / n
-        out[lo : lo + m] = _sdd_steps(spec, x, n, t_drift, t_jump, seg_drift, seg_jump, config.psi)[-1]
+        out[lo : lo + m] = _walk_sdd_steps(spec, config, x)[-1]
         lo += m
         del x
     return out

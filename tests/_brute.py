@@ -13,10 +13,9 @@ on (m, nodes) rows, as sde did before its (nodes, m) layout; the
 moving-average delay recursion steps the delay scheme one event at a time
 with the delayed state read by index; the row delay samplers step the walk
 and limit delay schemes on (m, K + 1) rows, as sde did before its one
-column delay kernel, and _union_times is solve_sddn's time set as it was
-before mesh points an ulp from an event were dropped. The per-path moving-average, CTRW and
-counting generators draw their waits and innovations in their own loops and
-filter with np.convolve. The rectangular walk block draws every row's waits
+column delay kernel, and _union_times is event_euler_sn's time set. The
+per-path moving-average, CTRW and counting generators draw their waits and
+innovations in their own loops and filter with np.convolve. The rectangular walk block draws every row's waits
 as one wait matrix of the same width and every row's innovations up to the
 block's largest renewal count, as processes did before its per-row rounds;
 fixed_round_first_passage is the subordinator round loop as it was before
@@ -81,7 +80,6 @@ from ctrwlab.metrics import (
     _graph_vertices,
 )
 from ctrwlab.rng import draw_stable
-from ctrwlab.sde import _History
 
 
 def brute_total_variation(path, t):
@@ -574,17 +572,24 @@ def row_sddn_terminal_samples(spec, config, T, reps, seed):
     nr = int(round(spec.r * n))
     c = config.psi
     bfn, sfn = spec.coef("b"), spec.coef("sigma")
-    segment = _History(spec.eta)
+    eta = spec.eta
     head = range(min(nr, math.ceil(n * T)))
-    seg_drift = [segment.read(k / n + 0.5 / n - spec.r) for k in head]
-    seg_jump = [segment.read(min((k + 1) / n - spec.r, 0.0), left=True) for k in head]
+    seg_drift = [float(eta.value(k / n + 0.5 / n - spec.r)) for k in head]
+    seg_jump = []
+    for k in head:
+        # the left limit at (k + 1)/n - r, at most 0, snapped down by a
+        # relative 1e-12 so a time that rounds just above a jump of eta
+        # still reads before it
+        tau = min((k + 1) / n - spec.r, 0.0)
+        tau -= 1e-12 * max(1.0, abs(tau))
+        seg_jump.append(float(eta.value_before(max(tau, eta.origin))))
     out = np.empty(reps)
     lo = 0
     for blk in iter_ctrw_chunks(config, T, reps, seed):
         zeta = blk["zeta"]
         m, K = zeta.shape
         X = np.empty((m, K + 1))
-        X[:, 0] = segment.xs[0]
+        X[:, 0] = float(eta.value(0.0))
         for k in range(K):
             t_k = k / n
             t_next = (k + 1) / n

@@ -419,6 +419,22 @@ def test_cli_module_entry_point_keeps_stderr_empty(tmp_path):
     assert len(report_names(tmp_path / "sim.out.json")) > 0
 
 
+def test_metrics_scenario_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique and np.union1d import numpy.ma on their first call (numpy
+    # 2.4 asks np.ma.is_masked), 16 ms of a metrics run's start-up; the
+    # package takes its sorted unions without them
+    code = (
+        "import sys\n"
+        "from ctrwlab.cli import load_config, run_scenario\n"
+        f"run_scenario(load_config({str(SCENARIO_DIR / 'metrics_axioms.json')!r}), reps=20, out='r.json')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False"]
+
+
 def test_cli_parameter_errors(tmp_path):
     bad_alpha = write_cfg(tmp_path, "a.json",
                           sim_cfg(process={"innovation": {"alpha": 2.5}}))

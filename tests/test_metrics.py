@@ -130,7 +130,9 @@ def test_m1_memory_at_walk_scale():
     finally:
         tracemalloc.stop()
     assert value > 0.0
-    assert peak < 200 * N * M  # measured 126 bytes per vertex-segment pair
+    # the two free spaces keep 64 bytes per vertex-segment pair; measured
+    # 84 in all, and 126 while _free_space built (N, M, 2) temporaries
+    assert peak <= 96 * N * M
     assert peak < enumerated / 20  # measured 1/38
 
 

@@ -17,7 +17,7 @@ from ctrwlab import (
     sample_waiting,
     wait_attractor_scale,
 )
-from ctrwlab.rng import CMS_SLICE, _cms_standard
+from ctrwlab.rng import CMS_SLICE, CMS_U_FLOOR, _cms_standard
 
 
 def symmetric_stable_cdf(xs, alpha, umax=12.0, nu=6000):
@@ -167,23 +167,36 @@ class EdgeDraws:
 
 
 def test_tangent_cms_edge_draws():
+    # u = 0 is drawn as u = CMS_U_FLOOR (the endpoint test below), so the
+    # oracle gets the floored uniforms
     u = np.repeat([0.0, 1.0 - 2.0**-53, 0.5], 2)
     w = np.tile([0.0, 1.0], 3)
+    floored = np.maximum(u, CMS_U_FLOOR)
     for alpha in CMS_ALPHAS:
         for skew in CMS_SKEWS:
             with np.errstate(all="ignore"):
                 got = _cms_standard(alpha, skew, EdgeDraws(u, w), u.size)
-                want = cms_standard(alpha, skew, EdgeDraws(u, w), u.size)
+                want = cms_standard(alpha, skew, EdgeDraws(floored, w), u.size)
             fin = np.isfinite(want)
-            assert np.all(np.isfinite(got[fin])), (alpha, skew)
+            assert np.array_equal(np.isfinite(got), fin), (alpha, skew)
             assert np.all(np.abs(got[fin] - want[fin]) <= 1e-13 * np.abs(want[fin])), (alpha, skew)
-            # at u = 0 (V = -pi/2) the second cosine argument V - a can round
-            # just past pi/2, where cos < 0 and its fractional power is NaN;
-            # 1 + tan^2 stays positive there
-            extra = np.isfinite(got) & ~fin
-            assert np.all(u[extra] == 0.0), (alpha, skew)
-            if (alpha, skew) == (1.5, 1.0):
-                assert np.isnan(want[1]) and np.isfinite(got[1])
+
+
+def test_cms_draws_keep_their_limit_at_u_zero():
+    # for a totally skewed law with 1 < alpha < 2 the draw tends to a finite
+    # limit as u -> 0, -alpha S (alpha - 1)^((1 - alpha)/alpha) at W = 1,
+    # which is -1.5 * 2^(2/3) at (1.5, 1); unfloored, u = 0 drew +3.592 and
+    # u = 2^-53 drew -2.520
+    u = np.array([0.0, 2.0**-53, 2.0**-52, 2.0**-40])
+    w = np.ones(u.size)
+    for alpha, skew in ((1.5, 1.0), (1.5, 0.0)):
+        with np.errstate(all="ignore"):
+            got = _cms_standard(alpha, skew, EdgeDraws(u, w), u.size)
+        assert np.all(np.sign(got) == np.sign(got[-1])), (alpha, skew, got)
+        if skew:
+            assert np.all(np.abs(got - got[-1]) <= 1e-6 * abs(got[-1])), got
+            limit = -1.5 * 2.0 ** (2.0 / 3.0)
+            assert abs(got[-1] - limit) <= 1e-7 * abs(limit)  # measured 1e-8
 
 
 def test_skewed_s1_characteristic_function():

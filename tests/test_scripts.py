@@ -76,6 +76,13 @@ def test_walk_kernel_scenarios_keep_their_digests(tmp_path):
     check_committed_digests(tmp_path, ("integrals_follower_", "sde_full"), 3)
 
 
+def test_delay_kernel_scenarios_keep_their_digests(tmp_path):
+    # the one scenario that steps the walk delay scheme (and the limit one)
+    # through sde._sdd_steps: a rounding move in the kernel or in its
+    # initial-segment reads changes its digest
+    check_committed_digests(tmp_path, ("sdde_full",), 1)
+
+
 def test_metric_scenarios_keep_their_digests(tmp_path):
     # the scenario that computes the exact J1 and M1 distances: a changed
     # distance moves its ordering share or its witness values
@@ -83,9 +90,10 @@ def test_metric_scenarios_keep_their_digests(tmp_path):
 
 
 def test_stable_limit_scenarios_keep_their_digests(tmp_path):
-    # the other scenarios that draw CMS stable limits or references: a
-    # rounding move in the stable sampler changes their digests
-    check_committed_digests(tmp_path, ("integrals_deterministic", "sdde_full", "attraction_alpha"), 6)
+    # the other scenarios that draw CMS stable limits or references (and
+    # sdde_full, guarded above): a rounding move in the stable sampler
+    # changes their digests
+    check_committed_digests(tmp_path, ("integrals_deterministic", "attraction_alpha"), 5)
 
 
 def load_tracer():

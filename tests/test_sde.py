@@ -39,7 +39,6 @@ from ctrwlab.rng import StableParams, attractor_params, draw_stable, wait_attrac
 from ctrwlab.sde import (
     SddeSpec,
     SdeSpec,
-    _History,
     _s_limit_euler,
     _sn_euler,
     sdd_limit_terminal_samples,
@@ -522,9 +521,10 @@ def test_solve_sddn_delay_causality():
 
 
 def test_solve_sddn_matches_delay_recursion_per_row():
-    # at n = 100 a delayed left read v - r can round above the event time it
+    # at n = 100 a delayed time v - r can round above the event time it
     # stands for (0.51 - 0.5 = 0.010000000000000009); the solver must still
-    # read the state before that event, as the recursion does by index
+    # read the state before that event, as the recursion does by index, and
+    # inside the initial segment the left limit before eta's jump at -0.25
     n = 100
     cfg = ProcessConfig(
         innovation=InnovationLaw(1.5, "centered"),
@@ -538,64 +538,10 @@ def test_solve_sddn_matches_delay_recursion_per_row():
         bun = gen_moving_average(cfg, 1.0, SeedSpec(820 + i))
         ev = bun.x.jump_times()
         want = ma_delay_recursion(spec, bun.x.value(ev) - bun.x.value_before(ev), n, cfg.psi)
-        out = solve_sddn(spec, bun, drift_mesh=1.0 / n)
+        out = solve_sddn(spec, bun)
         got = np.append(out.value(0.0), [out.value(t) for t in ev])
-        # measured 5.9e-16 here, and up to 1.7e-2 with the unsnapped read
+        # measured 0 here, and up to 1.7e-2 with the unsnapped read
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
-
-
-def test_solve_sddn_steps_once_per_event():
-    # the mesh point k (1/n) and the event k/n can differ by an ulp; such a
-    # mesh point is dropped instead of making a cell 5.6e-17 wide
-    n = 100
-    cfg = ProcessConfig(innovation=InnovationLaw(1.5, "centered"), waiting=None, coefficients=(1.0, 0.5), n=n)
-    eta = StepPath([-0.5, -0.25], [0.3, -0.2], 0.0, origin=-0.5)
-    spec = SddeSpec(b=lambda t, xd: np.sin(xd) + 0.2 * t, sigma=lambda t, xd: np.cos(xd), r=0.5, eta=eta)
-    out = solve_sddn(spec, gen_moving_average(cfg, 1.0, SeedSpec(820)), drift_mesh=1.0 / n)
-    assert out.times.size - 1 == n  # 110 steps with the ulp-wide cells
-    assert np.min(np.diff(out.times)) > 0.5 / n
-
-
-def test_solve_sddn_window_kernel():
-    cfg = ProcessConfig(
-        innovation=InnovationLaw(1.5, "centered"),
-        waiting=None,
-        coefficients=(1.0,),
-        n=8,
-    )
-    bun = gen_moving_average(cfg, 1.0, SeedSpec(61))
-    eta = flat_segment(0.0)
-    plain = SddeSpec(b=lambda t, xd: np.sin(xd), sigma=lambda t, xd: np.cos(xd), r=0.5, eta=eta)
-    zeroed = SddeSpec(
-        b=plain.b, sigma=plain.sigma, r=0.5, eta=eta, phi=lambda t, s, x: 0.0
-    )
-    ref = solve_sddn(plain, bun)
-    out = solve_sddn(zeroed, bun)
-    assert np.array_equal(out.values, ref.values)
-
-    # a constant kernel contributes exactly r to the diffusion coefficient
-    bun2 = inject_bundle([2.0, -1.0, 1.5, 0.75], (1.0, 1.0), T=0.5)
-    eta1 = flat_segment(1.0)
-    kern = SddeSpec(b=0.0, sigma=1.0, r=0.5, eta=eta1, phi=lambda t, s, x: 1.0)
-    shifted = SddeSpec(b=0.0, sigma=1.5, r=0.5, eta=eta1)
-    assert np.array_equal(
-        solve_sddn(kern, bun2).values, solve_sddn(shifted, bun2).values
-    )
-
-
-def test_solve_sddn_state_kernel_single_jump():
-    # X sits at 1 until the only jump at t=0.6, so the window integral of
-    # phi(t,s,x)=x over [0.1, 0.6] is 0.5 and the jump lands (0.5/psi)*dz
-    duck = SimpleNamespace(
-        x=StepPath.from_jumps([0.6], [1.0], 1.0),
-        config=SimpleNamespace(psi=1.0),
-        horizon=1.0,
-    )
-    spec = SddeSpec(b=0.0, sigma=0.0, r=0.5, eta=flat_segment(1.0), phi=lambda t, s, x: x)
-    out = solve_sddn(spec, duck)
-    before = out.times < 0.6
-    assert np.all(out.values[before] == 1.0)
-    assert abs(out.value(1.0) - 1.5) <= 1e-12
 
 
 def test_solve_sdd_limit_exact_and_mesh_check():
@@ -668,12 +614,9 @@ def test_sddn_samples_initial_segment_replay():
 
 
 def test_delayed_left_reads_inside_the_initial_segment():
-    # a left read at a jump of eta inside (-r, 0) is eta's left limit there
-    hist = _History(StepPath([-0.25, -0.1], [0.4, -0.2], 0.0, origin=-0.25))
-    assert hist.read(-0.1, left=True) == 0.4 and hist.read(-0.1) == -0.2
-    assert hist.read(-0.25, left=True) == 0.4 and hist.read(0.0, left=True) == -0.2
     # the walk sampler reads sigma at the left limit at (k + 1)/8 - 1/2,
-    # which is eta's jump time -0.25 at k = 1; replay the recursion by hand
+    # which is eta's jump time -0.25 at k = 1, so the read there is eta's
+    # value before that jump; replay the recursion by hand
     cfg = ProcessConfig(innovation=InnovationLaw(1.5, "centered"), waiting=None, n=8)
     eta = StepPath([-0.5, -0.25], [2.0, 7.0], 0.0, origin=-0.5)
     spec = SddeSpec(b=lambda t, xd: xd, sigma=lambda t, xd: xd, r=0.5, eta=eta)
@@ -714,23 +657,13 @@ def test_sddn_samples_trivial_and_validation():
         sddn_terminal_samples(crooked, cfg, 1.0, 10, SeedSpec(35))
     assert ei.value.tag == "PARAM_DELAY"
 
-
-def test_sddn_samples_vs_per_path_law():
-    eta = flat_segment(0.0)
-    spec = SddeSpec(b=lambda t, xd: np.sin(xd), sigma=lambda t, xd: np.cos(xd), r=0.5, eta=eta)
-    cfg = ProcessConfig(
-        innovation=InnovationLaw(1.5, "centered"),
-        waiting=None,
-        coefficients=(1.0, 0.5),
-        n=8,
-    )
-    big = sddn_terminal_samples(spec, cfg, 1.0, 1200, SeedSpec(302))
-    small = np.empty(400)
-    for i in range(400):
-        bun = gen_moving_average(cfg, 1.0, SeedSpec(9500 + i))
-        small[i] = solve_sddn(spec, bun, drift_mesh=2.0 ** -6).value(1.0)
-    stat, _ = ks_two_sample(big, small)
-    assert stat <= 0.07  # measured 0.041 with these seeds
+    # the per-path solver is the sampler's one-row call and rejects the same
+    with pytest.raises(ParameterError) as ei:
+        solve_sddn(spec, gen_ctrw(ctrw, 1.0, SeedSpec(35)))
+    assert ei.value.tag == "PARAM_WAITING"
+    with pytest.raises(ParameterError) as ei:
+        solve_sddn(crooked, gen_moving_average(cfg, 1.0, SeedSpec(35)))
+    assert ei.value.tag == "PARAM_DELAY"
 
 
 # the r = 0.25 spec reads t in both coefficients, and its segment jumps
@@ -749,6 +682,29 @@ def test_sddn_samples_match_row_oracle():
     # 700 reps span a full block and a partial one
     out = sddn_terminal_samples(spec, cfg, 1.0, 700, SeedSpec(830))
     assert np.array_equal(out, row_sddn_terminal_samples(spec, cfg, 1.0, 700, SeedSpec(830)))
+
+
+def test_sddn_samples_vs_per_path_law():
+    # the per-path law row by row, bitwise: every row of the sampler is
+    # solve_sddn on that row's driver. A duck law hands row i's innovations
+    # to both, and dyadic innovations at alpha = 1, n = 16 keep the bundle's
+    # jumps, differences of its cumulative sums, equal to the block's
+    spec = SddeSpec(**DELAY_TIMED)
+    rows, width = 3, 18  # theta_-1, ..., theta_16 a row
+    seq = np.random.default_rng(840).integers(-64, 65, rows * width) / 8.0
+
+    def config(thetas):
+        law = SimpleNamespace(
+            alpha=1.0, mode="symmetric", scale=1.0,
+            draw=lambda gen, size: thetas[:size].copy(),
+        )
+        return ProcessConfig(law, coefficients=(1.0, 0.5), n=16)
+
+    out = sddn_terminal_samples(spec, config(seq), 1.0, rows, SeedSpec(841))
+    for i in range(rows):
+        bun = gen_moving_average(config(seq[i * width : (i + 1) * width]), 1.0, SeedSpec(842))
+        path = solve_sddn(spec, bun)
+        assert path.times.size == 17 and path.value(1.0) == out[i]
 
 
 def test_sdd_limit_matches_row_oracle():
