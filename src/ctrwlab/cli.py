@@ -67,19 +67,6 @@ from .sde import (
 )
 from .stats import DiagnosticReport, Estimate, ks_two_sample, mean_estimate, wasserstein1
 
-_KINDS = {
-    "simulate",
-    "attraction",
-    "gd",
-    "gdca",
-    "gdci",
-    "integrals",
-    "adversarial",
-    "sde",
-    "sdde",
-    "metrics",
-}
-
 _COMMON_KEYS = {"kind", "label", "seed", "stream", "replications", "horizon"}
 
 
@@ -434,8 +421,9 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
 
 def _run_adversarial(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n_list"}, "config")
-    proc = _build_process(cfg["process"], _n_list(cfg)[0])
-    inner = adversarial_experiment(proc, _n_list(cfg), reps, seed, T=T)
+    ns = _n_list(cfg)
+    proc = _build_process(cfg["process"], ns[0])
+    inner = adversarial_experiment(proc, ns, reps, seed, T=T)
     rep = DiagnosticReport("adversarial", cfg, seed.seed, list(inner.estimates))
     return rep
 
@@ -629,7 +617,7 @@ def load_config(path):
 def run_scenario(cfg, seed=None, reps=None, out=None):
     """Run one scenario dict and write its report; returns the report."""
     kind = cfg.get("kind")
-    if kind not in _KINDS:
+    if kind not in _HANDLERS:
         raise ParameterError(f"unknown scenario kind {kind!r}", tag="PARAM_KIND")
     seed_spec = SeedSpec(
         _number(cfg.get("seed", 0) if seed is None else seed, "seed", int),

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DataError, ParameterError, UnsupportedDecomposition
 from .paths import StepPath, sorted_union, total_variation
-from .processes import INNOVATION_LANE, _counts_at, _draw_innovations, iter_ctrw_chunks
+from .processes import INNOVATION_LANE, _counts_at, _draw_innovations, _live_slots, _row_cumsum, _zeta
+from .processes import iter_ctrw_chunks
 from .stats import DiagnosticReport, Estimate, mean_estimate, tail_estimate
 
 
@@ -409,26 +410,30 @@ def truncated_split_samples(config, T, a, c_grid, reps, seed):
     jump_ratio = np.empty(reps)
     stop = {c: np.empty(reps) for c in c_grid}
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed):
-        zeta, mask = blk["zeta"], blk["mask"]
-        m = zeta.shape[0]
+    for rb in iter_ctrw_chunks(config, T, reps, seed, False):
+        starts, live, zeta = rb["starts"], _live_slots(rb), rb["zeta"]
+        del rb
+        m, first = starts.size - 1, starts[:-1]
+        # the jumps of M and of A, zero at the past slots
         small = np.abs(zeta) <= a
-        dm = np.where(mask, np.where(small, zeta, 0.0) - kappa, 0.0)
-        da = np.where(mask, np.where(small, 0.0, zeta) + kappa, 0.0)
-        mart[lo : lo + m] = dm.sum(axis=1)
-        tv[lo : lo + m] = np.abs(da).sum(axis=1)
-        jump_ratio[lo : lo + m] = np.abs(dm).max(axis=1, initial=0.0) / (2.0 * a)
-        mv = np.abs(np.cumsum(dm, axis=1))
+        dm = np.where(small, zeta, 0.0)
+        dm[live] -= kappa
+        zeta[small] = 0.0
+        zeta[live] += kappa
+        del small, live
+        mart[lo : lo + m] = np.add.reduceat(dm, first)
+        tv[lo : lo + m] = np.add.reduceat(np.abs(zeta, out=zeta), first)
+        # |jump of M| at each slot, and 0 at slot size for a row that M
+        # never takes to c
+        jumps = np.abs(np.append(dm, 0.0))
+        jump_ratio[lo : lo + m] = np.maximum.reduceat(jumps[:-1], first) / (2.0 * a)
+        mv = np.abs(_row_cumsum(dm, starts), out=dm)
+        # the first slot of each row where |M| >= c; |M| and the jump of M
+        # are zero at the past slots
         for c in c_grid:
-            if not dm.shape[1]:
-                # no renewal in any row of the block: M never moves
-                stop[c][lo : lo + m] = 0.0
-                continue
-            over = mv >= c
-            first = np.argmax(over, axis=1)
-            stop[c][lo : lo + m] = np.where(over.any(axis=1), np.abs(dm[np.arange(m), first]), 0.0)
+            stop[c][lo : lo + m] = jumps[np.minimum.reduceat(np.where(mv >= c, np.arange(mv.size), mv.size), first)]
         lo += m
-        del blk, zeta, mask, small, dm, da, mv
+        del zeta, jumps, dm, mv
     return mart, tv, jump_ratio, stop
 
 
@@ -445,23 +450,25 @@ def gdca_samples(config, T, reps, seed, gamma=None):
     grid = np.arange(1, int(math.floor(T / step + 1e-9)) + 1) * step
     out = np.empty(reps)
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed):
-        th = blk["theta"].copy()
-        th[:, : blk["peff"] + 1] = 0.0
-        m, K = blk["zeta"].shape
-        # |V| with a zero column in front: column c holds |V| after c jumps,
-        # so the number of jumps at or before a grid point is its column
-        av = np.zeros((m, K + 1))
-        v = av[:, 1:]
-        for i, ti in enumerate(tails, start=1):
-            v += ti * th[:, blk["peff"] + 2 - i : blk["peff"] + 2 - i + K]
+    for rb in iter_ctrw_chunks(config, T, reps, seed, True):
+        counts, peff, starts, times = rb["counts"], rb["peff"], rb["starts"], rb["times"]
+        live = _live_slots(rb)
+        th = np.zeros(rb["theta"].size)
+        th[live] = rb["theta"][live]
+        del rb, live
+        m = counts.size
+        # |V_k| at theta_k's slot: the tail sums filter theta with the past
+        # slots zeroed, and theta_0's slot holds |V_0| = 0, so the number of
+        # jumps at or before a grid point, added to it, is the slot to read
+        av = _zeta(th, starts, tails, peff)
         del th
-        v *= -scale
-        v[~blk["mask"]] = 0.0
+        av *= -scale
         np.abs(av, out=av)
-        stat = v.sum(axis=1)
-        stat += np.take_along_axis(av, _counts_at(blk["times"], blk["mask"], grid), axis=1).sum(axis=1)
+        stat = np.add.reduceat(av, starts[:-1])
+        at = _counts_at(times, counts, grid)
+        at += (starts[:-1] + peff)[:, None]
+        stat += av[at].sum(axis=1)
         out[lo : lo + m] = float(n) ** (-gamma) * stat
         lo += m
-        del blk, av, v
+        del times, av, at
     return out

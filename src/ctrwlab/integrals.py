@@ -26,10 +26,11 @@ from .processes import (
     _d_law,
     _first_passage,
     _inverse_at,
+    _live_slots,
+    _row_cumsum,
     _step_law,
     _z_law,
     iter_ctrw_chunks,
-    ragged_blocks,
 )
 from .rng import draw_stable
 from .stats import DiagnosticReport, Estimate, mean_estimate
@@ -381,33 +382,35 @@ def upsilon_estimate(bundles_by_n, integrand_factory, eps_list, m):
 
 
 def deterministic_integral_samples(config, T, reps, seed, fn):
-    """Terminal values of the integral of f(t) against X^n, per replication."""
+    """Terminal values of the integral of f(t) against X^n, per replication:
+    each row's live jumps weighted by f at their times, summed over the
+    row's own segment."""
     out = np.empty(reps)
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed):
-        hv = np.asarray(fn(blk["times"]), dtype=float)
-        inc = np.where(blk["mask"], hv * blk["zeta"], 0.0)
-        out[lo : lo + inc.shape[0]] = inc.sum(axis=1)
-        lo += inc.shape[0]
-        del blk, hv, inc
+    for rb in iter_ctrw_chunks(config, T, reps, seed, True):
+        m, inc = rb["counts"].size, rb["zeta"]
+        inc[_live_slots(rb)] *= np.asarray(fn(rb["times"]), dtype=float)
+        out[lo : lo + m] = np.add.reduceat(inc, rb["starts"][:-1])
+        lo += m
+        del rb, inc
     return out
 
 
 def adversarial_sup_samples(config, T, reps, seed):
-    """sup_{t <= T} |integral of the adversarial integrand against X^n|."""
+    """sup_{t <= T} |integral of the adversarial integrand against X^n|:
+    jump k of a row is weighted by sgn(theta_{k-1}), read one slot back in
+    its segment, and the running sums are scanned row by row."""
     out = np.empty(reps)
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed):
-        K = blk["zeta"].shape[1]
-        signs = np.sign(blk["theta"][:, blk["peff"] : blk["peff"] + K])
-        inc = np.where(blk["mask"], signs * blk["zeta"], 0.0)
-        run = np.cumsum(inc, axis=1)
-        if run.shape[1] == 0:
-            out[lo : lo + run.shape[0]] = 0.0
-        else:
-            out[lo : lo + run.shape[0]] = np.max(np.abs(run), axis=1)
-        lo += run.shape[0]
-        del blk, signs, inc, run
+    for rb in iter_ctrw_chunks(config, T, reps, seed, False):
+        m, starts, inc = rb["counts"].size, rb["starts"], rb["zeta"]
+        # zeta is zero at the past slots, each segment's first one included
+        inc[1:] *= np.sign(rb["theta"][:-1])
+        del rb
+        run = np.abs(_row_cumsum(inc, starts), out=inc)
+        out[lo : lo + m] = np.maximum.reduceat(run, starts[:-1])
+        lo += m
+        del inc, run
     return out
 
 
@@ -425,16 +428,13 @@ def follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=
     out = np.empty(reps)
     lo = 0
     g0 = float(base(0.0))
-    for rb in ragged_blocks(config, T, reps, seed, True):
-        counts, times, peff, starts = rb["counts"], rb["times"], rb["peff"], rb["starts"]
-        zeta = rb["zeta"]
+    for rb in iter_ctrw_chunks(config, T, reps, seed, True):
+        # the live jumps, row after row as the times, gathered once the
+        # innovations and waits are dropped
+        del rb["theta"], rb["waits"]
+        counts, times, zeta = rb["counts"], rb["times"], rb["zeta"][_live_slots(rb)]
         del rb
         m, N = counts.size, int(counts.sum())
-        if times is None:
-            # a moving average jumps at k/n
-            times = np.tile(np.arange(1, N // m + 1) / config.n, m)
-        # the live jumps, row after row as the times
-        zeta = np.delete(zeta, (starts[:-1, None] + np.arange(peff + 1)).ravel())
         # slope (t_j - t_{j-1}), with t_{-1} = 0 at each row's first event
         firsts = np.cumsum(counts) - counts
         step = np.empty(N)

@@ -8,14 +8,14 @@ pure function of (config, seed), with waiting times drawn from substream
 lane 0 and innovations from lane 1, so paired processes share streams
 reproducibly.
 
-The walk's replication blocks are ragged (_block): each row holds its own
-renewals only, as flat per-row segments, with its jump times and waits
-when kept. terminal_samples sums each row's segment, and the follower
-integral steps the rows' renewals column by column; iter_ctrw_chunks pads
-the blocks to matrices for the other ensemble samplers that step column by
-column, where per-path objects would be too slow. gen_moving_average and
-gen_ctrw read row 0 of a padded one-row block of the same step, so all of
-them draw one recursion.
+The walk's replication blocks are ragged (_block, yielded by
+iter_ctrw_chunks): each row holds its own renewals only, as flat per-row
+segments, with its jump times and waits when kept. Every ensemble sampler
+reads each row's own segment, where per-path objects would be too slow:
+terminal_samples sums it, and the integral, SDE and decomposition samplers
+sum, scan or step its live slots (_live_slots). gen_moving_average and
+gen_ctrw read a one-row block of the same step, so all of them draw one
+recursion.
 """
 
 import math
@@ -241,17 +241,14 @@ def _staircase(times_over_n, K, horizon):
 
 
 def _bundle(config, T, seed):
-    """One realisation: row 0 of a one-row replication block drawn from the
+    """One realisation: the one-row replication block drawn from the
     per-path lanes, waits from seed.generator(WAIT_LANE) and innovations from
-    seed.generator(INNOVATION_LANE), padded as iter_ctrw_chunks pads it."""
+    seed.generator(INNOVATION_LANE), read off its one segment."""
     rb = _block(config, T, 1, seed.generator(WAIT_LANE), seed.generator(INNOVATION_LANE), True)
-    blk = _padded(config, T, rb)
-    K = int(blk["counts"][0])
-    past = config.past_horizon
-    thetas = blk["theta"][0, blk["peff"] - past :][: past + 1 + K]
-    times = blk["times"][0]
-    x = StepPath.from_jumps(times, blk["zeta"][0], T)
+    K, peff, past, times = int(rb["counts"][0]), rb["peff"], config.past_horizon, rb["times"]
+    x = StepPath.from_jumps(times, rb["zeta"][peff + 1 :], T)
     waits = np.ones(K) if rb["waits"] is None else rb["waits"]
+    thetas = rb["theta"][peff - past :]
     return SimulationBundle(x, _staircase(times, K, T), thetas, past, waits, config, seed, float(T))
 
 
@@ -364,14 +361,14 @@ def _first_passage(d_inc, T, m, gen):
     return D
 
 
-def _counts_at(levels, keep, nodes):
-    """counts[r, j] = #{i: keep[r, i] and levels[r, i] <= nodes[j]}, for
-    sorted nodes: one flat searchsorted of the kept levels, one bincount of
-    (row, bin) and a running sum along the nodes. Levels above the last node
-    fall in a spill column that is dropped."""
-    m, k = keep.shape[0], nodes.size + 1
-    key = np.searchsorted(nodes, levels[keep], side="left")
-    key += np.repeat(np.arange(m) * k, keep.sum(axis=1))
+def _counts_at(levels, per_row, nodes):
+    """counts[r, j] = #{levels of row r <= nodes[j]}, for sorted nodes and
+    flat levels, per_row[r] of them for row r, row after row: one flat
+    searchsorted, one bincount of (row, bin) and a running sum along the
+    nodes. Levels above the last node fall in a dropped spill column."""
+    m, k = per_row.size, nodes.size + 1
+    key = np.searchsorted(nodes, levels, side="left")
+    key += np.repeat(np.arange(m) * k, per_row)
     counts = np.bincount(key, minlength=m * k).reshape(m, k)
     return np.cumsum(counts, axis=1, out=counts)[:, :-1]
 
@@ -395,8 +392,9 @@ def _time_changed_block(d_law, z_law, T, h, m, dgen, zgen, nodes):
     """
     D = _first_passage(_step_law(d_law, h), T, m, dgen)
     keep = D <= T
-    steps = keep.sum(axis=1) + 1
-    counts = _counts_at(D, keep, nodes)
+    steps = keep.sum(axis=1)
+    counts = _counts_at(D[keep], steps, nodes)
+    steps += 1
     del D, keep
     zcum = np.zeros((m, int(steps.max()) + 1))
     zcum[:, 1:][np.arange(zcum.shape[1] - 1) < steps[:, None]] = draw_stable(
@@ -583,10 +581,11 @@ def _block(config, T, m, wgen, igen, keep):
               (_segments)
       zeta:   the scaled jumps zeta^n_i at theta_i's slots, zero at each
               row's past slots (_zeta)
-      times, waits: with keep, the jump times L_k/n and the waits J_k of
-              each row's live renewals, flat and row after row in the order
-              of zeta's live slots; None without keep or for a moving
-              average, whose k-th jump is at k/n.
+      times, waits: with keep, the jump times L_k/n (k/n for a moving
+              average) and the waits J_k of each row's live renewals, flat
+              and row after row in the order of zeta's live slots
+              (_live_slots); None without keep, and waits None for a
+              moving average, whose waits are all 1.
 
     A row draws its past + 1 + counts innovations only: one flat draw for
     an uncoupled block, row after row. A moving average draws the (m,
@@ -625,6 +624,8 @@ def _block(config, T, m, wgen, igen, keep):
         K = int(math.floor(target + 1e-9))
         counts = np.full(m, K)
         drawn = _draw_innovations(law, igen, (m, past + 1 + K)).reshape(-1)
+        if keep:
+            times = np.tile(np.arange(1, K + 1) / n, m)
     peff = max(past, config.order)
     theta, starts = _segments(drawn, counts, past, peff)
     del drawn
@@ -636,45 +637,43 @@ def _block(config, T, m, wgen, igen, keep):
     }
 
 
-def _padded(config, T, rb):
-    """The (m, K) block dict of iter_ctrw_chunks from a ragged block kept
-    with its times, K the largest count: theta and zeta placed row by row
-    in zeros, so their live entries are the ragged ones, and the jump times
-    placed in nT/n, the time min(L_k, nT)/n of every renewal past a row's
-    count."""
-    counts, peff = rb["counts"], rb["peff"]
-    m, K = counts.size, int(counts.max())
-    mask = np.arange(K)[None, :] < counts[:, None]
-    if counts.min() == K:
-        # every segment is K + peff + 1 long (a moving average): the flat
-        # arrays are the rows
-        theta, zeta = rb["theta"].reshape(m, -1), rb["zeta"].reshape(m, -1)
-    else:
-        live = np.arange(peff + 1 + K) < (peff + 1 + counts)[:, None]
-        theta = np.zeros(live.shape)
-        theta[live] = rb["theta"]
-        zeta = np.zeros(live.shape)
-        zeta[live] = rb["zeta"]
-        del live
-    if config.waiting is None:
-        times = np.broadcast_to(np.arange(1, K + 1) / config.n, (m, K))
-    else:
-        times = np.full((m, K), config.n * T / config.n)
-        times[mask] = rb["times"]
-    return {
-        "theta": theta,
-        "peff": peff,
-        "zeta": zeta[:, peff + 1 :],
-        "times": times,
-        "counts": counts,
-        "mask": mask,
-    }
+def _live_slots(rb):
+    """The flat indices of each row's theta_1, ..., theta_{counts[r]} in a
+    block rb (_block), row after row: the slots of its live zeta, in the
+    order of its times. Live entry i of row r sits at i + (peff + 1)(r + 1);
+    that is built as a running sum of steps in one index array, since a
+    second array of that size beside it raised the follower's peak RSS."""
+    counts = rb["counts"]
+    rows = np.flatnonzero(counts)
+    at = np.ones(int(counts.sum()), dtype=np.int64)
+    # a row's first live entry steps over the past slots of every row since
+    # the previous live entry
+    at[(np.cumsum(counts) - counts)[rows]] += (rb["peff"] + 1) * np.diff(rows, prepend=-1)
+    np.cumsum(at, out=at)
+    at -= 1
+    return at
 
 
-def ragged_blocks(config, T, reps, seed, keep):
+def _row_cumsum(inc, starts):
+    """Running sums of each segment inc[starts[r] : starts[r + 1]] of a
+    flat inc whose segments each start with a zero slot, in place: one flat
+    cumsum in which each segment's first slot takes back the sum of the
+    segment before it, so the running sum and its rounding stay the size of
+    one row's, not of the whole block's. The residue left at a segment's
+    first slot is then subtracted along the segment."""
+    first = starts[:-1]
+    inc[first[1:]] = -np.add.reduceat(inc, first)[:-1]
+    np.cumsum(inc, out=inc)
+    inc -= np.repeat(inc[first], np.diff(starts))
+    return inc
+
+
+def iter_ctrw_chunks(config, T, reps, seed, keep):
     """Yield the ragged replication blocks (_block dicts; with `keep`, the
-    jump times and waits too) of `reps` replications: block b of BLOCK rows
-    draws from seed.generator((lane, b * BLOCK))."""
+    jump times and waits too) of the CTRW (or moving average) over `reps`
+    replications: block b of BLOCK rows draws from seed.generator((lane,
+    b * BLOCK)). The per-path generators are the one-row block on
+    seed.generator(lane)."""
     if not T > 0:
         raise ParameterError("horizon must be > 0")
     for lo in range(0, reps, BLOCK):
@@ -682,31 +681,12 @@ def ragged_blocks(config, T, reps, seed, keep):
         yield _block(config, T, min(BLOCK, reps - lo), wgen, igen, keep)
 
 
-def iter_ctrw_chunks(config, T, reps, seed):
-    """Yield vectorised replication blocks of the CTRW (or moving average).
-
-    Each block is a dict with:
-      theta: innovations incl. uniform past (peff columns before theta_0)
-      peff:  number of columns before the theta_0 column
-      zeta:  scaled jump sizes zeta^n_k (k = 1..K columns)
-      times: jump times L_k/n (same shape as zeta); past a row's count
-             they are min(L_k, nT)/n = nT/n, finite (T up to rounding)
-      counts: per-row number of jumps with L_k <= nT
-      mask:  boolean validity mask for the k columns
-    Moving averages (waiting=None) have deterministic times k/n and full mask.
-    Past a row's count theta and zeta are zero: the blocks are those of
-    ragged_blocks padded to the largest count (_padded). The per-path
-    generators are the one-row block on seed.generator(lane).
-    """
-    yield from map(lambda rb: _padded(config, T, rb), ragged_blocks(config, T, reps, seed, True))
-
-
 def terminal_samples(config, T, reps, seed):
     """X^n_T over `reps` replications (vectorised): each row's zeta summed
     over its own segment of the ragged blocks, no padded block built."""
     out = np.empty(reps)
     lo = 0
-    for rb in ragged_blocks(config, T, reps, seed, False):
+    for rb in iter_ctrw_chunks(config, T, reps, seed, False):
         m = rb["counts"].size
         out[lo : lo + m] = np.add.reduceat(rb["zeta"], rb["starts"][:-1])
         lo += m

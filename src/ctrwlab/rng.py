@@ -159,12 +159,13 @@ class WaitingLaw:
 # (256 KB) stay in L2 while the slice passes through its ufuncs
 CMS_SLICE = 16384
 
-# CMS uniforms below this are raised to it. For a totally skewed law with
-# 1 < alpha < 2, a = alpha (V + B) tends to -pi as u -> 0 and the draw is a
-# 0 * inf product with a finite limit: at u = 0 its sine rounds to either
-# sign, and at (alpha, skew) = (1.5, 1) the draw at u = 2^-53 is 6% off the
-# limit, which u = 2^-40 gives to 1e-8. The draws it moves have
-# probability 2^-40 together
+# CMS uniforms are clipped to [CMS_U_FLOOR, 1 - CMS_U_FLOOR]. For a totally
+# skewed law with 1 < alpha < 2, a = alpha (V + B) tends to -pi as u -> 0
+# (skew 1) or to +pi as u -> 1 (skew -1), and the draw is a 0 * inf product
+# with a finite limit: at u = 0 its sine rounds to either sign, and at
+# (alpha, skew) = (1.5, 1) the draw at u = 2^-53 is 6% off the limit, which
+# u = 2^-40 gives to 1e-8; (1.5, -1) at u = 1 - 2^-53 mirrors it. The
+# draws it moves have probability 2^-39 together
 CMS_U_FLOOR = 2.0**-40
 
 
@@ -180,7 +181,7 @@ def _cms_standard(alpha, skew, gen, size):
     # and writes the result into V. W is never squared, since W^2
     # underflows where W itself does not
     V = gen.random(size)
-    np.maximum(V, CMS_U_FLOOR, out=V)
+    np.clip(V, CMS_U_FLOOR, 1.0 - CMS_U_FLOOR, out=V)
     V -= 0.5
     V *= np.pi
     W = gen.standard_exponential(size)

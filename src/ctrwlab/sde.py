@@ -24,6 +24,7 @@ from .processes import (
     LIMIT_BLOCK,
     WAIT_LANE,
     _d_law,
+    _live_slots,
     _step_law,
     _t_nodes,
     _time_changed_block,
@@ -124,58 +125,61 @@ class SddeSpec:
         return _as_vec_fn(getattr(self, name))
 
 
-def _sn_euler(spec, ev_t, live, dd, dz, T, drift_mesh):
+def _sn_euler(spec, ev_t, counts, dd, dz, T, drift_mesh):
     """Left-point Euler for the walk-driven scheme, one column per replication.
 
-    ev_t, live, dd and dz are (m, K) event times, validity mask and jumps of
-    D and Z, each row's times in order. Each replication steps through its
-    events, the mesh {k drift_mesh} and T in time order, masked events being
-    zero-width steps at T: b dt on every step, then mu_- dD + sigma_- dZ at a
-    live event, with the coefficients read at left limits. Returns the
-    (L + 1, m) times and X: row 0 holds t = 0 and x0, row j the j-th time of
-    every replication and X after it, so the last row is X_T.
+    ev_t, dd and dz are flat event times and jumps of D and Z, counts[r]
+    of them for replication r, row after row, each row's times in order.
+    Each replication steps through its events, the mesh {k drift_mesh} and
+    T in time order, K - counts[r] more steps at T being of zero width (K
+    the largest count): b dt on every step, then mu_- dD + sigma_- dZ at an
+    event, with the coefficients read at left limits. Returns the (L + 1, m)
+    times and X: row 0 holds t = 0 and x0, row j the j-th time of every
+    replication and X after it, so the last row is X_T.
 
     The merge needs no argsort: event k of a row lands after k events and
     after the grid points (mesh and T) strictly before it, so at equal times
     an event comes before the mesh point and T, and the times are one sort of
     values in place. Each step is a few vector ops on contiguous rows of
-    two (L + 1, m) float arrays, the times and X; the live events, sorted by
+    two (L + 1, m) float arrays, the times and X; the events, sorted by
     their place in that layout, give each step its replications with a jump
     as one slice, and only those read mu and sigma and take the jump. The
-    growth bound is checked once per call, on the live events' left limits,
-    D and times recorded as they are stepped, and warns at most once.
+    growth bound is checked once per call, on the events' left limits, D
+    and times recorded as they are stepped, and warns at most once.
     """
     if drift_mesh is not None and not drift_mesh > 0:
         raise ParameterError("drift mesh must be > 0", tag="PARAM_MESH")
-    m, K = ev_t.shape
+    m, K = counts.size, int(counts.max(initial=0))
     bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
     mesh = np.arange(1, int(math.floor(T / drift_mesh + 1e-9)) + 1) * drift_mesh if drift_mesh else np.empty(0)
     grid = np.append(mesh[mesh <= T], T)
-    et = np.where(live, ev_t, T)
-    # a live time that rounds above T must not pass the masked ones at T
-    np.maximum.accumulate(et, axis=1, out=et)
-    at = (np.arange(1, K + 1) + np.searchsorted(grid, et, side="left"))[live] * m + np.nonzero(live)[0]
+    # event k of row r sits at (k + 1) m + r of the layout's event rows
+    at = (np.arange(ev_t.size) - np.repeat(np.cumsum(counts) - counts - 1, counts)) * m
+    at += np.repeat(np.arange(m), counts)
     shape = (K + grid.size + 1, m)
     times = np.empty(shape)
     times[0] = 0.0
-    times[1 : K + 1] = et.T
+    times[1 : K + 1] = T
+    times.reshape(-1)[at] = ev_t
+    # a time that rounds above T must not pass the fill at T
+    np.maximum.accumulate(times[1 : K + 1], axis=0, out=times[1 : K + 1])
     times[K + 1 :] = grid[:, None]
-    del et
+    at += m * np.searchsorted(grid, ev_t, side="left")
     # equal times are equal values, so sorting each column's values puts
     # every event time in the row that its position above gives it
     times.sort(axis=0)
     order = np.argsort(at)
     at = at[order]
-    dd, dz = dd[live][order], dz[live][order]
+    dd, dz = dd[order], dz[order]
     del order
-    # the live events of layout row j are at[edges[j] : edges[j + 1]], in
-    # the replications at - j m, at the times tl
+    # the events of layout row j are at[edges[j] : edges[j + 1]], in the
+    # replications at - j m, at the times tl
     edges = np.searchsorted(at, np.arange(shape[0] + 1) * m).tolist()
     tl = np.take(times, at)
     at -= np.repeat(np.arange(shape[0]) * m, np.diff(edges))
     x = np.empty(shape)
     x[0] = spec.x0
-    # the live events' left limits and D, kept for the growth check
+    # the events' left limits and D, kept for the growth check
     xl, dl = np.empty(at.size), np.empty(at.size)
     xk, d, u = x[0], np.zeros(m), times[0]
     for v, xj, lo, hi in zip(times[1:], x[1:], edges[1:-1], edges[2:]):
@@ -206,9 +210,9 @@ def solve_sn(spec, drivers, drift_mesh=2.0**-12, T=None):
     dn, zn = drivers
     T = zn.horizon if T is None else float(T)
     ev = sorted_union(dn.jump_times(), zn.jump_times())
-    ev = ev[None, ev <= T]
+    ev = ev[ev <= T]
     dd, dz = (path.value(ev) - path.value_before(ev) for path in drivers)
-    times, x = _sn_euler(spec, ev, np.ones(ev.shape, dtype=bool), dd, dz, T, drift_mesh)
+    times, x = _sn_euler(spec, ev, np.array([ev.size]), dd, dz, T, drift_mesh)
     times, x = times[1:, 0], x[1:, 0]
     # zero-width steps repeat a time; the last of each run holds the state
     keep = np.append(times[1:] != times[:-1], True)
@@ -274,16 +278,17 @@ def _sdd_steps(spec, x, per, t_drift, t_jump, head_drift, head_jump, c=1.0):
     return x
 
 
-def _walk_sdd_steps(spec, config, x):
-    """The delay scheme driven by a moving average, stepped by _sdd_steps
-    on a (K + 1, m) x whose rows 1..K hold the jumps at k/n. The drift is
-    read at the cell midpoints (k + 1/2)/n and sigma at the events
-    (k + 1)/n, both at the state nr = n r events back, or in the initial
-    segment for k < nr, where sigma reads the left limit at (k + 1)/n - r:
-    at k = nr - 1 that is the left limit at 0, and the read is snapped down
-    by a relative 1e-12, since (k + 1)/n - r can round just above a jump of
-    eta that it stands for. Requires deterministic unit waits and an integer
-    n r. Returns x."""
+def _walk_sdd_kernel(spec, config):
+    """The delay scheme driven by a moving average: a function of a
+    (K + 1, m) x whose rows 1..K hold the jumps at k/n, which steps it by
+    _sdd_steps and returns it. The drift is read at the cell midpoints
+    (k + 1/2)/n and sigma at the events (k + 1)/n, both at the state
+    nr = n r events back, or in the initial segment for k < nr, where sigma
+    reads the left limit at (k + 1)/n - r: at k = nr - 1 that is the left
+    limit at 0, and the read is snapped down by a relative 1e-12, since
+    (k + 1)/n - r can round just above a jump of eta that it stands for.
+    Requires deterministic unit waits and an integer n r, checked before
+    any step is taken."""
     if config.waiting is not None:
         raise ParameterError("delay scheme ensembles need a moving-average driver", tag="PARAM_WAITING")
     n = config.n
@@ -291,13 +296,17 @@ def _walk_sdd_steps(spec, config, x):
     if abs(nr - round(nr)) > 1e-9:
         raise ParameterError("n * r must be an integer for the delay scheme", tag="PARAM_DELAY")
     eta, k = spec.eta, np.arange(int(round(nr)))
-    head_drift = eta.value(k / n + 0.5 / n - spec.r)
+    head_drift = eta.value(k / n + 0.5 / n - spec.r).tolist()
     tau = np.minimum((k + 1) / n - spec.r, 0.0)
     tau -= 1e-12 * np.maximum(1.0, np.abs(tau))
-    head_jump = eta.value_before(np.maximum(tau, eta.origin))
-    K = x.shape[0] - 1
-    t_drift, t_jump = np.arange(K) / n + 0.5 / n, np.arange(1, K + 1) / n
-    return _sdd_steps(spec, x, n, t_drift, t_jump, head_drift.tolist(), head_jump.tolist(), config.psi)
+    head_jump = eta.value_before(np.maximum(tau, eta.origin)).tolist()
+
+    def steps(x):
+        K = x.shape[0] - 1
+        t_drift, t_jump = np.arange(K) / n + 0.5 / n, np.arange(1, K + 1) / n
+        return _sdd_steps(spec, x, n, t_drift, t_jump, head_drift, head_jump, config.psi)
+
+    return steps
 
 
 def solve_sddn(spec, bundle, T=None):
@@ -308,8 +317,9 @@ def solve_sddn(spec, bundle, T=None):
     zn = bundle.x
     T = bundle.horizon if T is None else float(T)
     K = int(np.searchsorted(zn.times, T, side="right")) - 1
+    steps = _walk_sdd_kernel(spec, bundle.config)
     x = np.diff(zn.values[: K + 1], prepend=0.0)[:, None]
-    return StepPath(zn.times[: K + 1], _walk_sdd_steps(spec, bundle.config, x)[:, 0], T)
+    return StepPath(zn.times[: K + 1], steps(x)[:, 0], T)
 
 
 def _limit_reads(spec, h, K):
@@ -340,20 +350,20 @@ def solve_sdd_limit(spec, z, T=None):
 
 def sn_terminal_samples(spec, config, T, reps, seed, drift_mesh=2.0**-10):
     """Terminal values of the walk-driven scheme across replications: the
-    solve_sn kernel run on each replication block, so every value is what
-    solve_sn gives on that row's drivers. The block dict (its innovations
-    with it) is dropped before the kernel runs; the kernel holds three
-    (L + 1, m) float arrays, of which only the last row, X_T, is kept."""
+    solve_sn kernel run on each replication block's live events, so every
+    value is what solve_sn gives on that row's drivers. The block dict is
+    dropped before the kernel runs; the kernel holds three (L + 1, m) float
+    arrays, of which only the last row, X_T, is kept."""
     nb = float(config.n) ** (-config.beta_eff)
     out = np.empty(reps)
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed):
-        times, mask, zeta = blk["times"], blk["mask"], blk["zeta"]
-        del blk
-        m = zeta.shape[0]
-        out[lo : lo + m] = _sn_euler(spec, times, mask, np.broadcast_to(nb, zeta.shape), zeta, T, drift_mesh)[1][-1]
+    for rb in iter_ctrw_chunks(config, T, reps, seed, True):
+        times, counts, dz = rb["times"], rb["counts"], rb["zeta"][_live_slots(rb)]
+        del rb
+        m = counts.size
+        out[lo : lo + m] = _sn_euler(spec, times, counts, np.broadcast_to(nb, dz.shape), dz, T, drift_mesh)[1][-1]
         lo += m
-        del times, mask, zeta
+        del times, counts, dz
     return out
 
 
@@ -406,14 +416,16 @@ def sddn_terminal_samples(spec, config, T, reps, seed):
     solve_sddn gives on that row's driver. Requires deterministic unit waits
     (jumps at k/n) and an integer n*r so the delayed argument is exactly
     the state nr events back."""
+    steps = _walk_sdd_kernel(spec, config)
     out = np.empty(reps)
     lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed):
-        m, K = blk["zeta"].shape
-        x = np.empty((K + 1, m))
-        x[1:] = blk["zeta"].T
-        del blk
-        out[lo : lo + m] = _walk_sdd_steps(spec, config, x)[-1]
+    for rb in iter_ctrw_chunks(config, T, reps, seed, False):
+        m = rb["counts"].size
+        # the segments of a moving average, all of one length, are the rows
+        # of a matrix; x's row 0, theta_0's slot, is set by the kernel
+        x = rb["zeta"].reshape(m, -1)[:, rb["peff"] :].T.copy()
+        del rb
+        out[lo : lo + m] = steps(x)[-1]
         lo += m
         del x
     return out

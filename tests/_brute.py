@@ -24,7 +24,11 @@ block's largest renewal count and filters the whole (m, K) matrix, and the
 padded terminal sum masks the padding away, as processes did before its
 ragged blocks. The padded follower steps the slope-capped tracker over
 every column of the padded blocks, as integrals did before it stepped each
-ragged row over its own renewals. The trigonometric CMS transform calls sin
+ragged row over its own renewals; the padded deterministic and adversarial
+integrals, truncated split, gdca statistic and walk-driven SDE (with its
+masked event kernel) are those samplers as they were before they read each
+row's own segment, and ragged_configs are the walks their tests run
+through both. The trigonometric CMS transform calls sin
 and cos, as rng did before its tangent form, and the tangent CMS transform
 holds four full-size arrays, as rng did before it ran in slices. The scalar
 J1 program and the all-pairs M1 distance are the metrics as they were before
@@ -69,8 +73,8 @@ from ctrwlab.processes import (
     _t_nodes,
     _wait_block,
     _z_law,
-    iter_ctrw_chunks,
 )
+from ctrwlab.decompositions import _compensator, _tail_sums, default_gdca_gamma
 from ctrwlab.integrals import _follow
 from ctrwlab.metrics import (
     MetricResult,
@@ -584,8 +588,7 @@ def row_sddn_terminal_samples(spec, config, T, reps, seed):
         tau -= 1e-12 * max(1.0, abs(tau))
         seg_jump.append(float(eta.value_before(max(tau, eta.origin))))
     out = np.empty(reps)
-    lo = 0
-    for blk in iter_ctrw_chunks(config, T, reps, seed):
+    for lo, blk in padded_blocks(config, T, reps, seed):
         zeta = blk["zeta"]
         m, K = zeta.shape
         X = np.empty((m, K + 1))
@@ -605,8 +608,6 @@ def row_sddn_terminal_samples(spec, config, T, reps, seed):
                 + sfn(t_next, xd_jump) / c * zeta[:, k]
             )
         out[lo : lo + m] = X[:, K]
-        lo += m
-        del blk, zeta, X
     return out
 
 
@@ -779,8 +780,8 @@ def rect_grow_wait_matrix(law, gen, m, target):
 
 def rect_block(config, T, m, wgen, igen):
     """One replication block of m rows, waits from wgen and innovations from
-    igen: (block dict as iter_ctrw_chunks yields it, wait matrix or None for
-    a moving average). The wait matrix may run past each row's last renewal.
+    igen: (block dict as padded_block gives it, wait matrix or None for a
+    moving average). The wait matrix may run past each row's last renewal.
     """
     n = config.n
     law = config.innovation
@@ -912,9 +913,12 @@ def _zeta_matrix(th, coeffs, peff, K):
 
 def padded_block(config, T, m, wgen, igen):
     """One replication block of m rows padded to the largest count K, as
-    iter_ctrw_chunks yields it, and the wait matrix or None for a moving
-    average. Every row's theta, zeta, times and mask have K columns and the
-    filter runs over all of them."""
+    iter_ctrw_chunks yielded it before its blocks were ragged, and the wait
+    matrix or None for a moving average: a dict with theta (the filter's
+    zero past in front), peff, zeta, times, counts and the validity mask of
+    the K columns. Every row's theta, zeta, times and mask have K columns
+    and the filter runs over all of them, so zeta past a row's count is not
+    zero; times past it are nT/n."""
     n = config.n
     law = config.innovation
     past = config.past_horizon
@@ -961,16 +965,34 @@ def padded_block(config, T, m, wgen, igen):
     return blk, J
 
 
-def padded_terminal_samples(config, T, reps, seed):
-    """X^n_T over `reps` replications: each padded block's zeta masked and
-    summed along its rows, blocks addressed as iter_ctrw_chunks addresses
-    them."""
-    out = np.empty(reps)
+def ragged_configs(n):
+    """Moving averages (one with a past shorter than the filter), uncoupled
+    CTRWs (one with a zero inner coefficient and no past) and a coupled one."""
+    sym = InnovationLaw(1.5, "symmetric")
+    yield ProcessConfig(sym, coefficients=(1.0, 0.5, 0.25), past_horizon=1, n=n)
+    yield ProcessConfig(InnovationLaw(0.7, "raw"), n=n)
+    yield ProcessConfig(InnovationLaw(1.5, "centered"), WaitingLaw(0.8), coefficients=(1.0, 0.5), n=n)
+    yield ProcessConfig(sym, WaitingLaw(0.6), coefficients=(1.0, 0.0, 0.3), past_horizon=0, n=n)
+    yield ProcessConfig(
+        InnovationLaw(1.2, "centered"), WaitingLaw(0.6), past_horizon=2, n=n, coupling="magnitude-coupled"
+    )
+
+
+def padded_blocks(config, T, reps, seed):
+    """Yield (lo, padded block) for `reps` replications, the block of rows
+    lo, ... addressed as processes.iter_ctrw_chunks addresses it."""
     for lo in range(0, reps, BLOCK):
         m = min(BLOCK, reps - lo)
         wgen, igen = seed.generator((WAIT_LANE, lo)), seed.generator((INNOVATION_LANE, lo))
-        blk = padded_block(config, T, m, wgen, igen)[0]
-        out[lo : lo + m] = np.where(blk["mask"], blk["zeta"], 0.0).sum(axis=1)
+        yield lo, padded_block(config, T, m, wgen, igen)[0]
+
+
+def padded_terminal_samples(config, T, reps, seed):
+    """X^n_T over `reps` replications: each padded block's zeta masked and
+    summed along its rows."""
+    out = np.empty(reps)
+    for lo, blk in padded_blocks(config, T, reps, seed):
+        out[lo : lo + blk["counts"].size] = np.where(blk["mask"], blk["zeta"], 0.0).sum(axis=1)
     return out
 
 
@@ -983,9 +1005,8 @@ def padded_follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0,
     """
     slope = float(C) * float(config.n) ** float(gamma)
     out = np.empty(reps)
-    lo = 0
     g0 = float(base(0.0))
-    for blk in iter_ctrw_chunks(config, T, reps, seed):
+    for lo, blk in padded_blocks(config, T, reps, seed):
         zeta = np.where(blk["mask"], blk["zeta"], 0.0)
         times = np.where(blk["mask"], blk["times"], T)
         m, K = zeta.shape
@@ -999,8 +1020,141 @@ def padded_follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0,
             xprev += zeta[:, k]
             tprev = times[:, k]
         out[lo : lo + m] = acc
-        lo += m
-        del blk, zeta, times
+    return out
+
+
+def padded_deterministic_integral_samples(config, T, reps, seed, fn):
+    """Terminal values of the integral of f(t) against X^n: f at every
+    padded block's jump times times its masked jumps, summed along rows."""
+    out = np.empty(reps)
+    for lo, blk in padded_blocks(config, T, reps, seed):
+        hv = np.asarray(fn(blk["times"]), dtype=float)
+        inc = np.where(blk["mask"], hv * blk["zeta"], 0.0)
+        out[lo : lo + inc.shape[0]] = inc.sum(axis=1)
+    return out
+
+
+def padded_adversarial_sup_samples(config, T, reps, seed):
+    """sup_{t <= T} |integral of the adversarial integrand against X^n|:
+    sgn(theta_{k-1}) times the masked jump k, cumsum along each padded row."""
+    out = np.empty(reps)
+    for lo, blk in padded_blocks(config, T, reps, seed):
+        K = blk["zeta"].shape[1]
+        signs = np.sign(blk["theta"][:, blk["peff"] : blk["peff"] + K])
+        inc = np.where(blk["mask"], signs * blk["zeta"], 0.0)
+        run = np.cumsum(inc, axis=1)
+        out[lo : lo + run.shape[0]] = np.max(np.abs(run), axis=1, initial=0.0)
+    return out
+
+
+def padded_truncated_split_samples(config, T, a, c_grid, reps, seed):
+    """(M_T, TV(A), max |jump of M| / 2a, {c: |jump of M at T ^ tau_c|}) of
+    the truncated split, from the masked padded blocks: tau_c is the first
+    column where the running |M| reaches c."""
+    kappa = _compensator(config, a)
+    mart, tv, jump_ratio = np.empty(reps), np.empty(reps), np.empty(reps)
+    stop = {c: np.empty(reps) for c in c_grid}
+    for lo, blk in padded_blocks(config, T, reps, seed):
+        zeta, mask = blk["zeta"], blk["mask"]
+        m = zeta.shape[0]
+        small = np.abs(zeta) <= a
+        dm = np.where(mask, np.where(small, zeta, 0.0) - kappa, 0.0)
+        da = np.where(mask, np.where(small, 0.0, zeta) + kappa, 0.0)
+        mart[lo : lo + m] = dm.sum(axis=1)
+        tv[lo : lo + m] = np.abs(da).sum(axis=1)
+        jump_ratio[lo : lo + m] = np.abs(dm).max(axis=1, initial=0.0) / (2.0 * a)
+        mv = np.abs(np.cumsum(dm, axis=1))
+        for c in c_grid:
+            if not dm.shape[1]:
+                # no renewal in any row of the block: M never moves
+                stop[c][lo : lo + m] = 0.0
+                continue
+            over = mv >= c
+            first = np.argmax(over, axis=1)
+            stop[c][lo : lo + m] = np.where(over.any(axis=1), np.abs(dm[np.arange(m), first]), 0.0)
+    return mart, tv, jump_ratio, stop
+
+
+def padded_gdca_samples(config, T, reps, seed, gamma=None):
+    """The grid statistic n^{-gamma} sum_{pi} |V| from the padded blocks:
+    V_k = -c sum_i tail_i theta_{k+1-i} along each row, masked past its
+    count, and each grid point read by its own searchsorted of the row's
+    live times."""
+    if not config.correlated:
+        return np.zeros(reps)
+    if gamma is None:
+        gamma = default_gdca_gamma(config)
+    n = config.n
+    tails = _tail_sums(config.coefficients)
+    step = float(n) ** (-config.beta_eff) * T
+    grid = np.arange(1, int(math.floor(T / step + 1e-9)) + 1) * step
+    out = np.empty(reps)
+    for lo, blk in padded_blocks(config, T, reps, seed):
+        th = blk["theta"].copy()
+        th[:, : blk["peff"] + 1] = 0.0
+        m, K = blk["zeta"].shape
+        # column c of av holds |V| after c jumps
+        av = np.zeros((m, K + 1))
+        v = av[:, 1:]
+        for i, ti in enumerate(tails, start=1):
+            v += ti * th[:, blk["peff"] + 2 - i : blk["peff"] + 2 - i + K]
+        v *= -config.prefactor / config.psi
+        v[~blk["mask"]] = 0.0
+        np.abs(av, out=av)
+        for r in range(m):
+            at = np.searchsorted(blk["times"][r, : blk["counts"][r]], grid, side="right")
+            out[lo + r] = float(n) ** (-gamma) * (v[r].sum() + av[r, at].sum())
+    return out
+
+
+def masked_sn_euler(spec, ev_t, live, dd, dz, T, drift_mesh):
+    """Left-point Euler for the walk-driven scheme on (m, K) event times,
+    validity mask and jumps of D and Z, masked events being zero-width
+    steps at T; returns the (L + 1, m) times and X, as sde._sn_euler did
+    before it took flat events and counts."""
+    m, K = ev_t.shape
+    bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
+    mesh = np.arange(1, int(math.floor(T / drift_mesh + 1e-9)) + 1) * drift_mesh if drift_mesh else np.empty(0)
+    grid = np.append(mesh[mesh <= T], T)
+    et = np.where(live, ev_t, T)
+    np.maximum.accumulate(et, axis=1, out=et)
+    at = (np.arange(1, K + 1) + np.searchsorted(grid, et, side="left"))[live] * m + np.nonzero(live)[0]
+    shape = (K + grid.size + 1, m)
+    times = np.empty(shape)
+    times[0] = 0.0
+    times[1 : K + 1] = et.T
+    times[K + 1 :] = grid[:, None]
+    times.sort(axis=0)
+    order = np.argsort(at)
+    at = at[order]
+    dd, dz = dd[live][order], dz[live][order]
+    edges = np.searchsorted(at, np.arange(shape[0] + 1) * m).tolist()
+    tl = np.take(times, at)
+    at -= np.repeat(np.arange(shape[0]) * m, np.diff(edges))
+    x = np.empty(shape)
+    x[0] = spec.x0
+    xk, d, u = x[0], np.zeros(m), times[0]
+    for v, xj, lo, hi in zip(times[1:], x[1:], edges[1:-1], edges[2:]):
+        xk = xk + bfn(u, d, xk) * (v - u)
+        if hi > lo:
+            r, t, dj = at[lo:hi], tl[lo:hi], dd[lo:hi]
+            xr, dr = xk[r], d[r]
+            xk[r] = xr + (mfn(t, dr, xr) * dj + sfn(t, dr, xr) * dz[lo:hi])
+            d[r] = dr + dj
+        xj[...] = xk
+        u = v
+    return times, x
+
+
+def padded_sn_terminal_samples(spec, config, T, reps, seed, drift_mesh=2.0**-10):
+    """Terminal values of the walk-driven scheme: masked_sn_euler on each
+    padded block."""
+    nb = float(config.n) ** (-config.beta_eff)
+    out = np.empty(reps)
+    for lo, blk in padded_blocks(config, T, reps, seed):
+        zeta = blk["zeta"]
+        dd = np.broadcast_to(nb, zeta.shape)
+        out[lo : lo + zeta.shape[0]] = masked_sn_euler(spec, blk["times"], blk["mask"], dd, zeta, T, drift_mesh)[1][-1]
     return out
 
 

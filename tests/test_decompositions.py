@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from _brute import padded_blocks, padded_gdca_samples, padded_truncated_split_samples, ragged_configs
 from ctrwlab import (
     DataError,
     InnovationLaw,
@@ -17,6 +18,7 @@ from ctrwlab import (
     gen_moving_average,
 )
 from ctrwlab.decompositions import (
+    _compensator,
     check_tc,
     clip_mean_limit,
     default_gdca_gamma,
@@ -34,7 +36,7 @@ from ctrwlab.decompositions import (
     truncated_split_samples,
 )
 from ctrwlab.paths import total_variation
-from ctrwlab.processes import iter_ctrw_chunks
+from ctrwlab.processes import BLOCK
 
 
 def inject_bundle(thetas, coeffs, n=1, T=2.0):
@@ -300,8 +302,9 @@ def test_gdca_samples_trend():
 def test_gdca_samples_match_per_row_grid_reads():
     # V_k = -c sum_i tail_i theta_{k+1-i} at each jump; the grid term reads
     # |V| of the last jump at or before each grid point (0 before the first).
-    # Replaying the blocks and reading each row with its own searchsorted
-    # gives the same values bit for bit, also for a block without renewals.
+    # Replaying the padded blocks and reading each row with its own
+    # searchsorted gives the same values up to summation order, within
+    # 1e-12 of the row's sum of |V| terms, also for a block without renewals.
     law = InnovationLaw(1.5, "centered")
     for n, T, reps in ((300, 1.0, 700), (1, 0.5, 3)):
         cfg = ProcessConfig(law, coefficients=(1.0, 0.5, 0.25), waiting=WaitingLaw(0.8), n=n)
@@ -309,7 +312,7 @@ def test_gdca_samples_match_per_row_grid_reads():
         step = float(n) ** (-cfg.beta_eff) * T
         grid = np.arange(1, int(math.floor(T / step + 1e-9)) + 1) * step
         want = []
-        for blk in iter_ctrw_chunks(cfg, T, reps, SeedSpec(46)):
+        for _, blk in padded_blocks(cfg, T, reps, SeedSpec(46)):
             th = blk["theta"].copy()
             th[:, : blk["peff"] + 1] = 0.0
             m, K = blk["zeta"].shape
@@ -322,8 +325,51 @@ def test_gdca_samples_match_per_row_grid_reads():
                 reads = np.array([v[r, j - 1] if j else 0.0 for j in idx])
                 want.append(v[r].sum() + reads.sum())
         got = gdca_samples(cfg, T, reps, SeedSpec(46), gamma=0.4)
-        assert np.array_equal(got, float(n) ** -0.4 * np.array(want))
+        want = float(n) ** -0.4 * np.array(want)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
     assert np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+def test_gdca_samples_match_the_padded_sampler(n):
+    # the statistic is a sum of |V| terms, so its rounding scale is itself
+    T, reps = 1.3, BLOCK + 40
+    for i, cfg in enumerate(ragged_configs(n)):
+        seed = SeedSpec(800 + i, stream=n)
+        got = gdca_samples(cfg, T, reps, seed, gamma=0.4)
+        want = padded_gdca_samples(cfg, T, reps, seed, gamma=0.4)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        if not cfg.correlated:
+            assert np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+def test_truncated_split_samples_match_the_padded_sampler(n):
+    # M_T and TV(A) round apart from the padded row sums by at most 1e-12
+    # sum |jump| per row; the largest jump of M and the jump of M where |M|
+    # first reaches c are read, not summed, so they are equal
+    T, reps, a, c_grid = 1.3, BLOCK + 40, 1.0, (0.5, 2.0, 1e9)
+    for i, cfg in enumerate(ragged_configs(n)):
+        seed = SeedSpec(810 + i, stream=n)
+        if cfg.correlated:
+            with pytest.raises(UnsupportedDecomposition):
+                truncated_split_samples(cfg, T, a, c_grid, reps, seed)
+            continue
+        got = truncated_split_samples(cfg, T, a, c_grid, reps, seed)
+        want = padded_truncated_split_samples(cfg, T, a, c_grid, reps, seed)
+        kappa = _compensator(cfg, a)
+        size = np.concatenate([
+            np.where(blk["mask"], np.abs(np.where(np.abs(blk["zeta"]) <= a, blk["zeta"], 0.0) - kappa), 0.0).sum(axis=1)
+            for _, blk in padded_blocks(cfg, T, reps, seed)
+        ])
+        assert np.all(np.abs(got[0] - want[0]) <= 1e-12 * size)
+        assert np.all(np.abs(got[1] - want[1]) <= 1e-12 * want[1])
+        assert np.array_equal(got[2], want[2])
+        for c in c_grid:
+            assert np.array_equal(got[3][c], want[3][c])
+        assert np.all(got[3][1e9] == 0.0)
+        if n > 1:
+            assert np.any(got[3][0.5] > 0.0)
 
 
 def test_default_gammas():

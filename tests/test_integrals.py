@@ -8,7 +8,11 @@ import pytest
 from _brute import (
     grid_terminal_time_changed,
     operational_integral_rows,
+    padded_adversarial_sup_samples,
+    padded_blocks,
+    padded_deterministic_integral_samples,
     padded_follower_integral_samples,
+    ragged_configs,
     random_step_path,
     tgrid_integral_samples,
 )
@@ -31,6 +35,7 @@ from ctrwlab.integrals import (
     LipschitzFollower,
     PathIntegrand,
     adversarial_experiment,
+    adversarial_sup_samples,
     deterministic_integral_samples,
     discretize_integrand,
     follower_integral_samples,
@@ -265,7 +270,7 @@ def test_follower_steps_the_padded_recursion(n):
             got = follower_integral_samples(cfg, T, reps, seed, **kw)
             assert np.array_equal(got, padded_follower_integral_samples(cfg, T, reps, seed, **kw))
         if n == 1 and cfg.waiting is not None:
-            assert np.any(next(iter_ctrw_chunks(cfg, T, reps, seed))["counts"] == 0)
+            assert np.any(next(iter_ctrw_chunks(cfg, T, reps, seed, False))["counts"] == 0)
 
 
 def test_follower_block_allocates_no_padded_array():
@@ -274,10 +279,9 @@ def test_follower_block_allocates_no_padded_array():
     # 1 + counts slots; a follower block holds a few flat arrays at a time
     cfg = ProcessConfig(InnovationLaw(1.5, "symmetric"), WaitingLaw(0.5), n=10**5)
     seed = SeedSpec(730)
-    blk = next(iter_ctrw_chunks(cfg, 1.0, BLOCK, seed))
-    padded = blk["zeta"].size * 8
-    flat = int((blk["peff"] + 1 + blk["counts"]).sum()) * 8
-    del blk
+    counts = next(iter_ctrw_chunks(cfg, 1.0, BLOCK, seed, False))["counts"]
+    padded = BLOCK * int(counts.max()) * 8
+    flat = int((1 + counts).sum()) * 8
     tracemalloc.start()
     try:
         follower_integral_samples(cfg, 1.0, BLOCK, seed)
@@ -287,6 +291,65 @@ def test_follower_block_allocates_no_padded_array():
     assert padded > 3.5 * flat  # measured 3.8
     assert peak <= 5.0 * flat  # measured 4.4, so no (m, K) array fits on top
     assert peak < 1.3 * padded  # measured 1.1
+
+
+def _padded_row_sizes(cfg, T, reps, seed, weight):
+    """Per row, the sum of |weight(block) * zeta| over the padded blocks'
+    live jumps: the scale of a row's rounding."""
+    return np.concatenate([
+        np.where(blk["mask"], np.abs(weight(blk) * blk["zeta"]), 0.0).sum(axis=1)
+        for _, blk in padded_blocks(cfg, T, reps, seed)
+    ])
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+def test_deterministic_integral_samples_match_the_padded_sampler(n):
+    # each row sums its own live jumps, so the values may round apart from
+    # the padded sampler's: within 1e-12 sum |f(t) zeta| per row
+    T, reps = 1.3, BLOCK + 40
+
+    def fn(t):
+        return np.cos(3.0 * t) + t
+
+    for i, cfg in enumerate(ragged_configs(n)):
+        seed = SeedSpec(780 + i, stream=n)
+        got = deterministic_integral_samples(cfg, T, reps, seed, fn)
+        want = padded_deterministic_integral_samples(cfg, T, reps, seed, fn)
+        size = _padded_row_sizes(cfg, T, reps, seed, lambda blk: fn(blk["times"]))
+        assert np.all(np.abs(got - want) <= 1e-12 * size)
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+def test_adversarial_sup_samples_match_the_padded_sampler(n):
+    # the running sums of each row's own segment round apart from the
+    # padded cumsum by at most 1e-12 sum |zeta| per row
+    T, reps = 1.3, BLOCK + 40
+    for i, cfg in enumerate(ragged_configs(n)):
+        seed = SeedSpec(790 + i, stream=n)
+        got = adversarial_sup_samples(cfg, T, reps, seed)
+        want = padded_adversarial_sup_samples(cfg, T, reps, seed)
+        size = _padded_row_sizes(cfg, T, reps, seed, lambda blk: 1.0)
+        assert np.all(np.abs(got - want) <= 1e-12 * size)
+        if n == 1 and cfg.waiting is not None:
+            assert np.any(got == 0.0)
+
+
+def test_adversarial_sup_samples_match_the_per_path_integral():
+    # one injected innovation sequence drives the replication block and the
+    # per-path bundle of a correlated moving average: the sampler's value is
+    # sup_t |integral of sgn(theta_{k-1}) against X|, the running Ito sum
+    seq = np.random.default_rng(11).standard_t(1.5, 43) * 2.0
+    law = SimpleNamespace(
+        alpha=1.5, mode="symmetric", scale=1.0,
+        draw=lambda gen, size: seq[: int(np.prod(size))].reshape(size),
+    )
+    cfg = ProcessConfig(law, coefficients=(1.0, 0.5, 0.25), past_horizon=1, n=8)
+    T = 5.0  # 40 jumps behind theta_-1, theta_0
+    (got,) = adversarial_sup_samples(cfg, T, 1, SeedSpec(0))
+    b = gen_moving_average(cfg, T, SeedSpec(0))
+    want = np.max(np.abs(ito_integral(AdversarialIntegrand(b), b.x).values))
+    assert b.jump_count == 40 and want > 0.0
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
 def test_follower_rejects_a_bad_slope():

@@ -36,8 +36,10 @@ from ctrwlab.processes import (
     WAIT_LANE,
     WAIT_ROUND_MIN,
     WAIT_ROUND_SHARE,
+    _block,
     _d_law,
     _first_passage,
+    _live_slots,
     _step_law,
     _t_nodes,
     _time_changed_block,
@@ -285,7 +287,7 @@ def test_block_samplers_reject_waits_not_positive(bad):
     wait = const_waits([0.5, bad, 0.3], beta=0.5)
     cfg = ProcessConfig(InnovationLaw(1.5, "symmetric"), waiting=wait, n=10)
     with pytest.raises(DataError):
-        next(iter_ctrw_chunks(cfg, 1.0, 5, SeedSpec(14)))
+        next(iter_ctrw_chunks(cfg, 1.0, 5, SeedSpec(14), True))
     with pytest.raises(DataError):
         terminal_counting_samples(wait, 10, 1.0, 5, SeedSpec(14))
     with pytest.raises(DataError):
@@ -357,66 +359,79 @@ def test_block_draws_innovations_up_to_each_rows_count():
     law = InnovationLaw(1.5, "symmetric")
     cfg = ProcessConfig(law, WaitingLaw(0.8), coefficients=(1.0, 0.5, 0.25), past_horizon=1, n=1000)
     n, T, past, reps, seed = cfg.n, 0.7, cfg.past_horizon, 600, SeedSpec(695)
-    for lo, blk in zip((0, BLOCK), iter_ctrw_chunks(cfg, T, reps, seed)):
-        m, K = blk["zeta"].shape
-        counts, mask = blk["counts"], blk["mask"]
-        L = _brute.padded_grow_wait_matrix(cfg.waiting, seed.generator((WAIT_LANE, lo)), m, n * T)[1]
-        assert np.array_equal(counts, (L <= n * T).sum(axis=1)) and K == counts.max()
-        assert not mask.all()
+    for lo, rb in zip((0, BLOCK), iter_ctrw_chunks(cfg, T, reps, seed, True)):
+        counts, peff, starts = rb["counts"], rb["peff"], rb["starts"]
+        m = counts.size
+        J, L = _brute.padded_grow_wait_matrix(cfg.waiting, seed.generator((WAIT_LANE, lo)), m, n * T)
+        live = L <= n * T
+        assert np.array_equal(counts, live.sum(axis=1)) and counts.min() < counts.max()
         # theta_{-past}, ..., theta_{counts} of every row are one flat draw,
-        # row after row; the filter's left pad and the columns past each
-        # row's count are zero
-        assert np.all(blk["theta"][:, : blk["peff"] - past] == 0.0)
-        th = blk["theta"][:, blk["peff"] - past :]
-        drawn = np.arange(past + 1 + K) < (past + 1 + counts)[:, None]
-        assert np.all(th[~drawn] == 0.0)
-        flat = draw_innovation(law, seed.generator((INNOVATION_LANE, lo)), int(drawn.sum()))
-        assert np.array_equal(th[drawn], flat)
-        # jump times inside the mask, finite and at T past it
-        times = blk["times"]
-        assert np.array_equal(times[mask], (L[:, :K] / n)[mask])
-        assert np.all(np.isfinite(times)) and np.all(times <= T)
-        assert np.all(times[~mask] == T)
-    # a moving average draws the rectangle, as before the per-row rounds
+        # row after row, behind the filter's zero past
+        assert np.array_equal(starts, np.concatenate([[0], np.cumsum(peff + 1 + counts)]))
+        pad = (starts[:-1, None] + np.arange(peff - past)).ravel()
+        assert np.all(rb["theta"][pad] == 0.0)
+        flat = draw_innovation(law, seed.generator((INNOVATION_LANE, lo)), int((past + 1 + counts).sum()))
+        assert np.array_equal(np.delete(rb["theta"], pad), flat)
+        # the jump times and waits of each row's renewals, row after row
+        assert np.array_equal(rb["times"], L[live] / n)
+        assert np.array_equal(rb["waits"], J[live])
+        # without keep, the same draws
+        bare = _block(cfg, T, m, seed.generator((WAIT_LANE, lo)), seed.generator((INNOVATION_LANE, lo)), False)
+        assert bare["times"] is None and bare["waits"] is None
+        for key in ("counts", "theta", "starts", "zeta"):
+            assert np.array_equal(bare[key], rb[key])
+    # a moving average draws the rectangle, as before the per-row rounds,
+    # and jumps at k/n
     ma = ProcessConfig(law, coefficients=(1.0, 0.5, 0.25), past_horizon=1, n=100)
-    blk = next(iter_ctrw_chunks(ma, T, 300, seed))
+    rb = next(iter_ctrw_chunks(ma, T, 300, seed, True))
     want = _brute.rect_block(ma, T, 300, None, seed.generator((INNOVATION_LANE, 0)))[0]
-    for key in ("theta", "zeta", "times", "counts", "mask"):
-        assert np.array_equal(blk[key], want[key])
-
-
-def _ragged_configs(n):
-    """Moving averages (one with a past shorter than the filter), uncoupled
-    CTRWs (one with a zero inner coefficient and no past) and a coupled one."""
-    sym = InnovationLaw(1.5, "symmetric")
-    yield ProcessConfig(sym, coefficients=(1.0, 0.5, 0.25), past_horizon=1, n=n)
-    yield ProcessConfig(InnovationLaw(0.7, "raw"), n=n)
-    yield ProcessConfig(InnovationLaw(1.5, "centered"), WaitingLaw(0.8), coefficients=(1.0, 0.5), n=n)
-    yield ProcessConfig(sym, WaitingLaw(0.6), coefficients=(1.0, 0.0, 0.3), past_horizon=0, n=n)
-    yield ProcessConfig(
-        InnovationLaw(1.2, "centered"), WaitingLaw(0.6), past_horizon=2, n=n, coupling="magnitude-coupled"
-    )
+    rows = (300, -1)
+    assert np.array_equal(rb["counts"], want["counts"])
+    assert np.array_equal(rb["theta"].reshape(rows), want["theta"])
+    assert np.array_equal(rb["zeta"].reshape(rows)[:, rb["peff"] + 1 :], want["zeta"])
+    assert np.array_equal(rb["times"].reshape(rows), want["times"]) and rb["waits"] is None
 
 
 @pytest.mark.parametrize("n", [1, 7, 100, 1000])
 def test_padded_blocks_keep_the_padded_oracle_live_entries(n):
+    # the ragged blocks hold the live entries of the padded oracle's blocks
     T, reps = 1.3, BLOCK + 40
-    for i, cfg in enumerate(_ragged_configs(n)):
+    for i, cfg in enumerate(_brute.ragged_configs(n)):
         seed = SeedSpec(710 + i, stream=n)
-        for lo, blk in zip((0, BLOCK), iter_ctrw_chunks(cfg, T, reps, seed)):
-            m = min(BLOCK, reps - lo)
-            wgen, igen = seed.generator((WAIT_LANE, lo)), seed.generator((INNOVATION_LANE, lo))
-            want = _brute.padded_block(cfg, T, m, wgen, igen)[0]
+        oracle = _brute.padded_blocks(cfg, T, reps, seed)
+        for rb, (lo, want) in zip(iter_ctrw_chunks(cfg, T, reps, seed, True), oracle, strict=True):
             mask, counts, peff = want["mask"], want["counts"], want["peff"]
-            assert blk["peff"] == peff
-            assert np.array_equal(blk["counts"], counts) and np.array_equal(blk["mask"], mask)
-            assert np.array_equal(blk["zeta"][mask], want["zeta"][mask])
-            assert np.array_equal(blk["times"], want["times"])
+            assert rb["peff"] == peff and np.array_equal(rb["counts"], counts)
             # theta_{-peff}, ..., theta_{counts} of every row, the zero past
-            # included; past a row's count theta and zeta are zero
+            # included, and zeta and the times at the live slots
             drawn = np.arange(peff + 1 + mask.shape[1]) < (peff + 1 + counts)[:, None]
-            assert np.array_equal(blk["theta"][drawn], want["theta"][:, : drawn.shape[1]][drawn])
-            assert not np.any(blk["theta"][~drawn]) and not np.any(blk["zeta"][~mask])
+            assert np.array_equal(rb["theta"], want["theta"][:, : drawn.shape[1]][drawn])
+            live = _live_slots(rb)
+            assert np.array_equal(rb["zeta"][live], want["zeta"][mask])
+            assert not np.any(np.delete(rb["zeta"], live))
+            assert np.array_equal(rb["times"], want["times"][mask])
+            if n == 1 and cfg.waiting is not None:
+                assert np.any(counts == 0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+def test_bundles_are_the_padded_one_row_block(n):
+    # gen_moving_average and gen_ctrw read the one-row block on the
+    # per-path lanes: its innovations, jumps, jump times and waits equal
+    # the padded oracle's row, bit for bit, rows without a renewal included
+    T = 1.3
+    for i, cfg in enumerate(_brute.ragged_configs(n)):
+        gen = gen_ctrw if cfg.waiting is not None else gen_moving_average
+        for s in range(4):
+            seed = SeedSpec(750 + i, stream=4 * n + s)
+            b = gen(cfg, T, seed)
+            blk, J = _brute.padded_block(cfg, T, 1, seed.generator(WAIT_LANE), seed.generator(INNOVATION_LANE))
+            K, peff, past = int(blk["counts"][0]), blk["peff"], cfg.past_horizon
+            assert np.array_equal(b.innovations, blk["theta"][0, peff - past : peff + 1 + K])
+            x = StepPath.from_jumps(blk["times"][0, :K], blk["zeta"][0, :K], T)
+            assert np.array_equal(b.x.times, x.times) and np.array_equal(b.x.values, x.values)
+            assert np.array_equal(b.waits, np.ones(K) if J is None else J[0, :K])
+            assert np.array_equal(b.counting.times[1:], blk["times"][0, :K])
 
 
 @pytest.mark.parametrize("n", [1, 7, 100, 1000])
@@ -424,11 +439,13 @@ def test_terminal_samples_match_padded_sum(n):
     # the row sums run over each row's own renewals, so they may round
     # apart from the padded ones: within 1e-12 sum |zeta| per row
     T, reps = 1.3, BLOCK + 40
-    for i, cfg in enumerate(_ragged_configs(n)):
+    for i, cfg in enumerate(_brute.ragged_configs(n)):
         seed = SeedSpec(720 + i, stream=n)
         got = terminal_samples(cfg, T, reps, seed)
         want = _brute.padded_terminal_samples(cfg, T, reps, seed)
-        size = np.concatenate([np.abs(b["zeta"]).sum(axis=1) for b in iter_ctrw_chunks(cfg, T, reps, seed)])
+        size = np.concatenate(
+            [np.add.reduceat(np.abs(rb["zeta"]), rb["starts"][:-1]) for rb in iter_ctrw_chunks(cfg, T, reps, seed, False)]
+        )
         assert np.all(np.abs(got - want) <= 1e-12 * size)
 
 
@@ -439,10 +456,9 @@ def test_terminal_block_allocates_no_padded_array():
     # one round of waits at a time
     cfg = ProcessConfig(InnovationLaw(1.5, "symmetric"), WaitingLaw(0.5), n=10**5)
     seed = SeedSpec(730)
-    blk = next(iter_ctrw_chunks(cfg, 1.0, BLOCK, seed))
-    padded = blk["zeta"].size * 8
-    flat = int((blk["peff"] + 1 + blk["counts"]).sum()) * 8
-    del blk
+    counts = next(iter_ctrw_chunks(cfg, 1.0, BLOCK, seed, False))["counts"]
+    padded = BLOCK * int(counts.max()) * 8
+    flat = int((1 + counts).sum()) * 8
     tracemalloc.start()
     try:
         terminal_samples(cfg, 1.0, BLOCK, seed)

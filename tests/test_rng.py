@@ -167,16 +167,17 @@ class EdgeDraws:
 
 
 def test_tangent_cms_edge_draws():
-    # u = 0 is drawn as u = CMS_U_FLOOR (the endpoint test below), so the
-    # oracle gets the floored uniforms
+    # u = 0 and u = 1 - 2^-53 are drawn as u = CMS_U_FLOOR and 1 -
+    # CMS_U_FLOOR (the endpoint tests below), so the oracle gets the clipped
+    # uniforms
     u = np.repeat([0.0, 1.0 - 2.0**-53, 0.5], 2)
     w = np.tile([0.0, 1.0], 3)
-    floored = np.maximum(u, CMS_U_FLOOR)
+    clipped = np.clip(u, CMS_U_FLOOR, 1.0 - CMS_U_FLOOR)
     for alpha in CMS_ALPHAS:
         for skew in CMS_SKEWS:
             with np.errstate(all="ignore"):
                 got = _cms_standard(alpha, skew, EdgeDraws(u, w), u.size)
-                want = cms_standard(alpha, skew, EdgeDraws(floored, w), u.size)
+                want = cms_standard(alpha, skew, EdgeDraws(clipped, w), u.size)
             fin = np.isfinite(want)
             assert np.array_equal(np.isfinite(got), fin), (alpha, skew)
             assert np.all(np.abs(got[fin] - want[fin]) <= 1e-13 * np.abs(want[fin])), (alpha, skew)
@@ -197,6 +198,18 @@ def test_cms_draws_keep_their_limit_at_u_zero():
             assert np.all(np.abs(got - got[-1]) <= 1e-6 * abs(got[-1])), got
             limit = -1.5 * 2.0 ** (2.0 / 3.0)
             assert abs(got[-1] - limit) <= 1e-7 * abs(limit)  # measured 1e-8
+
+
+def test_cms_draws_keep_their_limit_at_u_one():
+    # the mirror of u -> 0: at skew = -1 the draw tends to the finite limit
+    # +alpha S (alpha - 1)^((1 - alpha)/alpha) as u -> 1 at W = 1, which is
+    # +1.5 * 2^(2/3) at (1.5, -1); unclipped, u = 1 - 2^-53 drew 2.5198
+    u = np.array([1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 2.0**-40])
+    with np.errstate(all="ignore"):
+        got = _cms_standard(1.5, -1.0, EdgeDraws(u, np.ones(u.size)), u.size)
+    assert np.all(np.abs(got - got[-1]) <= 1e-6 * abs(got[-1])), got
+    limit = 1.5 * 2.0 ** (2.0 / 3.0)
+    assert np.all(np.abs(got - limit) <= 1e-7 * limit), got
 
 
 def test_skewed_s1_characteristic_function():

@@ -96,6 +96,15 @@ def test_stable_limit_scenarios_keep_their_digests(tmp_path):
     check_committed_digests(tmp_path, ("integrals_deterministic", "attraction_alpha"), 5)
 
 
+def test_ensemble_sampler_scenarios_keep_their_digests(tmp_path):
+    # the scenarios that run the adversarial sup, the truncated split, the
+    # gdca statistic and the exact GDCI sums: a rounding move in a row's
+    # running sum or in its |V| terms changes their digests
+    check_committed_digests(
+        tmp_path, ("adversarial_correlated", "gd_diagnostics", "gdca_grid_statistic", "gdci_moment_sums"), 4
+    )
+
+
 def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
@@ -122,8 +131,8 @@ def test_tracer_names_resolve():
 
 
 def test_tracer_sees_the_ragged_blocks():
-    # the follower draws its walk through processes.ragged_blocks, which the
-    # tracer wraps as a public generator, so the block assembly is
+    # the follower draws its walk through processes.iter_ctrw_chunks, which
+    # the tracer wraps as a public generator, so the block assembly is
     # processes time rather than integrals time
     import ctrwlab.cli  # noqa: F401  (every traced layer)
     from ctrwlab import InnovationLaw, ProcessConfig, SeedSpec, WaitingLaw, integrals

@@ -11,6 +11,8 @@ from _brute import (
     event_euler_sn,
     grid_terminal_inverse_subordinator,
     ma_delay_recursion,
+    padded_sn_terminal_samples,
+    ragged_configs,
     rect_s_limit_terminal_samples,
     row_sdd_limit_euler,
     row_sddn_terminal_samples,
@@ -28,7 +30,9 @@ from ctrwlab import (
     gen_moving_average,
 )
 from ctrwlab.processes import (
+    BLOCK,
     INNOVATION_LANE,
+    _live_slots,
     _step_law,
     _z_law,
     driver_paths,
@@ -227,23 +231,35 @@ def test_sn_samples_match_oracle_per_row():
     mesh, reps = 2.0 ** -5, 40
     for cfg, T in ((ctrw, 1.0), (ma, 0.75)):
         out = sn_terminal_samples(spec, cfg, T, reps, SeedSpec(37), drift_mesh=mesh)
-        blk = next(iter(iter_ctrw_chunks(cfg, T, reps, SeedSpec(37))))
+        rb = next(iter_ctrw_chunks(cfg, T, reps, SeedSpec(37), True))
         nb = float(cfg.n) ** (-cfg.beta_eff)
-        counts = set()
+        counts, zeta = rb["counts"], rb["zeta"][_live_slots(rb)]
+        ends = np.cumsum(counts)
         for r in range(reps):
-            live = blk["mask"][r]
-            tj = blk["times"][r][live]
-            counts.add(tj.size)
+            tj, zj = rb["times"][ends[r] - counts[r] : ends[r]], zeta[ends[r] - counts[r] : ends[r]]
             drivers = (
                 StepPath.from_jumps(tj, np.full(tj.size, nb), T),
-                StepPath.from_jumps(tj, blk["zeta"][r][live], T),
+                StepPath.from_jumps(tj, zj, T),
             )
             ref = event_euler_sn(spec, drivers, drift_mesh=mesh, T=T).value(T)
             assert abs(out[r] - ref) <= 1e-12
         if cfg is ctrw:
-            assert 0 in counts and len(counts) > 5
+            assert 0 in counts and len(set(counts.tolist())) > 5
         else:
-            assert blk["times"][0][-1] == T
+            assert rb["times"][counts[0] - 1] == T
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+def test_sn_samples_match_the_padded_sampler(n):
+    # the kernel takes each row's live events as the padded sampler's masked
+    # kernel took them, in the same order, so the values are equal bit for
+    # bit; at n = 1 most walk rows have no event
+    spec = SdeSpec(**TIMED)
+    T, reps = 1.3, BLOCK + 40
+    for i, cfg in enumerate(ragged_configs(n)):
+        seed = SeedSpec(760 + i, stream=n)
+        got = sn_terminal_samples(spec, cfg, T, reps, seed, drift_mesh=2.0**-6)
+        assert np.array_equal(got, padded_sn_terminal_samples(spec, cfg, T, reps, seed, drift_mesh=2.0**-6))
 
 
 def test_sn_kernel_events_on_mesh_points_and_at_T():
@@ -264,34 +280,33 @@ def test_sn_kernel_events_on_mesh_points_and_at_T():
 
 
 def test_sn_kernel_masks_coefficients_away_from_live_events():
-    # sigma is finite only at row 0's event times; row 1's events are all
-    # masked (with nonzero jumps), so neither row may take a NaN from
-    # inf * 0 or a masked jump: row 1 stays at x0 on every step
+    # sigma is finite only at row 0's event times and row 1 has no event,
+    # so neither row may take a NaN from inf * 0: row 1 stays at x0 on
+    # every step, its two time slots filled with T
     def sigma(t, yt, y):
         return np.where(np.isin(t, [0.3, 0.6]), 1.0 + 0.0 * y, np.inf)
 
     with pytest.warns(RuntimeWarning, match="growth bound"):
         spec = SdeSpec(b=0.0, mu=0.0, sigma=sigma, x0=0.5)
-    ev_t = np.array([[0.3, 0.6, 1.0], [0.3, 0.6, 1.0]])
-    live = np.array([[True, True, False], [False, False, False]])
-    dz = np.array([[2.0, -0.75, 5.0], [5.0, 5.0, 5.0]])
+    ev_t = np.array([0.3, 0.6])
+    dz = np.array([2.0, -0.75])
     with np.errstate(invalid="ignore"):
-        times, x = _sn_euler(spec, ev_t, live, np.ones(ev_t.shape), dz, 1.0, 0.25)
-    assert times.shape == x.shape == (3 + 4 + 1 + 1, 2)
+        times, x = _sn_euler(spec, ev_t, np.array([2, 0]), np.ones(ev_t.shape), dz, 1.0, 0.25)
+    assert times.shape == x.shape == (2 + 4 + 1 + 1, 2)
     assert np.all(np.diff(times, axis=0) >= 0.0)
+    assert np.array_equal(times[:, 1], [0.0, 0.25, 0.5, 0.75, 1.0, 1.0, 1.0, 1.0])
     assert np.all(x[:, 1] == 0.5)
     assert x[-1, 0] == 0.5 + 2.0 - 0.75
 
 
 def test_sn_kernel_merges_a_live_time_rounded_past_T():
-    # a live time can round an ulp above T, ahead of masked slots at T; the
+    # a time can round an ulp above T, ahead of a row's fill at T; the
     # merge still gives every replication its times in order
     spec = SdeSpec(b=1.0, mu=0.0, sigma=1.0, x0=0.0)
     past = np.nextafter(1.0, 2.0)
-    ev_t = np.array([[0.5, past, 1.0], [0.5, 0.75, 1.0]])
-    live = np.array([[True, True, False], [True, True, False]])
-    dz = np.array([[1.0, 2.0, 9.0], [1.0, 2.0, 9.0]])
-    times, x = _sn_euler(spec, ev_t, live, np.ones(ev_t.shape), dz, 1.0, 0.5)
+    ev_t = np.array([0.5, past, 0.5, 0.75, 0.875])
+    dz = np.array([1.0, 2.0, 1.0, 2.0, 0.0])
+    times, x = _sn_euler(spec, ev_t, np.array([2, 3]), np.ones(ev_t.shape), dz, 1.0, 0.5)
     assert np.all(np.diff(times, axis=0) >= 0.0)
     assert times[-1, 0] == past
     assert np.isfinite(x).all()
@@ -310,10 +325,10 @@ def test_sn_samples_block_memory():
         n=4000,
     )
     m, mesh = 200, 2.0 ** -9
-    blk = next(iter(iter_ctrw_chunks(cfg, 1.0, m, SeedSpec(38))))
-    block = sum(a.nbytes for a in blk.values() if isinstance(a, np.ndarray))
-    rows = blk["times"].shape[1] + round(1.0 / mesh) + 2
-    del blk
+    rb = next(iter_ctrw_chunks(cfg, 1.0, m, SeedSpec(38), True))
+    block = sum(a.nbytes for a in rb.values() if isinstance(a, np.ndarray))
+    rows = int(rb["counts"].max()) + round(1.0 / mesh) + 2
+    del rb
     tracemalloc.start()
     try:
         sn_terminal_samples(spec, cfg, 1.0, m, SeedSpec(38), drift_mesh=mesh)
@@ -604,8 +619,8 @@ def test_sddn_samples_initial_segment_replay():
     eta = StepPath([-0.5, 0.0], [2.0, 5.0], 0.0, origin=-0.5)
     spec = SddeSpec(b=lambda t, xd: xd, sigma=lambda t, xd: xd, r=0.5, eta=eta)
     out = sddn_terminal_samples(spec, cfg, 1.0, 1, SeedSpec(777))
-    blk = next(iter(iter_ctrw_chunks(cfg, 1.0, 1, SeedSpec(777))))
-    zeta = blk["zeta"][0]
+    rb = next(iter_ctrw_chunks(cfg, 1.0, 1, SeedSpec(777), False))
+    zeta = rb["zeta"][rb["peff"] + 1 :]
     hist = [5.0]
     for k in range(8):
         xd = 2.0 if k < 4 else hist[k - 4]
@@ -621,7 +636,8 @@ def test_delayed_left_reads_inside_the_initial_segment():
     eta = StepPath([-0.5, -0.25], [2.0, 7.0], 0.0, origin=-0.5)
     spec = SddeSpec(b=lambda t, xd: xd, sigma=lambda t, xd: xd, r=0.5, eta=eta)
     out = sddn_terminal_samples(spec, cfg, 1.0, 1, SeedSpec(778))
-    zeta = next(iter(iter_ctrw_chunks(cfg, 1.0, 1, SeedSpec(778))))["zeta"][0]
+    rb = next(iter_ctrw_chunks(cfg, 1.0, 1, SeedSpec(778), False))
+    zeta = rb["zeta"][rb["peff"] + 1 :]
     seg = [2.0, 2.0, 7.0, 7.0]
     x = [7.0]
     for k in range(8):
@@ -682,6 +698,19 @@ def test_sddn_samples_match_row_oracle():
     # 700 reps span a full block and a partial one
     out = sddn_terminal_samples(spec, cfg, 1.0, 700, SeedSpec(830))
     assert np.array_equal(out, row_sddn_terminal_samples(spec, cfg, 1.0, 700, SeedSpec(830)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1000])
+def test_sddn_samples_match_row_oracle_on_ragged_configs(n):
+    # the moving averages of the ragged configs, with a delay of one time
+    # unit (n r = n); at n = 1 every delayed read is in the initial segment
+    spec = SddeSpec(**{**DELAY_TIMED, "r": 1.0, "eta": StepPath([-1.0, -0.4], [0.4, -0.2], 0.0, origin=-1.0)})
+    T, reps = 1.3, BLOCK + 40
+    for i, cfg in enumerate(ragged_configs(n)):
+        if cfg.waiting is None:
+            seed = SeedSpec(770 + i, stream=n)
+            got = sddn_terminal_samples(spec, cfg, T, reps, seed)
+            assert np.array_equal(got, row_sddn_terminal_samples(spec, cfg, T, reps, seed))
 
 
 def test_sddn_samples_vs_per_path_law():
