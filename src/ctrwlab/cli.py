@@ -270,6 +270,10 @@ def _run_gd(cfg, seed, reps, T, out_dir):
     a = _number(cfg.get("a", 1.0), "a")
     r_grid = _numbers(cfg.get("r_grid", [1.0, 2.0]), "r_grid")
     c_grid = _numbers(cfg.get("c_grid", [1.0]), "c_grid")
+    if not all(c > 0 for c in c_grid):
+        # a stop level <= 0 stops every path at once: tau_c = 0 and each
+        # stop_jump estimate reads a constant 0
+        raise ParameterError(f"c_grid levels must be > 0, got {c_grid!r}")
     ns = _n_list(cfg)
     rep = DiagnosticReport("gd", cfg, seed.seed)
     tails = {r: [] for r in r_grid}

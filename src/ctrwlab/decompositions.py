@@ -173,12 +173,6 @@ class UVSplit:
     u1: StepPath
     u2: StepPath
 
-    def recenter_residual(self):
-        """max |U - (U1 + U2)| over breakpoints (float roundoff only)."""
-        return float(
-            np.max(np.abs(self.u.values - self.u1.values - self.u2.values[0]))
-        )
-
 
 def split_uv(bundle, config=None):
     """Exact U/V split replayed from the innovation record."""

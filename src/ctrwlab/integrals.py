@@ -575,18 +575,18 @@ def tc_grid_integral_samples(
             D = _first_passage(_step_law(d_law, h), T, m, dgen)
             steps = (D <= T).sum(axis=1)
         counts = steps + 1
-        rows = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        dz = draw_stable(z_step, seed.generator((INNOVATION_LANE, start)), int(counts.sum()))
+        starts = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        rows = starts[:-1]
+        dz = draw_stable(z_step, seed.generator((INNOVATION_LANE, start)), int(starts[-1]))
         if fn is None:
             dz[rows + steps] *= ((e - steps * h) / h) ** (1.0 / z_law.alpha)
-            # Z before each step. A row's first entry takes back the total
-            # of the row before it, so the running sum and its rounding stay
-            # the size of one row's path, not of the whole block's; the
-            # rounding left over from earlier rows is then taken off
-            prev = np.concatenate([[0.0], dz[:-1]])
-            prev[rows[1:]] -= np.add.reduceat(dz, rows)[:-1]
-            z = np.cumsum(prev)
-            hv = base(z - np.repeat(z[rows], counts))
+            # Z before each step: each row's steps shifted one slot right
+            # behind a zero, summed per row
+            prev = np.empty_like(dz)
+            prev[1:] = dz[:-1]
+            prev[rows] = 0.0
+            hv = base(_row_cumsum(prev, starts))
         else:
             levels = np.concatenate([np.zeros((m, 1)), D], axis=1)
             hv = fn(levels[np.arange(levels.shape[1]) < counts[:, None]])

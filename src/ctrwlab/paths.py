@@ -11,7 +11,6 @@ their extrema at nodes, so nothing is lost.
 """
 
 import csv
-import io
 
 import numpy as np
 
@@ -334,9 +333,3 @@ def read_path_csv(fh, horizon=None):
         raise DataError("time column must be strictly increasing")
     h = horizon if horizon is not None else times[-1]
     return StepPath(times, values, h, origin=float(times[0]))
-
-
-def path_to_csv_string(path):
-    buf = io.StringIO()
-    write_path_csv(path, buf)
-    return buf.getvalue()

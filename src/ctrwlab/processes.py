@@ -51,12 +51,9 @@ COUNT_BLOCK = 1000
 # Subordinator increments per draw round of a row still below its horizon
 # (_first_passage); a layout constant of the limit samplers' wait streams.
 PASSAGE_ROUND = 256
-# Waits per draw round of a walk row still at or below nT
-# (_wait_rounds): the first round has WAIT_ROUND_SHARE (nT)^beta + 32
-# columns, about twice the mean renewal count, each later round half that,
-# and every round at least WAIT_ROUND_MIN; layout constants of the walks'
-# wait streams.
-WAIT_ROUND_SHARE = 0.5
+# Least waits per draw round of a walk row still at or below nT
+# (_wait_rounds, _wait_round_widths); a layout constant of the walks' wait
+# streams.
 WAIT_ROUND_MIN = 64
 
 
@@ -485,6 +482,22 @@ def _wait_block(target, beta):
     return max(64, int(2.0 * target ** min(beta, 1.0)) + 32)
 
 
+def _wait_round_widths(law, target):
+    """(first, later): the waits per row of the first draw round of
+    _wait_rounds and of each later one, a layout of the walks' wait streams.
+
+    The first round is the renewal function of Pareto(beta) waits, the
+    mean renewal count U(t) ~ sin(pi beta) / (pi beta) (t / scale)^beta
+    (Feller, An Introduction to Probability Theory II, XIV.3), plus 32; the
+    rows still at or below target after it draw `later` = first // 2 more
+    at a time. Both are at least WAIT_ROUND_MIN.
+    """
+    beta, scale = min(law.beta, 1.0), getattr(law, "scale", 1.0)
+    renewal = math.sin(math.pi * beta) / (math.pi * beta) * (target / scale) ** beta
+    first = max(WAIT_ROUND_MIN, int(renewal) + 32)
+    return first, max(WAIT_ROUND_MIN, first // 2)
+
+
 def _wait_rounds(law, gen, m, target, keep):
     """Waits from `law` on gen for m rows, each drawn in _rounds up to its
     first passage over target: (counts, L, J). counts[r] is row r's renewal
@@ -494,10 +507,9 @@ def _wait_rounds(law, gen, m, target, keep):
     rows) and is dropped. Without keep, L and J are None and each round is
     dropped once counted.
 
-    The first round has WAIT_ROUND_SHARE target^beta + 32 columns, the later
-    ones half that, each at least WAIT_ROUND_MIN.
+    The rounds have the widths of _wait_round_widths.
     """
-    first = max(WAIT_ROUND_MIN, int(WAIT_ROUND_SHARE * target ** min(law.beta, 1.0)) + 32)
+    first, later = _wait_round_widths(law, target)
 
     def draw(k, width, last):
         J = _draw_waits(law, gen, (k, width))
@@ -509,7 +521,7 @@ def _wait_rounds(law, gen, m, target, keep):
 
     counts = np.zeros(m, dtype=np.int64)
     pieces = []
-    for rows, arrays in _rounds(draw, m, first, max(WAIT_ROUND_MIN, first // 2), target):
+    for rows, arrays in _rounds(draw, m, first, later, target):
         # the running sums rise along each row, so the live entries are a
         # prefix of it and the round's count adds on
         live = arrays[-1] <= target

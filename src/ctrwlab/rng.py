@@ -1,8 +1,11 @@
 """Samplers for strictly stable laws and Pareto-tailed pre-limit laws.
 
-All randomness in the package flows through the counter-based Philox
-generator addressed by an explicit (seed, stream) pair, so Monte Carlo
-replications can be drawn in any order and still reproduce bit-exactly.
+All randomness in the package flows through PCG64DXSM generators addressed
+by an explicit (seed, stream) pair and, within it, a lane: each generator is
+seeded from SeedSequence(seed, spawn_key=(stream, lane...)), and the spawn
+keys are what make the streams independent, so Monte Carlo replications can
+be drawn in any order and still reproduce bit-exactly. PCG64DXSM is numpy's
+recommended bit generator for many parallel streams.
 
 Scale conventions for the stable sampler (documented because the literature
 disagrees and the package's oracles depend on the choice):
@@ -49,8 +52,10 @@ class SeedSpec:
             raise ParameterError("stream id must be >= 0", tag="PARAM_SEED")
 
     def generator(self, lane=None):
-        """Philox generator for this stream; lane (an int or tuple of ints)
-        picks an independent substream."""
+        """PCG64DXSM generator for this stream; lane (an int or tuple of
+        ints) picks an independent substream. The generator is seeded from
+        SeedSequence(seed, spawn_key=(stream, lane...)): distinct spawn keys
+        give independent streams, whatever order they are drawn in."""
         if lane is None:
             key = (self.stream,)
         elif isinstance(lane, tuple):
@@ -58,7 +63,7 @@ class SeedSpec:
         else:
             key = (self.stream, int(lane))
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=key)
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.PCG64DXSM(ss))
 
     def with_stream(self, stream):
         return SeedSpec(self.seed, stream)
@@ -124,21 +129,6 @@ class InnovationLaw:
             # an uncentered one-sided law with alpha >= 1 violates the standing
             # zero-mean / symmetry assumptions every limit theorem relies on
             raise ParameterError("raw mode needs alpha < 1", tag="PARAM_MODE")
-
-    @property
-    def mean_abs(self):
-        """E|theta|; infinite for alpha <= 1."""
-        if self.mode == "gaussian":
-            return self.scale * math.sqrt(2.0 / math.pi)
-        if self.alpha <= 1.0:
-            return math.inf
-        a = self.alpha
-        if self.mode == "symmetric":
-            return self.scale * a / (a - 1.0)
-        # centered: E|U^(-1/a) - mu| with mu = a/(a-1); closed form below
-        mu = a / (a - 1.0)
-        # split the integral at the mean: E|X - mu| = 2 * E[(X - mu)^+] for mean-mu X
-        return self.scale * 2.0 * (mu ** (1.0 - a)) / (a - 1.0)
 
 
 @dataclass(frozen=True)

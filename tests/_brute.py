@@ -60,8 +60,6 @@ from ctrwlab.processes import (
     LIMIT_BLOCK,
     PASSAGE_ROUND,
     WAIT_LANE,
-    WAIT_ROUND_MIN,
-    WAIT_ROUND_SHARE,
     SimulationBundle,
     _coupled_waits,
     _d_law,
@@ -72,6 +70,7 @@ from ctrwlab.processes import (
     _step_law,
     _t_nodes,
     _wait_block,
+    _wait_round_widths,
     _z_law,
 )
 from ctrwlab.decompositions import _compensator, _tail_sums, default_gdca_gamma
@@ -882,7 +881,7 @@ def padded_grow_wait_matrix(law, gen, m, target):
     """(J, L): (m, cols) waits from `law` on gen and their running sums,
     each row drawn in rounds up to its first passage over target and +inf
     after it, with the round widths of processes._wait_rounds."""
-    first = max(WAIT_ROUND_MIN, int(WAIT_ROUND_SHARE * target ** min(law.beta, 1.0)) + 32)
+    first, later = _wait_round_widths(law, target)
 
     def draw(k, width, last):
         J = _draw_waits(law, gen, (k, width))
@@ -890,7 +889,7 @@ def padded_grow_wait_matrix(law, gen, m, target):
         L[:, 0] += last
         return J, np.cumsum(L, axis=1, out=L)
 
-    return stacked_rounds(draw, m, first, max(WAIT_ROUND_MIN, first // 2), target)
+    return stacked_rounds(draw, m, first, later, target)
 
 
 def _pad_past(th, past, order):

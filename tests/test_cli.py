@@ -404,6 +404,23 @@ def check_fails(tmp_path, args, tag):
     assert "\n" not in err
 
 
+def test_gd_rejects_stop_levels_at_or_below_zero(tmp_path):
+    # a stop level c <= 0 stops every path at once, so each stop_jump
+    # estimate read a constant 0 in a report that exited 0
+    base = {
+        "kind": "gd",
+        "process": {"innovation": {"alpha": 1.5, "mode": "centered"}, "waiting": {"beta": 0.8}},
+        "n_list": [20],
+        "replications": 10,
+    }
+    for i, c_grid in enumerate(([-1.0, 0.0], [0.0], [0.5, -0.5], [math.nan])):
+        with pytest.raises(ParameterError) as err:
+            run_scenario({**base, "c_grid": c_grid}, out=tmp_path / f"r{i}.json")
+        assert err.value.tag == "PARAM" and "c_grid" in str(err.value)
+    cfg = write_cfg(tmp_path, "gd.json", {**base, "c_grid": [-1.0, 0.0]})
+    check_fails(tmp_path, ["diagnose", "gd", "--config", cfg, "--out", tmp_path / "gd.out.json"], "PARAM")
+
+
 def test_cli_module_entry_point_keeps_stderr_empty(tmp_path):
     # `python -m ctrwlab.cli` runs the module the package has not imported
     # yet, so runpy has nothing to warn about

@@ -35,7 +35,6 @@ from ctrwlab.processes import (
     PASSAGE_ROUND,
     WAIT_LANE,
     WAIT_ROUND_MIN,
-    WAIT_ROUND_SHARE,
     _block,
     _d_law,
     _first_passage,
@@ -44,6 +43,7 @@ from ctrwlab.processes import (
     _t_nodes,
     _time_changed_block,
     _wait_block,
+    _wait_round_widths,
     _wait_rounds,
     _z_law,
     invert_monotone_grid,
@@ -316,8 +316,7 @@ def test_first_passage_matches_fixed_round_loop():
 )
 def test_wait_rounds_stop_at_each_rows_passage(beta, scale, n, T):
     law, target, m = WaitingLaw(beta, scale), n * T, 200
-    first = max(WAIT_ROUND_MIN, int(WAIT_ROUND_SHARE * target**beta) + 32)
-    later = max(WAIT_ROUND_MIN, first // 2)
+    first, later = _wait_round_widths(law, target)
     spec = SeedSpec(690, stream=int(n))
     gen, oracle = spec.generator(0), spec.generator(0)
     counts, Lf, Jf = _wait_rounds(law, gen, m, target, True)
@@ -353,6 +352,29 @@ def test_wait_rounds_stop_at_each_rows_passage(beta, scale, n, T):
         live = np.flatnonzero(finite > lo)
         assert np.array_equal(J[live, lo : lo + width], draw_waiting(law, replay, (live.size, width)))
         lo, width = lo + width, later
+
+
+def test_first_wait_round_is_sized_by_the_renewal_function():
+    # the first round is the renewal function U(t) ~ sin(pi b)/(pi b) t^b of
+    # Pareto(b) waits; a first round of twice U, as 0.5 t^b + 32 is at
+    # b = 0.8, draws about two waits per renewal counted and throws half away
+    beta, target, m = 0.8, 10**4, 2000
+    law = WaitingLaw(beta)
+    share = math.sin(math.pi * beta) / (math.pi * beta)
+    renewal = share * target**beta
+    assert _wait_round_widths(law, target) == (int(renewal) + 32, (int(renewal) + 32) // 2)
+    assert _wait_round_widths(WaitingLaw(beta, 0.05), target)[0] == int(share * (target / 0.05) ** beta) + 32
+    assert _wait_round_widths(law, 10) == (WAIT_ROUND_MIN, WAIT_ROUND_MIN)
+    drawn = []
+
+    def draw(gen, size):
+        drawn.append(int(np.prod(size)))
+        return draw_waiting(law, gen, size)
+
+    counting = SimpleNamespace(beta=beta, scale=1.0, draw=draw)
+    counts = _wait_rounds(counting, SeedSpec(695).generator(0), m, target, False)[0]
+    assert sum(drawn) / counts.sum() <= 1.5
+    assert abs(counts.mean() / renewal - 1.0) <= 0.2
 
 
 def test_block_draws_innovations_up_to_each_rows_count():
