@@ -19,8 +19,16 @@ import numpy as np
 
 from .errors import DataError, ParameterError, UnsupportedDecomposition
 from .paths import StepPath, sorted_union, total_variation
-from .processes import INNOVATION_LANE, _counts_at, _draw_innovations, _live_slots, _row_cumsum, _zeta
-from .processes import iter_ctrw_chunks
+from .processes import (
+    INNOVATION_LANE,
+    _block_zeta,
+    _counts_at,
+    _draw_innovations,
+    _live_slots,
+    _row_cumsum,
+    _zeta,
+    iter_ctrw_chunks,
+)
 from .stats import DiagnosticReport, Estimate, mean_estimate, tail_estimate
 
 
@@ -405,7 +413,7 @@ def truncated_split_samples(config, T, a, c_grid, reps, seed):
     stop = {c: np.empty(reps) for c in c_grid}
     lo = 0
     for rb in iter_ctrw_chunks(config, T, reps, seed, False):
-        starts, live, zeta = rb["starts"], _live_slots(rb), rb["zeta"]
+        starts, live, zeta = rb["starts"], _live_slots(rb), _block_zeta(config, rb)
         del rb
         m, first = starts.size - 1, starts[:-1]
         # the jumps of M and of A, zero at the past slots

@@ -23,6 +23,7 @@ from .processes import (
     INNOVATION_LANE,
     LIMIT_BLOCK,
     WAIT_LANE,
+    _block_zeta,
     _d_law,
     _first_passage,
     _inverse_at,
@@ -388,7 +389,7 @@ def deterministic_integral_samples(config, T, reps, seed, fn):
     out = np.empty(reps)
     lo = 0
     for rb in iter_ctrw_chunks(config, T, reps, seed, True):
-        m, inc = rb["counts"].size, rb["zeta"]
+        m, inc = rb["counts"].size, _block_zeta(config, rb)
         inc[_live_slots(rb)] *= np.asarray(fn(rb["times"]), dtype=float)
         out[lo : lo + m] = np.add.reduceat(inc, rb["starts"][:-1])
         lo += m
@@ -403,7 +404,7 @@ def adversarial_sup_samples(config, T, reps, seed):
     out = np.empty(reps)
     lo = 0
     for rb in iter_ctrw_chunks(config, T, reps, seed, False):
-        m, starts, inc = rb["counts"].size, rb["starts"], rb["zeta"]
+        m, starts, inc = rb["counts"].size, rb["starts"], _block_zeta(config, rb)
         # zeta is zero at the past slots, each segment's first one included
         inc[1:] *= np.sign(rb["theta"][:-1])
         del rb
@@ -431,8 +432,9 @@ def follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=
     for rb in iter_ctrw_chunks(config, T, reps, seed, True):
         # the live jumps, row after row as the times, gathered once the
         # innovations and waits are dropped
+        zeta = _block_zeta(config, rb)
         del rb["theta"], rb["waits"]
-        counts, times, zeta = rb["counts"], rb["times"], rb["zeta"][_live_slots(rb)]
+        counts, times, zeta = rb["counts"], rb["times"], zeta[_live_slots(rb)]
         del rb
         m, N = counts.size, int(counts.sum())
         # slope (t_j - t_{j-1}), with t_{-1} = 0 at each row's first event

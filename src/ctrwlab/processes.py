@@ -12,10 +12,11 @@ The walk's replication blocks are ragged (_block, yielded by
 iter_ctrw_chunks): each row holds its own renewals only, as flat per-row
 segments, with its jump times and waits when kept. Every ensemble sampler
 reads each row's own segment, where per-path objects would be too slow:
-terminal_samples sums it, and the integral, SDE and decomposition samplers
-sum, scan or step its live slots (_live_slots). gen_moving_average and
-gen_ctrw read a one-row block of the same step, so all of them draw one
-recursion.
+terminal_samples sums windows of its innovations, one per filter lag, and
+the integral, SDE and decomposition samplers filter it into jumps
+(_block_zeta) and sum, scan or step their live slots (_live_slots).
+gen_moving_average and gen_ctrw read a one-row block of the same step, so
+all of them draw one recursion.
 """
 
 import math
@@ -243,7 +244,7 @@ def _bundle(config, T, seed):
     seed.generator(INNOVATION_LANE), read off its one segment."""
     rb = _block(config, T, 1, seed.generator(WAIT_LANE), seed.generator(INNOVATION_LANE), True)
     K, peff, past, times = int(rb["counts"][0]), rb["peff"], config.past_horizon, rb["times"]
-    x = StepPath.from_jumps(times, rb["zeta"][peff + 1 :], T)
+    x = StepPath.from_jumps(times, _block_zeta(config, rb)[peff + 1 :], T)
     waits = np.ones(K) if rb["waits"] is None else rb["waits"]
     thetas = rb["theta"][peff - past :]
     return SimulationBundle(x, _staircase(times, K, T), thetas, past, waits, config, seed, float(T))
@@ -476,12 +477,6 @@ def gen_time_changed_levy(
 # vectorised replication blocks
 
 
-def _wait_block(target, beta):
-    """Columns of a coupled block's first draw: about twice the renewals up
-    to target."""
-    return max(64, int(2.0 * target ** min(beta, 1.0)) + 32)
-
-
 def _wait_round_widths(law, target):
     """(first, later): the waits per row of the first draw round of
     _wait_rounds and of each later one, a layout of the walks' wait streams.
@@ -591,18 +586,20 @@ def _block(config, T, m, wgen, igen, keep):
       theta, starts: flat innovations, row r's theta_{-peff}, ...,
               theta_{counts[r]} at theta[starts[r] : starts[r + 1]]
               (_segments)
-      zeta:   the scaled jumps zeta^n_i at theta_i's slots, zero at each
-              row's past slots (_zeta)
       times, waits: with keep, the jump times L_k/n (k/n for a moving
               average) and the waits J_k of each row's live renewals, flat
-              and row after row in the order of zeta's live slots
+              and row after row in the order of theta's live slots
               (_live_slots); None without keep, and waits None for a
               moving average, whose waits are all 1.
+    The jumps are not built here: _block_zeta filters theta into them.
 
     A row draws its past + 1 + counts innovations only: one flat draw for
     an uncoupled block, row after row. A moving average draws the (m,
     past + 1 + K) rectangle and a coupled block draws the rectangle its
-    waits need, each cut to the rows' counts.
+    waits need, each cut to the rows' counts: _wait_round_widths columns
+    first, since the coupled waits of symmetric innovations are exactly
+    Pareto(beta), then half that many at a time until every row's waits
+    pass nT.
     """
     n = config.n
     law = config.innovation
@@ -611,13 +608,13 @@ def _block(config, T, m, wgen, igen, keep):
     times = waits = None
     if config.coupling == "magnitude-coupled":
         beta = config.waiting.beta
-        block = _wait_block(target, beta)
-        th = _draw_innovations(law, igen, (m, past + 1 + block))
+        first, later = _wait_round_widths(config.waiting, target)
+        th = _draw_innovations(law, igen, (m, past + 1 + first))
         while True:
             J = _coupled_waits(th[:, past + 1 :], law.alpha, beta)
             if np.all(J.sum(axis=1) > target):
                 break
-            more = _draw_innovations(law, igen, (m, max(64, block // 2)))
+            more = _draw_innovations(law, igen, (m, later))
             th = np.concatenate([th, more], axis=1)
         L = np.cumsum(J, axis=1)
         live = L <= target
@@ -641,17 +638,20 @@ def _block(config, T, m, wgen, igen, keep):
     peff = max(past, config.order)
     theta, starts = _segments(drawn, counts, past, peff)
     del drawn
-    zeta = _zeta(theta, starts, config.coefficients, peff)
+    return {"counts": counts, "peff": peff, "theta": theta, "starts": starts, "times": times, "waits": waits}
+
+
+def _block_zeta(config, rb):
+    """The scaled jumps zeta^n_i of a block rb (_block) of config, at
+    theta_i's slots and zero at each row's past slots (_zeta)."""
+    zeta = _zeta(rb["theta"], rb["starts"], config.coefficients, rb["peff"])
     zeta *= config.prefactor
-    return {
-        "counts": counts, "peff": peff, "theta": theta, "starts": starts, "zeta": zeta,
-        "times": times, "waits": waits,
-    }
+    return zeta
 
 
 def _live_slots(rb):
     """The flat indices of each row's theta_1, ..., theta_{counts[r]} in a
-    block rb (_block), row after row: the slots of its live zeta, in the
+    block rb (_block), row after row: the slots of its live jumps, in the
     order of its times. Live entry i of row r sits at i + (peff + 1)(r + 1);
     that is built as a running sum of steps in one index array, since a
     second array of that size beside it raised the follower's peak RSS."""
@@ -681,11 +681,11 @@ def _row_cumsum(inc, starts):
 
 
 def iter_ctrw_chunks(config, T, reps, seed, keep):
-    """Yield the ragged replication blocks (_block dicts; with `keep`, the
-    jump times and waits too) of the CTRW (or moving average) over `reps`
-    replications: block b of BLOCK rows draws from seed.generator((lane,
-    b * BLOCK)). The per-path generators are the one-row block on
-    seed.generator(lane)."""
+    """Yield the ragged replication blocks (_block dicts of the innovations,
+    with no jumps, which _block_zeta builds; with `keep`, the jump times and
+    waits too) of the CTRW (or moving average) over `reps` replications:
+    block b of BLOCK rows draws from seed.generator((lane, b * BLOCK)). The
+    per-path generators are the one-row block on seed.generator(lane)."""
     if not T > 0:
         raise ParameterError("horizon must be > 0")
     for lo in range(0, reps, BLOCK):
@@ -694,15 +694,38 @@ def iter_ctrw_chunks(config, T, reps, seed, keep):
 
 
 def terminal_samples(config, T, reps, seed):
-    """X^n_T over `reps` replications (vectorised): each row's zeta summed
-    over its own segment of the ragged blocks, no padded block built."""
-    out = np.empty(reps)
+    """X^n_T over `reps` replications (vectorised), straight from the
+    innovations of the ragged blocks: row r gives prefactor sum_j c_j
+    sum_{i = 1 - j}^{N_r - j} theta_i, one np.add.reduceat per lag j over a
+    window of each row's own segment. No jumps are built, and each block's
+    theta is dropped before the next one is drawn."""
+    out = np.zeros(reps)
     lo = 0
     for rb in iter_ctrw_chunks(config, T, reps, seed, False):
-        m = rb["counts"].size
-        out[lo : lo + m] = np.add.reduceat(rb["zeta"], rb["starts"][:-1])
+        theta, counts = rb["theta"], rb["counts"]
+        m = counts.size
+        # a row with no renewal sums an empty window, for which reduceat
+        # would give theta at its index, so it keeps its 0
+        rows = np.flatnonzero(counts)
+        if rows.size:
+            # the lag 0 window of row r runs from theta_1, at starts[r] +
+            # peff + 1, to theta_{N_r}; lag j's runs j slots earlier
+            first = rb["starts"][rows] + (rb["peff"] + 1)
+            edges = np.column_stack((first, first + counts[rows])).ravel()
+            total = np.zeros(rows.size)
+            for j, c in enumerate(config.coefficients):
+                if c == 0.0:
+                    continue
+                at = edges - j
+                # the last window may end at theta.size, not a valid index:
+                # reduceat sums its last window up to the end
+                if at[-1] == theta.size:
+                    at = at[:-1]
+                total += c * np.add.reduceat(theta, at)[::2]
+            total *= config.prefactor
+            out[lo + rows] = total
         lo += m
-        del rb
+        del rb, theta
     return out
 
 

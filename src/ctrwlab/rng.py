@@ -145,8 +145,9 @@ class WaitingLaw:
             raise ParameterError("scale must be > 0", tag="PARAM_SCALE")
 
 
-# entries per slice of the CMS transform: two slice-sized scratch arrays
-# (256 KB) stay in L2 while the slice passes through its ufuncs
+# entries per slice of the CMS transform, whose two slice-sized scratch
+# arrays (256 KB) stay in L2 while the slice passes through its ufuncs, and
+# of the symmetric innovation signs, drawn into one
 CMS_SLICE = 16384
 
 # CMS uniforms are clipped to [CMS_U_FLOOR, 1 - CMS_U_FLOOR]. For a totally
@@ -246,7 +247,9 @@ def draw_innovation(law, gen, size):
     """Innovation samples from an existing Generator: the magnitudes
     U^(-1/alpha) are built in place in the array of their uniforms, and a
     symmetric law draws its sign uniforms after all of them (negative below
-    1/2)."""
+    1/2), CMS_SLICE at a time into one slice-sized scratch array; the
+    slices continue one stream, so the signs are those of one full-size
+    draw."""
     if law.mode == "gaussian":
         return law.scale * gen.standard_normal(size)
     mag = gen.random(size)
@@ -255,11 +258,16 @@ def draw_innovation(law, gen, size):
         mag -= law.alpha / (law.alpha - 1.0)
     mag *= law.scale
     if law.mode == "symmetric":
-        # mag > 0, so copying the sign of u - 1/2 negates exactly where
-        # u < 1/2; u = 1/2 gives +0 and keeps mag positive
-        sign = gen.random(size)
-        sign -= 0.5
-        np.copysign(mag, sign, out=mag)
+        flat = mag.reshape(-1)
+        scratch = np.empty(min(CMS_SLICE, flat.size))
+        for lo in range(0, flat.size, CMS_SLICE):
+            part = flat[lo : lo + CMS_SLICE]
+            sign = scratch[: part.size]
+            gen.random(out=sign)
+            # mag > 0, so copying the sign of u - 1/2 negates exactly where
+            # u < 1/2; u = 1/2 gives +0 and keeps mag positive
+            sign -= 0.5
+            np.copysign(part, sign, out=part)
     return mag
 
 

@@ -23,6 +23,7 @@ from .processes import (
     INNOVATION_LANE,
     LIMIT_BLOCK,
     WAIT_LANE,
+    _block_zeta,
     _d_law,
     _live_slots,
     _step_law,
@@ -358,7 +359,7 @@ def sn_terminal_samples(spec, config, T, reps, seed, drift_mesh=2.0**-10):
     out = np.empty(reps)
     lo = 0
     for rb in iter_ctrw_chunks(config, T, reps, seed, True):
-        times, counts, dz = rb["times"], rb["counts"], rb["zeta"][_live_slots(rb)]
+        times, counts, dz = rb["times"], rb["counts"], _block_zeta(config, rb)[_live_slots(rb)]
         del rb
         m = counts.size
         out[lo : lo + m] = _sn_euler(spec, times, counts, np.broadcast_to(nb, dz.shape), dz, T, drift_mesh)[1][-1]
@@ -423,7 +424,7 @@ def sddn_terminal_samples(spec, config, T, reps, seed):
         m = rb["counts"].size
         # the segments of a moving average, all of one length, are the rows
         # of a matrix; x's row 0, theta_0's slot, is set by the kernel
-        x = rb["zeta"].reshape(m, -1)[:, rb["peff"] :].T.copy()
+        x = _block_zeta(config, rb).reshape(m, -1)[:, rb["peff"] :].T.copy()
         del rb
         out[lo : lo + m] = steps(x)[-1]
         lo += m

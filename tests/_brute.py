@@ -28,7 +28,9 @@ ragged row over its own renewals; the padded deterministic and adversarial
 integrals, truncated split, gdca statistic and walk-driven SDE (with its
 masked event kernel) are those samplers as they were before they read each
 row's own segment, and ragged_configs are the walks their tests run
-through both. The trigonometric CMS transform calls sin
+through both. two_array_innovation draws the symmetric signs as one
+second full-size array, as rng did before it drew them in slices. The
+trigonometric CMS transform calls sin
 and cos, as rng did before its tangent form, and the tangent CMS transform
 holds four full-size arrays, as rng did before it ran in slices. The scalar
 J1 program and the all-pairs M1 distance are the metrics as they were before
@@ -69,7 +71,6 @@ from ctrwlab.processes import (
     _staircase,
     _step_law,
     _t_nodes,
-    _wait_block,
     _wait_round_widths,
     _z_law,
 )
@@ -685,7 +686,7 @@ def gen_ctrw(config, T, seed):
     n = config.n
     target = n * T
     beta = config.waiting.beta
-    block = max(64, int(2.0 * target ** min(beta, 1.0)) + 32)
+    block = _wait_round_widths(config.waiting, target)[0]
     alpha = config.innovation.alpha
     past = config.past_horizon
 
@@ -769,11 +770,12 @@ def fixed_round_first_passage(d_inc, T, m, gen):
 
 def rect_grow_wait_matrix(law, gen, m, target):
     """(m, cols) waits from `law` on gen, with every row's sum above target:
-    a first draw of _wait_block columns, then half that many until it holds."""
-    block = _wait_block(target, law.beta)
-    J = _draw_waits(law, gen, (m, block))
+    a first draw of _wait_round_widths columns, then its later width until
+    it holds."""
+    first, later = _wait_round_widths(law, target)
+    J = _draw_waits(law, gen, (m, first))
     while not np.all(J.sum(axis=1) > target):
-        J = np.concatenate([J, _draw_waits(law, gen, (m, max(64, block // 2)))], axis=1)
+        J = np.concatenate([J, _draw_waits(law, gen, (m, later))], axis=1)
     return J
 
 
@@ -790,13 +792,13 @@ def rect_block(config, T, m, wgen, igen):
     J = None
     if coupled:
         beta = config.waiting.beta
-        block = _wait_block(target, beta)
-        th, peff = _draw_innovations(law, igen, (m, past + 1 + block)), past
+        first, later = _wait_round_widths(config.waiting, target)
+        th, peff = _draw_innovations(law, igen, (m, past + 1 + first)), past
         while True:
             J = _coupled_waits(th[:, past + 1 :], law.alpha, beta)
             if np.all(J.sum(axis=1) > target):
                 break
-            more = _draw_innovations(law, igen, (m, max(64, block // 2)))
+            more = _draw_innovations(law, igen, (m, later))
             th = np.concatenate([th, more], axis=1)
     elif config.waiting is not None:
         J = rect_grow_wait_matrix(config.waiting, wgen, m, target)
@@ -926,13 +928,13 @@ def padded_block(config, T, m, wgen, igen):
     J = None
     if coupled:
         beta = config.waiting.beta
-        block = _wait_block(target, beta)
-        th, peff = _draw_innovations(law, igen, (m, past + 1 + block)), past
+        first, later = _wait_round_widths(config.waiting, target)
+        th, peff = _draw_innovations(law, igen, (m, past + 1 + first)), past
         while True:
             J = _coupled_waits(th[:, past + 1 :], law.alpha, beta)
             if np.all(J.sum(axis=1) > target):
                 break
-            more = _draw_innovations(law, igen, (m, max(64, block // 2)))
+            more = _draw_innovations(law, igen, (m, later))
             th = np.concatenate([th, more], axis=1)
         L = np.cumsum(J, axis=1)
     elif config.waiting is not None:
@@ -1155,6 +1157,24 @@ def padded_sn_terminal_samples(spec, config, T, reps, seed, drift_mesh=2.0**-10)
         dd = np.broadcast_to(nb, zeta.shape)
         out[lo : lo + zeta.shape[0]] = masked_sn_euler(spec, blk["times"], blk["mask"], dd, zeta, T, drift_mesh)[1][-1]
     return out
+
+
+def two_array_innovation(law, gen, size):
+    """rng.draw_innovation as it was before it drew the symmetric signs in
+    slices: every magnitude uniform, then every sign uniform as a second
+    full-size array."""
+    if law.mode == "gaussian":
+        return law.scale * gen.standard_normal(size)
+    mag = gen.random(size)
+    np.power(mag, -1.0 / law.alpha, out=mag)
+    if law.mode == "centered":
+        mag -= law.alpha / (law.alpha - 1.0)
+    mag *= law.scale
+    if law.mode == "symmetric":
+        sign = gen.random(size)
+        sign -= 0.5
+        np.copysign(mag, sign, out=mag)
+    return mag
 
 
 def cms_standard(alpha, skew, gen, size):

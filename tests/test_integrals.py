@@ -46,7 +46,7 @@ from ctrwlab.integrals import (
     upsilon_estimate,
 )
 from ctrwlab.exprs import make_expr
-from ctrwlab.processes import BLOCK, iter_ctrw_chunks, terminal_samples, terminal_time_changed_samples
+from ctrwlab.processes import BLOCK, _block_zeta, iter_ctrw_chunks, terminal_samples, terminal_time_changed_samples
 from ctrwlab.stats import ks_two_sample, wasserstein1
 
 
@@ -237,7 +237,15 @@ def test_follower_vectorised_matches_streams():
     cfg = ProcessConfig(law, n=300)
     det = deterministic_integral_samples(cfg, 1.0, 80, SeedSpec(203), lambda t: np.ones_like(t))
     term = terminal_samples(cfg, 1.0, 80, SeedSpec(203))
-    assert np.array_equal(det, term)
+    # terminal_samples sums the innovations, not the jumps, so the two may
+    # round apart: within 1e-12 sum |zeta| per row
+    size = np.concatenate(
+        [
+            np.add.reduceat(np.abs(_block_zeta(cfg, rb)), rb["starts"][:-1])
+            for rb in iter_ctrw_chunks(cfg, 1.0, 80, SeedSpec(203), False)
+        ]
+    )
+    assert np.all(np.abs(det - term) <= 1e-12 * size)
     vals = follower_integral_samples(cfg, 1.0, 40, SeedSpec(204), C=1.0, gamma=0.3)
     assert np.all(np.isfinite(vals))
     again = follower_integral_samples(cfg, 1.0, 40, SeedSpec(204), C=1.0, gamma=0.3)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _brute import cms_standard, tangent_cms_standard
+from _brute import cms_standard, tangent_cms_standard, two_array_innovation
 
 from ctrwlab import (
     InnovationLaw,
@@ -17,7 +17,7 @@ from ctrwlab import (
     sample_waiting,
     wait_attractor_scale,
 )
-from ctrwlab.rng import CMS_SLICE, CMS_U_FLOOR, _cms_standard
+from ctrwlab.rng import CMS_SLICE, CMS_U_FLOOR, _cms_standard, draw_innovation
 
 
 def symmetric_stable_cdf(xs, alpha, umax=12.0, nu=6000):
@@ -278,6 +278,22 @@ def test_symmetric_innovation_properties():
         assert abs(np.mean(x > 0) - 0.5) < 0.01
         tail = np.mean(np.abs(x) > 2.0)
         assert abs(tail - 2.0 ** (-alpha)) < 0.01
+
+
+def test_sliced_signs_are_bitwise_the_two_array_draw():
+    # sizes below, at and across the slice length, and a 2-d block: the
+    # values, the signs of any zeros and the stream position after the draw
+    sizes = (1, CMS_SLICE - 1, CMS_SLICE, CMS_SLICE + 1, 3 * CMS_SLICE + 7, (37, 1000))
+    for i, alpha in enumerate((0.7, 1.5)):
+        law = InnovationLaw(alpha, "symmetric", scale=1.3)
+        for j, size in enumerate(sizes):
+            seed = SeedSpec(89 + i, stream=j)
+            gen, oracle_gen = seed.generator(), seed.generator()
+            got = draw_innovation(law, gen, size)
+            want = two_array_innovation(law, oracle_gen, size)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), (alpha, size)
+            assert gen.random() == oracle_gen.random()
 
 
 def test_centered_innovation_properties():

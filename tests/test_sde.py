@@ -32,6 +32,7 @@ from ctrwlab import (
 from ctrwlab.processes import (
     BLOCK,
     INNOVATION_LANE,
+    _block_zeta,
     _live_slots,
     _step_law,
     _z_law,
@@ -233,7 +234,7 @@ def test_sn_samples_match_oracle_per_row():
         out = sn_terminal_samples(spec, cfg, T, reps, SeedSpec(37), drift_mesh=mesh)
         rb = next(iter_ctrw_chunks(cfg, T, reps, SeedSpec(37), True))
         nb = float(cfg.n) ** (-cfg.beta_eff)
-        counts, zeta = rb["counts"], rb["zeta"][_live_slots(rb)]
+        counts, zeta = rb["counts"], _block_zeta(cfg, rb)[_live_slots(rb)]
         ends = np.cumsum(counts)
         for r in range(reps):
             tj, zj = rb["times"][ends[r] - counts[r] : ends[r]], zeta[ends[r] - counts[r] : ends[r]]
@@ -620,7 +621,7 @@ def test_sddn_samples_initial_segment_replay():
     spec = SddeSpec(b=lambda t, xd: xd, sigma=lambda t, xd: xd, r=0.5, eta=eta)
     out = sddn_terminal_samples(spec, cfg, 1.0, 1, SeedSpec(777))
     rb = next(iter_ctrw_chunks(cfg, 1.0, 1, SeedSpec(777), False))
-    zeta = rb["zeta"][rb["peff"] + 1 :]
+    zeta = _block_zeta(cfg, rb)[rb["peff"] + 1 :]
     hist = [5.0]
     for k in range(8):
         xd = 2.0 if k < 4 else hist[k - 4]
@@ -637,7 +638,7 @@ def test_delayed_left_reads_inside_the_initial_segment():
     spec = SddeSpec(b=lambda t, xd: xd, sigma=lambda t, xd: xd, r=0.5, eta=eta)
     out = sddn_terminal_samples(spec, cfg, 1.0, 1, SeedSpec(778))
     rb = next(iter_ctrw_chunks(cfg, 1.0, 1, SeedSpec(778), False))
-    zeta = rb["zeta"][rb["peff"] + 1 :]
+    zeta = _block_zeta(cfg, rb)[rb["peff"] + 1 :]
     seg = [2.0, 2.0, 7.0, 7.0]
     x = [7.0]
     for k in range(8):
