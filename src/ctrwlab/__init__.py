@@ -27,7 +27,6 @@ from .paths import (
     jump_stats,
     m1_modulus,
     max_eps_increments,
-    read_path_csv,
     total_variation,
     write_path_csv,
 )
@@ -35,7 +34,6 @@ from .metrics import MetricResult, d_j1, d_m1, d_uniform
 from .processes import (
     ProcessConfig,
     SimulationBundle,
-    compose_time_change,
     driver_paths,
     gen_counting,
     gen_ctrw,
@@ -46,24 +44,13 @@ from .processes import (
 from .stats import (
     DiagnosticReport,
     Estimate,
-    SampleSet,
     ks_two_sample,
     mean_estimate,
-    tail_estimate,
     wasserstein1,
 )
 from .decompositions import (
     BnEstimate,
-    TcReport,
-    TruncatedSplit,
-    UVSplit,
-    check_tc,
-    clip_mean_limit,
     estimate_bn,
-    gd_statistics,
-    gdca_statistic,
-    split_martingale,
-    split_uv,
     truncated_mean,
 )
 from .integrals import (
@@ -73,7 +60,6 @@ from .integrals import (
     PathIntegrand,
     adversarial_experiment,
     discretize_integrand,
-    grid_integral,
     ito_integral,
     sup_difference_integral,
     upsilon_estimate,
@@ -121,7 +107,6 @@ __all__ = [
     "PathIntegrand",
     "ProcessConfig",
     "RangeError",
-    "SampleSet",
     "SddeSpec",
     "SdeSpec",
     "SeedSpec",
@@ -129,17 +114,11 @@ __all__ = [
     "SimulationBundle",
     "StableParams",
     "StepPath",
-    "TcReport",
-    "TruncatedSplit",
-    "UVSplit",
     "UnsupportedDecomposition",
     "WaitingLaw",
     "adversarial_experiment",
     "attractor_params",
     "avci_functional",
-    "check_tc",
-    "clip_mean_limit",
-    "compose_time_change",
     "d_j1",
     "d_m1",
     "d_uniform",
@@ -147,14 +126,11 @@ __all__ = [
     "driver_paths",
     "emit_report",
     "estimate_bn",
-    "gd_statistics",
-    "gdca_statistic",
     "gen_counting",
     "gen_ctrw",
     "gen_moving_average",
     "gen_subordinator_inverse",
     "gen_time_changed_levy",
-    "grid_integral",
     "ito_integral",
     "jump_stats",
     "ks_two_sample",
@@ -164,7 +140,6 @@ __all__ = [
     "make_expr",
     "max_eps_increments",
     "mean_estimate",
-    "read_path_csv",
     "run_scenario",
     "sample_innovation",
     "sample_stable",
@@ -173,10 +148,7 @@ __all__ = [
     "solve_sdd_limit",
     "solve_sddn",
     "solve_sn",
-    "split_martingale",
-    "split_uv",
     "sup_difference_integral",
-    "tail_estimate",
     "total_variation",
     "truncated_mean",
     "upsilon_estimate",

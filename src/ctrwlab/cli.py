@@ -13,7 +13,6 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +369,8 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
         eps_list = _numbers(ups.get("eps_list", [0.5, 0.25]), "eps_list")
         m = _number(ups.get("pieces", 8), "pieces", int)
         ureps = _number(ups.get("replications", 60), "replications", int)
+        if ureps < 1:
+            raise ParameterError(f"upsilon replications must be >= 1, got {ureps!r}")
     rep = DiagnosticReport("integrals", cfg, seed.seed)
     proc0 = _build_process(cfg["process"], ns[0])
     alpha = proc0.innovation.alpha
@@ -523,6 +524,8 @@ def _random_step_path(gen, T, max_breaks):
 def _run_metrics(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"breakpoints", "witness_n"}, "config")
     kmax = _number(cfg.get("breakpoints", 6), "breakpoints", int)
+    if kmax < 1:
+        raise ParameterError(f"breakpoints must be >= 1, got {kmax!r}")
     gen = seed.generator(0)
     rep = DiagnosticReport("metrics", cfg, seed.seed)
     order_ok = 0

@@ -1,14 +1,14 @@
 """Decompositions of heavy-tailed walks and their convergence diagnostics.
 
-Two exact pathwise splits:
-  * truncated martingale split  X = M + A   (zero-order configs only),
-  * tail-filter split           psi^{-1} X = U + V  (any finite order),
-plus the exact per-lag moment sums of V^{n,i} behind the small-jump/large-jump
-diagnostics, and the scalar statistics used to probe whether a given scaling
-regime admits a well-behaved decomposition.
-
-All splits are replayed from the innovation record of a SimulationBundle, so
-the defining identities hold to machine precision at every breakpoint.
+Two pathwise splits, each sampled over the replication blocks of
+processes.iter_ctrw_chunks, one value per replication:
+  * truncated martingale split  X = M + A   (zero-order configs only):
+    truncated_split_samples gives M_T, the variation of A and the jumps of M;
+  * tail-filter split           psi^{-1} X = U + V  (any finite order):
+    gdca_samples sums |V| over a grid joined with V's breakpoints.
+Next to them sit the closed-form truncated means behind the compensator and
+b_n (estimate_bn), and the exact per-lag moment sums of V^{n,i} behind the
+small-jump/large-jump diagnostics (gdci_sums).
 """
 
 import functools
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, UnsupportedDecomposition
-from .paths import StepPath, sorted_union, total_variation
+from .errors import ParameterError, UnsupportedDecomposition
 from .processes import (
     INNOVATION_LANE,
     _block_zeta,
@@ -29,14 +28,7 @@ from .processes import (
     _zeta,
     iter_ctrw_chunks,
 )
-from .stats import DiagnosticReport, Estimate, mean_estimate, tail_estimate
-
-
-def truncate_h(x, a=1.0):
-    """Clip x to [-a, a]."""
-    if a < 1.0:
-        raise ParameterError("truncation level must be >= 1", tag="PARAM_TRUNC")
-    return float(np.clip(x, -a, a)) if np.isscalar(x) else np.clip(x, -a, a)
+from .stats import Estimate, mean_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -79,60 +71,17 @@ def truncated_clip_mean(law_mode, alpha, scale, a):
     return core + a * (p_hi - p_lo)
 
 
-def clip_mean_limit(law, a, c0=1.0):
-    """lim_n n^beta E[h(zeta^n_1)] in closed form for the built-in laws."""
-    alpha = law.alpha
-    s = c0 * law.scale
-    if law.mode in ("symmetric", "gaussian"):
-        return 0.0
-    if law.mode == "raw":
-        return a ** (1.0 - alpha) * s**alpha / (1.0 - alpha)
-    return -(a ** (1.0 - alpha)) * s**alpha / (alpha - 1.0)
-
-
 def _compensator(config, a):
     """E[zeta^n_1 1_{|zeta^n_1| <= a}], the drift removed from every small
     jump; zeta^n_1 = prefactor * c_0 * theta, so zero-order configs only."""
     if config.correlated:
         raise UnsupportedDecomposition(
             "the small-jump compensator is not i.i.d. across renewals once "
-            "coefficients overlap; use split_uv for correlated configs"
+            "coefficients overlap; the gdca and gdci diagnostics cover correlated configs"
         )
     law = config.innovation
     scale = config.prefactor * config.coefficients[0] * law.scale
     return truncated_mean(law.mode, law.alpha, scale, a)
-
-
-@dataclass(frozen=True)
-class TruncatedSplit:
-    """X = M + A with M the compensated small-jump martingale part."""
-
-    m: StepPath
-    a_part: StepPath
-    level: float
-    compensator: float
-
-    def max_jump(self):
-        j = self.m.jump_sizes()
-        return float(np.max(np.abs(j))) if j.size else 0.0
-
-
-def split_martingale(bundle, a=1.0):
-    """Exact small-jump martingale split of a zero-order realisation.
-
-    M jumps by zeta^n_k 1_{|zeta^n_k| <= a} - compensator at each renewal;
-    A = X - M on the same breakpoints.
-    """
-    if a < 1.0:
-        raise ParameterError("truncation level must be >= 1", tag="PARAM_TRUNC")
-    kappa = _compensator(bundle.config, a)
-    zeta = bundle.scaled_jumps()
-    dm = np.where(np.abs(zeta) <= a, zeta, 0.0) - kappa
-    times = bundle.x.times
-    m_vals = np.concatenate([[0.0], np.cumsum(dm)])
-    m = StepPath(times, m_vals, bundle.horizon)
-    a_path = StepPath(times, bundle.x.values - m_vals, bundle.horizon)
-    return TruncatedSplit(m, a_path, float(a), kappa)
 
 
 @dataclass(frozen=True)
@@ -160,7 +109,7 @@ def estimate_bn(law, n, beta, a, replications, seed, c0=1.0):
 
 
 # ---------------------------------------------------------------------------
-# U/V split
+# U/V split and its diagnostics
 
 
 def _tail_sums(coeffs):
@@ -169,144 +118,6 @@ def _tail_sums(coeffs):
     if c.size <= 1:
         return np.empty(0)
     return np.cumsum(c[::-1])[::-1][1:]
-
-
-@dataclass(frozen=True)
-class UVSplit:
-    """psi^{-1} X = U + V; V collects the tail-weighted recent innovations."""
-
-    u: StepPath
-    v: StepPath
-    psi: float
-    u1: StepPath
-    u2: StepPath
-
-
-def split_uv(bundle, config=None):
-    """Exact U/V split replayed from the innovation record."""
-    cfg = bundle.config if config is None else config
-    psi = cfg.psi
-    past = bundle.past
-    K = bundle.jump_count
-    if bundle.innovations.size != past + 1 + K:
-        raise DataError("innovation record does not cover every jump")
-    pref = cfg.prefactor
-    theta_pos = bundle.innovations[past + 1 :]
-    tails = _tail_sums(cfg.coefficients)
-    if tails.size and K > 0:
-        v_at = -(pref / psi) * np.convolve(theta_pos, tails)[:K]
-    else:
-        v_at = np.zeros(K)
-    times = bundle.x.times
-    v_vals = np.concatenate([[0.0], v_at])
-    v = StepPath(times, v_vals, bundle.horizon)
-    u_vals = bundle.x.values / psi - v_vals
-    u = StepPath(times, u_vals, bundle.horizon)
-    u1_vals = pref * np.concatenate([[0.0], np.cumsum(theta_pos)])
-    u1 = StepPath(times, u1_vals, bundle.horizon)
-    u2_const = 0.0
-    for j in range(1, cfg.order + 1):
-        lo = max(1 - j, -past)
-        acc = sum(bundle.theta(k) for k in range(lo, 1))
-        u2_const += cfg.coefficients[j] * acc
-    u2_const *= pref / psi
-    u2 = StepPath(np.array([0.0]), np.array([u2_const]), bundle.horizon)
-    return UVSplit(u, v, psi, u1, u2)
-
-
-@dataclass(frozen=True)
-class TcReport:
-    """Summability report for the coefficient tail sums."""
-
-    holds: bool
-    tail_sums: tuple
-    double_sum: float
-    rho: float
-    rho_sum: float
-
-
-def check_tc(coeffs, alpha):
-    """Tail-sum summability of the coefficients (always finite here); for
-    alpha = 1 the rho-power sums are reported as well."""
-    tails = _tail_sums(coeffs)
-    rho = 0.5 if alpha == 1.0 else 1.0
-    rho_sum = float(np.sum(tails**rho)) if tails.size else 0.0
-    return TcReport(
-        holds=True,
-        tail_sums=tuple(float(v) for v in tails),
-        double_sum=float(tails.sum()) if tails.size else 0.0,
-        rho=rho,
-        rho_sum=rho_sum,
-    )
-
-
-# ---------------------------------------------------------------------------
-# scalar diagnostics
-
-
-def martingale_stop_jump(split, t, c):
-    """|jump of M at t ^ tau_c| where tau_c is the first time |M| >= c."""
-    m = split.m
-    vals = np.abs(m.values)
-    hit = np.flatnonzero((vals >= c) & (m.times <= t))
-    if hit.size == 0:
-        return 0.0
-    k = hit[0]
-    return float(abs(m.values[k] - m.values[k - 1])) if k > 0 else float(abs(m.values[0]))
-
-
-def gd_statistics(ensembles, t, r_grid, c_grid):
-    """Tail and stopped-jump statistics of truncated splits across n.
-
-    ensembles: {n: [TruncatedSplit, ...]} (or a plain list for a single,
-    unlabelled group). Reports P(TV_{[0,t]}(A) > R) with Wilson intervals,
-    E|jump of M at t ^ tau_c|, the max |jump of M| / 2a sanity ratio, and
-    tv_flat_R* flags comparing the largest n against the middle one.
-    """
-    if isinstance(ensembles, (list, tuple)):
-        ensembles = {0: list(ensembles)}
-    if not ensembles or any(len(v) == 0 for v in ensembles.values()):
-        raise DataError("need a non-empty ensemble of splits")
-    report = DiagnosticReport(scenario="gd", params={"t": t}, seed=None)
-    tails = {}
-    for n, splits in sorted(ensembles.items()):
-        tv = np.array([total_variation(s.a_part, t) for s in splits])
-        level = splits[0].level
-        worst = max(s.max_jump() for s in splits)
-        report.add(
-            Estimate(f"max_jump_over_2a_n{n}", worst / (2.0 * level), 0.0, 1.0, len(splits))
-        )
-        for r in r_grid:
-            est = tail_estimate(int((tv > r).sum()), tv.size, name=f"tv_tail_n{n}_R{r:g}")
-            tails[(n, r)] = est
-            report.add(est)
-        for c in c_grid:
-            jumps = np.array([martingale_stop_jump(s, t, c) for s in splits])
-            report.add(mean_estimate(jumps, name=f"stop_jump_n{n}_c{c:g}"))
-    ns = sorted(ensembles)
-    if len(ns) >= 3:
-        mid, big = ns[len(ns) // 2], ns[-1]
-        for r in r_grid:
-            a, b = tails[(mid, r)], tails[(big, r)]
-            tol = 2.0 * max(a.width(), b.width())
-            flat = 1.0 if b.value <= a.value + tol else 0.0
-            report.add(Estimate(f"tv_flat_R{r:g}", flat, flat, flat, len(ensembles[big])))
-    return report
-
-
-def gdca_statistic(split, gamma, bundle):
-    """n^{-gamma} * sum of |V| over the scaled grid {k n^{-beta} T} joined
-    with V's own breakpoints."""
-    if gamma <= 0:
-        raise ParameterError("gamma must be > 0", tag="PARAM_GAMMA")
-    cfg = bundle.config
-    n = cfg.n
-    T = bundle.horizon
-    step = float(n) ** (-cfg.beta_eff) * T
-    grid = np.arange(int(math.floor(T / step + 1e-9)) + 1) * step
-    pts = sorted_union(grid, split.v.times)
-    pts = pts[pts <= T]
-    return float(n) ** (-gamma) * float(np.sum(np.abs(split.v.value(pts))))
 
 
 def default_gdca_gamma(config):
@@ -394,8 +205,7 @@ def gdci_sums(config, K=1, gamma=None):
 
 
 # ---------------------------------------------------------------------------
-# vectorised ensemble statistics (used by the diagnostics CLI, where per-path
-# objects would dominate the runtime)
+# the splits sampled over replication blocks
 
 
 def truncated_split_samples(config, T, a, c_grid, reps, seed):
@@ -404,8 +214,11 @@ def truncated_split_samples(config, T, a, c_grid, reps, seed):
 
     Returns (M_T, TV_{[0,T]}(A), max |jump of M| / 2a, {c: |jump of M at
     T ^ tau_c|}), each an array with one value per replication; tau_c is the
-    first time |M| >= c. Zero-order configs only, as for split_martingale.
+    first time |M| >= c. Zero-order configs only, and a truncation level
+    a >= 1 (a NaN level is rejected too), both checked before any draw.
     """
+    if not a >= 1.0:
+        raise ParameterError(f"truncation level must be >= 1, got {a!r}", tag="PARAM_TRUNC")
     kappa = _compensator(config, a)
     mart = np.empty(reps)
     tv = np.empty(reps)
@@ -440,7 +253,9 @@ def truncated_split_samples(config, T, a, c_grid, reps, seed):
 
 
 def gdca_samples(config, T, reps, seed, gamma=None):
-    """The grid statistic n^{-gamma} sum_{pi} |V|, one value per replication."""
+    """The grid statistic n^{-gamma} sum_{pi} |V|, one value per replication:
+    pi is the grid {k n^{-beta} T} joined with V's breakpoints, so a grid
+    point that is also a jump time counts once."""
     if not config.correlated:
         return np.zeros(reps)
     if gamma is None:
@@ -448,8 +263,11 @@ def gdca_samples(config, T, reps, seed, gamma=None):
     n = config.n
     tails = _tail_sums(config.coefficients)
     scale = config.prefactor / config.psi
-    step = float(n) ** (-config.beta_eff) * T
-    grid = np.arange(1, int(math.floor(T / step + 1e-9)) + 1) * step
+    # k T / n^beta in the arithmetic of the jump times k / n of a moving
+    # average (beta = 1), so that at T = 1 each grid point equals its jump
+    # time bitwise
+    nb = float(n) ** config.beta_eff
+    grid = np.arange(1, int(math.floor(nb + 1e-9)) + 1) * T / nb
     out = np.empty(reps)
     lo = 0
     for rb in iter_ctrw_chunks(config, T, reps, seed, True):
@@ -468,9 +286,14 @@ def gdca_samples(config, T, reps, seed, gamma=None):
         np.abs(av, out=av)
         stat = np.add.reduceat(av, starts[:-1])
         at = _counts_at(times, counts, grid)
+        # a grid point that is a jump time is one point of the union, whose
+        # |V| the jump sum holds already
+        on_jump = at != _counts_at(times, counts, np.nextafter(grid, -np.inf))
         at += (starts[:-1] + peff)[:, None]
-        stat += av[at].sum(axis=1)
+        reads = av[at]
+        reads[on_jump] = 0.0
+        stat += reads.sum(axis=1)
         out[lo : lo + m] = float(n) ** (-gamma) * stat
         lo += m
-        del times, av, at
+        del times, av, at, on_jump, reads
     return out

@@ -1,4 +1,4 @@
-"""Ito-sum integration against step and grid paths, integrand discretisation,
+"""Ito-sum integration against step paths, integrand discretisation,
 the sup-difference control quantity, and the look-ahead counterexample.
 
 Integrands come in five kinds:
@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .errors import AdaptednessViolation, DataError, ParameterError, ShapeError
-from .paths import GridPath, StepPath, sorted_union
+from .errors import AdaptednessViolation, DataError, ParameterError
+from .paths import StepPath, sorted_union
 from .processes import (
     INNOVATION_LANE,
     LIMIT_BLOCK,
@@ -171,27 +171,6 @@ def ito_integral(H, x, T=None):
     jt, js = jt[keep], js[keep]
     hv = _left_eval(H, jt) if jt.size else np.empty(0)
     return StepPath.from_jumps(jt, hv * js, T)
-
-
-def grid_integral(H, xg, T=None):
-    """Left-point cumulative sums H(t_k) (x_{k+1} - x_k) on xg's grid."""
-    if not isinstance(xg, GridPath):
-        raise ShapeError("grid_integral needs a GridPath integrator")
-    T = xg.horizon if T is None else float(T)
-    nodes = xg.times
-    keep = int(np.searchsorted(nodes, T + 1e-12 * max(T, 1.0), side="left"))
-    nodes = nodes[:keep]
-    vals = xg.values[:keep]
-    if isinstance(H, GridPath):
-        if abs(H.step - xg.step) > 1e-12 * xg.step:
-            raise ShapeError("integrand and integrator grids must share the mesh")
-        if H.values.size < vals.size:
-            raise ShapeError("integrand grid too short for the integrator")
-        hv = H.values[: vals.size - 1]
-    else:
-        hv = _left_eval(H, nodes[:-1])
-    out = np.concatenate([[0.0], np.cumsum(hv * np.diff(vals))])
-    return GridPath(out, xg.step, horizon=nodes[-1] if nodes.size else 0.0)
 
 
 # ---------------------------------------------------------------------------

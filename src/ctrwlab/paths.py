@@ -14,7 +14,7 @@ import csv
 
 import numpy as np
 
-from .errors import DataError, ParameterError, RangeError, ShapeError
+from .errors import ParameterError, RangeError, ShapeError
 
 
 def sorted_union(*arrays):
@@ -308,28 +308,3 @@ def write_path_csv(path, fh):
     finally:
         if own:
             out.close()
-
-
-def read_path_csv(fh, horizon=None):
-    """Read a `t,value` CSV back into a StepPath; rejects non-monotone times."""
-    own = isinstance(fh, str)
-    inp = open(fh, "r", newline="") if own else fh
-    try:
-        rows = list(csv.reader(inp))
-    finally:
-        if own:
-            inp.close()
-    if not rows or rows[0][:2] != ["t", "value"]:
-        raise DataError("expected header 't,value'")
-    body = rows[1:]
-    if not body:
-        raise DataError("empty path file")
-    try:
-        times = np.array([float(r[0]) for r in body])
-        values = np.array([float(r[1]) for r in body])
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"malformed path row: {exc}") from None
-    if np.any(np.diff(times) <= 0):
-        raise DataError("time column must be strictly increasing")
-    h = horizon if horizon is not None else times[-1]
-    return StepPath(times, values, h, origin=float(times[0]))

@@ -221,17 +221,6 @@ class SimulationBundle:
             times = np.cumsum(self.waits) / cfg.n
         return StepPath.from_jumps(times, cfg.prefactor * zeta, self.horizon)
 
-    def sidecar_dict(self):
-        return {
-            "config": self.config.to_dict(),
-            "seed": {"seed": self.seed.seed, "stream": self.seed.stream},
-            "horizon": self.horizon,
-            "past": self.past,
-            "innovations": [float(v) for v in self.innovations],
-            "waits": [float(v) for v in self.waits] if self.waits is not None else None,
-        }
-
-
 def _staircase(times_over_n, K, horizon):
     """Counting path N_{nt}: 0 before the first jump, +1 at each jump time."""
     t = np.concatenate([[0.0], times_over_n[:K]])
@@ -424,27 +413,6 @@ def gen_subordinator_inverse(beta, T, grid_step, seed, increment_scale=1.0):
     idx = np.searchsorted(d_vals, _t_nodes(T, h), side="right")
     d_inv = GridPath(idx * h, h, horizon=T, interp="linear")
     return d, d_inv
-
-
-def invert_monotone_grid(d):
-    """Exact generalised inverse of a nondecreasing const-interp GridPath,
-    evaluated on its own grid: inf{s: D_s > t}."""
-    idx = np.searchsorted(d.values, d.times, side="right")
-    return GridPath(
-        np.minimum(idx, d.values.size - 1) * d.step, d.step, interp="linear"
-    )
-
-
-def compose_time_change(z, d_inv):
-    """Z evaluated along the time change: t -> Z(d_inv(t)), on d_inv's grid.
-
-    d_inv values must land on z's grid (true for gen_subordinator_inverse
-    output whose step matches z's).
-    """
-    idx = np.floor(np.asarray(d_inv.values) / z.step + 0.5).astype(int)
-    if np.any(idx < 0) or np.any(idx >= z.values.size):
-        raise DataError("time change leaves the simulated span of Z")
-    return GridPath(z.values[idx], d_inv.step, horizon=d_inv.horizon, interp="const")
 
 
 def gen_time_changed_levy(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .paths import GridPath, StepPath, sorted_union
 from .processes import (
     BLOCK,
@@ -30,7 +30,6 @@ from .processes import (
     _t_nodes,
     _time_changed_block,
     _z_law,
-    driver_paths,
     iter_ctrw_chunks,
 )
 from .rng import draw_stable

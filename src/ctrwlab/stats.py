@@ -3,7 +3,8 @@
 Weak-convergence statements are tested through fixed-time marginals, so the
 workhorses are a two-sample Kolmogorov-Smirnov statistic (limit laws are
 themselves simulated, hence two-sample), an exact empirical Wasserstein-1
-distance, and Wilson score intervals for tail probabilities.
+distance, and normal confidence intervals for Monte Carlo means, collected
+as named estimates in a diagnostic report.
 """
 
 import math
@@ -15,30 +16,7 @@ import numpy as np
 from .errors import DataError
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Finite sample with provenance, the unit of distributional comparison."""
-
-    values: np.ndarray
-    label: str = ""
-    seed: object = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise DataError("samples must form a non-empty 1-d array")
-        if not np.all(np.isfinite(v)):
-            raise DataError("samples must be finite")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def size(self):
-        return self.values.size
-
-
 def _as_values(a):
-    if isinstance(a, SampleSet):
-        return a.values
     v = np.asarray(a, dtype=float)
     if v.size == 0:
         raise DataError("empty sample")
@@ -113,24 +91,6 @@ class Estimate:
         return self.ci_high - self.ci_low
 
 
-def tail_estimate(count, total, level=0.95, name="tail"):
-    """Wilson score interval for a binomial proportion."""
-    if total <= 0:
-        raise DataError("total must be >= 1")
-    if not (0 <= count <= total):
-        raise DataError("count must lie in [0, total]")
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    phat = count / total
-    denom = 1.0 + z * z / total
-    center = (phat + z * z / (2 * total)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / total + z * z / (4 * total * total)) / denom
-    # center -+ half equals phat exactly at count = 0 / count = total; guard
-    # the float roundoff so the bracket always contains phat
-    lo = min(max(0.0, center - half), phat)
-    hi = max(min(1.0, center + half), phat)
-    return Estimate(name, phat, lo, hi, total)
-
-
 def mean_estimate(values, level=0.95, name="mean"):
     """Sample mean with a normal confidence interval."""
     v = _as_values(values)
@@ -180,10 +140,3 @@ class DiagnosticReport:
                 for e in self.estimates
             ],
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        rep = cls(d["scenario"], dict(d["params"]), d["seed"])
-        for e in d["estimates"]:
-            rep.add(Estimate(e["name"], e["value"], e["ci_low"], e["ci_high"], e["n_samples"]))
-        return rep

@@ -27,8 +27,12 @@ every column of the padded blocks, as integrals did before it stepped each
 ragged row over its own renewals; the padded deterministic and adversarial
 integrals, truncated split, gdca statistic and walk-driven SDE (with its
 masked event kernel) are those samplers as they were before they read each
-row's own segment, and ragged_configs are the walks their tests run
-through both. two_array_innovation draws the symmetric signs as one
+row's own segment (the padded gdca statistic, like the sampler, counts a
+grid point that is a jump time once), and ragged_configs are the walks
+their tests run through both. The per-path splits (split_martingale with
+martingale_stop_jump, split_uv with gdca_statistic), clip_mean_limit and
+invert_monotone_grid are definitions the library's samplers are checked
+against. two_array_innovation draws the symmetric signs as one
 second full-size array, as rng did before it drew them in slices. The
 trigonometric CMS transform calls sin
 and cos, as rng did before its tangent form, and the tangent CMS transform
@@ -41,6 +45,7 @@ shared by the metric tests and scripts/coupled_distances.py.
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +88,7 @@ from ctrwlab.metrics import (
     _free_space,
     _graph_vertices,
 )
+from ctrwlab.paths import sorted_union
 from ctrwlab.rng import draw_stable
 
 
@@ -173,6 +179,134 @@ def random_step_path(rng, horizon=1.0, max_breaks=8, big=True):
     if big and rng.random() < 0.3:
         vals[rng.integers(0, vals.size)] += rng.choice([-5.0, 5.0])
     return StepPath(times, vals, horizon)
+
+
+# ---------------------------------------------------------------------------
+# per-path splits and the closed-form clip mean limit: the definitions that
+# truncated_split_samples and gdca_samples sample over replication blocks
+
+
+def clip_mean_limit(law, a, c0=1.0):
+    """lim_n n^beta E[h(zeta^n_1)] in closed form for the built-in laws."""
+    alpha = law.alpha
+    s = c0 * law.scale
+    if law.mode in ("symmetric", "gaussian"):
+        return 0.0
+    if law.mode == "raw":
+        return a ** (1.0 - alpha) * s**alpha / (1.0 - alpha)
+    return -(a ** (1.0 - alpha)) * s**alpha / (alpha - 1.0)
+
+
+@dataclass(frozen=True)
+class TruncatedSplit:
+    """X = M + A with M the compensated small-jump martingale part."""
+
+    m: StepPath
+    a_part: StepPath
+    level: float
+    compensator: float
+
+    def max_jump(self):
+        j = self.m.jump_sizes()
+        return float(np.max(np.abs(j))) if j.size else 0.0
+
+
+def split_martingale(bundle, a=1.0):
+    """Exact small-jump martingale split of a zero-order realisation.
+
+    M jumps by zeta^n_k 1_{|zeta^n_k| <= a} - compensator at each renewal;
+    A = X - M on the same breakpoints.
+    """
+    if a < 1.0:
+        raise ParameterError("truncation level must be >= 1", tag="PARAM_TRUNC")
+    kappa = _compensator(bundle.config, a)
+    zeta = bundle.scaled_jumps()
+    dm = np.where(np.abs(zeta) <= a, zeta, 0.0) - kappa
+    times = bundle.x.times
+    m_vals = np.concatenate([[0.0], np.cumsum(dm)])
+    m = StepPath(times, m_vals, bundle.horizon)
+    a_path = StepPath(times, bundle.x.values - m_vals, bundle.horizon)
+    return TruncatedSplit(m, a_path, float(a), kappa)
+
+
+def martingale_stop_jump(split, t, c):
+    """|jump of M at t ^ tau_c| where tau_c is the first time |M| >= c."""
+    m = split.m
+    vals = np.abs(m.values)
+    hit = np.flatnonzero((vals >= c) & (m.times <= t))
+    if hit.size == 0:
+        return 0.0
+    k = hit[0]
+    return float(abs(m.values[k] - m.values[k - 1])) if k > 0 else float(abs(m.values[0]))
+
+
+@dataclass(frozen=True)
+class UVSplit:
+    """psi^{-1} X = U + V; V collects the tail-weighted recent innovations."""
+
+    u: StepPath
+    v: StepPath
+    psi: float
+    u1: StepPath
+    u2: StepPath
+
+
+def split_uv(bundle, config=None):
+    """Exact U/V split replayed from the innovation record."""
+    cfg = bundle.config if config is None else config
+    psi = cfg.psi
+    past = bundle.past
+    K = bundle.jump_count
+    if bundle.innovations.size != past + 1 + K:
+        raise DataError("innovation record does not cover every jump")
+    pref = cfg.prefactor
+    theta_pos = bundle.innovations[past + 1 :]
+    tails = _tail_sums(cfg.coefficients)
+    if tails.size and K > 0:
+        v_at = -(pref / psi) * np.convolve(theta_pos, tails)[:K]
+    else:
+        v_at = np.zeros(K)
+    times = bundle.x.times
+    v_vals = np.concatenate([[0.0], v_at])
+    v = StepPath(times, v_vals, bundle.horizon)
+    u_vals = bundle.x.values / psi - v_vals
+    u = StepPath(times, u_vals, bundle.horizon)
+    u1_vals = pref * np.concatenate([[0.0], np.cumsum(theta_pos)])
+    u1 = StepPath(times, u1_vals, bundle.horizon)
+    u2_const = 0.0
+    for j in range(1, cfg.order + 1):
+        lo = max(1 - j, -past)
+        acc = sum(bundle.theta(k) for k in range(lo, 1))
+        u2_const += cfg.coefficients[j] * acc
+    u2_const *= pref / psi
+    u2 = StepPath(np.array([0.0]), np.array([u2_const]), bundle.horizon)
+    return UVSplit(u, v, psi, u1, u2)
+
+
+def gdca_statistic(split, gamma, bundle):
+    """n^{-gamma} * sum of |V| over the scaled grid {k n^{-beta} T} joined
+    with V's own breakpoints. The grid is k T / n^beta, the arithmetic of
+    gdca_samples, so a grid point that is a jump time k / n of a moving
+    average at T = 1 joins it as one point."""
+    if gamma <= 0:
+        raise ParameterError("gamma must be > 0", tag="PARAM_GAMMA")
+    cfg = bundle.config
+    n = cfg.n
+    T = bundle.horizon
+    nb = float(n) ** cfg.beta_eff
+    grid = np.arange(int(math.floor(nb + 1e-9)) + 1) * T / nb
+    pts = sorted_union(grid, split.v.times)
+    pts = pts[pts <= T]
+    return float(n) ** (-gamma) * float(np.sum(np.abs(split.v.value(pts))))
+
+
+def invert_monotone_grid(d):
+    """Exact generalised inverse of a nondecreasing const-interp GridPath,
+    evaluated on its own grid: inf{s: D_s > t}."""
+    idx = np.searchsorted(d.values, d.times, side="right")
+    return GridPath(
+        np.minimum(idx, d.values.size - 1) * d.step, d.step, interp="linear"
+    )
 
 
 COUPLED_COEFFICIENTS = (1.0, 0.5)
@@ -1080,15 +1214,16 @@ def padded_gdca_samples(config, T, reps, seed, gamma=None):
     """The grid statistic n^{-gamma} sum_{pi} |V| from the padded blocks:
     V_k = -c sum_i tail_i theta_{k+1-i} along each row, masked past its
     count, and each grid point read by its own searchsorted of the row's
-    live times."""
+    live times, unless it is the time of the jump it reads (the jump sum
+    holds that point of the union)."""
     if not config.correlated:
         return np.zeros(reps)
     if gamma is None:
         gamma = default_gdca_gamma(config)
     n = config.n
     tails = _tail_sums(config.coefficients)
-    step = float(n) ** (-config.beta_eff) * T
-    grid = np.arange(1, int(math.floor(T / step + 1e-9)) + 1) * step
+    nb = float(n) ** config.beta_eff
+    grid = np.arange(1, int(math.floor(nb + 1e-9)) + 1) * T / nb
     out = np.empty(reps)
     for lo, blk in padded_blocks(config, T, reps, seed):
         th = blk["theta"].copy()
@@ -1103,8 +1238,10 @@ def padded_gdca_samples(config, T, reps, seed, gamma=None):
         v[~blk["mask"]] = 0.0
         np.abs(av, out=av)
         for r in range(m):
-            at = np.searchsorted(blk["times"][r, : blk["counts"][r]], grid, side="right")
-            out[lo + r] = float(n) ** (-gamma) * (v[r].sum() + av[r, at].sum())
+            times = blk["times"][r, : blk["counts"][r]]
+            at = np.searchsorted(times, grid, side="right")
+            on_jump = (at > 0) & (times[np.maximum(at, 1) - 1] == grid) if times.size else False
+            out[lo + r] = float(n) ** (-gamma) * (v[r].sum() + np.where(on_jump, 0.0, av[r, at]).sum())
     return out
 
 

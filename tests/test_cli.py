@@ -573,6 +573,33 @@ def test_cli_parameter_errors(tmp_path):
         check_fails(tmp_path, ["integrals", "--config", bad], "PARAM")
 
 
+WALK = {"innovation": {"alpha": 1.5, "mode": "centered"}, "waiting": {"beta": 0.8}}
+
+
+def test_gd_rejects_truncation_levels_below_one(tmp_path):
+    # a = 0.5 ran to a report, a = 0 exited 3 on a CI that did not bracket
+    # its value and a = -1 on a complex power in the closed-form mean
+    for i, a in enumerate((0.5, 0.0, -1.0, math.nan)):
+        bad = write_cfg(tmp_path, f"gd{i}.json", {"kind": "gd", "process": WALK, "n_list": [20],
+                                                 "replications": 10, "a": a})
+        check_fails(tmp_path, ["diagnose", "gd", "--config", bad], "PARAM_TRUNC")
+
+
+def test_metrics_rejects_breakpoints_below_one(tmp_path):
+    # exited 3 on numpy's "low >= high" from the random path draw
+    for i, k in enumerate((0, -2)):
+        bad = write_cfg(tmp_path, f"metrics{i}.json", {"kind": "metrics", "breakpoints": k,
+                                                      "witness_n": [8], "replications": 10})
+        check_fails(tmp_path, ["metrics", "--config", bad], "PARAM")
+
+
+def test_integrals_reject_an_empty_upsilon_ensemble(tmp_path):
+    # exited 3 with a DATA error once the KS tables had run
+    bad = write_cfg(tmp_path, "ups.json", {"kind": "integrals", "process": WALK, "n_list": [20],
+                                           "replications": 10, "upsilon": {"replications": 0}})
+    check_fails(tmp_path, ["integrals", "--config", bad], "PARAM")
+
+
 def test_numeric_config_values_given_as_strings(tmp_path):
     # float("tight") raised a ValueError that the CLI reported as INTERNAL
     # with exit 3

@@ -4,9 +4,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _brute import padded_blocks, padded_gdca_samples, padded_truncated_split_samples, ragged_configs
+from _brute import (
+    clip_mean_limit,
+    gdca_statistic,
+    martingale_stop_jump,
+    padded_blocks,
+    padded_gdca_samples,
+    padded_truncated_split_samples,
+    ragged_configs,
+    split_martingale,
+    split_uv,
+)
 from ctrwlab import (
-    DataError,
     InnovationLaw,
     ParameterError,
     ProcessConfig,
@@ -19,19 +28,11 @@ from ctrwlab import (
 )
 from ctrwlab.decompositions import (
     _compensator,
-    check_tc,
-    clip_mean_limit,
     default_gdca_gamma,
     default_gdci_gamma,
     estimate_bn,
-    gd_statistics,
     gdca_samples,
-    gdca_statistic,
     gdci_sums,
-    martingale_stop_jump,
-    split_martingale,
-    split_uv,
-    truncate_h,
     truncated_mean,
     truncated_split_samples,
 )
@@ -47,15 +48,6 @@ def inject_bundle(thetas, coeffs, n=1, T=2.0):
         draw=lambda gen, size: seq[:size].copy(),
     )
     return gen_moving_average(ProcessConfig(law, coefficients=coeffs, n=n), T, SeedSpec(0))
-
-
-def test_truncate_h():
-    assert truncate_h(0.5, 1.0) == 0.5
-    assert truncate_h(2.0, 1.0) == 1.0
-    assert truncate_h(-3.0, 1.0) == -1.0
-    assert np.array_equal(truncate_h(np.array([-5.0, 0.2, 7.0]), 2.0), [-2.0, 0.2, 2.0])
-    with pytest.raises(ParameterError):
-        truncate_h(1.0, 0.5)
 
 
 def test_truncated_mean_closed_forms():
@@ -129,6 +121,13 @@ def test_split_martingale_errors():
         truncated_split_samples(
             ProcessConfig(law, coefficients=(1.0, 0.5), n=50), 1.0, 1.0, (1.0,), 10, SeedSpec(42)
         )
+    # a level below 1, NaN too, ran to a report or failed deep in it; it is
+    # rejected before any draw
+    no_draw = SimpleNamespace(alpha=1.5, mode="centered", scale=1.0, draw=lambda gen, size: pytest.fail("drew"))
+    for a in (0.5, 0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError) as ei:
+            truncated_split_samples(ProcessConfig(no_draw, WaitingLaw(0.8), n=50), 1.0, a, (1.0,), 10, SeedSpec(0))
+        assert ei.value.tag == "PARAM_TRUNC"
 
 
 def test_martingale_terminal_centering():
@@ -240,44 +239,6 @@ def test_split_uv_identity_random():
     assert worst <= 1e-12
 
 
-def test_check_tc():
-    r = check_tc((1.0, 0.5), 1.5)
-    assert r.holds and r.tail_sums == (0.5,) and r.double_sum == 0.5 and r.rho == 1.0
-    r0 = check_tc((1.0,), 1.7)
-    assert r0.holds and r0.tail_sums == () and r0.double_sum == 0.0
-    r2 = check_tc((1.0, 1.0, 1.0), 1.5)
-    assert r2.tail_sums == (2.0, 1.0) and r2.double_sum == 3.0
-    r1 = check_tc((1.0, 1.0, 1.0), 1.0)
-    assert r1.rho == 0.5
-    assert abs(r1.rho_sum - (math.sqrt(2.0) + 1.0)) < 1e-12
-
-
-def test_gd_statistics_trivial_ensembles():
-    law = InnovationLaw(1.5, "symmetric")
-    ensembles = {}
-    for n in (50, 100, 200):
-        splits = [
-            split_martingale(gen_moving_average(ProcessConfig(law, n=n), 1.0, SeedSpec(90 + r, stream=n)), 1e9)
-            for r in range(40)
-        ]
-        ensembles[n] = splits
-    report = gd_statistics(ensembles, 1.0, r_grid=(0.5, 2.0), c_grid=(1.0,))
-    for n in (50, 100, 200):
-        assert report.get(f"tv_tail_n{n}_R0.5").value == 0.0
-        assert report.get(f"tv_tail_n{n}_R2").value == 0.0
-        assert report.get(f"max_jump_over_2a_n{n}").value <= 1.0
-    # A identically zero means the tails trivially flatten
-    assert report.get("tv_flat_R0.5").value == 1.0
-    assert report.get("tv_flat_R2").value == 1.0
-    # a bare list is treated as one unlabelled group
-    flat = gd_statistics(list(ensembles[50]), 1.0, r_grid=(0.5,), c_grid=(1.0,))
-    assert flat.get("tv_tail_n0_R0.5").value == 0.0
-    with pytest.raises(DataError):
-        gd_statistics({}, 1.0, r_grid=(0.5,), c_grid=(1.0,))
-    with pytest.raises(DataError):
-        gd_statistics({10: []}, 1.0, r_grid=(0.5,), c_grid=(1.0,))
-
-
 def test_gdca_statistic_hand():
     v = StepPath([0.0, 1.0], [0.5, -0.25], 1.0)
     split = SimpleNamespace(v=v)
@@ -285,6 +246,46 @@ def test_gdca_statistic_hand():
     assert gdca_statistic(split, 1.0, bundle) == pytest.approx(0.75)
     with pytest.raises(ParameterError):
         gdca_statistic(split, 0.0, bundle)
+
+
+@pytest.mark.parametrize("n", [7, 20, 100])
+def test_gdca_samples_count_each_moving_average_jump_once(n):
+    # at T = 1 the grid point k / n of a moving average is its jump time
+    # k / n, so the union of the grid and V's breakpoints is the jump set:
+    # the statistic is n^-gamma sum_k |V_k|, V_k = -(c / psi) sum_i tail_i
+    # theta_{k+1-i} with the past read as 0. The sampler added each |V_k|
+    # twice, once as a jump and once as a grid point.
+    seq = np.random.default_rng(n).standard_t(1.5, n + 3) * 2.0
+    law = SimpleNamespace(alpha=1.5, mode="centered", scale=1.0, draw=lambda gen, size: seq[:size].copy())
+    cfg = ProcessConfig(law, coefficients=(1.0, 0.5, 0.25), n=n)
+    v = -(cfg.prefactor / cfg.psi) * np.convolve(seq[3:], [0.75, 0.25])[:n]
+    want = float(n) ** -0.4 * np.abs(v).sum()
+    got = gdca_samples(cfg, 1.0, 1, SeedSpec(0), gamma=0.4)
+    assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+    b = gen_moving_average(cfg, 1.0, SeedSpec(0))
+    assert gdca_statistic(split_uv(b), 0.4, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_gdca_samples_match_the_per_path_split():
+    # injected innovations and waits drive both the one-row block and the
+    # per-path walk, so the sampler must read the definition: |V| summed
+    # over the grid joined with V's breakpoints
+    rng = np.random.default_rng(12)
+    walked = 0
+    for k in range(24):
+        seq = rng.standard_t(1.5, 4096) * 2.0
+        waits = (1.0 - rng.random(4096)) ** (-1.0 / 0.8)
+        law = SimpleNamespace(alpha=1.5, mode="centered", scale=1.0, draw=lambda gen, size, s=seq: s[:size].copy())
+        wait = SimpleNamespace(beta=0.8, draw=lambda gen, size, w=waits: w[:size].copy())
+        coeffs = ((1.0, 0.5), (1.0, 0.5, 0.25), (1.0, 0.0, 0.3))[k % 3]
+        n, T = (20, 100, 1000)[k % 4 % 3], (1.0, 1.3, 0.7, 2.0)[k % 4]
+        cfg = ProcessConfig(law, wait, coefficients=coeffs, past_horizon=k % 2, n=n)
+        b = gen_ctrw(cfg, T, SeedSpec(0))
+        want = gdca_statistic(split_uv(b), 0.4, b)
+        got = gdca_samples(cfg, T, 1, SeedSpec(0), gamma=0.4)
+        assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0), (k, n, T)
+        walked += b.jump_count > 1
+    assert walked >= 20
 
 
 def test_gdca_samples_trend():
@@ -309,8 +310,8 @@ def test_gdca_samples_match_per_row_grid_reads():
     for n, T, reps in ((300, 1.0, 700), (1, 0.5, 3)):
         cfg = ProcessConfig(law, coefficients=(1.0, 0.5, 0.25), waiting=WaitingLaw(0.8), n=n)
         tails = np.cumsum(np.array(cfg.coefficients)[::-1])[::-1][1:]
-        step = float(n) ** (-cfg.beta_eff) * T
-        grid = np.arange(1, int(math.floor(T / step + 1e-9)) + 1) * step
+        nb = float(n) ** cfg.beta_eff
+        grid = np.arange(1, int(math.floor(nb + 1e-9)) + 1) * T / nb
         want = []
         for _, blk in padded_blocks(cfg, T, reps, SeedSpec(46)):
             th = blk["theta"].copy()

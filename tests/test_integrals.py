@@ -19,12 +19,10 @@ from _brute import (
 from ctrwlab import (
     AdaptednessViolation,
     DataError,
-    GridPath,
     InnovationLaw,
     ParameterError,
     ProcessConfig,
     SeedSpec,
-    ShapeError,
     StepPath,
     WaitingLaw,
     gen_moving_average,
@@ -39,7 +37,6 @@ from ctrwlab.integrals import (
     deterministic_integral_samples,
     discretize_integrand,
     follower_integral_samples,
-    grid_integral,
     ito_integral,
     sup_difference_integral,
     tc_grid_integral_samples,
@@ -47,7 +44,7 @@ from ctrwlab.integrals import (
 )
 from ctrwlab.exprs import make_expr
 from ctrwlab.processes import BLOCK, _block_zeta, iter_ctrw_chunks, terminal_samples, terminal_time_changed_samples
-from ctrwlab.stats import ks_two_sample, wasserstein1
+from ctrwlab.stats import ks_two_sample
 
 
 def inject_bundle(thetas, coeffs, n=1, T=None):
@@ -175,38 +172,6 @@ def test_discretize_lipschitz_follower():
     probe = np.union1d(probe, np.minimum(1.0, probe + 1e-9))
     gap = np.abs(H.left_values(probe) - hd.path.value(probe))
     assert gap.max() <= 0.1 + 1e-9
-
-
-def test_grid_integral_trivials():
-    rng = np.random.default_rng(9)
-    vals = np.concatenate([[0.0], np.cumsum(rng.normal(size=32))])
-    xg = GridPath(vals, 1.0 / 32.0, interp="const")
-    out = grid_integral(lambda t: np.ones_like(t), xg)
-    assert np.allclose(out.values, xg.values - xg.values[0], atol=1e-12)
-    lin = GridPath(np.arange(17) * 0.125, 1.0 / 16.0, interp="const")
-    out2 = grid_integral(lambda t: 4.0 + 0.0 * t, lin)
-    assert out2.values[-1] == pytest.approx(4.0 * lin.values[-1])
-    hgrid = GridPath(np.ones(9), 1.0 / 8.0, interp="const")
-    with pytest.raises(ShapeError):
-        grid_integral(hgrid, xg)  # mesh mismatch
-    with pytest.raises(ShapeError):
-        grid_integral(GridPath(np.ones(3), 1.0 / 32.0), xg)  # too short
-    with pytest.raises(ShapeError):
-        grid_integral(lambda t: t, StepPath([0.0], [1.0], 1.0))
-
-
-def test_grid_integral_mesh_halving():
-    # same gaussian driver on mesh h and h/2: terminal laws within W1 0.02
-    rng = np.random.default_rng(51)
-    h = 2.0**-6
-    reps = 400
-    coarse = np.empty(reps)
-    fine = np.empty(reps)
-    for r in range(reps):
-        zf = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, math.sqrt(h / 2.0), 128))])
-        fine[r] = grid_integral(lambda t: t, GridPath(zf, h / 2.0, interp="const")).values[-1]
-        coarse[r] = grid_integral(lambda t: t, GridPath(zf[::2], h, interp="const")).values[-1]
-    assert wasserstein1(coarse, fine) <= 0.02
 
 
 def test_lipschitz_follower_slope_cap():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
-from _brute import grid_terminal_inverse_subordinator, grid_terminal_time_changed
+from _brute import grid_terminal_inverse_subordinator, grid_terminal_time_changed, invert_monotone_grid
 from ctrwlab import (
     DataError,
     GridPath,
@@ -20,7 +20,6 @@ from ctrwlab import (
     StepPath,
     WaitingLaw,
     avci_functional,
-    compose_time_change,
     gen_counting,
     gen_ctrw,
     gen_moving_average,
@@ -46,7 +45,6 @@ from ctrwlab.processes import (
     _wait_round_widths,
     _wait_rounds,
     _z_law,
-    invert_monotone_grid,
     iter_ctrw_chunks,
     terminal_counting_samples,
     terminal_inverse_subordinator_samples,
@@ -748,17 +746,6 @@ def test_terminal_samplers_reject_bad_parameters():
             with pytest.raises(ParameterError) as err:
                 call()
             assert err.value.tag == "PARAM"
-
-
-def test_compose_time_change_identity():
-    h = 0.125
-    z = GridPath(np.array([0.0, 1.0, -0.5, 2.0, 0.3, 0.7, 1.1, -0.2, 0.9]), h)
-    ident = GridPath(np.arange(9) * h, h, interp="linear")
-    out = compose_time_change(z, ident)
-    assert np.array_equal(out.values, z.values)
-    beyond = GridPath(np.array([0.0, 100.0]), h, interp="linear")
-    with pytest.raises(DataError):
-        compose_time_change(z, beyond)
 
 
 def test_time_changed_levy_origin_and_validation():

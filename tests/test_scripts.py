@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -179,3 +180,24 @@ def test_committed_digests_name_every_scenario_once():
     assert all(len(fields) == 2 and len(fields[1]) == 64 for fields in lines)
     names = [fields[0] for fields in lines]
     assert sorted(names) == sorted(p.stem for p in (ROOT / "scenarios").glob("*.json"))
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its object is deleted breaks
+    # `from ctrwlab import *` only when someone runs it
+    ctrwlab = importlib.import_module("ctrwlab")
+    assert len(set(ctrwlab.__all__)) == len(ctrwlab.__all__)
+    for name in ctrwlab.__all__:
+        assert getattr(ctrwlab, name) is not None, name
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the Python block under "Quick start", run as written from this
+    # checkout's src
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("## Quick start")) + len("```python\n")
+    code = readme[start : readme.index("```", start)]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=env)
+    assert r.returncode == 0, r.stderr
+    assert len(r.stdout.split()) == 2 and r.stderr == ""
