@@ -1,7 +1,6 @@
 """Heavy-tailed random walks, their scaling limits, and convergence diagnostics."""
 
 from .errors import (
-    AdaptednessViolation,
     CtrwlabError,
     DataError,
     ParameterError,
@@ -53,17 +52,7 @@ from .decompositions import (
     estimate_bn,
     truncated_mean,
 )
-from .integrals import (
-    AdversarialIntegrand,
-    DeterministicIntegrand,
-    LipschitzFollower,
-    PathIntegrand,
-    adversarial_experiment,
-    discretize_integrand,
-    ito_integral,
-    sup_difference_integral,
-    upsilon_estimate,
-)
+from .integrals import adversarial_experiment
 from .sde import (
     SddeSpec,
     SdeSpec,
@@ -91,20 +80,15 @@ def __getattr__(name):
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptednessViolation",
-    "AdversarialIntegrand",
     "BnEstimate",
     "CtrwlabError",
     "DataError",
-    "DeterministicIntegrand",
     "DiagnosticReport",
     "Estimate",
     "GridPath",
     "InnovationLaw",
-    "LipschitzFollower",
     "MetricResult",
     "ParameterError",
-    "PathIntegrand",
     "ProcessConfig",
     "RangeError",
     "SddeSpec",
@@ -122,7 +106,6 @@ __all__ = [
     "d_j1",
     "d_m1",
     "d_uniform",
-    "discretize_integrand",
     "driver_paths",
     "emit_report",
     "estimate_bn",
@@ -131,7 +114,6 @@ __all__ = [
     "gen_moving_average",
     "gen_subordinator_inverse",
     "gen_time_changed_levy",
-    "ito_integral",
     "jump_stats",
     "ks_two_sample",
     "load_config",
@@ -148,10 +130,8 @@ __all__ = [
     "solve_sdd_limit",
     "solve_sddn",
     "solve_sn",
-    "sup_difference_integral",
     "total_variation",
     "truncated_mean",
-    "upsilon_estimate",
     "wait_attractor_scale",
     "wasserstein1",
     "write_path_csv",

@@ -27,14 +27,13 @@ from .decompositions import (
 from .errors import CtrwlabError, DataError, ParameterError, RangeError, ShapeError
 from .exprs import make_expr
 from .integrals import (
-    DeterministicIntegrand,
-    LipschitzFollower,
     _follower_slope,
+    _upsilon_params,
     adversarial_experiment,
     deterministic_integral_samples,
     follower_integral_samples,
     tc_grid_integral_samples,
-    upsilon_estimate,
+    upsilon_samples,
 )
 from .metrics import d_j1, d_m1, d_uniform
 from .paths import StepPath, write_path_csv
@@ -306,15 +305,16 @@ def _run_gdca(cfg, seed, reps, T, out_dir):
     ns = _n_list(cfg)
     rep = DiagnosticReport("gdca", cfg, seed.seed)
     gamma = cfg.get("gamma")
+    if gamma is not None:
+        gamma = _number(gamma, "gamma")
     meds = []
     for i, n in enumerate(ns):
         proc = _build_process(cfg["process"], n)
-        g = _number(gamma, "gamma") if gamma is not None else default_gdca_gamma(proc)
-        vals = gdca_samples(proc, T, reps, SeedSpec(seed.seed, seed.stream + 1 + i), gamma=g)
+        vals = gdca_samples(proc, T, reps, SeedSpec(seed.seed, seed.stream + 1 + i), gamma=gamma)
         m = float(np.median(vals))
         meds.append(m)
         _scalar(rep, f"gdca_median_n{n}", m, reps)
-    _scalar(rep, "gamma", g, reps)
+    _scalar(rep, "gamma", default_gdca_gamma(proc) if gamma is None else gamma, reps)
     _flag(rep, "gdca_median_decreasing", all(b <= a for a, b in zip(meds, meds[1:])), reps)
     return rep
 
@@ -366,8 +366,9 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
     ups = cfg.get("upsilon")
     if ups:
         _check_keys(ups, {"eps_list", "pieces", "replications"}, "upsilon")
-        eps_list = _numbers(ups.get("eps_list", [0.5, 0.25]), "eps_list")
-        m = _number(ups.get("pieces", 8), "pieces", int)
+        eps_list, m = _upsilon_params(
+            _numbers(ups.get("eps_list", [0.5, 0.25]), "eps_list"), _number(ups.get("pieces", 8), "pieces", int)
+        )
         ureps = _number(ups.get("replications", 60), "replications", int)
         if ureps < 1:
             raise ParameterError(f"upsilon replications must be >= 1, got {ureps!r}")
@@ -403,24 +404,19 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
     _ks_table(rep, seed, samplers, limit, bound, reps)
 
     if ups:
-
-        def bundles_for(i_n):
-            i, n = i_n
-            proc = _build_process(cfg["process"], n)
-            gen = gen_ctrw if proc.waiting is not None else gen_moving_average
-            return n, [
-                gen(proc, T=T, seed=SeedSpec(seed.seed, seed.stream + 500 + 37 * i + j))
-                for j in range(ureps)
-            ]
-
-        bundles_by_n = dict(map(bundles_for, enumerate(ns)))
-        if kind == "deterministic":
-            factory = lambda b: DeterministicIntegrand(lambda t: fn(t))
-        else:
-            factory = lambda b: LipschitzFollower(b, base=base, C=C, gamma=gamma)
-        urep = upsilon_estimate(bundles_by_n, factory, eps_list, m)
-        for e in urep.estimates:
-            rep.add(e)
+        kw = {"fn": fn} if kind == "deterministic" else {"base": base, "C": C, "gamma": gamma}
+        sups = {
+            n: upsilon_samples(
+                _build_process(cfg["process"], n), T, ureps, SeedSpec(seed.seed, seed.stream + 500 + i), eps_list, m, **kw
+            )
+            for i, n in enumerate(ns)
+        }
+        for n in sorted(sups):
+            means = [rep.add(mean_estimate(row, name=f"ups_n{n}_eps{e:g}")).value for e, row in zip(eps_list, sups[n])]
+        # the trend in eps at the largest n
+        for a, b, va, vb in zip(eps_list, eps_list[1:], means, means[1:]):
+            ratio = vb / va if va > 0 else (0.0 if vb == 0 else math.inf)
+            _scalar(rep, f"eps_ratio_{a:g}_to_{b:g}", ratio, ureps)
     return rep
 
 
@@ -526,6 +522,10 @@ def _run_metrics(cfg, seed, reps, T, out_dir):
     kmax = _number(cfg.get("breakpoints", 6), "breakpoints", int)
     if kmax < 1:
         raise ParameterError(f"breakpoints must be >= 1, got {kmax!r}")
+    # the witness path steps at 1/2 - 1/n, which must lie in (0, 1/2)
+    witness = _numbers(cfg.get("witness_n", [10, 100]), "witness_n", int)
+    if not all(n >= 3 for n in witness):
+        raise ParameterError(f"witness_n entries must be >= 3, got {witness!r}")
     gen = seed.generator(0)
     rep = DiagnosticReport("metrics", cfg, seed.seed)
     order_ok = 0
@@ -546,7 +546,7 @@ def _run_metrics(cfg, seed, reps, T, out_dir):
     _scalar(rep, "ordering_holds", order_ok / reps, reps)
     _scalar(rep, "triangle_holds", tri_ok / reps, reps)
     jump = StepPath([0.0, 0.5], [0.0, 1.0], 1.0)
-    for n in _numbers(cfg.get("witness_n", [10, 100]), "witness_n", int):
+    for n in witness:
         halves = StepPath([0.0, 0.5 - 1.0 / n, 0.5], [0.0, 0.5, 1.0], 1.0)
         _scalar(rep, f"witness_j1_n{n}", d_j1(halves, jump).value, 1)
         _scalar(rep, f"witness_m1_n{n}", d_m1(halves, jump).value, 1)

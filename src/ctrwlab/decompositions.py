@@ -255,7 +255,9 @@ def truncated_split_samples(config, T, a, c_grid, reps, seed):
 def gdca_samples(config, T, reps, seed, gamma=None):
     """The grid statistic n^{-gamma} sum_{pi} |V|, one value per replication:
     pi is the grid {k n^{-beta} T} joined with V's breakpoints, so a grid
-    point that is also a jump time counts once."""
+    point that is also a jump time counts once. A given gamma must be > 0."""
+    if gamma is not None and not gamma > 0:
+        raise ParameterError(f"gdca gamma must be > 0, got {gamma!r}", tag="PARAM_GAMMA")
     if not config.correlated:
         return np.zeros(reps)
     if gamma is None:

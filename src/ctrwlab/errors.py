@@ -40,12 +40,6 @@ class DataError(CtrwlabError):
     tag = "DATA"
 
 
-class AdaptednessViolation(CtrwlabError):
-    """An integrand tried to read information not yet revealed."""
-
-    tag = "ADAPTEDNESS"
-
-
 class UnsupportedDecomposition(CtrwlabError):
     """Requested split is not defined for this configuration.
 

@@ -1,15 +1,12 @@
-"""Ito-sum integration against step paths, integrand discretisation,
-the sup-difference control quantity, and the look-ahead counterexample.
+"""Left-point integrals against the walk blocks, the capped sup-difference
+control quantity Upsilon, the look-ahead counterexample, and the limit
+integrals summed in operational time.
 
-Integrands come in five kinds:
-  * deterministic  - a continuous function of time,
-  * pathwise / pure-jump - a step path given outright,
-  * adapted-lipschitz    - a slope-capped tracker of g(X_{t-}),
-  * adversarial          - the sign of the innovation behind the last jump.
-The adapted kinds read only information available strictly before each jump;
-the adversarial constructor accepts a look_ahead offset whose evaluation
-(not construction) trips AdaptednessViolation, which is how the tests pin the
-filtration discipline.
+Integrands come in three kinds, each read strictly before the jump it
+weights:
+  * deterministic - a continuous function f(t) of time,
+  * follower      - a slope-capped tracker of g(X_{t-}),
+  * adversarial   - the sign of the innovation behind the last jump.
 """
 
 import dataclasses
@@ -17,8 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import AdaptednessViolation, DataError, ParameterError
-from .paths import StepPath, sorted_union
+from .errors import DataError, ParameterError
+from .paths import sorted_union
 from .processes import (
     INNOVATION_LANE,
     LIMIT_BLOCK,
@@ -34,68 +31,7 @@ from .processes import (
     iter_ctrw_chunks,
 )
 from .rng import draw_stable
-from .stats import DiagnosticReport, Estimate, mean_estimate
-
-
-class DeterministicIntegrand:
-    """H_t = f(t) with f continuous; left limits equal values."""
-
-    kind = "deterministic"
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def left_values(self, times):
-        t = np.asarray(times, dtype=float)
-        return np.broadcast_to(np.asarray(self.fn(t), dtype=float), t.shape).copy()
-
-
-class PathIntegrand:
-    """H given outright as a step path (pure-jump or pathwise kind)."""
-
-    kind = "pathwise"
-
-    def __init__(self, path, kind="pathwise"):
-        self.path = path
-        self.kind = kind
-
-    def left_values(self, times):
-        return self.path.value_before(times)
-
-
-class AdversarialIntegrand:
-    """H_t = sgn(theta_k) on [L_k/n, L_{k+1}/n): the direction of the
-    innovation behind the most recent jump.
-
-    look_ahead shifts the innovation index; any positive shift peeks at
-    innovations the filtration has not delivered yet, so evaluation raises.
-    """
-
-    kind = "adversarial"
-
-    def __init__(self, bundle, look_ahead=0):
-        self.bundle = bundle
-        self.look_ahead = int(look_ahead)
-        self._path = None
-
-    def _build(self):
-        b = self.bundle
-        K = b.jump_count
-        first = b.past + self.look_ahead
-        signs = np.sign(b.innovations[first : first + K + 1])
-        if signs.size != K + 1:
-            raise DataError("innovation record does not cover the requested shift")
-        jt = b.x.times[1:]
-        self._path = StepPath(np.concatenate([[0.0], jt]), signs, b.horizon)
-
-    def left_values(self, times):
-        if self.look_ahead > 0:
-            raise AdaptednessViolation(
-                f"integrand reads theta_{{k+{self.look_ahead}}} before jump k+1"
-            )
-        if self._path is None:
-            self._build()
-        return self._path.value_before(times)
+from .stats import DiagnosticReport, Estimate
 
 
 def _follower_slope(C, gamma, n):
@@ -116,65 +52,8 @@ def _follow(v, target, reach):
     return target + np.sign(gap) * np.maximum(0.0, np.abs(gap) - reach)
 
 
-class LipschitzFollower:
-    """Slope-capped tracker of g(X_{t-}): between jumps it moves toward the
-    target g(X at the last jump) at speed at most C n^gamma.
-
-    Piecewise linear and continuous, so |H_t - H_s| <= C n^gamma |t - s| by
-    construction; the target never uses the jump happening at t itself.
-    """
-
-    kind = "adapted-lipschitz"
-
-    def __init__(self, bundle, base=np.tanh, C=1.0, gamma=0.5):
-        self.slope = _follower_slope(C, gamma, bundle.config.n)
-        self.C = float(C)
-        self.gamma = float(gamma)
-        self.base = base
-        x = bundle.x
-        times = np.concatenate([x.times, [bundle.horizon]])
-        g0 = float(base(0.0))
-        vals = np.empty(times.size)
-        vals[0] = g0
-        v = g0
-        for k in range(1, times.size):
-            v = _follow(v, float(base(x.values[k - 1])), self.slope * (times[k] - times[k - 1]))
-            vals[k] = v
-        self.times = times
-        self.values = vals
-
-    def left_values(self, times):
-        # continuous, so the left limit is the value itself
-        return np.interp(np.asarray(times, dtype=float), self.times, self.values)
-
-
-def _left_eval(H, times):
-    if hasattr(H, "left_values"):
-        return H.left_values(times)
-    if isinstance(H, StepPath):
-        return H.value_before(times)
-    if callable(H):
-        t = np.asarray(times, dtype=float)
-        return np.broadcast_to(np.asarray(H(t), dtype=float), t.shape).copy()
-    raise ParameterError(f"cannot evaluate integrand of type {type(H).__name__}")
-
-
-def ito_integral(H, x, T=None):
-    """t -> sum over jump times s <= t of H_{s-} * (jump of x at s).
-
-    Exact for step integrators: no quadrature error enters anywhere.
-    """
-    T = x.horizon if T is None else float(T)
-    jt = x.jump_times()
-    js = x.jump_sizes()
-    keep = jt <= T
-    jt, js = jt[keep], js[keep]
-    hv = _left_eval(H, jt) if jt.size else np.empty(0)
-    return StepPath.from_jumps(jt, hv * js, T)
-
-
 # ---------------------------------------------------------------------------
-# discretisation and the sup-difference control quantity
+# the eps-departure partitions behind H^{|m,eps}
 
 
 def _crossing_times_linear(t0, v0, t1, v1, ref, eps):
@@ -199,38 +78,20 @@ def _crossing_times_linear(t0, v0, t1, v1, ref, eps):
     return out, ref
 
 
-def _partition_step(path, eps, grid, T):
-    """Sequential partition for a step path: the reference value resets at
-    every emitted point, grid points included, so each cell's deviation from
-    its left endpoint stays below eps."""
-    events = sorted_union(path.times, grid)
-    events = events[(events > 0.0) & (events <= T)]
-    taus = [0.0]
-    ref = path.values[0]
-    gset = set(grid.tolist())
-    for e in events:
-        v = float(path.value(e))
-        if e in gset or abs(v - ref) >= eps:
-            taus.append(float(e))
-            ref = v
-    return taus
-
-
 def _partition_linear(times, values, eps, grid, T):
     """Sequential partition for a continuous piecewise-linear path."""
     kinks = sorted_union(times, grid)
     kinks = kinks[(kinks >= 0.0) & (kinks <= T)]
+    at = np.interp(kinks, times, values).tolist()
     taus = [0.0]
     ref = float(np.interp(0.0, times, values))
     gset = set(grid.tolist())
-    for a, b in zip(kinks, kinks[1:]):
-        va = float(np.interp(a, times, values))
-        vb = float(np.interp(b, times, values))
+    for a, b, va, vb in zip(kinks.tolist(), kinks[1:].tolist(), at, at[1:]):
         if b > a:
             seg, ref = _crossing_times_linear(a, va, b, vb, ref, eps)
             taus.extend(seg)
         if b in gset:
-            taus.append(float(b))
+            taus.append(b)
             ref = vb
     return taus
 
@@ -265,96 +126,29 @@ def _partition_continuous(fn, eps, grid, T, scan=1 << 16):
     return taus
 
 
-def discretize_integrand(H, eps, m, T):
-    """Piecewise-constant approximation H^{|m,eps} of H on the union of the
-    eps-departure stopping partition and the uniform grid {j T / m}.
-
-    The partition is generated sequentially: a new point is placed whenever H
-    has moved eps away from its value at the previous point, and every grid
-    point is a forced point. The departure reference therefore resets at each
-    partition point, which is what makes sup |H - H^{|m,eps}| <= eps hold on
-    every cell. Exact for step and piecewise-linear integrands; generic
-    continuous integrands are scanned on ~2^16 points and bisected.
-    """
-    if eps <= 0:
-        raise ParameterError("eps must be > 0")
-    if int(m) < 1:
-        raise ParameterError("m must be >= 1")
-    grid = np.arange(int(m) + 1) * (T / int(m))
-    if isinstance(H, StepPath):
-        H = PathIntegrand(H, kind="pure-jump")
-    if isinstance(H, AdversarialIntegrand):
-        if H.look_ahead > 0:
-            raise AdaptednessViolation(
-                f"integrand reads theta_{{k+{H.look_ahead}}} before jump k+1"
-            )
-        if H._path is None:
-            H._build()
-        H = PathIntegrand(H._path, kind="pure-jump")
-    if isinstance(H, LipschitzFollower):
-        taus = _partition_linear(H.times, H.values, eps, grid, T)
-    elif isinstance(H, PathIntegrand):
-        taus = _partition_step(H.path, eps, grid, T)
-    elif isinstance(H, DeterministicIntegrand) or callable(H):
-        fn = H.fn if isinstance(H, DeterministicIntegrand) else H
-        taus = _partition_continuous(fn, eps, grid, T)
-        H = DeterministicIntegrand(fn)
-    else:
-        raise ParameterError(f"cannot discretise integrand of kind {type(H).__name__}")
+def _cells(taus, grid, T):
+    """The left ends of H^{|m,eps}'s cells: the partition joined with the
+    grid, up to T."""
     pts = sorted_union(taus, grid)
-    pts = pts[pts <= T]
-    if isinstance(H, DeterministicIntegrand):
-        vals = np.asarray(H.fn(pts), dtype=float)
-        vals = np.broadcast_to(vals, pts.shape).copy()
-    elif isinstance(H, LipschitzFollower):
-        vals = np.interp(pts, H.times, H.values)
-    else:
-        vals = H.path.value(pts)
-    return PathIntegrand(StepPath(pts, vals, T), kind="pure-jump")
+    return pts[pts <= T]
 
 
-def sup_difference_integral(H, Hd, x, T=None):
-    """sup_{t <= T} |integral of (H - Hd) against x|, capped at 1."""
-    T = x.horizon if T is None else float(T)
-    jt = x.jump_times()
-    js = x.jump_sizes()
-    keep = jt <= T
-    jt, js = jt[keep], js[keep]
-    if jt.size == 0:
-        return 0.0
-    diff = (_left_eval(H, jt) - _left_eval(Hd, jt)) * js
-    return min(1.0, float(np.max(np.abs(np.cumsum(diff)), initial=0.0)))
+def _upsilon_params(eps_list, m):
+    """(eps values, pieces m) of an Upsilon table: every eps > 0, NaN
+    excluded, and m >= 1."""
+    eps = [float(e) for e in eps_list]
+    if not all(e > 0 for e in eps):
+        raise ParameterError(f"upsilon eps_list entries must be > 0, got {eps!r}")
+    if not m >= 1:
+        raise ParameterError(f"upsilon pieces must be >= 1, got {m!r}")
+    return eps, int(m)
 
 
-def upsilon_estimate(bundles_by_n, integrand_factory, eps_list, m):
-    """Monte Carlo estimates of the capped sup-difference quantity per
-    (n, eps), with ratio rows tracking the trend in eps at the largest n."""
-    if isinstance(bundles_by_n, (list, tuple)):
-        bundles_by_n = {0: list(bundles_by_n)}
-    if not bundles_by_n or any(len(v) == 0 for v in bundles_by_n.values()):
-        raise DataError("need a non-empty ensemble of bundles")
-    report = DiagnosticReport(
-        scenario="upsilon", params={"m": int(m), "eps": list(map(float, eps_list))}, seed=None
-    )
-    table = {}
-    for n, bundles in sorted(bundles_by_n.items()):
-        sups = {e: [] for e in eps_list}
-        for b in bundles:
-            H = integrand_factory(b)
-            for e in eps_list:
-                Hd = discretize_integrand(H, e, m, b.horizon)
-                sups[e].append(sup_difference_integral(H, Hd, b.x))
-        for e in eps_list:
-            est = mean_estimate(np.array(sups[e]), name=f"ups_n{n}_eps{e:g}")
-            table[(n, e)] = est
-            report.add(est)
-    ns = sorted(bundles_by_n)
-    big = ns[-1]
-    for a, b in zip(eps_list, eps_list[1:]):
-        va, vb = table[(big, a)].value, table[(big, b)].value
-        ratio = vb / va if va > 0 else (0.0 if vb == 0 else math.inf)
-        report.add(Estimate(f"eps_ratio_{a:g}_to_{b:g}", ratio, ratio, ratio, len(bundles_by_n[big])))
-    return report
+def _running_sup(inc, starts):
+    """Each row's largest |running sum| of a flat inc whose segments each
+    start with a zero slot (_row_cumsum), computed in place."""
+    run = np.abs(_row_cumsum(inc, starts), out=inc)
+    return np.maximum.reduceat(run, starts[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -387,69 +181,155 @@ def adversarial_sup_samples(config, T, reps, seed):
         # zeta is zero at the past slots, each segment's first one included
         inc[1:] *= np.sign(rb["theta"][:-1])
         del rb
-        run = np.abs(_row_cumsum(inc, starts), out=inc)
-        out[lo : lo + m] = np.maximum.reduceat(run, starts[:-1])
+        out[lo : lo + m] = _running_sup(inc, starts)
         lo += m
-        del inc, run
+        del inc
     return out
 
 
-def follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=0.5):
-    """Terminal integral of the slope-capped tracker against X^n, vectorised.
+def _follower_columns(config, rb, base, slope):
+    """Set up the slope-capped tracker's steps over each row's own renewals
+    in a block rb (iter_ctrw_chunks with keep); rb's theta, waits and times
+    are dropped from it.
 
-    Replays the step of LipschitzFollower column by column across each
-    ragged replication block, over each row's own renewals only. The rows
-    are sorted by count, descending and stable, so the rows still live at
-    column k are a prefix of ncol[k] rows; their jumps and reaches lie column
-    after column in one flat array, and each column steps that prefix. The
-    integrals go back in row order.
+    The rows are sorted by count, descending and stable, so the rows still
+    live at column k are a prefix of ncol[k] rows; their jumps and reaches
+    lie column after column in one flat array. Returns (order, columns):
+    columns steps column k's prefix of p rows, in `order`, and yields (p,
+    v_k, zeta_k), their tracker values at their jump k and the jumps.
     """
+    # the live jumps, row after row as the times, gathered once the
+    # innovations and waits are dropped
+    zeta = _block_zeta(config, rb)
+    del rb["theta"], rb["waits"]
+    counts, times, zeta = rb["counts"], rb.pop("times"), zeta[_live_slots(rb)]
+    m, N = counts.size, int(counts.sum())
+    # slope (t_j - t_{j-1}), with t_{-1} = 0 at each row's first event
+    firsts = np.cumsum(counts) - counts
+    step = np.empty(N)
+    np.subtract(times[1:], times[:-1], out=step[1:])
+    heads = firsts[counts > 0]
+    step[heads] = times[heads]
+    step *= slope
+    del times, heads
+    order = np.argsort(-counts, kind="stable")
+    ncol = np.searchsorted(-counts[order], -np.arange(int(counts.max(initial=0))), side="left")
+    cols = np.concatenate([[0], np.cumsum(ncol)])
+    # event j of row r goes to column j's slot of r's rank in the order
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(m)
+    at = np.arange(N)
+    at -= np.repeat(firsts, counts)
+    at = cols[at]
+    at += np.repeat(rank, counts)
+    z = np.empty(N)
+    z[at] = zeta
+    del zeta
+    reach = np.empty(N)
+    reach[at] = step
+    del step, at
+    v = np.full(m, float(base(0.0)))
+    x = np.zeros(m)
+
+    def columns():
+        for p, a, b in zip(ncol.tolist(), cols[:-1].tolist(), cols[1:].tolist()):
+            vk, zk = _follow(v[:p], base(x[:p]), reach[a:b]), z[a:b]
+            v[:p] = vk
+            x[:p] += zk
+            yield p, vk, zk
+
+    return order, columns()
+
+
+def follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=0.5):
+    """Terminal integral of the slope-capped tracker against X^n, vectorised:
+    each row's tracker value at its jump k times that jump, summed column by
+    column over each row's own renewals (_follower_columns). The integrals
+    go back in row order."""
     slope = _follower_slope(C, gamma, config.n)
     out = np.empty(reps)
     lo = 0
-    g0 = float(base(0.0))
     for rb in iter_ctrw_chunks(config, T, reps, seed, True):
-        # the live jumps, row after row as the times, gathered once the
-        # innovations and waits are dropped
-        zeta = _block_zeta(config, rb)
-        del rb["theta"], rb["waits"]
-        counts, times, zeta = rb["counts"], rb["times"], zeta[_live_slots(rb)]
+        order, columns = _follower_columns(config, rb, base, slope)
         del rb
-        m, N = counts.size, int(counts.sum())
-        # slope (t_j - t_{j-1}), with t_{-1} = 0 at each row's first event
-        firsts = np.cumsum(counts) - counts
-        step = np.empty(N)
-        np.subtract(times[1:], times[:-1], out=step[1:])
-        heads = firsts[counts > 0]
-        step[heads] = times[heads]
-        step *= slope
-        del times, heads
-        order = np.argsort(-counts, kind="stable")
-        ncol = np.searchsorted(-counts[order], -np.arange(int(counts.max(initial=0))), side="left")
-        cols = np.concatenate([[0], np.cumsum(ncol)])
-        # event j of row r goes to column j's slot of r's rank in the order
-        rank = np.empty(m, dtype=np.int64)
-        rank[order] = np.arange(m)
-        at = np.arange(N)
-        at -= np.repeat(firsts, counts)
-        at = cols[at]
-        at += np.repeat(rank, counts)
-        z = np.empty(N)
-        z[at] = zeta
-        del zeta
-        reach = np.empty(N)
-        reach[at] = step
-        del step, at
-        v = np.full(m, g0)
-        xprev = np.zeros(m)
-        acc = np.zeros(m)
-        for p, a, b in zip(ncol.tolist(), cols[:-1].tolist(), cols[1:].tolist()):
-            vk = _follow(v[:p], base(xprev[:p]), reach[a:b])
-            v[:p] = vk
-            acc[:p] += vk * z[a:b]
-            xprev[:p] += z[a:b]
+        acc = np.zeros(order.size)
+        for p, vk, zk in columns:
+            acc[:p] += vk * zk
         out[lo + order] = acc
-        lo += m
+        lo += order.size
+    return out
+
+
+def _follower_jumps(config, rb, base, slope):
+    """(h, zeta) of a block rb: the tracker's value at each live jump and the
+    jump, row after row as rb's times."""
+    counts, times = rb["counts"], rb["times"]
+    order, columns = _follower_columns(config, rb, base, slope)
+    first = (np.cumsum(counts) - counts)[order]
+    h, zeta = np.empty(times.size), np.empty(times.size)
+    for k, (p, vk, zk) in enumerate(columns):
+        h[first[:p] + k], zeta[first[:p] + k] = vk, zk
+    return h, zeta
+
+
+def _held_before(pts, vals, t):
+    """H^{|m,eps}(t-) at times t > 0: vals[i] is held on [pts[i], pts[i+1])."""
+    return vals[np.searchsorted(pts, t, side="left") - 1]
+
+
+def _tracker_held(ts, hs, eps, grid, T):
+    """H^{|m,eps}(t-) at the jumps ts[1:] of one row's tracker, the
+    piecewise-linear path through (ts, hs) from (0, g(0)). The path after
+    the last jump moves no cell before it, so it is left flat."""
+    pts = _cells(_partition_linear(ts, hs, eps, grid, T), grid, T)
+    return _held_before(pts, np.interp(pts, ts, hs), ts[1:])
+
+
+def upsilon_samples(config, T, reps, seed, eps_list, m, fn=None, base=None, C=1.0, gamma=0.5):
+    """min(1, sup_{t <= T} |integral of (H - H^{|m,eps}) against X^n|), one
+    row per eps and one column per replication of the walk blocks.
+
+    H is f(t) (fn) or the slope-capped tracker of g(X_{t-}) (base, with
+    slope cap C n^gamma); exactly one of fn and base is given. H^{|m,eps}
+    holds H's value at the left end of each cell of the sequential
+    eps-departure partition joined with the grid {j T / m}: a point is
+    placed whenever H has moved eps away from its value at the previous
+    point, and every grid point is a forced point, so |H - H^{|m,eps}| <= eps
+    on every cell. f's partition does not depend on the walk and is built
+    once per eps (~2^16 scan points per grid run, bisected); the tracker's
+    is exact, one per row and eps over the row's own piecewise-linear path.
+    Each live jump is weighted by H - H^{|m,eps} at its left limit, and
+    each row's running sum is scanned.
+    """
+    if (fn is None) == (base is None):
+        raise ParameterError("pass exactly one of fn (time) or base (state)")
+    eps_list, m = _upsilon_params(eps_list, m)
+    grid = np.arange(m + 1) * (T / m)
+    if fn is None:
+        slope = _follower_slope(C, gamma, config.n)
+        g0 = float(base(0.0))
+    else:
+        cells = [_cells(_partition_continuous(fn, eps, grid, T), grid, T) for eps in eps_list]
+        cells = [(pts, np.broadcast_to(np.asarray(fn(pts), dtype=float), pts.shape)) for pts in cells]
+    out = np.empty((len(eps_list), reps))
+    lo = 0
+    for rb in iter_ctrw_chunks(config, T, reps, seed, True):
+        counts, starts, times, live = rb["counts"], rb["starts"], rb["times"], _live_slots(rb)
+        if fn is None:
+            h, zeta = _follower_jumps(config, rb, base, slope)
+            ends = np.cumsum(counts)
+            paths = [(np.r_[0.0, times[a:b]], np.r_[g0, h[a:b]]) for a, b in zip(ends - counts, ends)]
+        else:
+            h, zeta = np.asarray(fn(times), dtype=float), _block_zeta(config, rb)[live]
+        for i, eps in enumerate(eps_list):
+            if fn is None:
+                hd = np.concatenate([_tracker_held(ts, hs, eps, grid, T) for ts, hs in paths])
+            else:
+                hd = _held_before(*cells[i], times)
+            inc = np.zeros(int(starts[-1]))
+            inc[live] = (h - hd) * zeta
+            out[i, lo : lo + counts.size] = np.minimum(1.0, _running_sup(inc, starts))
+        lo += counts.size
     return out
 
 

@@ -24,7 +24,11 @@ block's largest renewal count and filters the whole (m, K) matrix, and the
 padded terminal sum masks the padding away, as processes did before its
 ragged blocks. The padded follower steps the slope-capped tracker over
 every column of the padded blocks, as integrals did before it stepped each
-ragged row over its own renewals; the padded deterministic and adversarial
+ragged row over its own renewals, and LipschitzFollower is that tracker
+as the per-path integrand it was before; upsilon_rows replays the capped
+sup-difference quantity row by row with it (or with f), and
+adversarial_running_sum is the running Ito sum of the adversarial
+integrand on one bundle. The padded deterministic and adversarial
 integrals, truncated split, gdca statistic and walk-driven SDE (with its
 masked event kernel) are those samplers as they were before they read each
 row's own segment (the padded gdca statistic, like the sampler, counts a
@@ -46,6 +50,7 @@ shared by the metric tests and scripts/coupled_distances.py.
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,19 +73,22 @@ from ctrwlab.processes import (
     PASSAGE_ROUND,
     WAIT_LANE,
     SimulationBundle,
+    _block_zeta,
     _coupled_waits,
     _d_law,
     _draw_innovations,
     _draw_waits,
     _first_passage,
+    _live_slots,
     _staircase,
     _step_law,
     _t_nodes,
     _wait_round_widths,
     _z_law,
+    iter_ctrw_chunks,
 )
 from ctrwlab.decompositions import _compensator, _tail_sums, default_gdca_gamma
-from ctrwlab.integrals import _follow
+from ctrwlab.integrals import _cells, _follow, _follower_slope, _partition_continuous, _partition_linear
 from ctrwlab.metrics import (
     MetricResult,
     _canonical_jumps,
@@ -1156,6 +1164,77 @@ def padded_follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0,
             tprev = times[:, k]
         out[lo : lo + m] = acc
     return out
+
+
+class LipschitzFollower:
+    """Slope-capped tracker of g(X_{t-}): between jumps it moves toward the
+    target g(X at the last jump) at speed at most C n^gamma.
+
+    Piecewise linear and continuous, so |H_t - H_s| <= C n^gamma |t - s| by
+    construction; the target never uses the jump happening at t itself.
+    """
+
+    kind = "adapted-lipschitz"
+
+    def __init__(self, bundle, base=np.tanh, C=1.0, gamma=0.5):
+        self.slope = _follower_slope(C, gamma, bundle.config.n)
+        self.C = float(C)
+        self.gamma = float(gamma)
+        self.base = base
+        x = bundle.x
+        times = np.concatenate([x.times, [bundle.horizon]])
+        g0 = float(base(0.0))
+        vals = np.empty(times.size)
+        vals[0] = g0
+        v = g0
+        for k in range(1, times.size):
+            v = _follow(v, float(base(x.values[k - 1])), self.slope * (times[k] - times[k - 1]))
+            vals[k] = v
+        self.times = times
+        self.values = vals
+
+    def left_values(self, times):
+        # continuous, so the left limit is the value itself
+        return np.interp(np.asarray(times, dtype=float), self.times, self.values)
+
+
+def upsilon_rows(config, T, reps, seed, eps_list, m, fn=None, base=None, C=1.0, gamma=0.5):
+    """integrals.upsilon_samples replayed one row at a time: x from the row's
+    times and live jumps, H as f or as the LipschitzFollower of x,
+    H^{|m,eps} from the library's partition helpers, and np.cumsum of
+    (H - H^{|m,eps})(t-) times x's jumps."""
+    grid = np.arange(m + 1) * (T / m)
+    if fn is not None:
+        f = lambda t: np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
+        cells = (_cells(_partition_continuous(fn, eps, grid, T), grid, T) for eps in eps_list)
+        held = [StepPath(pts, f(pts), T) for pts in cells]
+    out = np.empty((len(eps_list), reps))
+    r = 0
+    for rb in iter_ctrw_chunks(config, T, reps, seed, True):
+        zeta = _block_zeta(config, rb)[_live_slots(rb)]
+        ends = np.cumsum(rb["counts"])
+        for a, b in zip(ends - rb["counts"], ends):
+            x = StepPath.from_jumps(rb["times"][a:b], zeta[a:b], T)
+            jt, js = x.jump_times(), x.jump_sizes()
+            if fn is None:
+                H = LipschitzFollower(SimpleNamespace(config=config, x=x, horizon=T), base, C, gamma)
+                hv = H.left_values(jt)
+                cells = (_cells(_partition_linear(H.times, H.values, eps, grid, T), grid, T) for eps in eps_list)
+                held = [StepPath(pts, H.left_values(pts), T) for pts in cells]
+            else:
+                hv = f(jt)
+            for i, hd in enumerate(held):
+                run = np.cumsum((hv - hd.value_before(jt)) * js)
+                out[i, r] = min(1.0, float(np.max(np.abs(run), initial=0.0)))
+            r += 1
+    return out
+
+
+def adversarial_running_sum(bundle):
+    """The integral of sgn(theta_{k-1}) against a bundle's jump k, at each
+    of its jumps: the adversarial integrand's running Ito sum."""
+    signs = np.sign(bundle.innovations[bundle.past : bundle.past + bundle.jump_count])
+    return np.cumsum(signs * bundle.x.jump_sizes())
 
 
 def padded_deterministic_integral_samples(config, T, reps, seed, fn):

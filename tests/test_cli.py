@@ -600,6 +600,82 @@ def test_integrals_reject_an_empty_upsilon_ensemble(tmp_path):
     check_fails(tmp_path, ["integrals", "--config", bad], "PARAM")
 
 
+def no_draws(*args, **kwargs):
+    raise AssertionError("a random variate was drawn")
+
+
+def test_upsilon_keys_are_checked_before_any_draw(tmp_path, monkeypatch):
+    # eps_list [NaN] ran to ups_n20_epsnan rows, and eps 0 or -1 and pieces
+    # 0 failed only once the KS samplers and the bundles had been drawn
+    monkeypatch.setattr(SeedSpec, "generator", no_draws)
+    cfg = {"kind": "integrals", "process": WALK, "n_list": [20], "replications": 10}
+    for i, ups in enumerate(({"eps_list": [math.nan]}, {"eps_list": [0.5, 0.0]}, {"eps_list": [-1.0]},
+                             {"pieces": 0}, {"pieces": -3})):
+        with pytest.raises(ParameterError) as err:
+            run_scenario({**cfg, "upsilon": ups}, out=tmp_path / f"u{i}.json")
+        assert err.value.tag == "PARAM" and str(err.value).startswith("upsilon"), (ups, err.value)
+
+
+def test_gdca_rejects_a_gamma_not_above_zero(tmp_path, monkeypatch):
+    # -1 and 0 ran to a report, and NaN exited 3 on a CI that did not
+    # bracket its value
+    monkeypatch.setattr(SeedSpec, "generator", no_draws)
+    proc = {**WALK, "coefficients": [1.0, 0.5]}
+    for i, g in enumerate((-1.0, 0.0, math.nan)):
+        cfg = {"kind": "gdca", "process": proc, "n_list": [20], "replications": 10, "gamma": g}
+        with pytest.raises(ParameterError) as err:
+            run_scenario(cfg, out=tmp_path / f"g{i}.json")
+        assert err.value.tag == "PARAM_GAMMA"
+
+
+def test_metrics_rejects_witness_n_below_three(tmp_path, monkeypatch):
+    # [0] exited 3 on a float division by zero, and [1] and [2] exited 2 on
+    # SHAPE errors about the witness path's breakpoints
+    monkeypatch.setattr(SeedSpec, "generator", no_draws)
+    for i, w in enumerate(([0], [1], [2], [8, 2])):
+        cfg = {"kind": "metrics", "breakpoints": 4, "witness_n": w, "replications": 10}
+        with pytest.raises(ParameterError, match="witness_n") as err:
+            run_scenario(cfg, out=tmp_path / f"w{i}.json")
+        assert err.value.tag == "PARAM"
+
+
+def test_cli_integrals_follower_upsilon(tmp_path):
+    cfg = write_cfg(tmp_path, "follower.json", {
+        "kind": "integrals", "process": {**WALK, "coefficients": [1.0, 0.5]}, "n_list": [20, 40],
+        "integrand": {"type": "follower", "expr": "tanh(x)", "slope": 1.0, "gamma": 0.3},
+        "grid_step": 0.015625, "ks_bound": 1.0, "replications": 30, "seed": 10,
+        "upsilon": {"eps_list": [0.5, 0.25], "pieces": 4, "replications": 6},
+    })
+    out = tmp_path / "follower.out.json"
+    r = run_cli(["integrals", "--config", cfg, "--out", out], tmp_path)
+    assert r.returncode == 0, r.stderr
+    names = report_names(out)
+    assert names[names.index("ups_n20_eps0.5"):] == [
+        "ups_n20_eps0.5", "ups_n20_eps0.25", "ups_n40_eps0.5", "ups_n40_eps0.25", "eps_ratio_0.5_to_0.25",
+    ]
+
+
+def test_upsilon_streams_are_their_own(tmp_path, monkeypatch):
+    # bundle j at the i-th n drew from stream + 500 + 37 i + j, so with 40
+    # replications bundles 37-39 at one n replayed bundles 0-2 at the next.
+    # Every generator is now built from its own (stream, lane), the upsilon
+    # rows of the i-th n on stream + 500 + i, apart from the KS samplers'
+    # stream + 1 + i and the limit's stream + 900
+    lanes = []
+    generator = SeedSpec.generator
+
+    def record(self, lane=None):
+        lanes.append((self.stream, lane))
+        return generator(self, lane)
+
+    monkeypatch.setattr(SeedSpec, "generator", record)
+    cfg = {"kind": "integrals", "process": WALK, "n_list": [20, 30, 40], "replications": 10,
+           "seed": 11, "stream": 3, "grid_step": 0.015625, "upsilon": {"pieces": 2, "replications": 40}}
+    run_scenario(cfg, out=tmp_path / "streams.json")
+    assert len(lanes) == len(set(lanes))
+    assert {s for s, _ in lanes} == {4, 5, 6, 503, 504, 505, 903}
+
+
 def test_numeric_config_values_given_as_strings(tmp_path):
     # float("tight") raised a ValueError that the CLI reported as INTERNAL
     # with exit 3
@@ -660,10 +736,6 @@ def test_gdci_report_reads_no_random_stream(tmp_path, monkeypatch):
     # the moment sums are exact: no generator is built, and two seeds write
     # the same report apart from the seed field itself
     cfg = load_config(SCENARIO_DIR / "gdci_moment_sums.json")
-
-    def no_draws(*args, **kwargs):
-        raise AssertionError("gdci drew random variates")
-
     monkeypatch.setattr(SeedSpec, "generator", no_draws)
     docs = []
     for seed in (1, 2):

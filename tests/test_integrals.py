@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from _brute import (
+    LipschitzFollower,
+    adversarial_running_sum,
     grid_terminal_time_changed,
     operational_integral_rows,
     padded_adversarial_sup_samples,
@@ -13,12 +15,10 @@ from _brute import (
     padded_deterministic_integral_samples,
     padded_follower_integral_samples,
     ragged_configs,
-    random_step_path,
     tgrid_integral_samples,
+    upsilon_rows,
 )
 from ctrwlab import (
-    AdaptednessViolation,
-    DataError,
     InnovationLaw,
     ParameterError,
     ProcessConfig,
@@ -28,19 +28,16 @@ from ctrwlab import (
     gen_moving_average,
 )
 from ctrwlab.integrals import (
-    AdversarialIntegrand,
-    DeterministicIntegrand,
-    LipschitzFollower,
-    PathIntegrand,
+    _cells,
+    _held_before,
+    _partition_continuous,
+    _partition_linear,
     adversarial_experiment,
     adversarial_sup_samples,
     deterministic_integral_samples,
-    discretize_integrand,
     follower_integral_samples,
-    ito_integral,
-    sup_difference_integral,
     tc_grid_integral_samples,
-    upsilon_estimate,
+    upsilon_samples,
 )
 from ctrwlab.exprs import make_expr
 from ctrwlab.processes import BLOCK, _block_zeta, iter_ctrw_chunks, terminal_samples, terminal_time_changed_samples
@@ -58,119 +55,35 @@ def inject_bundle(thetas, coeffs, n=1, T=None):
     return gen_moving_average(cfg, horizon, SeedSpec(0))
 
 
-def test_ito_hand_values():
-    h = PathIntegrand(StepPath([0.0, 0.5], [1.0, 2.0], 1.0))
-    x = StepPath.from_jumps([0.3, 0.7], [1.0, 1.0], 1.0)
-    out = ito_integral(h, x)
-    assert out.value(1.0) == 3.0
-    assert out.value(0.5) == 1.0
-    const = StepPath([0.0], [5.0], 1.0)
-    zero = ito_integral(h, const)
-    assert np.all(zero.values == 0.0)
-    ramp = ito_integral(lambda t: t, StepPath.from_jumps([0.5], [2.0], 1.0))
-    assert ramp.value(1.0) == 1.0
-    # the integrand is read at the left limit: a jump of H at the very same
-    # time as a jump of X must not be seen
-    h2 = PathIntegrand(StepPath([0.0, 0.5], [0.0, 7.0], 1.0))
-    out2 = ito_integral(h2, StepPath.from_jumps([0.5], [1.0], 1.0))
-    assert out2.value(1.0) == 0.0
-
-
-def _dyadic_step(rng, horizon=1.0):
-    k = int(rng.integers(1, 7))
-    times = np.concatenate([[0.0], np.sort(rng.choice(np.arange(1, 32), k, replace=False)) / 32.0])
-    values = rng.integers(-8, 9, k + 1) / 4.0
-    return StepPath(times, values.astype(float), horizon)
-
-
-def test_ito_linearity_exact():
-    # dyadic integrand and jump values keep every product and sum exact
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        x = _dyadic_step(rng)
-        f1 = lambda t: np.round(8.0 * np.sin(3.0 * t)) / 8.0
-        f2 = lambda t: np.round(16.0 * np.cos(2.0 * t)) / 16.0
-        combo = ito_integral(lambda t: 2.0 * f1(t) + 0.5 * f2(t), x)
-        i1 = ito_integral(f1, x)
-        i2 = ito_integral(f2, x)
-        assert np.array_equal(combo.values, 2.0 * i1.values + 0.5 * i2.values)
-
-
-def test_integration_by_parts():
-    # sum-by-parts identity on pure-jump pairs with shared breakpoints
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        h = _dyadic_step(rng)
-        x = _dyadic_step(rng)
-        T = 1.0
-        ix = ito_integral(PathIntegrand(h), x).value(T)
-        ih = ito_integral(PathIntegrand(x), h).value(T)
-        common = np.union1d(h.times, x.times)
-        dh = h.value(common) - h.value_before(common)
-        dx = x.value(common) - x.value_before(common)
-        cross = float(np.sum(dh * dx))
-        lhs = ix + ih + cross
-        rhs = h.value(T) * x.value(T) - h.value(0.0) * x.value(0.0)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_adversarial_integrand():
-    seq = np.array([5.0, -3.0, 2.0, -1.0])  # theta_{-1}, theta_0, theta_1, theta_2
-    law = SimpleNamespace(
-        alpha=1.5, mode="symmetric", scale=1.0,
-        draw=lambda gen, size: seq[:size].copy(),
-    )
-    cfg = ProcessConfig(law, coefficients=(1.0,), past_horizon=1, n=1)
-    b = gen_moving_average(cfg, 2.0, SeedSpec(0))
-    h = AdversarialIntegrand(b)
-    out = ito_integral(h, b.x)
-    # sign path (-1, +1, -1) against jumps (2, -1)
-    assert out.value(2.0) == -3.0
-    assert np.array_equal(h.left_values(np.array([0.5, 1.0, 1.5, 2.0])), [-1.0, -1.0, 1.0, 1.0])
-    peek = AdversarialIntegrand(b, look_ahead=1)
-    with pytest.raises(AdaptednessViolation):
-        ito_integral(peek, b.x)
-    with pytest.raises(AdaptednessViolation):
-        discretize_integrand(peek, 0.5, 4, b.horizon)
-    # looking backwards is allowed: it only uses older information
-    lag = AdversarialIntegrand(b, look_ahead=-1)
-    assert np.array_equal(lag.left_values(np.array([1.5, 2.0])), [-1.0, -1.0])
-
-
 def test_discretize_constant_and_ramp():
-    const = discretize_integrand(DeterministicIntegrand(lambda t: 3.0 + 0.0 * t), 0.25, 1, 1.0)
-    assert np.all(const.path.values == 3.0)
-    ramp = discretize_integrand(lambda t: t, 0.25, 1, 1.0)
-    assert np.allclose(ramp.path.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-6)
-    assert np.allclose(ramp.path.values, ramp.path.times, atol=1e-6)
-    with pytest.raises(ParameterError):
-        discretize_integrand(lambda t: t, 0.0, 4, 1.0)
-    with pytest.raises(ParameterError):
-        discretize_integrand(lambda t: t, 0.1, 0, 1.0)
-
-
-def test_discretize_sup_error_random_step():
-    rng = np.random.default_rng(8)
-    for _ in range(800):
-        h = random_step_path(rng)
-        eps = float(rng.uniform(0.05, 2.0))
-        m = int(rng.integers(1, 6))
-        hd = discretize_integrand(PathIntegrand(h), eps, m, 1.0)
-        probe = np.union1d(h.times, hd.path.times)
-        probe = np.union1d(probe, np.minimum(1.0, probe + 1e-9))
-        gap = np.abs(h.value(probe) - hd.path.value(probe))
-        gap_left = np.abs(h.value_before(probe) - hd.path.value_before(probe))
-        assert max(gap.max(), gap_left.max()) <= eps + 1e-9
+    # f's partition is the grid where f is constant, and lands on each eps
+    # step of a ramp; H^{|m,eps} holds f at each left end
+    grid = np.array([0.0, 1.0])
+    const = _cells(_partition_continuous(lambda t: 3.0 + 0.0 * t, 0.25, grid, 1.0), grid, 1.0)
+    assert np.array_equal(const, grid)
+    ramp = _cells(_partition_continuous(lambda t: t, 0.25, grid, 1.0), grid, 1.0)
+    assert np.allclose(ramp, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-6)
+    probe = np.linspace(1e-9, 1.0, 1001)
+    assert np.all(np.abs(probe - _held_before(ramp, ramp, probe)) <= 0.25 + 1e-6)
+    cfg = ProcessConfig(InnovationLaw(1.5, "symmetric"), n=20)
+    for eps, m in (((0.0,), 4), ((0.1, -1.0), 4), ((math.nan,), 4), ((0.1,), 0)):
+        with pytest.raises(ParameterError):
+            upsilon_samples(cfg, 1.0, 4, SeedSpec(207), eps, m, fn=lambda t: t)
+    for kw in ({}, {"fn": lambda t: t, "base": np.tanh}):
+        with pytest.raises(ParameterError):
+            upsilon_samples(cfg, 1.0, 4, SeedSpec(207), (0.1,), 4, **kw)
 
 
 def test_discretize_lipschitz_follower():
     law = InnovationLaw(1.5, "symmetric")
     b = gen_moving_average(ProcessConfig(law, n=100), 1.0, SeedSpec(201))
     H = LipschitzFollower(b, C=1.0, gamma=0.3)
-    hd = discretize_integrand(H, 0.1, 4, 1.0)
-    probe = np.union1d(H.times, hd.path.times)
+    grid = np.arange(5) * 0.25
+    pts = _cells(_partition_linear(H.times, H.values, 0.1, grid, 1.0), grid, 1.0)
+    hd = StepPath(pts, H.left_values(pts), 1.0)
+    probe = np.union1d(H.times, hd.times)
     probe = np.union1d(probe, np.minimum(1.0, probe + 1e-9))
-    gap = np.abs(H.left_values(probe) - hd.path.value(probe))
+    gap = np.abs(H.left_values(probe) - hd.value(probe))
     assert gap.max() <= 0.1 + 1e-9
 
 
@@ -191,8 +104,9 @@ def test_lipschitz_follower_hand_recursion():
     H = LipschitzFollower(b, base=lambda v: np.asarray(v, dtype=float), C=1.0, gamma=0.0)
     assert np.array_equal(H.times, [0.0, 1.0, 2.0, 3.0, 3.0])
     assert np.array_equal(H.values, [0.0, 0.0, 1.0, 0.0, 0.0])
-    out = ito_integral(H, b.x)
-    assert out.value(3.0) == -2.0
+    # the integral 0 * 1 + 1 * (-2) + 0 * 3, sampled on the same draws
+    (got,) = follower_integral_samples(b.config, 3.0, 1, SeedSpec(0), base=H.base, C=1.0, gamma=0.0)
+    assert got == -2.0
 
 
 def test_follower_vectorised_matches_streams():
@@ -320,7 +234,7 @@ def test_adversarial_sup_samples_match_the_per_path_integral():
     T = 5.0  # 40 jumps behind theta_-1, theta_0
     (got,) = adversarial_sup_samples(cfg, T, 1, SeedSpec(0))
     b = gen_moving_average(cfg, T, SeedSpec(0))
-    want = np.max(np.abs(ito_integral(AdversarialIntegrand(b), b.x).values))
+    want = np.max(np.abs(adversarial_running_sum(b)))
     assert b.jump_count == 40 and want > 0.0
     assert abs(got - want) <= 1e-12 * max(1.0, want)
 
@@ -330,7 +244,7 @@ def test_follower_rejects_a_bad_slope():
     cfg = b.config
     for C, gamma in ((0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(ParameterError):
-            LipschitzFollower(b, C=C, gamma=gamma)
+            upsilon_samples(cfg, 1.0, 10, SeedSpec(206), (0.5,), 4, base=np.tanh, C=C, gamma=gamma)
         with pytest.raises(ParameterError):
             follower_integral_samples(cfg, 1.0, 10, SeedSpec(206), C=C, gamma=gamma)
     # n^gamma past the float range
@@ -338,52 +252,35 @@ def test_follower_rejects_a_bad_slope():
         follower_integral_samples(cfg, 1.0, 10, SeedSpec(206), C=1.0, gamma=1e3)
 
 
-def test_sup_difference_cap():
-    h = PathIntegrand(StepPath([0.0], [10.0], 1.0))
-    hd = PathIntegrand(StepPath([0.0], [0.0], 1.0))
-    x = StepPath.from_jumps([0.5], [5.0], 1.0)
-    assert sup_difference_integral(h, hd, x) == 1.0  # capped
-    assert sup_difference_integral(h, h, x) == 0.0
-    assert sup_difference_integral(h, hd, StepPath([0.0], [1.0], 1.0)) == 0.0
-
-
 def test_upsilon_constant_and_lipschitz():
     law = InnovationLaw(1.5, "symmetric")
-    bundles = {
-        n: [gen_moving_average(ProcessConfig(law, n=n), 1.0, SeedSpec(200 + r, stream=n)) for r in range(60)]
-        for n in (100, 400)
-    }
-    rep = upsilon_estimate(bundles, lambda b: DeterministicIntegrand(lambda t: 2.0 + 0.0 * t), (0.2,), 4)
-    assert rep.get("ups_n100_eps0.2").value == 0.0
-    assert rep.get("ups_n400_eps0.2").value == 0.0
+    for n in (100, 400):
+        cfg = ProcessConfig(law, n=n)
+        ups = upsilon_samples(cfg, 1.0, 60, SeedSpec(200, stream=n), (0.2,), 4, fn=lambda t: 2.0 + 0.0 * t)
+        assert np.all(ups == 0.0)
     # slope-capped integrand: estimates shrink as eps halves
-    rep2 = upsilon_estimate(bundles, lambda b: LipschitzFollower(b, C=1.0, gamma=0.3), (0.2, 0.1, 0.05), 8)
-    assert rep2.get("eps_ratio_0.2_to_0.1").value <= 0.8
-    assert rep2.get("eps_ratio_0.1_to_0.05").value <= 0.8
-    with pytest.raises(DataError):
-        upsilon_estimate({}, lambda b: None, (0.1,), 4)
+    ups = upsilon_samples(cfg, 1.0, 60, SeedSpec(200, stream=n), (0.2, 0.1, 0.05), 8, base=np.tanh, C=1.0, gamma=0.3)
+    means = ups.mean(axis=1)
+    assert means[1] / means[0] <= 0.8
+    assert means[2] / means[1] <= 0.8
 
 
-def test_upsilon_adversarial_saturates():
-    law = InnovationLaw(1.5, "symmetric")
-    bundles = {
-        n: [
-            gen_moving_average(ProcessConfig(law, coefficients=(1.0, 1.0), n=n), 1.0, SeedSpec(230 + r, stream=n))
-            for r in range(60)
-        ]
-        for n in (100, 400)
-    }
-    # below the sign-flip size every flip forces a partition point, so the
-    # discretisation is exact and the control quantity vanishes
-    rep_lo = upsilon_estimate(bundles, lambda b: AdversarialIntegrand(b), (0.2,), 8)
-    assert rep_lo.get("ups_n100_eps0.2").value == 0.0
-    # above it the partition goes blind between grid points and the capped
-    # quantity pins at 1 for every n: no decrease anywhere
-    rep_hi = upsilon_estimate(bundles, lambda b: AdversarialIntegrand(b), (2.5,), 8)
-    u1 = rep_hi.get("ups_n100_eps2.5").value
-    u2 = rep_hi.get("ups_n400_eps2.5").value
-    assert u1 >= 0.99 and u2 >= 0.99
-    assert u2 / u1 >= 0.9
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_upsilon_samples_match_the_row_replay(n):
+    # each row's running sum rounds apart from np.cumsum over x's jumps by
+    # at most 1e-12 sum |zeta| per row; the last block is partial
+    T, reps = 1.3, BLOCK + 40
+    kws = ({"fn": lambda t: np.cos(3.0 * t) + t}, {"base": make_expr("tanh(x)", ("x",)), "C": 0.7, "gamma": 0.4})
+    for i, cfg in enumerate(ragged_configs(n)):
+        seed = SeedSpec(800 + i, stream=n)
+        size = np.concatenate(
+            [np.add.reduceat(np.abs(_block_zeta(cfg, rb)), rb["starts"][:-1]) for rb in iter_ctrw_chunks(cfg, T, reps, seed, False)]
+        )
+        for kw in kws:
+            got = upsilon_samples(cfg, T, reps, seed, (0.5, 0.1), 4, **kw)
+            want = upsilon_rows(cfg, T, reps, seed, (0.5, 0.1), 4, **kw)
+            assert np.all(np.abs(got - want) <= 1e-12 * size)
+            assert np.any(got > 0.0) or n == 1
 
 
 def test_adversarial_experiment_light():
