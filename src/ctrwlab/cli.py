@@ -305,7 +305,11 @@ def _run_gdca(cfg, seed, reps, T, out_dir):
     ns = _n_list(cfg)
     rep = DiagnosticReport("gdca", cfg, seed.seed)
     gamma = cfg.get("gamma")
-    if gamma is not None:
+    # the default depends on alpha and beta, not on n; gdca_samples rejects
+    # a gamma <= 0, given or defaulted, before its first draw
+    if gamma is None:
+        gamma = default_gdca_gamma(_build_process(cfg["process"], ns[0]))
+    else:
         gamma = _number(gamma, "gamma")
     meds = []
     for i, n in enumerate(ns):
@@ -314,7 +318,7 @@ def _run_gdca(cfg, seed, reps, T, out_dir):
         m = float(np.median(vals))
         meds.append(m)
         _scalar(rep, f"gdca_median_n{n}", m, reps)
-    _scalar(rep, "gamma", default_gdca_gamma(proc) if gamma is None else gamma, reps)
+    _scalar(rep, "gamma", gamma, reps)
     _flag(rep, "gdca_median_decreasing", all(b <= a for a, b in zip(meds, meds[1:])), reps)
     return rep
 

@@ -255,13 +255,16 @@ def truncated_split_samples(config, T, a, c_grid, reps, seed):
 def gdca_samples(config, T, reps, seed, gamma=None):
     """The grid statistic n^{-gamma} sum_{pi} |V|, one value per replication:
     pi is the grid {k n^{-beta} T} joined with V's breakpoints, so a grid
-    point that is also a jump time counts once. A given gamma must be > 0."""
-    if gamma is not None and not gamma > 0:
-        raise ParameterError(f"gdca gamma must be > 0, got {gamma!r}", tag="PARAM_GAMMA")
-    if not config.correlated:
-        return np.zeros(reps)
+    point that is also a jump time counts once. gamma, given or defaulted,
+    must be > 0: the default is <= 0 for alpha <= beta / (beta + 0.1)."""
     if gamma is None:
         gamma = default_gdca_gamma(config)
+    if not gamma > 0:
+        raise ParameterError(
+            f"gdca gamma must be > 0, got {gamma!r} (the default is beta - beta/alpha + 0.1)", tag="PARAM_GAMMA"
+        )
+    if not config.correlated:
+        return np.zeros(reps)
     n = config.n
     tails = _tail_sums(config.coefficients)
     scale = config.prefactor / config.psi

@@ -125,30 +125,37 @@ class SddeSpec:
         return _as_vec_fn(getattr(self, name))
 
 
-def _sn_euler(spec, ev_t, counts, dd, dz, T, drift_mesh):
+def _sn_euler(spec, events, dd, T, drift_mesh, path=False):
     """Left-point Euler for the walk-driven scheme, one column per replication.
 
-    ev_t, dd and dz are flat event times and jumps of D and Z, counts[r]
-    of them for replication r, row after row, each row's times in order.
-    Each replication steps through its events, the mesh {k drift_mesh} and
-    T in time order, K - counts[r] more steps at T being of zero width (K
-    the largest count): b dt on every step, then mu_- dD + sigma_- dZ at an
-    event, with the coefficients read at left limits. Returns the (L + 1, m)
-    times and X: row 0 holds t = 0 and x0, row j the j-th time of every
-    replication and X after it, so the last row is X_T.
+    events is a list of (ev_t, counts, dz) groups of replications: flat event
+    times and jumps of Z, counts[r] of them for replication r of the group,
+    row after row, each row's times in order. The kernel joins the groups
+    and empties the list, so that the joined events are the only copy alive
+    while it steps. dd is the matching flat D jumps, in the joined order, or
+    one D jump shared by every event. Each replication steps through its
+    events, the mesh {k drift_mesh} and T in time order, K - counts[r] more
+    steps at T being of zero width (K the largest count): b dt on every
+    step, then mu_- dD + sigma_- dZ at an event, with the coefficients read
+    at left limits. Returns X_T as an m-vector; with `path`, the (L + 1, m)
+    times and X instead: row 0 holds t = 0 and x0, row j the j-th time of
+    every replication and X after it, so the last row is X_T.
 
     The merge needs no argsort: event k of a row lands after k events and
     after the grid points (mesh and T) strictly before it, so at equal times
     an event comes before the mesh point and T, and the times are one sort of
-    values in place. Each step is a few vector ops on contiguous rows of
-    two (L + 1, m) float arrays, the times and X; the events, sorted by
-    their place in that layout, give each step its replications with a jump
-    as one slice, and only those read mu and sigma and take the jump. The
-    growth bound is checked once per call, on the events' left limits, D
-    and times recorded as they are stepped, and warns at most once.
+    values in place. X is one m-vector stepped in place along the rows of
+    the times, the one (L + 1, m) array unless X's rows are kept; the
+    events, sorted by their place in that layout, give each step its
+    replications with a jump as one slice, and only those read mu and sigma
+    and take the jump. The growth bound is checked once per call, on the
+    events' times and the left limits of X and D written as they are
+    stepped, after the times are dropped, and warns at most once.
     """
     if drift_mesh is not None and not drift_mesh > 0:
         raise ParameterError("drift mesh must be > 0", tag="PARAM_MESH")
+    ev_t, counts, dz = (np.concatenate(a) for a in zip(*events))
+    events.clear()
     m, K = counts.size, int(counts.max(initial=0))
     bfn, mfn, sfn = spec.coef("b"), spec.coef("mu"), spec.coef("sigma")
     mesh = np.arange(1, int(math.floor(T / drift_mesh + 1e-9)) + 1) * drift_mesh if drift_mesh else np.empty(0)
@@ -165,37 +172,48 @@ def _sn_euler(spec, ev_t, counts, dd, dz, T, drift_mesh):
     np.maximum.accumulate(times[1 : K + 1], axis=0, out=times[1 : K + 1])
     times[K + 1 :] = grid[:, None]
     at += m * np.searchsorted(grid, ev_t, side="left")
+    del ev_t
     # equal times are equal values, so sorting each column's values puts
     # every event time in the row that its position above gives it
     times.sort(axis=0)
     order = np.argsort(at)
     at = at[order]
-    dd, dz = dd[order], dz[order]
+    dz = dz[order]
+    dd = dd[order] if np.ndim(dd) else np.broadcast_to(dd, at.shape)
     del order
     # the events of layout row j are at[edges[j] : edges[j + 1]], in the
     # replications at - j m, at the times tl
     edges = np.searchsorted(at, np.arange(shape[0] + 1) * m).tolist()
     tl = np.take(times, at)
     at -= np.repeat(np.arange(shape[0]) * m, np.diff(edges))
-    x = np.empty(shape)
-    x[0] = spec.x0
+    xk, d, step = np.full(m, float(spec.x0)), np.zeros(m), np.empty(m)
+    if path:
+        x = np.empty(shape)
+        x[0] = xk
     # the events' left limits and D, kept for the growth check
     xl, dl = np.empty(at.size), np.empty(at.size)
-    xk, d, u = x[0], np.zeros(m), times[0]
-    for v, xj, lo, hi in zip(times[1:], x[1:], edges[1:-1], edges[2:]):
-        xk = xk + bfn(u, d, xk) * (v - u)
+    u = times[0]
+    for j, (v, lo, hi) in enumerate(zip(times[1:], edges[1:-1], edges[2:]), 1):
+        np.subtract(v, u, out=step)
+        step *= bfn(u, d, xk)
+        xk += step
         if hi > lo:
             r, t, dj = at[lo:hi], tl[lo:hi], dd[lo:hi]
-            xl[lo:hi] = xr = xk[r]
-            dl[lo:hi] = dr = d[r]
+            # the indices are in range by construction; "clip" spares take
+            # the buffer it fills under "raise"
+            xr, dr = np.take(xk, r, out=xl[lo:hi], mode="clip"), np.take(d, r, out=dl[lo:hi], mode="clip")
             xk[r] = xr + (mfn(t, dr, xr) * dj + sfn(t, dr, xr) * dz[lo:hi])
             d[r] = dr + dj
-        xj[...] = xk
+        if path:
+            x[j] = xk
         u = v
+    if not path:
+        # the check's event-sized temporaries then sit below the loop's peak
+        del times, u, v
     Kg, Cg, p = spec.growth
     if np.any(np.maximum(np.abs(mfn(tl, dl, xl)), np.abs(sfn(tl, dl, xl))) > Kg * np.abs(xl) ** p + Cg):
         warnings.warn("coefficient exceeded the declared growth bound during integration", RuntimeWarning, stacklevel=3)
-    return times, x
+    return (times, x) if path else xk
 
 
 def solve_sn(spec, drivers, drift_mesh=2.0**-12, T=None):
@@ -212,7 +230,7 @@ def solve_sn(spec, drivers, drift_mesh=2.0**-12, T=None):
     ev = sorted_union(dn.jump_times(), zn.jump_times())
     ev = ev[ev <= T]
     dd, dz = (path.value(ev) - path.value_before(ev) for path in drivers)
-    times, x = _sn_euler(spec, ev, np.array([ev.size]), dd, dz, T, drift_mesh)
+    times, x = _sn_euler(spec, [(ev, np.array([ev.size]), dz)], dd, T, drift_mesh, path=True)
     times, x = times[1:, 0], x[1:, 0]
     # zero-width steps repeat a time; the last of each run holds the state
     keep = np.append(times[1:] != times[:-1], True)
@@ -350,20 +368,27 @@ def solve_sdd_limit(spec, z, T=None):
 
 def sn_terminal_samples(spec, config, T, reps, seed, drift_mesh=2.0**-10):
     """Terminal values of the walk-driven scheme across replications: the
-    solve_sn kernel run on each replication block's live events, so every
-    value is what solve_sn gives on that row's drivers. The block dict is
-    dropped before the kernel runs; the kernel holds three (L + 1, m) float
-    arrays, of which only the last row, X_T, is kept."""
+    solve_sn kernel run on the live events of each two consecutive
+    replication blocks, so every value is what solve_sn gives on that row's
+    drivers. Each block dict is dropped once its times, counts and jumps are
+    taken, and the kernel joins the pair's events, holds one (L + 1, m)
+    float array, the times, beside them, and steps X_T as one m-vector.
+    Stepping the rows of two blocks at once halves the per-row Python work
+    of the kernel's loop."""
     nb = float(config.n) ** (-config.beta_eff)
     out = np.empty(reps)
     lo = 0
+    parts = []
     for rb in iter_ctrw_chunks(config, T, reps, seed, True):
-        times, counts, dz = rb["times"], rb["counts"], _block_zeta(config, rb)[_live_slots(rb)]
+        parts.append((rb["times"], rb["counts"], _block_zeta(config, rb)[_live_slots(rb)]))
         del rb
-        m = counts.size
-        out[lo : lo + m] = _sn_euler(spec, times, counts, np.broadcast_to(nb, dz.shape), dz, T, drift_mesh)[1][-1]
+        m = sum(counts.size for _, counts, _ in parts)
+        # a pair is two consecutive blocks; a last odd one out runs alone
+        if len(parts) < 2 and lo + m < reps:
+            continue
+        # the kernel joins the pair and empties parts
+        out[lo : lo + m] = _sn_euler(spec, parts, nb, T, drift_mesh)
         lo += m
-        del times, counts, dz
     return out
 
 

@@ -598,7 +598,11 @@ def operational_integral_rows(
 ):
     """The operational-time sums of tc_grid_integral_samples, one row at a
     time: each block's streams are drawn again as the sampler draws them, and
-    each row's Z path and integrand are built with its own cumsum and dot."""
+    each row's Z path, integrand and sum are built alone, in the order of the
+    sampler's sums. That order is processes._row_cumsum's for Z: one running
+    sum over the block, which enters each row at the previous row's end less
+    that row's np.add.reduceat sum, the residue being taken off the row; and
+    np.add.reduceat's for the sum of H dZ."""
     z_law = _z_law(alpha, z_params, mode)
     d_law = _d_law(beta, None)
     h = float(grid_step)
@@ -609,21 +613,29 @@ def operational_integral_rows(
         if fn is None:
             e = (T / draw_stable(d_law, dgen, m)) ** beta
             steps = [int(np.floor(v / h)) for v in e]
+            # the last step's cut, a power taken over the block as the sampler
+            # takes it: a scalar power can differ from it in the last bit
+            cut = ((e - np.array(steps) * h) / h) ** (1.0 / z_law.alpha)
         else:
             D = _first_passage(_step_law(d_law, h), T, m, dgen)
             steps = [int(np.sum(row <= T)) for row in D]
         zgen = seed.generator((INNOVATION_LANE, start))
         dz_all = draw_stable(_step_law(z_law, h), zgen, sum(steps) + m)
-        lo = 0
+        lo, carry, prev_sum = 0, 0.0, 0.0
         for r, J in enumerate(steps):
             dz = dz_all[lo : lo + J + 1].copy()
             lo += J + 1
             if fn is None:
-                dz[J] *= ((e[r] - J * h) / h) ** (1.0 / z_law.alpha)
-                hv = base(np.concatenate([[0.0], np.cumsum(dz[:-1])]))
+                dz[J] *= cut[r]
+                inc = np.concatenate([[0.0], dz[:-1]])
+                row_sum = np.add.reduceat(inc, [0])[0]
+                inc[0] = -prev_sum
+                z = np.cumsum(np.concatenate([[carry], inc]))[1:]
+                carry, prev_sum = z[-1], row_sum
+                hv = base(z - z[0])
             else:
                 hv = fn(np.concatenate([[0.0], D[r, :J]]))
-            out[start + r] = float(np.dot(hv, dz))
+            out[start + r] = np.add.reduceat(hv * dz, [0])[0]
     return out
 
 

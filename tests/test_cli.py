@@ -626,6 +626,12 @@ def test_gdca_rejects_a_gamma_not_above_zero(tmp_path, monkeypatch):
         with pytest.raises(ParameterError) as err:
             run_scenario(cfg, out=tmp_path / f"g{i}.json")
         assert err.value.tag == "PARAM_GAMMA"
+    # the default beta - beta/alpha + 0.1 reads -0.329 for a raw alpha = 0.7
+    # moving average, and ran to a report
+    raw = {"innovation": {"alpha": 0.7, "mode": "raw"}, "coefficients": [1.0, 0.5]}
+    with pytest.raises(ParameterError) as err:
+        run_scenario({"kind": "gdca", "process": raw, "n_list": [20], "replications": 10}, out=tmp_path / "d.json")
+    assert err.value.tag == "PARAM_GAMMA"
 
 
 def test_metrics_rejects_witness_n_below_three(tmp_path, monkeypatch):

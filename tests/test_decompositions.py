@@ -381,6 +381,20 @@ def test_default_gammas():
     assert default_gdci_gamma(0.9) == 0.2
 
 
+def test_gdca_samples_reject_a_default_gamma_not_above_zero(monkeypatch):
+    # beta - beta/alpha + 0.1 reads -0.329 for a raw alpha = 0.7 moving
+    # average; it is rejected before anything is drawn
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a random variate was drawn")
+
+    monkeypatch.setattr(SeedSpec, "generator", no_draws)
+    cfg = ProcessConfig(InnovationLaw(0.7, "raw"), coefficients=(1.0, 0.5), n=50)
+    assert default_gdca_gamma(cfg) == pytest.approx(1.0 - 1.0 / 0.7 + 0.1)
+    with pytest.raises(ParameterError) as ei:
+        gdca_samples(cfg, 1.0, 10, SeedSpec(0))
+    assert ei.value.tag == "PARAM_GAMMA"
+
+
 def test_gdci_trivial_and_errors():
     law = InnovationLaw(1.5, "centered")
     assert gdci_sums(ProcessConfig(law, n=50)) == (0.0, 0.0)

@@ -182,7 +182,7 @@ def test_solve_sn_growth_warning_at_runtime():
     with pytest.warns(RuntimeWarning, match="exceeded the declared growth bound"):
         solve_sn(spec, driver_paths(b), drift_mesh=None)
 
-    # the block sampler runs the same kernel, so it warns too, once per block
+    # the block sampler runs the same kernel, so it warns too, once per call
     cfg = ProcessConfig(
         innovation=InnovationLaw(1.5, "symmetric"),
         waiting=WaitingLaw(0.5),
@@ -254,9 +254,10 @@ def test_sn_samples_match_oracle_per_row():
 def test_sn_samples_match_the_padded_sampler(n):
     # the kernel takes each row's live events as the padded sampler's masked
     # kernel took them, in the same order, so the values are equal bit for
-    # bit; at n = 1 most walk rows have no event
+    # bit; at n = 1 most walk rows have no event. Two full blocks step as
+    # one pair and a partial third block steps alone
     spec = SdeSpec(**TIMED)
-    T, reps = 1.3, BLOCK + 40
+    T, reps = 1.3, 2 * BLOCK + 40
     for i, cfg in enumerate(ragged_configs(n)):
         seed = SeedSpec(760 + i, stream=n)
         got = sn_terminal_samples(spec, cfg, T, reps, seed, drift_mesh=2.0**-6)
@@ -292,7 +293,7 @@ def test_sn_kernel_masks_coefficients_away_from_live_events():
     ev_t = np.array([0.3, 0.6])
     dz = np.array([2.0, -0.75])
     with np.errstate(invalid="ignore"):
-        times, x = _sn_euler(spec, ev_t, np.array([2, 0]), np.ones(ev_t.shape), dz, 1.0, 0.25)
+        times, x = _sn_euler(spec, [(ev_t, np.array([2, 0]), dz)], np.ones(ev_t.shape), 1.0, 0.25, path=True)
     assert times.shape == x.shape == (2 + 4 + 1 + 1, 2)
     assert np.all(np.diff(times, axis=0) >= 0.0)
     assert np.array_equal(times[:, 1], [0.0, 0.25, 0.5, 0.75, 1.0, 1.0, 1.0, 1.0])
@@ -307,7 +308,7 @@ def test_sn_kernel_merges_a_live_time_rounded_past_T():
     past = np.nextafter(1.0, 2.0)
     ev_t = np.array([0.5, past, 0.5, 0.75, 0.875])
     dz = np.array([1.0, 2.0, 1.0, 2.0, 0.0])
-    times, x = _sn_euler(spec, ev_t, np.array([2, 3]), np.ones(ev_t.shape), dz, 1.0, 0.5)
+    times, x = _sn_euler(spec, [(ev_t, np.array([2, 3]), dz)], np.ones(ev_t.shape), 1.0, 0.5, path=True)
     assert np.all(np.diff(times, axis=0) >= 0.0)
     assert times[-1, 0] == past
     assert np.isfinite(x).all()
@@ -315,9 +316,11 @@ def test_sn_kernel_merges_a_live_time_rounded_past_T():
 
 
 def test_sn_samples_block_memory():
-    # one block holds three (L + 1, m) float arrays (times, D, X over the Z
-    # jumps) next to the block it came from; a fourth array, or an (m, L)
-    # temporary kept through the steps, would exceed the bound
+    # a kernel call holds one (L + 1, m) float array, the times, over the
+    # rows of one block (200 reps) or of a pair of blocks (BLOCK + 200), and
+    # five words per event while it steps: the sorted layout, jumps and
+    # times, and the left limits of X and D. A second (L + 1, m) array, X's
+    # rows kept, would exceed the bound
     spec = SdeSpec(**FULL)
     cfg = ProcessConfig(
         innovation=InnovationLaw(1.5, "symmetric"),
@@ -325,19 +328,24 @@ def test_sn_samples_block_memory():
         coefficients=(1.0,),
         n=4000,
     )
-    m, mesh = 200, 2.0 ** -9
-    rb = next(iter_ctrw_chunks(cfg, 1.0, m, SeedSpec(38), True))
-    block = sum(a.nbytes for a in rb.values() if isinstance(a, np.ndarray))
-    rows = int(rb["counts"].max()) + round(1.0 / mesh) + 2
-    del rb
-    tracemalloc.start()
-    try:
-        sn_terminal_samples(spec, cfg, 1.0, m, SeedSpec(38), drift_mesh=mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    array = rows * m * 8
-    assert peak <= 3.5 * array + block  # measured 3.0 arrays + block
+    mesh = 2.0 ** -9
+    for reps in (200, BLOCK + 200):
+        K, events, block = 0, 0, 0
+        for rb in iter_ctrw_chunks(cfg, 1.0, reps, SeedSpec(38), True):
+            block = max(block, sum(a.nbytes for a in rb.values() if isinstance(a, np.ndarray)))
+            K, events = max(K, int(rb["counts"].max())), events + int(rb["counts"].sum())
+        del rb
+        tracemalloc.start()
+        try:
+            sn_terminal_samples(spec, cfg, 1.0, reps, SeedSpec(38), drift_mesh=mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array = (K + round(1.0 / mesh) + 2) * reps * 8
+        # measured array + block + 3.0 (200 reps) and 3.24 (700) words per
+        # event: the bound's slack is 0.12 and 0.38 MB, an eighth and a
+        # tenth of the array (1.04 and 3.79 MB)
+        assert peak <= array + block + 5 * 8 * events, reps
 
 
 def test_sn_samples_match_reductions():
