@@ -118,9 +118,7 @@ def _build_waiting(d):
 
 
 def _build_process(d, n):
-    _check_keys(
-        d, {"innovation", "waiting", "coefficients", "past_horizon", "coupling"}, "process"
-    )
+    _check_keys(d, {"innovation", "waiting", "coefficients", "past_horizon"}, "process")
     if "innovation" not in d:
         raise ParameterError("process needs an innovation block", tag="PARAM_CONFIG")
     past = d.get("past_horizon")
@@ -130,8 +128,16 @@ def _build_process(d, n):
         coefficients=tuple(_numbers(d.get("coefficients", [1.0]), "coefficients")),
         past_horizon=None if past is None else _number(past, "past_horizon", int),
         n=_number(n, "n", int),
-        coupling=d.get("coupling", "uncoupled"),
     )
+
+
+def _driver(cfg, key):
+    """The driver block `key` of a config, which its kind cannot run
+    without: a missing or null block is a PARAM_CONFIG error."""
+    d = cfg.get(key)
+    if d is None:
+        raise ParameterError(f"config needs a {key} block", tag="PARAM_CONFIG")
+    return d
 
 
 def _n_list(cfg):
@@ -151,29 +157,41 @@ def _scalar(report, name, value, n=1):
     report.add(Estimate(name, v, v, v, n))
 
 
-def _ks_table(rep, seed, samplers, ref, bound, reps):
-    """KS of each (n, sampler) law, sampled on stream + 1 + i, against ref,
-    plus the "decreasing in n" and "last within bound" flags."""
-    stats = []
-    for i, (n, sampler) in enumerate(samplers):
-        vals = sampler(SeedSpec(seed.seed, seed.stream + 1 + i))
-        ks, p = ks_two_sample(vals, ref)
-        stats.append(ks)
-        _scalar(rep, f"ks_n{n}", ks, reps)
-        _scalar(rep, f"ks_p_n{n}", p, reps)
-    _flag(rep, "ks_decreasing", all(b <= a for a, b in zip(stats, stats[1:])), reps)
-    _flag(rep, "ks_final_within_bound", stats[-1] <= bound, reps)
+def _ladder(rep, seed, ns, sample, ref, stat, bound, reps):
+    """Compare the law at each n, sample(n, s) drawn on s = stream + 1 + i,
+    with the reference law ref(s) drawn on s = stream + 900.
 
-
-def _w1_table(rep, ns, laws, limit, bound, reps):
-    """W1 between the laws at consecutive n and from the last one to the
-    limit, plus the "decreasing in n" and "limit within bound" flags."""
-    w1s = [wasserstein1(a, b) for a, b in zip(laws, laws[1:])]
-    for (na, nb), w in zip(zip(ns, ns[1:]), w1s):
+    stat "ks" adds the KS distance and p-value of each law against the
+    reference, ks_n* and ks_p_n*, then ks_decreasing and
+    ks_final_within_bound. stat "w1" adds W1 between the laws at
+    consecutive n, w1_n*_n*, and from the last one to the reference,
+    w1_limit_n*, then w1_decreasing and w1_limit_within_bound.
+    """
+    # A KS ladder draws its reference before the laws, and a W1 ladder after
+    # them. The order moves peak RSS, not the draws: sde_full at 1000 reps
+    # with its limit drawn first read 58.3 MB against 50.3 MB, as glibc's
+    # dynamic mmap threshold does once a large freed array has raised it.
+    law_seeds = [SeedSpec(seed.seed, seed.stream + 1 + i) for i in range(len(ns))]
+    ref_seed = SeedSpec(seed.seed, seed.stream + 900)
+    if stat == "ks":
+        limit = ref(ref_seed)
+        stats = []
+        for n, s in zip(ns, law_seeds):
+            ks, p = ks_two_sample(sample(n, s), limit)
+            stats.append(ks)
+            _scalar(rep, f"ks_n{n}", ks, reps)
+            _scalar(rep, f"ks_p_n{n}", p, reps)
+        _flag(rep, "ks_decreasing", all(b <= a for a, b in zip(stats, stats[1:])), reps)
+        _flag(rep, "ks_final_within_bound", stats[-1] <= bound, reps)
+        return
+    laws = [sample(n, s) for n, s in zip(ns, law_seeds)]
+    limit = ref(ref_seed)
+    stats = [wasserstein1(a, b) for a, b in zip(laws, laws[1:])]
+    for na, nb, w in zip(ns, ns[1:], stats):
         _scalar(rep, f"w1_n{na}_n{nb}", w, reps)
     wl = wasserstein1(laws[-1], limit)
     _scalar(rep, f"w1_limit_n{ns[-1]}", wl, reps)
-    _flag(rep, "w1_decreasing", all(b <= a for a, b in zip(w1s, w1s[1:])), reps)
+    _flag(rep, "w1_decreasing", all(b <= a for a, b in zip(stats, stats[1:])), reps)
     _flag(rep, "w1_limit_within_bound", wl <= bound, reps)
 
 
@@ -183,7 +201,7 @@ def _w1_table(rep, ns, laws, limit, bound, reps):
 
 def _run_simulate(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n", "csv_paths"}, "config")
-    proc = _build_process(cfg["process"], cfg.get("n", 100))
+    proc = _build_process(_driver(cfg, "process"), cfg.get("n", 100))
     rep = DiagnosticReport("simulate", cfg, seed.seed)
     term = terminal_samples(proc, T, reps, seed)
     rep.add(mean_estimate(term, name="terminal_mean"))
@@ -207,57 +225,45 @@ def _run_simulate(cfg, seed, reps, T, out_dir):
     return rep
 
 
+# the driver block of each attraction target
+_TARGETS = {"stable": "innovation", "counting": "waiting", "ctrw": "process"}
+
+
 def _run_attraction(cfg, seed, reps, T, out_dir):
-    _check_keys(
-        cfg,
-        _COMMON_KEYS
-        | {"target", "innovation", "waiting", "process", "n_list", "ks_bound"},
-        "config",
-    )
+    target = cfg.get("target", "stable")
+    if target not in _TARGETS:
+        raise ParameterError(f"unknown attraction target {target!r}", tag="PARAM_CONFIG")
+    key = _TARGETS[target]
+    _check_keys(cfg, _COMMON_KEYS | {"target", key, "n_list", "ks_bound"}, "config")
     if T != 1.0:
         raise ParameterError("attraction scenarios run at horizon 1", tag="PARAM_CONFIG")
-    target = cfg.get("target", "stable")
+    block = _driver(cfg, key)
     ns = _n_list(cfg)
     bound = _number(cfg.get("ks_bound", 0.03), "ks_bound")
     rep = DiagnosticReport("attraction", cfg, seed.seed)
-    ref_seed = SeedSpec(seed.seed, seed.stream + 900)
 
     if target == "stable":
-        law = _build_innovation(cfg["innovation"])
-        ref = draw_stable(attractor_params(law), ref_seed.generator(0), reps)
-        samplers = [
-            (n, lambda s, n=n: terminal_samples(ProcessConfig(innovation=law, n=n), T, reps, s))
-            for n in ns
-        ]
+        law = _build_innovation(block)
+        ref = lambda s: draw_stable(attractor_params(law), s.generator(0), reps)
+        sample = lambda n, s: terminal_samples(ProcessConfig(innovation=law, n=n), T, reps, s)
     elif target == "counting":
-        wait = _build_waiting(cfg.get("waiting", {}))
-        ref = terminal_inverse_subordinator_samples(
-            wait.beta, T, reps, ref_seed,
-            increment_scale=wait.scale * wait_attractor_scale(wait.beta),
+        wait = _build_waiting(block)
+        ref = lambda s: terminal_inverse_subordinator_samples(
+            wait.beta, T, reps, s, increment_scale=wait_attractor_scale(wait.beta, wait.scale)
         )
-        samplers = [
-            (n, lambda s, n=n: terminal_counting_samples(wait, n, T, reps, s)) for n in ns
-        ]
-    elif target == "ctrw":
-        proc0 = _build_process(cfg["process"], ns[0])
+        sample = lambda n, s: terminal_counting_samples(wait, n, T, reps, s)
+    else:
+        proc0 = _build_process(block, ns[0])
         if proc0.waiting is None:
             raise ParameterError("ctrw target needs a waiting law", tag="PARAM_CONFIG")
-        ref = terminal_time_changed_samples(
-            proc0.innovation.alpha, proc0.waiting.beta, T, reps, ref_seed,
+        ref = lambda s: terminal_time_changed_samples(
+            proc0.innovation.alpha, proc0.waiting.beta, T, reps, s,
             z_params=_limit_z_params(proc0),
-            increment_scale=proc0.waiting.scale * wait_attractor_scale(proc0.waiting.beta),
+            increment_scale=wait_attractor_scale(proc0.waiting.beta, proc0.waiting.scale),
         )
-        samplers = [
-            (
-                n,
-                lambda s, n=n: terminal_samples(_build_process(cfg["process"], n), T, reps, s),
-            )
-            for n in ns
-        ]
-    else:
-        raise ParameterError(f"unknown attraction target {target!r}", tag="PARAM_CONFIG")
+        sample = lambda n, s: terminal_samples(_build_process(block, n), T, reps, s)
 
-    _ks_table(rep, seed, samplers, ref, bound, reps)
+    _ladder(rep, seed, ns, sample, ref, "ks", bound, reps)
     return rep
 
 
@@ -272,11 +278,12 @@ def _run_gd(cfg, seed, reps, T, out_dir):
         # a stop level <= 0 stops every path at once: tau_c = 0 and each
         # stop_jump estimate reads a constant 0
         raise ParameterError(f"c_grid levels must be > 0, got {c_grid!r}")
+    block = _driver(cfg, "process")
     ns = _n_list(cfg)
     rep = DiagnosticReport("gd", cfg, seed.seed)
     tails = {r: [] for r in r_grid}
     for i, n in enumerate(ns):
-        proc = _build_process(cfg["process"], n)
+        proc = _build_process(block, n)
         sd = SeedSpec(seed.seed, seed.stream + 1 + i)
         mart, tv, jump_ratio, stop = truncated_split_samples(proc, T, a, c_grid, reps, sd)
         rep.add(mean_estimate(mart, name=f"mart_mean_n{n}"))
@@ -302,18 +309,19 @@ def _run_gd(cfg, seed, reps, T, out_dir):
 
 def _run_gdca(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n_list", "gamma"}, "config")
+    block = _driver(cfg, "process")
     ns = _n_list(cfg)
     rep = DiagnosticReport("gdca", cfg, seed.seed)
     gamma = cfg.get("gamma")
     # the default depends on alpha and beta, not on n; gdca_samples rejects
     # a gamma <= 0, given or defaulted, before its first draw
     if gamma is None:
-        gamma = default_gdca_gamma(_build_process(cfg["process"], ns[0]))
+        gamma = default_gdca_gamma(_build_process(block, ns[0]))
     else:
         gamma = _number(gamma, "gamma")
     meds = []
     for i, n in enumerate(ns):
-        proc = _build_process(cfg["process"], n)
+        proc = _build_process(block, n)
         vals = gdca_samples(proc, T, reps, SeedSpec(seed.seed, seed.stream + 1 + i), gamma=gamma)
         m = float(np.median(vals))
         meds.append(m)
@@ -329,13 +337,14 @@ def _run_gdci(cfg, seed, reps, T, out_dir):
         raise ParameterError(
             "gdci moment sums run at horizon 1; window sets their range", tag="PARAM_CONFIG"
         )
+    block = _driver(cfg, "process")
     ns = _n_list(cfg)
     K = _number(cfg.get("window", 1.0), "window")
     gamma = cfg.get("gamma")
     rep = DiagnosticReport("gdci", cfg, seed.seed)
     bigs, smalls = [], []
     for n in ns:
-        proc = _build_process(cfg["process"], n)
+        proc = _build_process(block, n)
         g = _number(gamma, "gamma") if gamma is not None else None
         big, small = gdci_sums(proc, K=K, gamma=g)
         bigs.append(big)
@@ -361,6 +370,7 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
         _COMMON_KEYS | {"process", "n_list", "integrand", "grid_step", "ks_bound", "upsilon"},
         "config",
     )
+    block = _driver(cfg, "process")
     ns = _n_list(cfg)
     grid_step = _number(cfg.get("grid_step", 2.0**-12), "grid_step")
     bound = _number(cfg.get("ks_bound", 0.05), "ks_bound")
@@ -377,7 +387,7 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
         if ureps < 1:
             raise ParameterError(f"upsilon replications must be >= 1, got {ureps!r}")
     rep = DiagnosticReport("integrals", cfg, seed.seed)
-    proc0 = _build_process(cfg["process"], ns[0])
+    proc0 = _build_process(block, ns[0])
     alpha = proc0.innovation.alpha
     beta = proc0.beta_eff
     zp = _limit_z_params(proc0)
@@ -385,9 +395,8 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
     if kind == "deterministic":
         fn = make_expr(spec.get("expr", "tanh(t)"), ("t",))
         sample = lambda p, s: deterministic_integral_samples(p, T, reps, s, fn)
-        limit = tc_grid_integral_samples(
-            alpha, beta, T, reps, SeedSpec(seed.seed, seed.stream + 900),
-            grid_step=grid_step, fn=fn, z_params=zp,
+        limit = lambda s: tc_grid_integral_samples(
+            alpha, beta, T, reps, s, grid_step=grid_step, fn=fn, z_params=zp
         )
     elif kind == "follower":
         base = make_expr(spec.get("expr", "tanh(x)"), ("x",))
@@ -397,21 +406,20 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
         _follower_slope(C, gamma, max(ns))
         _scalar(rep, "gamma", gamma, reps)
         sample = lambda p, s: follower_integral_samples(p, T, reps, s, base=base, C=C, gamma=gamma)
-        limit = tc_grid_integral_samples(
-            alpha, beta, T, reps, SeedSpec(seed.seed, seed.stream + 900),
-            grid_step=grid_step, base=base, z_params=zp,
+        limit = lambda s: tc_grid_integral_samples(
+            alpha, beta, T, reps, s, grid_step=grid_step, base=base, z_params=zp
         )
     else:
         raise ParameterError(f"unknown integrand type {kind!r}", tag="PARAM_CONFIG")
 
-    samplers = [(n, lambda s, n=n: sample(_build_process(cfg["process"], n), s)) for n in ns]
-    _ks_table(rep, seed, samplers, limit, bound, reps)
+    walk = lambda n, s: sample(_build_process(block, n), s)
+    _ladder(rep, seed, ns, walk, limit, "ks", bound, reps)
 
     if ups:
         kw = {"fn": fn} if kind == "deterministic" else {"base": base, "C": C, "gamma": gamma}
         sups = {
             n: upsilon_samples(
-                _build_process(cfg["process"], n), T, ureps, SeedSpec(seed.seed, seed.stream + 500 + i), eps_list, m, **kw
+                _build_process(block, n), T, ureps, SeedSpec(seed.seed, seed.stream + 500 + i), eps_list, m, **kw
             )
             for i, n in enumerate(ns)
         }
@@ -427,26 +435,18 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
 def _run_adversarial(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n_list"}, "config")
     ns = _n_list(cfg)
-    proc = _build_process(cfg["process"], ns[0])
+    proc = _build_process(_driver(cfg, "process"), ns[0])
     inner = adversarial_experiment(proc, ns, reps, seed, T=T)
     rep = DiagnosticReport("adversarial", cfg, seed.seed, list(inner.estimates))
     return rep
 
 
-def _run_sde(cfg, seed, reps, T, out_dir):
-    _check_keys(
-        cfg,
-        _COMMON_KEYS
-        | {"alpha", "beta", "mode", "n_list", "drift", "time_drift", "diffusion",
-           "x0", "growth", "grid_step", "w1_bound"},
-        "config",
-    )
-    alpha = _number(cfg.get("alpha", 1.5), "alpha")
-    beta = _number(cfg.get("beta", 0.5), "beta")
-    mode = cfg.get("mode", "symmetric")
-    ns = _n_list(cfg)
-    h = _number(cfg.get("grid_step", 2.0**-10), "grid_step")
-    bound = _number(cfg.get("w1_bound", 0.05), "w1_bound")
+def _sde_samplers(cfg, proc, T, reps, h):
+    """The sde kind's (walk, limit) terminal samplers: the walk-driven scheme
+    of dX = b dt + mu dD + sigma dZ on a CTRW of proc's laws, and its limit
+    scheme driven by the CTRW's limit, as for attraction's ctrw target."""
+    if proc.waiting is None:
+        raise ParameterError("sde needs a process with a waiting law", tag="PARAM_WAITING")
     g = _numbers(cfg.get("growth", [1.0, 10.0, 0.5]), "growth")
     if len(g) != 3:
         raise ParameterError(f"growth must be [K, C, p], got {g!r}", tag="PARAM_GROWTH")
@@ -457,59 +457,60 @@ def _run_sde(cfg, seed, reps, T, out_dir):
         x0=_number(cfg.get("x0", 0.0), "x0"),
         growth=tuple(g),
     )
-    rep = DiagnosticReport("sde", cfg, seed.seed)
-    laws = []
-    for i, n in enumerate(ns):
-        proc = ProcessConfig(
-            innovation=InnovationLaw(alpha, mode), waiting=WaitingLaw(beta), n=n
-        )
-        laws.append(
-            sn_terminal_samples(
-                spec, proc, T, reps, SeedSpec(seed.seed, seed.stream + 1 + i), drift_mesh=h
-            )
-        )
-    limit = s_limit_terminal_samples(
-        spec, alpha, beta, T, reps, SeedSpec(seed.seed, seed.stream + 900),
-        grid_step=h, mode=mode,
+    wait = proc.waiting
+    walk = lambda p, s: sn_terminal_samples(spec, p, T, reps, s, drift_mesh=h)
+    limit = lambda s: s_limit_terminal_samples(
+        spec, proc.innovation.alpha, wait.beta, T, reps, s, grid_step=h,
+        z_params=_limit_z_params(proc), increment_scale=wait_attractor_scale(wait.beta, wait.scale),
     )
-    _w1_table(rep, ns, laws, limit, bound, reps)
-    return rep
+    return walk, limit
 
 
-def _run_sdde(cfg, seed, reps, T, out_dir):
-    _check_keys(
-        cfg,
-        _COMMON_KEYS
-        | {"alpha", "mode", "n_list", "drift", "diffusion", "delay", "eta",
-           "coefficients", "grid_step", "w1_bound"},
-        "config",
-    )
-    alpha = _number(cfg.get("alpha", 1.5), "alpha")
-    mode = cfg.get("mode", "centered")
+def _sdde_samplers(cfg, proc, T, reps, h):
+    """The sdde kind's (walk, limit) terminal samplers: the delay scheme on
+    a moving average of proc's laws and its limit scheme. The scheme divides
+    sigma by the coefficient sum, so the limit is driven by the attractor of
+    one innovation."""
+    if proc.waiting is not None:
+        raise ParameterError("sdde needs a process with no waiting law", tag="PARAM_WAITING")
     r = _number(cfg.get("delay", 0.5), "delay")
     eta0 = _number(cfg.get("eta", 0.0), "eta")
-    coeffs = tuple(_numbers(cfg.get("coefficients", [1.0, 0.5]), "coefficients"))
-    h = _number(cfg.get("grid_step", 2.0**-10), "grid_step")
-    bound = _number(cfg.get("w1_bound", 0.05), "w1_bound")
-    ns = _n_list(cfg)
     spec = SddeSpec(
         b=make_expr(cfg.get("drift", "sin(xdel)"), ("t", "xdel")),
         sigma=make_expr(cfg.get("diffusion", "cos(xdel)"), ("t", "xdel")),
         r=r,
         eta=StepPath([-r], [eta0], 0.0, origin=-r),
     )
-    rep = DiagnosticReport("sdde", cfg, seed.seed)
-    laws = []
-    for i, n in enumerate(ns):
-        proc = ProcessConfig(innovation=InnovationLaw(alpha, mode), coefficients=coeffs, n=n)
-        laws.append(
-            sddn_terminal_samples(spec, proc, T, reps, SeedSpec(seed.seed, seed.stream + 1 + i))
-        )
-    limit = sdd_limit_terminal_samples(
-        spec, alpha, T, reps, SeedSpec(seed.seed, seed.stream + 900),
-        grid_step=h, mode=mode,
+    walk = lambda p, s: sddn_terminal_samples(spec, p, T, reps, s)
+    limit = lambda s: sdd_limit_terminal_samples(
+        spec, proc.innovation.alpha, T, reps, s,
+        grid_step=h, z_params=attractor_params(proc.innovation),
     )
-    _w1_table(rep, ns, laws, limit, bound, reps)
+    return walk, limit
+
+
+# each equation kind's own config keys and its samplers' builder
+_EQUATIONS = {
+    "sde": ({"time_drift", "x0", "growth"}, _sde_samplers),
+    "sdde": ({"delay", "eta"}, _sdde_samplers),
+}
+
+
+def _run_equation(cfg, seed, reps, T, out_dir):
+    kind = cfg["kind"]
+    keys, samplers = _EQUATIONS[kind]
+    _check_keys(
+        cfg,
+        _COMMON_KEYS | {"process", "n_list", "drift", "diffusion", "grid_step", "w1_bound"} | keys,
+        "config",
+    )
+    block = _driver(cfg, "process")
+    ns = _n_list(cfg)
+    h = _number(cfg.get("grid_step", 2.0**-10), "grid_step")
+    bound = _number(cfg.get("w1_bound", 0.05), "w1_bound")
+    walk, limit = samplers(cfg, _build_process(block, ns[0]), T, reps, h)
+    rep = DiagnosticReport(kind, cfg, seed.seed)
+    _ladder(rep, seed, ns, lambda n, s: walk(_build_process(block, n), s), limit, "w1", bound, reps)
     return rep
 
 
@@ -565,8 +566,8 @@ _HANDLERS = {
     "gdci": _run_gdci,
     "integrals": _run_integrals,
     "adversarial": _run_adversarial,
-    "sde": _run_sde,
-    "sdde": _run_sdde,
+    "sde": _run_equation,
+    "sdde": _run_equation,
     "metrics": _run_metrics,
 }
 

@@ -37,8 +37,6 @@ from .rng import (
     wait_attractor_scale,
 )
 
-COUPLINGS = ("uncoupled", "magnitude-coupled")
-
 WAIT_LANE = 0
 INNOVATION_LANE = 1
 
@@ -93,7 +91,6 @@ class ProcessConfig:
     coefficients: tuple = (1.0,)
     past_horizon: int = None
     n: int = 1
-    coupling: str = "uncoupled"
 
     def __post_init__(self):
         c = tuple(float(v) for v in np.atleast_1d(self.coefficients))
@@ -111,28 +108,6 @@ class ProcessConfig:
         if int(self.n) < 1:
             raise ParameterError("n must be >= 1", tag="PARAM_N")
         object.__setattr__(self, "n", int(self.n))
-        if self.coupling not in COUPLINGS:
-            raise ParameterError(f"unknown coupling {self.coupling!r}", tag="PARAM_COUPLING")
-        if self.coupling != "uncoupled":
-            if len(c) != 1:
-                raise ParameterError(
-                    "coupled CTRWs are zero order: coefficients must reduce to (c_0,)",
-                    tag="PARAM_COUPLING",
-                )
-            if self.waiting is None:
-                raise ParameterError("coupling needs a waiting law", tag="PARAM_COUPLING")
-            if self.innovation.mode == "gaussian":
-                # |theta|^(alpha/beta) has no heavy tail for gaussian theta,
-                # so the coupled waiting law would leave the beta-stable domain
-                raise ParameterError(
-                    "magnitude coupling needs Pareto-tailed innovations",
-                    tag="PARAM_COUPLING",
-                )
-            if getattr(self.waiting, "scale", 1.0) != 1.0:
-                raise ParameterError(
-                    "coupled waits are derived from innovations; waiting scale must be 1",
-                    tag="PARAM_COUPLING",
-                )
 
     @property
     def order(self):
@@ -166,7 +141,6 @@ class ProcessConfig:
             "coefficients": list(self.coefficients),
             "past_horizon": self.past_horizon,
             "n": self.n,
-            "coupling": self.coupling,
         }
         if self.waiting is not None:
             d["waiting"] = {
@@ -246,10 +220,6 @@ def gen_moving_average(config, T, seed):
     if not T > 0:
         raise ParameterError("horizon must be > 0")
     return _bundle(config, T, seed)
-
-
-def _coupled_waits(thetas_pos, alpha, beta):
-    return np.maximum(1.0, np.abs(thetas_pos) ** (alpha / beta))
 
 
 def gen_ctrw(config, T, seed):
@@ -561,38 +531,16 @@ def _block(config, T, m, wgen, igen, keep):
               moving average, whose waits are all 1.
     The jumps are not built here: _block_zeta filters theta into them.
 
-    A row draws its past + 1 + counts innovations only: one flat draw for
-    an uncoupled block, row after row. A moving average draws the (m,
-    past + 1 + K) rectangle and a coupled block draws the rectangle its
-    waits need, each cut to the rows' counts: _wait_round_widths columns
-    first, since the coupled waits of symmetric innovations are exactly
-    Pareto(beta), then half that many at a time until every row's waits
-    pass nT.
+    A CTRW row draws its past + 1 + counts innovations only, in one flat
+    draw, row after row; a moving average draws the (m, past + 1 + K)
+    rectangle.
     """
     n = config.n
     law = config.innovation
     past = config.past_horizon
     target = n * T
     times = waits = None
-    if config.coupling == "magnitude-coupled":
-        beta = config.waiting.beta
-        first, later = _wait_round_widths(config.waiting, target)
-        th = _draw_innovations(law, igen, (m, past + 1 + first))
-        while True:
-            J = _coupled_waits(th[:, past + 1 :], law.alpha, beta)
-            if np.all(J.sum(axis=1) > target):
-                break
-            more = _draw_innovations(law, igen, (m, later))
-            th = np.concatenate([th, more], axis=1)
-        L = np.cumsum(J, axis=1)
-        live = L <= target
-        counts = live.sum(axis=1)
-        if keep:
-            times, waits = L[live] / n, J[live]
-        del J, L, live
-        drawn = th[np.arange(th.shape[1]) < (past + 1 + counts)[:, None]]
-        del th
-    elif config.waiting is not None:
+    if config.waiting is not None:
         counts, times, waits = _wait_rounds(config.waiting, wgen, m, target, keep)
         if keep:
             times /= n

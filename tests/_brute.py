@@ -74,7 +74,6 @@ from ctrwlab.processes import (
     WAIT_LANE,
     SimulationBundle,
     _block_zeta,
-    _coupled_waits,
     _d_law,
     _draw_innovations,
     _draw_waits,
@@ -839,31 +838,13 @@ def gen_ctrw(config, T, seed):
         raise ParameterError("horizon must be > 0")
     n = config.n
     target = n * T
-    beta = config.waiting.beta
     block = _wait_round_widths(config.waiting, target)[0]
-    alpha = config.innovation.alpha
     past = config.past_horizon
-
-    if config.coupling == "magnitude-coupled":
-        gen = seed.generator(INNOVATION_LANE)
-        buf = [_draw_innovations(config.innovation, gen, past + 1 + block)]
-        waits = _coupled_waits(buf[0][past + 1 :], alpha, beta)
-        total = float(waits.sum())
-        parts = [waits]
-        while total <= target:
-            more = _draw_innovations(config.innovation, gen, block)
-            buf.append(more)
-            w = _coupled_waits(more, alpha, beta)
-            parts.append(w)
-            total += float(w.sum())
-        thetas_all = np.concatenate(buf) if len(buf) > 1 else buf[0]
-        waits_all = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    else:
-        waits_all = _waits_until(config.waiting, seed.generator(WAIT_LANE), target, block)
-        K_hint = int(np.searchsorted(np.cumsum(waits_all), target, side="right"))
-        thetas_all = _draw_innovations(
-            config.innovation, seed.generator(INNOVATION_LANE), past + 1 + K_hint
-        )
+    waits_all = _waits_until(config.waiting, seed.generator(WAIT_LANE), target, block)
+    K_hint = int(np.searchsorted(np.cumsum(waits_all), target, side="right"))
+    thetas_all = _draw_innovations(
+        config.innovation, seed.generator(INNOVATION_LANE), past + 1 + K_hint
+    )
 
     L = np.cumsum(waits_all)
     K = int(np.searchsorted(L, target, side="right"))
@@ -942,31 +923,18 @@ def rect_block(config, T, m, wgen, igen):
     law = config.innovation
     past = config.past_horizon
     target = n * T
-    coupled = config.coupling == "magnitude-coupled"
     J = None
-    if coupled:
-        beta = config.waiting.beta
-        first, later = _wait_round_widths(config.waiting, target)
-        th, peff = _draw_innovations(law, igen, (m, past + 1 + first)), past
-        while True:
-            J = _coupled_waits(th[:, past + 1 :], law.alpha, beta)
-            if np.all(J.sum(axis=1) > target):
-                break
-            more = _draw_innovations(law, igen, (m, later))
-            th = np.concatenate([th, more], axis=1)
-    elif config.waiting is not None:
-        J = rect_grow_wait_matrix(config.waiting, wgen, m, target)
-    if J is None:
+    if config.waiting is None:
         K = int(math.floor(target + 1e-9))
         times = np.broadcast_to(np.arange(1, K + 1) / n, (m, K))
         counts = np.full(m, K)
     else:
+        J = rect_grow_wait_matrix(config.waiting, wgen, m, target)
         L = np.cumsum(J, axis=1)
         counts = (L <= target).sum(axis=1)
         K = int(counts.max())
         times = L[:, :K] / n
-    if not coupled:
-        th, peff = _pad_past(_draw_innovations(law, igen, (m, past + 1 + K)), past, config.order)
+    th, peff = _pad_past(_draw_innovations(law, igen, (m, past + 1 + K)), past, config.order)
     blk = {
         "theta": th,
         "peff": peff,
@@ -1078,37 +1046,22 @@ def padded_block(config, T, m, wgen, igen):
     law = config.innovation
     past = config.past_horizon
     target = n * T
-    coupled = config.coupling == "magnitude-coupled"
     J = None
-    if coupled:
-        beta = config.waiting.beta
-        first, later = _wait_round_widths(config.waiting, target)
-        th, peff = _draw_innovations(law, igen, (m, past + 1 + first)), past
-        while True:
-            J = _coupled_waits(th[:, past + 1 :], law.alpha, beta)
-            if np.all(J.sum(axis=1) > target):
-                break
-            more = _draw_innovations(law, igen, (m, later))
-            th = np.concatenate([th, more], axis=1)
-        L = np.cumsum(J, axis=1)
-    elif config.waiting is not None:
-        J, L = padded_grow_wait_matrix(config.waiting, wgen, m, target)
-    if J is None:
+    if config.waiting is None:
         K = int(math.floor(target + 1e-9))
         times = np.broadcast_to(np.arange(1, K + 1) / n, (m, K))
         counts = np.full(m, K)
         th = _draw_innovations(law, igen, (m, past + 1 + K))
     else:
+        J, L = padded_grow_wait_matrix(config.waiting, wgen, m, target)
         counts = (L <= target).sum(axis=1)
         K = int(counts.max())
         times = np.minimum(L[:, :K], target)
         times /= n
-        if not coupled:
-            th = np.zeros((m, past + 1 + K))
-            keep = np.arange(past + 1 + K) < (past + 1 + counts)[:, None]
-            th[keep] = _draw_innovations(law, igen, int(keep.sum()))
-    if not coupled:
-        th, peff = _pad_past(th, past, config.order)
+        th = np.zeros((m, past + 1 + K))
+        keep = np.arange(past + 1 + K) < (past + 1 + counts)[:, None]
+        th[keep] = _draw_innovations(law, igen, int(keep.sum()))
+    th, peff = _pad_past(th, past, config.order)
     blk = {
         "theta": th,
         "peff": peff,
@@ -1121,16 +1074,15 @@ def padded_block(config, T, m, wgen, igen):
 
 
 def ragged_configs(n):
-    """Moving averages (one with a past shorter than the filter), uncoupled
-    CTRWs (one with a zero inner coefficient and no past) and a coupled one."""
+    """Moving averages (one with a past shorter than the filter) and CTRWs
+    (one with a zero inner coefficient and no past, one with a past longer
+    than its filter)."""
     sym = InnovationLaw(1.5, "symmetric")
     yield ProcessConfig(sym, coefficients=(1.0, 0.5, 0.25), past_horizon=1, n=n)
     yield ProcessConfig(InnovationLaw(0.7, "raw"), n=n)
     yield ProcessConfig(InnovationLaw(1.5, "centered"), WaitingLaw(0.8), coefficients=(1.0, 0.5), n=n)
     yield ProcessConfig(sym, WaitingLaw(0.6), coefficients=(1.0, 0.0, 0.3), past_horizon=0, n=n)
-    yield ProcessConfig(
-        InnovationLaw(1.2, "centered"), WaitingLaw(0.6), past_horizon=2, n=n, coupling="magnitude-coupled"
-    )
+    yield ProcessConfig(InnovationLaw(1.2, "centered"), WaitingLaw(0.6), past_horizon=2, n=n)
 
 
 def padded_blocks(config, T, reps, seed):

@@ -338,9 +338,7 @@ def test_cli_integrals_and_adversarial(tmp_path):
 def test_cli_sde_and_sdde(tmp_path):
     sde = write_cfg(tmp_path, "sde.json", {
         "kind": "sde",
-        "alpha": 2.0,
-        "beta": 0.5,
-        "mode": "gaussian",
+        "process": {"innovation": {"alpha": 2.0, "mode": "gaussian"}, "waiting": {"beta": 0.5}},
         "n_list": [20, 40],
         "drift": "0.0",
         "time_drift": "0.1",
@@ -360,14 +358,12 @@ def test_cli_sde_and_sdde(tmp_path):
 
     sdde = write_cfg(tmp_path, "sdde.json", {
         "kind": "sdde",
-        "alpha": 1.5,
-        "mode": "centered",
+        "process": {"innovation": {"alpha": 1.5, "mode": "centered"}, "coefficients": [1.0, 0.5]},
         "n_list": [8, 16],
         "drift": "sin(xdel)",
         "diffusion": "cos(xdel)",
         "delay": 0.5,
         "eta": 0.0,
-        "coefficients": [1.0, 0.5],
         "grid_step": 0.0625,
         "w1_bound": 10.0,
         "replications": 30,
@@ -490,8 +486,9 @@ def test_cli_parameter_errors(tmp_path):
                                         "witness_n": [8], "replications": 40})
     check_fails(tmp_path, ["metrics", "--config", ok, "--reps", 0], "PARAM_CONFIG")
 
+    gaussian_walk = {"innovation": {"alpha": 2.0, "mode": "gaussian"}, "waiting": {"beta": 0.5}}
     bad_expr = write_cfg(tmp_path, "s.json", {
-        "kind": "sde", "alpha": 2.0, "beta": 0.5, "mode": "gaussian",
+        "kind": "sde", "process": gaussian_walk,
         "n_list": [20], "drift": "q + 1", "diffusion": "1.0",
         "replications": 10, "w1_bound": 10.0,
     })
@@ -499,7 +496,7 @@ def test_cli_parameter_errors(tmp_path):
 
     # sde configs take the walk's drift mesh from grid_step; substep is unknown
     substep = write_cfg(tmp_path, "t.json", {
-        "kind": "sde", "alpha": 2.0, "beta": 0.5, "mode": "gaussian",
+        "kind": "sde", "process": gaussian_walk,
         "n_list": [20], "substep": 0.0625, "replications": 10, "w1_bound": 10.0,
     })
     check_fails(tmp_path, ["sde", "--config", substep], "PARAM_UNKNOWN_KEY")
@@ -513,19 +510,21 @@ def test_cli_parameter_errors(tmp_path):
     check_fails(tmp_path, ["integrals", "--config", mesh], "PARAM_MESH")
 
     # the limit schemes of both SDE kinds step on grid_step
-    for kind, extra in (("sde", {"beta": 0.5}), ("sdde", {"delay": 0.5})):
+    inn = {"alpha": 1.5, "mode": "centered"}
+    for kind, extra in (("sde", {"process": {"innovation": inn, "waiting": {"beta": 0.5}}}),
+                        ("sdde", {"process": {"innovation": inn}, "delay": 0.5})):
         for i, h in enumerate((0.0, -0.001, math.nan)):
             bad = write_cfg(tmp_path, f"{kind}{i}.json", {
-                "kind": kind, "alpha": 1.5, "mode": "centered", "n_list": [20],
+                "kind": kind, "n_list": [20],
                 "grid_step": h, "replications": 10, "w1_bound": 10.0, **extra,
             })
             check_fails(tmp_path, [kind, "--config", bad], "PARAM_MESH")
 
     # a horizon that is not > 0, NaN included, is a parameter error
     kinds = ((["simulate"], sim_cfg(csv_paths=0)),
-             (["sde"], {"kind": "sde", "alpha": 1.5, "beta": 0.5, "n_list": [20],
-                        "replications": 10, "w1_bound": 10.0}),
-             (["sdde"], {"kind": "sdde", "alpha": 1.5, "n_list": [20],
+             (["sde"], {"kind": "sde", "process": {"innovation": {"alpha": 1.5}, "waiting": {"beta": 0.5}},
+                        "n_list": [20], "replications": 10, "w1_bound": 10.0}),
+             (["sdde"], {"kind": "sdde", "process": {"innovation": {"alpha": 1.5}}, "n_list": [20],
                          "replications": 10, "w1_bound": 10.0}))
     for cmd, cfg in kinds:
         for i, T in enumerate((0.0, -1.0, math.nan)):
@@ -700,8 +699,8 @@ def test_numeric_config_values_given_as_strings(tmp_path):
         "gdca": {"process": proc, "n_list": [20]},
         "integrals": {"process": proc, "n_list": [20],
                       "integrand": {"type": "follower"}},
-        "sde": {"alpha": 1.5, "beta": 0.5, "n_list": [20]},
-        "sdde": {"alpha": 1.5, "n_list": [20]},
+        "sde": {"process": {"innovation": {"alpha": 1.5}, "waiting": {"beta": 0.5}}, "n_list": [20]},
+        "sdde": {"process": {"innovation": {"alpha": 1.5}}, "n_list": [20]},
         "metrics": {"breakpoints": 4, "witness_n": [8]},
     }
     cases = [
@@ -721,10 +720,14 @@ def test_numeric_config_values_given_as_strings(tmp_path):
         ("integrals", {"upsilon": {"eps_list": ["0.5"]}}),
         ("integrals", {"upsilon": {"pieces": "8"}}),
         ("integrals", {"upsilon": {"replications": [4]}}),
-        ("sde", {"alpha": "1.5"}), ("sde", {"beta": "0.5"}), ("sde", {"grid_step": "0.01"}),
+        ("sde", {"process": {"innovation": {"alpha": "1.5"}, "waiting": {"beta": 0.5}}}),
+        ("sde", {"process": {"innovation": {"alpha": 1.5}, "waiting": {"beta": "0.5"}}}),
+        ("sde", {"grid_step": "0.01"}),
         ("sde", {"x0": "0"}), ("sde", {"growth": [1.0, "10", 0.5]}), ("sde", {"w1_bound": "0.1"}),
-        ("sdde", {"alpha": "1.5"}), ("sdde", {"delay": "0.5"}), ("sdde", {"eta": "0"}),
-        ("sdde", {"coefficients": ["1", 0.5]}), ("sdde", {"grid_step": "0.01"}),
+        ("sdde", {"process": {"innovation": {"alpha": "1.5"}}}), ("sdde", {"delay": "0.5"}),
+        ("sdde", {"eta": "0"}),
+        ("sdde", {"process": {"innovation": {"alpha": 1.5}, "coefficients": ["1", 0.5]}}),
+        ("sdde", {"grid_step": "0.01"}),
         ("sdde", {"w1_bound": "0.1"}),
         ("metrics", {"breakpoints": "4"}), ("metrics", {"witness_n": ["8"]}),
         # a fraction where a whole number is due was cut to its integer part
@@ -736,6 +739,85 @@ def test_numeric_config_values_given_as_strings(tmp_path):
         with pytest.raises(ParameterError) as err:
             run_scenario(cfg, out=tmp_path / f"r{i}.json")
         assert err.value.tag == "PARAM" and "number" in str(err.value), (kind, over, err.value)
+
+
+MOVING_AVERAGE = {"innovation": {"alpha": 1.5, "mode": "centered"}, "coefficients": [1.0, 0.5]}
+
+# a config of each kind that takes a driver block, without that block: the
+# subcommand, the config and the block's key
+DRIVERLESS = (
+    (["simulate"], {"kind": "simulate", "n": 20, "csv_paths": 0}, "process"),
+    (["simulate"], {"kind": "attraction", "target": "stable", "n_list": [20]}, "innovation"),
+    (["simulate"], {"kind": "attraction", "target": "counting", "n_list": [20]}, "waiting"),
+    (["simulate"], {"kind": "attraction", "target": "ctrw", "n_list": [20]}, "process"),
+    (["diagnose", "gd"], {"kind": "gd", "n_list": [20]}, "process"),
+    (["diagnose", "gdca"], {"kind": "gdca", "n_list": [20]}, "process"),
+    (["diagnose", "gdci"], {"kind": "gdci", "n_list": [20]}, "process"),
+    (["integrals"], {"kind": "integrals", "n_list": [20]}, "process"),
+    (["adversarial"], {"kind": "adversarial", "n_list": [20]}, "process"),
+    (["sde"], {"kind": "sde", "n_list": [20]}, "process"),
+    (["sdde"], {"kind": "sdde", "n_list": [20]}, "process"),
+)
+
+
+def test_a_missing_driver_block_is_a_config_error(tmp_path, monkeypatch):
+    # a config with no process block printed "INTERNAL: 'process'" and
+    # exited 3, and so did attraction's stable target with no innovation;
+    # its counting target with "waiting": null met an AttributeError
+    for i, (cmd, cfg, key) in enumerate(DRIVERLESS):
+        r = run_cli([*cmd, "--config", write_cfg(tmp_path, f"d{i}.json", {**cfg, "replications": 10})], tmp_path)
+        assert r.returncode == 2, (cfg, r.stderr)
+        assert r.stderr.startswith("PARAM_CONFIG:") and key in r.stderr, (cfg, r.stderr)
+    monkeypatch.setattr(SeedSpec, "generator", no_draws)
+    for i, (_, cfg, key) in enumerate(DRIVERLESS):
+        with pytest.raises(ParameterError) as err:
+            run_scenario({**cfg, key: None, "replications": 10}, out=tmp_path / f"n{i}.json")
+        assert err.value.tag == "PARAM_CONFIG" and key in str(err.value), (cfg, err.value)
+
+
+def test_equation_kinds_check_their_driver_before_any_draw(tmp_path, monkeypatch):
+    # an sde on a moving average met an AttributeError at its limit law, and
+    # an sdde on a CTRW could draw its whole limit before the delay kernel
+    # refused the walk
+    monkeypatch.setattr(SeedSpec, "generator", no_draws)
+    for kind, proc in (("sde", MOVING_AVERAGE), ("sdde", WALK)):
+        cfg = {"kind": kind, "process": proc, "n_list": [20], "replications": 10}
+        with pytest.raises(ParameterError) as err:
+            run_scenario(cfg, out=tmp_path / f"{kind}.json")
+        assert err.value.tag == "PARAM_WAITING", (kind, err.value)
+
+
+def test_attraction_takes_only_its_targets_driver(tmp_path, monkeypatch):
+    # another target's driver block passed the key check and was ignored
+    monkeypatch.setattr(SeedSpec, "generator", no_draws)
+    blocks = {"innovation": WALK["innovation"], "waiting": WALK["waiting"], "process": WALK}
+    for target, key in (("stable", "innovation"), ("counting", "waiting"), ("ctrw", "process")):
+        for other in sorted(set(blocks) - {key}):
+            cfg = {"kind": "attraction", "target": target, "n_list": [20], "replications": 10,
+                   key: blocks[key], other: blocks[other]}
+            with pytest.raises(ParameterError) as err:
+                run_scenario(cfg, out=tmp_path / "r.json")
+            assert err.value.tag == "PARAM_UNKNOWN_KEY" and other in str(err.value), (target, other)
+
+
+def test_flat_driver_keys_and_coupling_are_unknown(tmp_path, monkeypatch):
+    # sde and sdde read their driver from the process block that every other
+    # kind reads, and the magnitude-coupled walk is gone
+    monkeypatch.setattr(SeedSpec, "generator", no_draws)
+    equations = {"sde": {"process": WALK}, "sdde": {"process": MOVING_AVERAGE}}
+    for kind, cfg in equations.items():
+        for key, value in (("alpha", 1.5), ("beta", 0.5), ("mode", "centered"), ("coefficients", [1.0, 0.5])):
+            with pytest.raises(ParameterError) as err:
+                run_scenario({"kind": kind, "n_list": [20], "replications": 10, **cfg, key: value},
+                             out=tmp_path / "r.json")
+            assert err.value.tag == "PARAM_UNKNOWN_KEY" and key in str(err.value), (kind, key)
+    coupled = {**WALK, "coupling": "magnitude-coupled"}
+    for _, cfg, key in DRIVERLESS:
+        if key != "process":
+            continue
+        with pytest.raises(ParameterError) as err:
+            run_scenario({**cfg, "process": coupled, "replications": 10}, out=tmp_path / "r.json")
+        assert err.value.tag == "PARAM_UNKNOWN_KEY" and "coupling" in str(err.value), cfg
 
 
 def test_gdci_report_reads_no_random_stream(tmp_path, monkeypatch):

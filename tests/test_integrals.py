@@ -133,14 +133,12 @@ def test_follower_vectorised_matches_streams():
 
 def _follower_configs(n):
     """An uncorrelated CTRW, a correlated one with a past shorter than its
-    filter, a magnitude-coupled walk and a moving average."""
+    filter, one with a past longer than its filter and a moving average."""
     yield ProcessConfig(InnovationLaw(1.5, "symmetric"), WaitingLaw(0.8), n=n)
     yield ProcessConfig(
         InnovationLaw(1.5, "centered"), WaitingLaw(0.6), coefficients=(1.0, 0.5, 0.25), past_horizon=1, n=n
     )
-    yield ProcessConfig(
-        InnovationLaw(1.2, "centered"), WaitingLaw(0.6), past_horizon=2, n=n, coupling="magnitude-coupled"
-    )
+    yield ProcessConfig(InnovationLaw(1.2, "centered"), WaitingLaw(0.6), past_horizon=2, n=n)
     yield ProcessConfig(InnovationLaw(1.0, "symmetric"), coefficients=(1.0, 0.5), n=n)
 
 

@@ -91,18 +91,12 @@ def test_config_validation():
         ProcessConfig(law, coefficients=(1.0, -0.5))
     with pytest.raises(ParameterError):
         ProcessConfig(law, n=0)
-    with pytest.raises(ParameterError):
-        ProcessConfig(law, coupling="weird")
-    with pytest.raises(ParameterError):
-        ProcessConfig(law, waiting=WaitingLaw(0.8), coefficients=(1.0, 0.5), coupling="magnitude-coupled")
-    with pytest.raises(ParameterError):
-        ProcessConfig(law, coupling="magnitude-coupled")  # no waiting law
-    with pytest.raises(ParameterError):
-        ProcessConfig(
-            InnovationLaw(2.0, "gaussian"),
-            waiting=WaitingLaw(0.8),
-            coupling="magnitude-coupled",
-        )
+    # a walk's waits never depend on its innovations: there is no coupling
+    for kw in ({"coupling": "weird"}, {"coupling": "magnitude-coupled"},
+               {"waiting": WaitingLaw(0.8), "coupling": "magnitude-coupled"},
+               {"waiting": WaitingLaw(0.8), "coupling": "uncoupled"}):
+        with pytest.raises(TypeError):
+            ProcessConfig(law, **kw)
 
 
 def test_moving_average_hand_example():
@@ -186,7 +180,7 @@ def test_reconstruction_exact():
         ProcessConfig(law, n=50),
         ProcessConfig(law, coefficients=(1.0, 0.5, 0.25), n=31),
         ProcessConfig(law, waiting=WaitingLaw(0.8), coefficients=(1.0, 0.5), n=40),
-        ProcessConfig(law, waiting=WaitingLaw(0.6), coupling="magnitude-coupled", n=25),
+        ProcessConfig(law, waiting=WaitingLaw(0.6), past_horizon=2, n=25),
     ]
     for cfg in configs:
         gen = gen_moving_average if cfg.waiting is None else gen_ctrw
@@ -201,20 +195,6 @@ def test_reconstruction_exact():
         # the stored values are the running sum of the scaled filter output
         want = np.concatenate([[0.0], np.cumsum(cfg.prefactor * zeta)])
         assert np.array_equal(b.x.values, want)
-
-
-def test_coupled_waits_follow_innovations():
-    cfg = ProcessConfig(
-        InnovationLaw(1.5, "symmetric"),
-        waiting=WaitingLaw(0.8),
-        coupling="magnitude-coupled",
-        n=30,
-    )
-    b = gen_ctrw(cfg, 1.0, SeedSpec(7))
-    theta = b.innovations[b.past + 1 :]
-    want = np.maximum(1.0, np.abs(theta[: b.waits.size]) ** (1.5 / 0.8))
-    assert np.array_equal(b.waits, want)
-    assert b.waits.min() >= 1.0
 
 
 def assert_same_bundle(got, want, edge=False):
@@ -263,41 +243,6 @@ def test_per_path_generators_match_their_own_loops():
         want = _brute.gen_counting(WaitingLaw(beta), 200, 1.5, SeedSpec(650 + k))
         for a, b in zip(got, want):
             assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
-
-
-def test_coupled_per_path_generator_matches_its_own_loop():
-    # coupled waits are >= 1 each, so with nT below the first draw's
-    # _wait_round_widths columns that draw covers nT, and the streams agree
-    for i, (alpha, mode, beta, n, past) in enumerate(
-        ((1.5, "symmetric", 0.8, 30, None), (1.2, "centered", 0.6, 63, 2), (0.7, "raw", 0.5, 10, 1))
-    ):
-        cfg = ProcessConfig(
-            InnovationLaw(alpha, mode), WaitingLaw(beta), past_horizon=past, n=n, coupling="magnitude-coupled"
-        )
-        assert n < _wait_round_widths(cfg.waiting, n)[0]
-        for s in range(3):
-            seed = SeedSpec(660 + i, stream=s)
-            assert_same_bundle(gen_ctrw(cfg, 1.0, seed), _brute.gen_ctrw(cfg, 1.0, seed))
-
-
-def test_coupled_block_draws_about_its_renewals():
-    # the coupled waits of symmetric innovations are exactly Pareto(beta),
-    # so the renewal-function width covers most rows in its first draw
-    law = InnovationLaw(1.5, "symmetric")
-    drawn = []
-
-    def draw(gen, size):
-        drawn.append(size)
-        return draw_innovation(law, gen, size)
-
-    counted = SimpleNamespace(alpha=law.alpha, mode=law.mode, scale=law.scale, draw=draw)
-    rbs = []
-    for inn in (law, counted):
-        cfg = ProcessConfig(inn, WaitingLaw(0.8), n=10**4, coupling="magnitude-coupled")
-        rbs.append(next(iter_ctrw_chunks(cfg, 1.0, BLOCK, SeedSpec(3), False)))
-    assert np.array_equal(rbs[0]["theta"], rbs[1]["theta"])
-    # measured 1006 columns per row against a mean count of 423
-    assert sum(drawn) / BLOCK <= 3.0 * rbs[1]["counts"].mean()
 
 
 @pytest.mark.parametrize("bad", [-0.2, 0.0, math.nan])
