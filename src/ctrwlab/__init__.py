@@ -39,6 +39,7 @@ from .processes import (
     gen_moving_average,
     gen_subordinator_inverse,
     gen_time_changed_levy,
+    limit_laws,
 )
 from .stats import (
     DiagnosticReport,
@@ -116,6 +117,7 @@ __all__ = [
     "gen_time_changed_levy",
     "jump_stats",
     "ks_two_sample",
+    "limit_laws",
     "load_config",
     "m1_modulus",
     "main",

@@ -41,6 +41,7 @@ from .processes import (
     ProcessConfig,
     gen_ctrw,
     gen_moving_average,
+    limit_laws,
     terminal_counting_samples,
     terminal_inverse_subordinator_samples,
     terminal_samples,
@@ -49,15 +50,15 @@ from .processes import (
 from .rng import (
     InnovationLaw,
     SeedSpec,
-    StableParams,
     WaitingLaw,
     attractor_params,
     draw_stable,
-    wait_attractor_scale,
 )
 from .sde import (
     SddeSpec,
     SdeSpec,
+    _limit_lag,
+    _walk_lag,
     s_limit_terminal_samples,
     sdd_limit_terminal_samples,
     sddn_terminal_samples,
@@ -248,19 +249,17 @@ def _run_attraction(cfg, seed, reps, T, out_dir):
         sample = lambda n, s: terminal_samples(ProcessConfig(innovation=law, n=n), T, reps, s)
     elif target == "counting":
         wait = _build_waiting(block)
-        ref = lambda s: terminal_inverse_subordinator_samples(
-            wait.beta, T, reps, s, increment_scale=wait_attractor_scale(wait.beta, wait.scale)
-        )
+        # the counter's limit is the D^(-1) of any walk on these waits; the
+        # innovation law is a placeholder
+        d_law = limit_laws(ProcessConfig(InnovationLaw(2.0, "gaussian"), wait))[1]
+        ref = lambda s: terminal_inverse_subordinator_samples(d_law, T, reps, s)
         sample = lambda n, s: terminal_counting_samples(wait, n, T, reps, s)
     else:
         proc0 = _build_process(block, ns[0])
         if proc0.waiting is None:
             raise ParameterError("ctrw target needs a waiting law", tag="PARAM_CONFIG")
-        ref = lambda s: terminal_time_changed_samples(
-            proc0.innovation.alpha, proc0.waiting.beta, T, reps, s,
-            z_params=_limit_z_params(proc0),
-            increment_scale=wait_attractor_scale(proc0.waiting.beta, proc0.waiting.scale),
-        )
+        z_law, d_law = limit_laws(proc0)
+        ref = lambda s: terminal_time_changed_samples(z_law, d_law, T, reps, s)
         sample = lambda n, s: terminal_samples(_build_process(block, n), T, reps, s)
 
     _ladder(rep, seed, ns, sample, ref, "ks", bound, reps)
@@ -358,12 +357,6 @@ def _run_gdci(cfg, seed, reps, T, out_dir):
     return rep
 
 
-def _limit_z_params(proc):
-    """Attractor of one filtered innovation, scaled by the coefficient sum."""
-    p = attractor_params(proc.innovation)
-    return StableParams(p.alpha, p.skew, p.scale * proc.psi)
-
-
 def _run_integrals(cfg, seed, reps, T, out_dir):
     _check_keys(
         cfg,
@@ -372,6 +365,10 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
     )
     block = _driver(cfg, "process")
     ns = _n_list(cfg)
+    proc0 = _build_process(block, ns[0])
+    z_law, d_law = limit_laws(proc0)
+    if d_law is None:
+        raise ParameterError("integrals needs a process with a waiting law", tag="PARAM_WAITING")
     grid_step = _number(cfg.get("grid_step", 2.0**-12), "grid_step")
     bound = _number(cfg.get("ks_bound", 0.05), "ks_bound")
     spec = cfg.get("integrand", {"type": "deterministic", "expr": "tanh(t)"})
@@ -387,28 +384,20 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
         if ureps < 1:
             raise ParameterError(f"upsilon replications must be >= 1, got {ureps!r}")
     rep = DiagnosticReport("integrals", cfg, seed.seed)
-    proc0 = _build_process(block, ns[0])
-    alpha = proc0.innovation.alpha
-    beta = proc0.beta_eff
-    zp = _limit_z_params(proc0)
 
     if kind == "deterministic":
         fn = make_expr(spec.get("expr", "tanh(t)"), ("t",))
         sample = lambda p, s: deterministic_integral_samples(p, T, reps, s, fn)
-        limit = lambda s: tc_grid_integral_samples(
-            alpha, beta, T, reps, s, grid_step=grid_step, fn=fn, z_params=zp
-        )
+        limit = lambda s: tc_grid_integral_samples(z_law, d_law, T, reps, s, grid_step=grid_step, fn=fn)
     elif kind == "follower":
         base = make_expr(spec.get("expr", "tanh(x)"), ("x",))
         C = _number(spec.get("slope", 1.0), "slope")
-        gamma = _number(spec.get("gamma", 0.5 * beta / alpha), "gamma")
+        gamma = _number(spec.get("gamma", 0.5 * proc0.waiting.beta / proc0.innovation.alpha), "gamma")
         # a bad slope fails before the limit law is drawn
         _follower_slope(C, gamma, max(ns))
         _scalar(rep, "gamma", gamma, reps)
         sample = lambda p, s: follower_integral_samples(p, T, reps, s, base=base, C=C, gamma=gamma)
-        limit = lambda s: tc_grid_integral_samples(
-            alpha, beta, T, reps, s, grid_step=grid_step, base=base, z_params=zp
-        )
+        limit = lambda s: tc_grid_integral_samples(z_law, d_law, T, reps, s, grid_step=grid_step, base=base)
     else:
         raise ParameterError(f"unknown integrand type {kind!r}", tag="PARAM_CONFIG")
 
@@ -441,10 +430,10 @@ def _run_adversarial(cfg, seed, reps, T, out_dir):
     return rep
 
 
-def _sde_samplers(cfg, proc, T, reps, h):
+def _sde_samplers(cfg, proc, ns, T, reps, h):
     """The sde kind's (walk, limit) terminal samplers: the walk-driven scheme
     of dX = b dt + mu dD + sigma dZ on a CTRW of proc's laws, and its limit
-    scheme driven by the CTRW's limit, as for attraction's ctrw target."""
+    scheme driven by the CTRW's limit laws (limit_laws)."""
     if proc.waiting is None:
         raise ParameterError("sde needs a process with a waiting law", tag="PARAM_WAITING")
     g = _numbers(cfg.get("growth", [1.0, 10.0, 0.5]), "growth")
@@ -457,20 +446,18 @@ def _sde_samplers(cfg, proc, T, reps, h):
         x0=_number(cfg.get("x0", 0.0), "x0"),
         growth=tuple(g),
     )
-    wait = proc.waiting
+    z_law, d_law = limit_laws(proc)
     walk = lambda p, s: sn_terminal_samples(spec, p, T, reps, s, drift_mesh=h)
-    limit = lambda s: s_limit_terminal_samples(
-        spec, proc.innovation.alpha, wait.beta, T, reps, s, grid_step=h,
-        z_params=_limit_z_params(proc), increment_scale=wait_attractor_scale(wait.beta, wait.scale),
-    )
+    limit = lambda s: s_limit_terminal_samples(spec, z_law, d_law, T, reps, s, grid_step=h)
     return walk, limit
 
 
-def _sdde_samplers(cfg, proc, T, reps, h):
+def _sdde_samplers(cfg, proc, ns, T, reps, h):
     """The sdde kind's (walk, limit) terminal samplers: the delay scheme on
     a moving average of proc's laws and its limit scheme. The scheme divides
     sigma by the coefficient sum, so the limit is driven by the attractor of
-    one innovation."""
+    one innovation. The lags of the limit grid and of the walk at every n
+    in ns are checked here, before any draw."""
     if proc.waiting is not None:
         raise ParameterError("sdde needs a process with no waiting law", tag="PARAM_WAITING")
     r = _number(cfg.get("delay", 0.5), "delay")
@@ -481,11 +468,11 @@ def _sdde_samplers(cfg, proc, T, reps, h):
         r=r,
         eta=StepPath([-r], [eta0], 0.0, origin=-r),
     )
+    _limit_lag(spec, h)
+    for n in ns:
+        _walk_lag(spec, n)
     walk = lambda p, s: sddn_terminal_samples(spec, p, T, reps, s)
-    limit = lambda s: sdd_limit_terminal_samples(
-        spec, proc.innovation.alpha, T, reps, s,
-        grid_step=h, z_params=attractor_params(proc.innovation),
-    )
+    limit = lambda s: sdd_limit_terminal_samples(spec, attractor_params(proc.innovation), T, reps, s, grid_step=h)
     return walk, limit
 
 
@@ -507,8 +494,10 @@ def _run_equation(cfg, seed, reps, T, out_dir):
     block = _driver(cfg, "process")
     ns = _n_list(cfg)
     h = _number(cfg.get("grid_step", 2.0**-10), "grid_step")
+    if not h > 0:
+        raise ParameterError("grid step must be > 0", tag="PARAM_MESH")
     bound = _number(cfg.get("w1_bound", 0.05), "w1_bound")
-    walk, limit = samplers(cfg, _build_process(block, ns[0]), T, reps, h)
+    walk, limit = samplers(cfg, _build_process(block, ns[0]), ns, T, reps, h)
     rep = DiagnosticReport(kind, cfg, seed.seed)
     _ladder(rep, seed, ns, lambda n, s: walk(_build_process(block, n), s), limit, "w1", bound, reps)
     return rep

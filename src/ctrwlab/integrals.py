@@ -21,13 +21,12 @@ from .processes import (
     LIMIT_BLOCK,
     WAIT_LANE,
     _block_zeta,
-    _d_law,
     _first_passage,
     _inverse_at,
     _live_slots,
     _row_cumsum,
     _step_law,
-    _z_law,
+    _subordinator,
     iter_ctrw_chunks,
 )
 from .rng import draw_stable
@@ -387,25 +386,13 @@ def adversarial_experiment(config, n_list, replications, seed, T=1.0):
     return report
 
 
-def tc_grid_integral_samples(
-    alpha,
-    beta,
-    T,
-    reps,
-    seed,
-    grid_step=2.0**-12,
-    fn=None,
-    base=None,
-    z_params=None,
-    increment_scale=None,
-    mode="symmetric",
-):
-    """Terminal left-point integrals against the time-changed stable path,
-    summed in operational time.
+def tc_grid_integral_samples(z_law, d_law, T, reps, seed, grid_step=2.0**-12, fn=None, base=None):
+    """Terminal left-point integrals against the time-changed stable path
+    W = Z(E), E the inverse of D, summed in operational time.
 
     fn: integrand f(t) of time; base: integrand g(W_{t-}) of the path itself.
-    Exactly one must be given. Defaults for the driving laws match
-    gen_time_changed_levy.
+    Exactly one must be given. z_law and d_law are the unit-time laws of Z
+    and D, as limit_laws gives them for a walk.
 
     By Kobayashi's duality (J. Theoret. Probab. 24, 2011) the integral of
     H_{t-} against W = Z(E) up to T equals the integral of H_{D_{s-}} against
@@ -422,8 +409,7 @@ def tc_grid_integral_samples(
         raise ParameterError("grid step must be > 0", tag="PARAM_MESH")
     if not T > 0:
         raise ParameterError("horizon must be > 0")
-    z_law = _z_law(alpha, z_params, mode)
-    d_law = _d_law(beta, increment_scale)
+    d_law = _subordinator(d_law)
     z_step = _step_law(z_law, h)
     out = np.empty(reps)
     for start in range(0, reps, LIMIT_BLOCK):

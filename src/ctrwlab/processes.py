@@ -256,22 +256,27 @@ def _step_law(law, h):
     return StableParams(law.alpha, law.skew, law.scale * h ** (1.0 / law.alpha))
 
 
-def _z_law(alpha, z_params, mode):
-    """Unit-time law of the outer process Z; defaults to the stable attractor
-    of the package's Pareto(alpha) innovations (gaussian at alpha = 2)."""
-    if z_params is None:
-        return attractor_params(InnovationLaw(alpha, "gaussian" if alpha == 2.0 else mode))
-    return z_params
+def limit_laws(config):
+    """(z_law, d_law): the unit-time laws of the limit Z_{D^(-1)_t} of the
+    walk of a ProcessConfig (Meerschaert & Scheffler, J. Appl. Probab. 41,
+    2004). z_law is the stable attractor of one innovation with its scale
+    times the coefficient sum psi; d_law is the attractor of the waits, a
+    beta-stable subordinator of scale wait_attractor_scale(beta, scale), or
+    None for a moving average, whose limit is Z itself."""
+    p = attractor_params(config.innovation)
+    z_law = StableParams(p.alpha, p.skew, p.scale * config.psi)
+    w = config.waiting
+    if w is None:
+        return z_law, None
+    return z_law, StableParams(w.beta, 1.0, wait_attractor_scale(w.beta, getattr(w, "scale", 1.0)))
 
 
-def _d_law(beta, increment_scale):
-    """Unit-time law of the beta-stable subordinator D; defaults to the
-    attractor of the package's Pareto(beta) waits."""
-    if not (0.0 < beta < 1.0):
-        raise ParameterError("beta must lie in (0, 1)", tag="PARAM_BETA_RANGE")
-    if increment_scale is None:
-        increment_scale = wait_attractor_scale(beta)
-    return StableParams(beta, 1.0, increment_scale)
+def _subordinator(d_law):
+    """d_law, checked to be the unit-time law of a stable subordinator:
+    index in (0, 1) and skew 1."""
+    if not (0.0 < d_law.alpha < 1.0 and d_law.skew == 1.0):
+        raise ParameterError("a subordinator law needs beta in (0, 1) and skew 1", tag="PARAM_BETA_RANGE")
+    return d_law
 
 
 def _rounds(draw, m, first, later, T):
@@ -365,18 +370,19 @@ def _t_nodes(T, h):
     return np.arange(int(math.floor(T / h + 1e-9)) + 1) * h
 
 
-def gen_subordinator_inverse(beta, T, grid_step, seed, increment_scale=1.0):
-    """(D, D_inv): a beta-stable subordinator on an s-grid and its exact
-    generalised inverse D_inv_t = inf{s: D_s > t} on the t-grid.
+def gen_subordinator_inverse(d_law, T, grid_step, seed):
+    """(D, D_inv): the stable subordinator of unit-time law d_law on an
+    s-grid and its exact generalised inverse D_inv_t = inf{s: D_s > t} on
+    the t-grid.
 
-    increment_scale=1 gives the standard subordinator (Laplace transform
-    exp(-t * lambda^beta)); pass wait_attractor_scale(beta) to get the limit
+    StableParams(beta, 1.0, 1.0) gives the standard subordinator (Laplace
+    transform exp(-t * lambda^beta)); the d_law of limit_laws is the limit
     of the package's Pareto renewal counter.
     """
     if not (grid_step > 0 and T > 0):
         raise ParameterError("grid step and horizon must be > 0")
     h = float(grid_step)
-    d_inc = _step_law(_d_law(beta, increment_scale), h)
+    d_inc = _step_law(_subordinator(d_law), h)
     D = _first_passage(d_inc, T, 1, seed.generator(WAIT_LANE))[0]
     d_vals = np.concatenate([[0.0], D[: int(np.searchsorted(D, T, side="right")) + 1]])
     d = GridPath(d_vals, h, interp="const")
@@ -385,23 +391,16 @@ def gen_subordinator_inverse(beta, T, grid_step, seed, increment_scale=1.0):
     return d, d_inv
 
 
-def gen_time_changed_levy(
-    alpha, beta, T, grid_step, seed, z_params=None, increment_scale=None, mode="symmetric"
-):
-    """Z_{D^(-1)_t} on the t-grid, Z and D independent.
-
-    Defaults are matched to this package's Pareto laws: Z defaults to the
-    stable attractor of the symmetric Pareto(alpha) innovations (gaussian at
-    alpha = 2) and D to the attractor of Pareto(beta) waits, so the output is
-    the weak limit of gen_ctrw with c=(1,) up to the factor sum(c_j).
+def gen_time_changed_levy(z_law, d_law, T, grid_step, seed):
+    """Z_{D^(-1)_t} on the t-grid, Z and D independent, with unit-time laws
+    z_law and d_law. With the laws of limit_laws(config) it is the weak
+    limit of gen_ctrw(config) as n grows.
     """
     if not (grid_step > 0 and T > 0):
         raise ParameterError("grid step and horizon must be > 0")
-    z_law = _z_law(alpha, z_params, mode)
-    d_law = _d_law(beta, increment_scale)
     h = float(grid_step)
     counts, zcum = _time_changed_block(
-        d_law, z_law, T, h, 1, seed.generator(WAIT_LANE),
+        _subordinator(d_law), z_law, T, h, 1, seed.generator(WAIT_LANE),
         seed.generator(INNOVATION_LANE), _t_nodes(T, h),
     )
     idx = counts[0] + 1
@@ -659,25 +658,23 @@ def terminal_counting_samples(waiting, n, T, reps, seed):
     return out
 
 
-def terminal_time_changed_samples(
-    alpha, beta, T, reps, seed, z_params=None, increment_scale=None, mode="symmetric"
-):
+def terminal_time_changed_samples(z_law, d_law, T, reps, seed):
     """Exact Z_{D^(-1)_T} samples: E^(1/alpha) Z_1 with E drawn as in
     terminal_inverse_subordinator_samples and Z_1, independent of it, on the
     innovation lane (self-similarity of the strictly stable Z; any shift of
-    z_params is dropped). Defaults as in gen_time_changed_levy.
+    z_law is dropped). z_law and d_law are the unit-time laws of Z and D.
     """
-    z_law = _step_law(_z_law(alpha, z_params, mode), 1.0)
-    e = terminal_inverse_subordinator_samples(beta, T, reps, seed, increment_scale)
+    z_law = _step_law(z_law, 1.0)
+    e = terminal_inverse_subordinator_samples(d_law, T, reps, seed)
     return e ** (1.0 / z_law.alpha) * draw_stable(z_law, seed.generator(INNOVATION_LANE), reps)
 
 
-def terminal_inverse_subordinator_samples(beta, T, reps, seed, increment_scale=None):
+def terminal_inverse_subordinator_samples(d_law, T, reps, seed):
     """Exact D^(-1)_T samples: (T / D_1)^beta, since D_s =d s^(1/beta) D_1
     gives P(D^(-1)_T <= s) = P(D_s >= T) (Meerschaert & Scheffler, J. Appl.
-    Probab. 41, 2004). One D_1 per replication on the wait lane; defaults as
-    in gen_time_changed_levy.
+    Probab. 41, 2004). One D_1 of the subordinator law d_law per replication
+    on the wait lane.
     """
     if not T > 0:
         raise ParameterError("horizon must be > 0")
-    return _inverse_at(_d_law(beta, increment_scale), T, seed.generator(WAIT_LANE), reps)
+    return _inverse_at(_subordinator(d_law), T, seed.generator(WAIT_LANE), reps)

@@ -24,12 +24,11 @@ from .processes import (
     LIMIT_BLOCK,
     WAIT_LANE,
     _block_zeta,
-    _d_law,
     _live_slots,
     _step_law,
+    _subordinator,
     _t_nodes,
     _time_changed_block,
-    _z_law,
     iter_ctrw_chunks,
 )
 from .rng import draw_stable
@@ -296,6 +295,23 @@ def _sdd_steps(spec, x, per, t_drift, t_jump, head_drift, head_jump, c=1.0):
     return x
 
 
+def _whole_lag(nr, message, tag):
+    """The delay lag nr in steps, which must be a whole number up to 1e-9."""
+    if abs(nr - round(nr)) > 1e-9:
+        raise ParameterError(message, tag=tag)
+    return int(round(nr))
+
+
+def _walk_lag(spec, n):
+    """The walk delay scheme's lag n r, in jumps at k/n."""
+    return _whole_lag(spec.r * n, "n * r must be an integer for the delay scheme", "PARAM_DELAY")
+
+
+def _limit_lag(spec, h):
+    """The limit delay scheme's lag r / h, in grid steps of h > 0."""
+    return _whole_lag(spec.r / h, "grid step must divide the delay", "PARAM_MESH")
+
+
 def _walk_sdd_kernel(spec, config):
     """The delay scheme driven by a moving average: a function of a
     (K + 1, m) x whose rows 1..K hold the jumps at k/n, which steps it by
@@ -310,10 +326,7 @@ def _walk_sdd_kernel(spec, config):
     if config.waiting is not None:
         raise ParameterError("delay scheme ensembles need a moving-average driver", tag="PARAM_WAITING")
     n = config.n
-    nr = spec.r * n
-    if abs(nr - round(nr)) > 1e-9:
-        raise ParameterError("n * r must be an integer for the delay scheme", tag="PARAM_DELAY")
-    eta, k = spec.eta, np.arange(int(round(nr)))
+    eta, k = spec.eta, np.arange(_walk_lag(spec, n))
     head_drift = eta.value(k / n + 0.5 / n - spec.r).tolist()
     tau = np.minimum((k + 1) / n - spec.r, 0.0)
     tau -= 1e-12 * np.maximum(1.0, np.abs(tau))
@@ -343,10 +356,7 @@ def solve_sddn(spec, bundle, T=None):
 def _limit_reads(spec, h, K):
     """The limit scheme's step times k h, k < K, and initial-segment reads;
     the grid step must divide the delay so delayed reads land on nodes."""
-    nr = spec.r / h
-    if abs(nr - round(nr)) > 1e-9:
-        raise ParameterError("grid step must divide the delay", tag="PARAM_MESH")
-    head = (np.arange(int(round(nr))) * h).tolist()
+    head = (np.arange(_limit_lag(spec, h)) * h).tolist()
     return np.arange(K) * h, [float(spec.eta.value(t - spec.r)) for t in head]
 
 
@@ -392,22 +402,10 @@ def sn_terminal_samples(spec, config, T, reps, seed, drift_mesh=2.0**-10):
     return out
 
 
-def s_limit_terminal_samples(
-    spec,
-    alpha,
-    beta,
-    T,
-    reps,
-    seed,
-    grid_step=2.0**-10,
-    z_params=None,
-    increment_scale=None,
-    mode="symmetric",
-):
-    """Terminal values of the limit scheme, driving laws defaulted to the
-    attractors matching the package walks."""
-    z_law = _z_law(alpha, z_params, mode)
-    d_law = _d_law(beta, increment_scale)
+def s_limit_terminal_samples(spec, z_law, d_law, T, reps, seed, grid_step=2.0**-10):
+    """Terminal values of the limit scheme, driven by Z and the inverse of
+    D with unit-time laws z_law and d_law (limit_laws of the walk)."""
+    d_law = _subordinator(d_law)
     h = float(grid_step)
     if not h > 0:
         raise ParameterError("grid step must be > 0", tag="PARAM_MESH")
@@ -456,17 +454,15 @@ def sddn_terminal_samples(spec, config, T, reps, seed):
     return out
 
 
-def sdd_limit_terminal_samples(
-    spec, alpha, T, reps, seed, grid_step=2.0**-10, z_params=None, mode="centered"
-):
-    """Terminal values of the limit delay scheme, driver defaulted to the
-    attractor of a single innovation."""
+def sdd_limit_terminal_samples(spec, z_law, T, reps, seed, grid_step=2.0**-10):
+    """Terminal values of the limit delay scheme driven by a stable Z of
+    unit-time law z_law."""
     h = float(grid_step)
     if not h > 0:
         raise ParameterError("grid step must be > 0", tag="PARAM_MESH")
     if not T > 0:
         raise ParameterError("horizon must be > 0")
-    inc_params = _step_law(_z_law(alpha, z_params, mode), h)
+    inc_params = _step_law(z_law, h)
     nodes = int(math.floor(T / h + 1e-9)) + 1
     t, head = _limit_reads(spec, h, nodes - 1)
     out = np.empty(reps)

@@ -44,7 +44,9 @@ holds four full-size arrays, as rng did before it ran in slices. The scalar
 J1 program and the all-pairs M1 distance are the metrics as they were before
 the J1 program ran on lists and M1 bracketed its answer first. coupled_pair
 is the correlated walk and its coupled limit-scale walk on the same renewals,
-shared by the metric tests and scripts/coupled_distances.py.
+shared by the metric tests and scripts/coupled_distances.py. walk_limit
+gives the limit laws of a CTRW of unit Pareto laws, which the limit
+samplers' tests draw.
 """
 
 import math
@@ -74,7 +76,6 @@ from ctrwlab.processes import (
     WAIT_LANE,
     SimulationBundle,
     _block_zeta,
-    _d_law,
     _draw_innovations,
     _draw_waits,
     _first_passage,
@@ -83,8 +84,8 @@ from ctrwlab.processes import (
     _step_law,
     _t_nodes,
     _wait_round_widths,
-    _z_law,
     iter_ctrw_chunks,
+    limit_laws,
 )
 from ctrwlab.decompositions import _compensator, _tail_sums, default_gdca_gamma
 from ctrwlab.integrals import _cells, _follow, _follower_slope, _partition_continuous, _partition_linear
@@ -464,20 +465,15 @@ def rect_time_changed_block(d_law, z_law, T, h, m, dgen, zgen, nodes):
     return counts, zcum
 
 
-def grid_terminal_time_changed(
-    alpha,
-    beta,
-    T,
-    reps,
-    seed,
-    grid_step=2.0**-12,
-    z_params=None,
-    increment_scale=None,
-    mode="symmetric",
-):
-    """Z_{D^(-1)_T} samples on the grid; defaults as in gen_time_changed_levy."""
-    z_law = _z_law(alpha, z_params, mode)
-    d_law = _d_law(beta, increment_scale)
+def walk_limit(alpha, beta, mode="symmetric"):
+    """limit_laws of a CTRW of unit Pareto(alpha) innovations in `mode` and
+    unit Pareto(beta) waits."""
+    return limit_laws(ProcessConfig(InnovationLaw(alpha, mode), waiting=WaitingLaw(beta)))
+
+
+def grid_terminal_time_changed(z_law, d_law, T, reps, seed, grid_step=2.0**-12):
+    """Z_{D^(-1)_T} samples on the grid, Z and D of unit-time laws z_law and
+    d_law."""
     h = float(grid_step)
     at_T = np.array([float(T)])
     out = np.empty(reps)
@@ -492,12 +488,10 @@ def grid_terminal_time_changed(
     return out
 
 
-def grid_terminal_inverse_subordinator(
-    beta, T, reps, seed, grid_step=2.0**-12, increment_scale=None
-):
-    """D^(-1)_T samples on the grid, defaults as above."""
+def grid_terminal_inverse_subordinator(d_law, T, reps, seed, grid_step=2.0**-12):
+    """D^(-1)_T samples on the grid, D of unit-time law d_law."""
     h = float(grid_step)
-    d_inc = _step_law(_d_law(beta, increment_scale), h)
+    d_inc = _step_law(d_law, h)
     out = np.empty(reps)
     for start in range(0, reps, BLOCK):
         m = min(BLOCK, reps - start)
@@ -507,31 +501,17 @@ def grid_terminal_inverse_subordinator(
     return out
 
 
-def tgrid_integral_samples(
-    alpha,
-    beta,
-    T,
-    reps,
-    seed,
-    grid_step=2.0**-12,
-    fn=None,
-    base=None,
-    z_params=None,
-    increment_scale=None,
-    mode="symmetric",
-):
+def tgrid_integral_samples(z_law, d_law, T, reps, seed, grid_step=2.0**-12, fn=None, base=None):
     """Terminal left-point integrals against the time-changed stable path,
     summed on the t-grid: sum_k H(t_k) (Z(E(t_{k+1})) - Z(E(t_k))) with E the
     grid inverse of the subordinator.
 
     fn: integrand f(t) of time; base: integrand g(W_{t-}) of the path itself.
-    Exactly one must be given. Defaults for the driving laws match
-    gen_time_changed_levy.
+    Exactly one must be given. z_law and d_law are the unit-time laws of Z
+    and D.
     """
     if (fn is None) == (base is None):
         raise ParameterError("pass exactly one of fn (time) or base (state)")
-    z_law = _z_law(alpha, z_params, mode)
-    d_law = _d_law(beta, increment_scale)
     h = float(grid_step)
     nodes = _t_nodes(T, h)
     hv_time = np.asarray(fn(nodes[:-1]), dtype=float) if fn is not None else None
@@ -550,13 +530,9 @@ def tgrid_integral_samples(
     return out
 
 
-def rect_s_limit_terminal_samples(
-    spec, alpha, beta, T, reps, seed, grid_step=2.0**-10, z_params=None, increment_scale=None, mode="symmetric"
-):
+def rect_s_limit_terminal_samples(spec, z_law, d_law, T, reps, seed, grid_step=2.0**-10):
     """Terminal values of the limit SDE scheme driven by the full-rectangle
     kernel: s_limit_terminal_samples as it was before the per-row draws."""
-    z_law = _z_law(alpha, z_params, mode)
-    d_law = _d_law(beta, increment_scale)
     h = float(grid_step)
     nodes = _t_nodes(T, h)
     out = np.empty(reps)
@@ -592,9 +568,7 @@ def column_s_limit_euler(spec, dinv, w, h):
     return x
 
 
-def operational_integral_rows(
-    alpha, beta, T, reps, seed, grid_step, fn=None, base=None, z_params=None, mode="symmetric"
-):
+def operational_integral_rows(z_law, d_law, T, reps, seed, grid_step, fn=None, base=None):
     """The operational-time sums of tc_grid_integral_samples, one row at a
     time: each block's streams are drawn again as the sampler draws them, and
     each row's Z path, integrand and sum are built alone, in the order of the
@@ -602,15 +576,13 @@ def operational_integral_rows(
     sum over the block, which enters each row at the previous row's end less
     that row's np.add.reduceat sum, the residue being taken off the row; and
     np.add.reduceat's for the sum of H dZ."""
-    z_law = _z_law(alpha, z_params, mode)
-    d_law = _d_law(beta, None)
     h = float(grid_step)
     out = np.empty(reps)
     for start in range(0, reps, LIMIT_BLOCK):
         m = min(LIMIT_BLOCK, reps - start)
         dgen = seed.generator((WAIT_LANE, start))
         if fn is None:
-            e = (T / draw_stable(d_law, dgen, m)) ** beta
+            e = (T / draw_stable(d_law, dgen, m)) ** d_law.alpha
             steps = [int(np.floor(v / h)) for v in e]
             # the last step's cut, a power taken over the block as the sampler
             # takes it: a scalar power can differ from it in the last bit

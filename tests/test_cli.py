@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ctrwlab import exprs
+from ctrwlab import cli, exprs
 from ctrwlab.cli import emit_report, load_config, run_scenario
 from ctrwlab.errors import DataError, ParameterError
 from ctrwlab.exprs import make_expr
-from ctrwlab.rng import SeedSpec
+from ctrwlab.processes import ProcessConfig, limit_laws
+from ctrwlab.rng import InnovationLaw, SeedSpec, WaitingLaw
 from ctrwlab.stats import DiagnosticReport, Estimate
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -785,6 +786,57 @@ def test_equation_kinds_check_their_driver_before_any_draw(tmp_path, monkeypatch
         with pytest.raises(ParameterError) as err:
             run_scenario(cfg, out=tmp_path / f"{kind}.json")
         assert err.value.tag == "PARAM_WAITING", (kind, err.value)
+
+
+def test_limit_grid_and_lag_checks_run_before_any_draw(tmp_path, monkeypatch):
+    # each case drew walks before it failed: sdde built all three walk
+    # streams before its limit grid was read, and drew the n = 100 and 1000
+    # walks before n r = 3.5 was refused; sde drew its first walk block
+    # before the drift mesh was; integrals on a moving average failed on a
+    # beta the config never set
+    sdde = load_config(SCENARIO_DIR / "sdde_full.json")
+    sde = load_config(SCENARIO_DIR / "sde_full.json")
+    integrals = {"kind": "integrals", "process": MOVING_AVERAGE, "n_list": [20], "replications": 10}
+    cases = (
+        ({**sdde, "grid_step": 0.0}, "PARAM_MESH"),
+        ({**sdde, "n_list": [100, 1000, 7]}, "PARAM_DELAY"),
+        ({**sdde, "grid_step": 0.3}, "PARAM_MESH"),
+        ({**sde, "grid_step": 0.0}, "PARAM_MESH"),
+        (integrals, "PARAM_WAITING"),
+    )
+    monkeypatch.setattr(SeedSpec, "generator", no_draws)
+    for i, (cfg, tag) in enumerate(cases):
+        with pytest.raises(ParameterError) as err:
+            run_scenario({**cfg, "replications": 10}, out=tmp_path / f"c{i}.json")
+        assert err.value.tag == tag, (i, err.value)
+
+
+def test_every_limit_reference_takes_the_walks_limit_laws(tmp_path, monkeypatch):
+    # integrals passed no waiting scale, so its limit ignored waiting.scale:
+    # at scale 4 its KS read 0.103-0.113 at n = 10^2-10^4 where the
+    # attraction ctrw target on the same walk read 0.025-0.041
+    block = {"innovation": {"alpha": 1.5, "mode": "centered", "scale": 2.0},
+             "waiting": {"beta": 0.8, "scale": 4.0}, "coefficients": [1.0, 0.5]}
+    proc = ProcessConfig(InnovationLaw(1.5, "centered", 2.0), WaitingLaw(0.8, 4.0), coefficients=(1.0, 0.5))
+    got = []
+
+    def record(z_law, d_law, reps):
+        got.append((z_law, d_law))
+        return np.zeros(reps)
+
+    monkeypatch.setattr(cli, "terminal_time_changed_samples", lambda z, d, T, reps, s: record(z, d, reps))
+    monkeypatch.setattr(cli, "tc_grid_integral_samples", lambda z, d, T, reps, s, **kw: record(z, d, reps))
+    monkeypatch.setattr(cli, "s_limit_terminal_samples", lambda spec, z, d, T, reps, s, **kw: record(z, d, reps))
+    base = {"process": block, "n_list": [20], "replications": 10}
+    configs = (
+        {"kind": "attraction", "target": "ctrw", **base},
+        {"kind": "integrals", **base, "integrand": {"type": "deterministic", "expr": "tanh(t)"}},
+        {"kind": "integrals", **base, "integrand": {"type": "follower", "expr": "tanh(x)"}},
+        {"kind": "sde", **base},
+    )
+    for i, cfg in enumerate(configs):
+        run_scenario(cfg, out=tmp_path / f"r{i}.json")
+    assert got == [limit_laws(proc)] * len(configs)
 
 
 def test_attraction_takes_only_its_targets_driver(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from _brute import (
     ragged_configs,
     tgrid_integral_samples,
     upsilon_rows,
+    walk_limit,
 )
 from ctrwlab import (
     InnovationLaw,
@@ -40,7 +41,13 @@ from ctrwlab.integrals import (
     upsilon_samples,
 )
 from ctrwlab.exprs import make_expr
-from ctrwlab.processes import BLOCK, _block_zeta, iter_ctrw_chunks, terminal_samples, terminal_time_changed_samples
+from ctrwlab.processes import (
+    BLOCK,
+    _block_zeta,
+    iter_ctrw_chunks,
+    terminal_samples,
+    terminal_time_changed_samples,
+)
 from ctrwlab.stats import ks_two_sample
 
 
@@ -296,28 +303,29 @@ def test_adversarial_experiment_light():
 
 
 def test_tc_grid_integral_samples():
+    laws = walk_limit(1.5, 0.8)
     with pytest.raises(ParameterError):
-        tc_grid_integral_samples(1.5, 0.8, 1.0, 10, SeedSpec(49), fn=lambda t: t, base=np.tanh)
+        tc_grid_integral_samples(*laws, 1.0, 10, SeedSpec(49), fn=lambda t: t, base=np.tanh)
     with pytest.raises(ParameterError):
-        tc_grid_integral_samples(1.5, 0.8, 1.0, 10, SeedSpec(49))
+        tc_grid_integral_samples(*laws, 1.0, 10, SeedSpec(49))
     for kw in ({"fn": np.tanh}, {"base": np.tanh}):
         for h in (0.0, -2.0**-9, math.nan):
             with pytest.raises(ParameterError) as ei:
-                tc_grid_integral_samples(1.5, 0.8, 1.0, 10, SeedSpec(49), grid_step=h, **kw)
+                tc_grid_integral_samples(*laws, 1.0, 10, SeedSpec(49), grid_step=h, **kw)
             assert ei.value.tag == "PARAM_MESH"
         for T in (0.0, -1.0):
             with pytest.raises(ParameterError, match="horizon must be > 0"):
-                tc_grid_integral_samples(1.5, 0.8, T, 10, SeedSpec(49), **kw)
+                tc_grid_integral_samples(*laws, T, 10, SeedSpec(49), **kw)
     # fn = 1 telescopes to the time-changed terminal value
     a = tc_grid_integral_samples(
-        1.5, 0.8, 1.0, 2000, SeedSpec(49), grid_step=2.0**-9, fn=lambda t: np.ones_like(t)
+        *laws, 1.0, 2000, SeedSpec(49), grid_step=2.0**-9, fn=lambda t: np.ones_like(t)
     )
-    b = grid_terminal_time_changed(1.5, 0.8, 1.0, 2000, SeedSpec(50), grid_step=2.0**-9)
+    b = grid_terminal_time_changed(*laws, 1.0, 2000, SeedSpec(50), grid_step=2.0**-9)
     stat, _ = ks_two_sample(a, b)
     assert stat <= 0.05
     # state-dependent integrand: finite and reproducible
-    c1 = tc_grid_integral_samples(1.5, 0.8, 0.5, 50, SeedSpec(52), grid_step=2.0**-8, base=np.tanh)
-    c2 = tc_grid_integral_samples(1.5, 0.8, 0.5, 50, SeedSpec(52), grid_step=2.0**-8, base=np.tanh)
+    c1 = tc_grid_integral_samples(*laws, 0.5, 50, SeedSpec(52), grid_step=2.0**-8, base=np.tanh)
+    c2 = tc_grid_integral_samples(*laws, 0.5, 50, SeedSpec(52), grid_step=2.0**-8, base=np.tanh)
     assert np.array_equal(c1, c2)
     assert np.all(np.isfinite(c1))
 
@@ -338,8 +346,9 @@ def test_tc_grid_integral_samples_match_row_oracle(alpha, mode, T, h):
     # a per-row cumsum and dot read 7.09e-9 on a row of value -1977 under
     # plain PCG64 streams
     for kw in ({"base": lambda x: np.cos(x) * x}, {"fn": lambda t: np.sin(3.0 * t)}):
-        got = tc_grid_integral_samples(alpha, 0.8, T, 600, SeedSpec(53), grid_step=h, mode=mode, **kw)
-        want = operational_integral_rows(alpha, 0.8, T, 600, SeedSpec(53), h, mode=mode, **kw)
+        laws = walk_limit(alpha, 0.8, mode)
+        got = tc_grid_integral_samples(*laws, T, 600, SeedSpec(53), grid_step=h, **kw)
+        want = operational_integral_rows(*laws, T, 600, SeedSpec(53), h, **kw)
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -349,8 +358,9 @@ def test_tc_grid_integral_unit_state_integrand_is_exact(h):
     # width E_T - J h, which is exactly E_T^(1/alpha) Z_1 in law at any h
     N = 4000
     one = lambda x: np.ones_like(x)
-    a = tc_grid_integral_samples(1.5, 0.8, 1.0, N, SeedSpec(60), grid_step=h, base=one)
-    b = terminal_time_changed_samples(1.5, 0.8, 1.0, N, SeedSpec(61))
+    laws = walk_limit(1.5, 0.8)
+    a = tc_grid_integral_samples(*laws, 1.0, N, SeedSpec(60), grid_step=h, base=one)
+    b = terminal_time_changed_samples(*laws, 1.0, N, SeedSpec(61))
     stat, _ = ks_two_sample(a, b)
     assert stat <= 1.36 * math.sqrt(2.0 / N)
 
@@ -361,7 +371,8 @@ def test_tc_grid_integral_law_matches_tgrid_oracle():
     h = 2.0**-9
     floor = 1.36 * math.sqrt(2.0 / N)
     for kw in ({"base": np.tanh}, {"fn": lambda t: np.cos(2.0 * t)}):
-        a = tc_grid_integral_samples(1.5, 0.8, 1.0, N, SeedSpec(56), grid_step=h, mode="centered", **kw)
-        b = tgrid_integral_samples(1.5, 0.8, 1.0, N, SeedSpec(57), grid_step=h, mode="centered", **kw)
+        laws = walk_limit(1.5, 0.8, "centered")
+        a = tc_grid_integral_samples(*laws, 1.0, N, SeedSpec(56), grid_step=h, **kw)
+        b = tgrid_integral_samples(*laws, 1.0, N, SeedSpec(57), grid_step=h, **kw)
         stat, _ = ks_two_sample(a, b)
         assert stat <= floor

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
-from _brute import grid_terminal_inverse_subordinator, grid_terminal_time_changed, invert_monotone_grid
+from _brute import (
+    grid_terminal_inverse_subordinator,
+    grid_terminal_time_changed,
+    invert_monotone_grid,
+    walk_limit,
+)
 from ctrwlab import (
     DataError,
     GridPath,
@@ -26,6 +31,7 @@ from ctrwlab import (
     gen_subordinator_inverse,
     gen_time_changed_levy,
     ks_two_sample,
+    limit_laws,
     wait_attractor_scale,
 )
 from ctrwlab.processes import (
@@ -36,7 +42,6 @@ from ctrwlab.processes import (
     WAIT_ROUND_MIN,
     _block,
     _block_zeta,
-    _d_law,
     _first_passage,
     _live_slots,
     _step_law,
@@ -44,14 +49,13 @@ from ctrwlab.processes import (
     _time_changed_block,
     _wait_round_widths,
     _wait_rounds,
-    _z_law,
     iter_ctrw_chunks,
     terminal_counting_samples,
     terminal_inverse_subordinator_samples,
     terminal_samples,
     terminal_time_changed_samples,
 )
-from ctrwlab.rng import draw_innovation, draw_stable, draw_waiting
+from ctrwlab.rng import attractor_params, draw_innovation, draw_stable, draw_waiting
 
 
 def const_innovation(seq, alpha=1.0):
@@ -264,7 +268,7 @@ def test_first_passage_matches_fixed_round_loop():
         ((0.7, 1.0, 2.0**-8, 300, None), (0.4, 2.5, 2.0**-6, 40, 0.05), (0.9, 0.3, 2.0**-10, 1, None))
     ):
         if share is None:
-            d_inc = _step_law(_d_law(beta, None), h)
+            d_inc = _step_law(walk_limit(1.5, beta)[1], h)
         else:
             d_inc = _step_law(StableParams(beta, 1.0, share * T / (PASSAGE_ROUND * h) ** (1.0 / beta)), h)
         for s in range(3):
@@ -497,7 +501,7 @@ def test_counting_attraction_beta07():
     # residual at n=1e4 is 0.040 +- 0.004 (renewal correction ~ n^{-0.3}),
     # so a 0.03 bound is out of reach at this n
     dinv = terminal_inverse_subordinator_samples(
-        0.7, 1.0, 10_000, SeedSpec(102), increment_scale=wait_attractor_scale(0.7)
+        StableParams(0.7, 1.0, wait_attractor_scale(0.7)), 1.0, 10_000, SeedSpec(102)
     )
     stats = []
     for n in (1000, 10_000):
@@ -527,7 +531,7 @@ def test_subordinator_inverse_staircase_identity():
 
 
 def test_gen_subordinator_inverse_properties():
-    d, dinv = gen_subordinator_inverse(0.6, 1.0, 2.0**-8, SeedSpec(9))
+    d, dinv = gen_subordinator_inverse(StableParams(0.6, 1.0, 1.0), 1.0, 2.0**-8, SeedSpec(9))
     assert np.all(np.diff(d.values) > 0.0)
     assert np.all(np.diff(dinv.values) >= 0.0)
     assert d.values[0] == 0.0
@@ -540,9 +544,9 @@ def test_gen_subordinator_inverse_properties():
         assert d.values[k] > t
         assert k == 0 or d.values[k - 1] <= t
     with pytest.raises(ParameterError):
-        gen_subordinator_inverse(1.2, 1.0, 0.01, SeedSpec(9))
+        gen_subordinator_inverse(StableParams(1.2, 1.0, 1.0), 1.0, 0.01, SeedSpec(9))
     with pytest.raises(ParameterError):
-        gen_subordinator_inverse(0.5, 1.0, 0.0, SeedSpec(9))
+        gen_subordinator_inverse(StableParams(0.5, 1.0, 1.0), 1.0, 0.0, SeedSpec(9))
 
 
 @settings(max_examples=60, deadline=None)
@@ -559,13 +563,11 @@ def test_time_changed_block_matches_brute_force(beta, k, m, T, on_grid, seed):
     if on_grid:
         T = max(1, round(T / h)) * h
     nodes = _t_nodes(T, h)
-    d_law = _d_law(beta, None)
-    z_step = _step_law(_z_law(1.5, None, "symmetric"), h)
+    z_law, d_law = walk_limit(1.5, beta)
+    z_step = _step_law(z_law, h)
     spec = SeedSpec(seed)
     zgen = spec.generator(1)
-    counts, zcum = _time_changed_block(
-        d_law, _z_law(1.5, None, "symmetric"), T, h, m, spec.generator(0), zgen, nodes
-    )
+    counts, zcum = _time_changed_block(d_law, z_law, T, h, m, spec.generator(0), zgen, nodes)
     # the same generator state replays the levels the kernel counted
     D = _first_passage(_step_law(d_law, h), T, m, spec.generator(0))
     assert np.all(D[:, -1] > T)
@@ -615,7 +617,7 @@ def test_time_changed_block_matches_brute_force(beta, k, m, T, on_grid, seed):
         assert np.all(np.diff(row) >= 0.0)
         assert finite[r] == PASSAGE_ROUND or row[-PASSAGE_ROUND - 1] <= T
 
-    d, dinv = gen_subordinator_inverse(beta, T, h, spec)
+    d, dinv = gen_subordinator_inverse(StableParams(beta, 1.0, 1.0), T, h, spec)
     inv = invert_monotone_grid(d)
     j = min(dinv.values.size, inv.values.size)
     assert np.array_equal(dinv.values[:j], inv.values[:j])
@@ -624,9 +626,7 @@ def test_time_changed_block_matches_brute_force(beta, k, m, T, on_grid, seed):
 
 def test_inverse_subordinator_mean_beta06():
     reps = 4000
-    vals = terminal_inverse_subordinator_samples(
-        0.6, 1.0, reps, SeedSpec(10), increment_scale=1.0
-    )
+    vals = terminal_inverse_subordinator_samples(StableParams(0.6, 1.0, 1.0), 1.0, reps, SeedSpec(10))
     want = 1.0 / math.gamma(1.6)
     se = vals.std() / math.sqrt(reps)
     assert abs(vals.mean() - want) <= 3.0 * se
@@ -647,45 +647,44 @@ def test_exact_terminal_laws_match_grid_oracle():
     floor = 1.36 * math.sqrt(2.0 / n)
     for beta in (0.5, 0.8):
         for scale in (1.0, wait_attractor_scale(beta)):
-            grid = grid_terminal_inverse_subordinator(
-                beta, 1.0, n, SeedSpec(61), grid_step=h, increment_scale=scale
-            )
+            d_law = StableParams(beta, 1.0, scale)
+            grid = grid_terminal_inverse_subordinator(d_law, 1.0, n, SeedSpec(61), grid_step=h)
             bound = floor + _max_window_mass(grid, h)
-            exact = terminal_inverse_subordinator_samples(
-                beta, 1.0, n, SeedSpec(62), increment_scale=scale
-            )
+            exact = terminal_inverse_subordinator_samples(d_law, 1.0, n, SeedSpec(62))
             assert ks_two_sample(grid, exact)[0] <= bound
             for alpha, mode in ((1.5, "symmetric"), (2.0, "gaussian")):
-                grid = grid_terminal_time_changed(
-                    alpha, beta, 1.0, n, SeedSpec(63), grid_step=h,
-                    increment_scale=scale, mode=mode,
-                )
-                exact = terminal_time_changed_samples(
-                    alpha, beta, 1.0, n, SeedSpec(64), increment_scale=scale, mode=mode
-                )
+                z_law = attractor_params(InnovationLaw(alpha, mode))
+                grid = grid_terminal_time_changed(z_law, d_law, 1.0, n, SeedSpec(63), grid_step=h)
+                exact = terminal_time_changed_samples(z_law, d_law, 1.0, n, SeedSpec(64))
                 assert ks_two_sample(grid, exact)[0] <= bound
     # reruns are bitwise equal, and E_T = T^beta E_1 on the same draws
-    tc = terminal_time_changed_samples(1.5, 0.8, 1.0, n, SeedSpec(64))
-    assert np.array_equal(tc, terminal_time_changed_samples(1.5, 0.8, 1.0, n, SeedSpec(64)))
-    e1 = terminal_inverse_subordinator_samples(0.5, 1.0, n, SeedSpec(62))
-    assert np.array_equal(e1, terminal_inverse_subordinator_samples(0.5, 1.0, n, SeedSpec(62)))
-    e2 = terminal_inverse_subordinator_samples(0.5, 2.0, n, SeedSpec(62))
+    tc = terminal_time_changed_samples(*walk_limit(1.5, 0.8), 1.0, n, SeedSpec(64))
+    assert np.array_equal(tc, terminal_time_changed_samples(*walk_limit(1.5, 0.8), 1.0, n, SeedSpec(64)))
+    d_law = walk_limit(1.5, 0.5)[1]
+    e1 = terminal_inverse_subordinator_samples(d_law, 1.0, n, SeedSpec(62))
+    assert np.array_equal(e1, terminal_inverse_subordinator_samples(d_law, 1.0, n, SeedSpec(62)))
+    e2 = terminal_inverse_subordinator_samples(d_law, 2.0, n, SeedSpec(62))
     assert np.allclose(e2, 2.0**0.5 * e1, rtol=1e-12, atol=0.0)
 
 
 def test_terminal_samplers_reject_bad_parameters():
-    for beta in (1.5, 0.0, 1.0, -0.2):
+    # a d_law that is not a subordinator's: index outside (0, 1) or skew not 1
+    z_law, d_law = walk_limit(1.5, 0.6)
+    for bad in (StableParams(1.5, 1.0), StableParams(2.0, 0.0), StableParams(1.0, 0.0),
+                StableParams(0.6, 0.0), StableParams(0.6, -1.0), StableParams(0.6, 0.5)):
         for call in (
-            lambda: terminal_inverse_subordinator_samples(beta, 1.0, 10, SeedSpec(65)),
-            lambda: terminal_time_changed_samples(1.5, beta, 1.0, 10, SeedSpec(65)),
+            lambda: terminal_inverse_subordinator_samples(bad, 1.0, 10, SeedSpec(65)),
+            lambda: terminal_time_changed_samples(z_law, bad, 1.0, 10, SeedSpec(65)),
+            lambda: gen_subordinator_inverse(bad, 1.0, 0.01, SeedSpec(65)),
+            lambda: gen_time_changed_levy(z_law, bad, 1.0, 0.01, SeedSpec(65)),
         ):
             with pytest.raises(ParameterError) as err:
                 call()
             assert err.value.tag == "PARAM_BETA_RANGE"
     for T in (0.0, -1.0):
         for call in (
-            lambda: terminal_inverse_subordinator_samples(0.6, T, 10, SeedSpec(65)),
-            lambda: terminal_time_changed_samples(1.5, 0.6, T, 10, SeedSpec(65)),
+            lambda: terminal_inverse_subordinator_samples(d_law, T, 10, SeedSpec(65)),
+            lambda: terminal_time_changed_samples(z_law, d_law, T, 10, SeedSpec(65)),
             lambda: terminal_counting_samples(WaitingLaw(0.5), 10, T, 10, SeedSpec(65)),
         ):
             with pytest.raises(ParameterError) as err:
@@ -694,28 +693,40 @@ def test_terminal_samplers_reject_bad_parameters():
 
 
 def test_time_changed_levy_origin_and_validation():
-    z = gen_time_changed_levy(1.5, 0.8, 1.0, 2.0**-8, SeedSpec(11))
+    z = gen_time_changed_levy(*walk_limit(1.5, 0.8), 1.0, 2.0**-8, SeedSpec(11))
     assert z.value(0.0) == 0.0
     assert z.horizon >= 1.0
     with pytest.raises(ParameterError):
-        gen_time_changed_levy(1.5, 0.8, 1.0, 0.0, SeedSpec(11))
+        gen_time_changed_levy(*walk_limit(1.5, 0.8), 1.0, 0.0, SeedSpec(11))
 
 
 def test_time_changed_gaussian_two_stage():
-    tc = terminal_time_changed_samples(2.0, 0.7, 1.0, 10_000, SeedSpec(105))
-    dinv = terminal_inverse_subordinator_samples(
-        0.7, 1.0, 10_000, SeedSpec(106), increment_scale=wait_attractor_scale(0.7)
-    )
+    z_law, d_law = walk_limit(2.0, 0.7, "gaussian")
+    tc = terminal_time_changed_samples(z_law, d_law, 1.0, 10_000, SeedSpec(105))
+    dinv = terminal_inverse_subordinator_samples(d_law, 1.0, 10_000, SeedSpec(106))
     oracle = np.random.default_rng(107).normal(size=10_000) * np.sqrt(dinv)
     stat, _ = ks_two_sample(tc, oracle)
     assert stat <= 0.03
+
+
+def test_limit_laws_of_a_walk():
+    # Z's law is one innovation's attractor with its scale times psi, D's
+    # the waits' attractor at their scale; a moving average has no D
+    cfg = ProcessConfig(InnovationLaw(1.5, "centered", 2.0), waiting=WaitingLaw(0.8, 4.0), coefficients=(1.0, 0.5))
+    one = attractor_params(cfg.innovation)
+    assert one.scale == 2.0 * attractor_params(InnovationLaw(1.5, "centered")).scale
+    assert limit_laws(cfg) == (
+        StableParams(1.5, 1.0, one.scale * 1.5), StableParams(0.8, 1.0, 4.0 * wait_attractor_scale(0.8))
+    )
+    ma = ProcessConfig(InnovationLaw(2.0, "gaussian"), coefficients=(1.0, 0.5))
+    assert limit_laws(ma) == (StableParams(2.0, 0.0, 1.5 * attractor_params(ma.innovation).scale), None)
 
 
 def test_ctrw_terminal_vs_time_changed_light():
     # light version of the weak-limit check; acceptance runs it at n=1e4
     cfg = ProcessConfig(InnovationLaw(1.5, "symmetric"), waiting=WaitingLaw(0.8), n=2000)
     a = terminal_samples(cfg, 1.0, 3000, SeedSpec(12))
-    b = terminal_time_changed_samples(1.5, 0.8, 1.0, 3000, SeedSpec(13))
+    b = terminal_time_changed_samples(*limit_laws(cfg), 1.0, 3000, SeedSpec(13))
     stat, _ = ks_two_sample(a, b)
     assert stat <= 0.06
 

@@ -16,6 +16,7 @@ from _brute import (
     rect_s_limit_terminal_samples,
     row_sdd_limit_euler,
     row_sddn_terminal_samples,
+    walk_limit,
 )
 from ctrwlab import (
     GridPath,
@@ -35,7 +36,6 @@ from ctrwlab.processes import (
     _block_zeta,
     _live_slots,
     _step_law,
-    _z_law,
     driver_paths,
     iter_ctrw_chunks,
     terminal_samples,
@@ -463,17 +463,18 @@ def test_s_limit_full_spec_mesh_halving():
 def test_s_limit_samples_time_change_only():
     spec = SdeSpec(b=0.0, mu=1.0, sigma=0.0)
     h = 2.0 ** -8
-    out = s_limit_terminal_samples(spec, 1.5, 0.5, 1.0, 1500, SeedSpec(303), grid_step=h)
+    z_law, d_law = walk_limit(1.5, 0.5)
+    out = s_limit_terminal_samples(spec, z_law, d_law, 1.0, 1500, SeedSpec(303), grid_step=h)
     # with mu = 1 the scheme telescopes the inverse-subordinator increments,
     # so every terminal value is an exact grid multiple
     assert np.all(out == h * np.round(out / h))
     ref = grid_terminal_inverse_subordinator(
-        0.5, 1.0, 1500, SeedSpec(304), grid_step=h, increment_scale=wait_attractor_scale(0.5)
+        StableParams(0.5, 1.0, wait_attractor_scale(0.5)), 1.0, 1500, SeedSpec(304), grid_step=h
     )
     stat, _ = ks_two_sample(out + h, ref)  # off by the origin cell only
     assert stat <= 0.06  # measured 0.037
 
-    rerun = s_limit_terminal_samples(spec, 1.5, 0.5, 1.0, 1500, SeedSpec(303), grid_step=h)
+    rerun = s_limit_terminal_samples(spec, z_law, d_law, 1.0, 1500, SeedSpec(303), grid_step=h)
     assert np.array_equal(out, rerun)
 
 
@@ -483,9 +484,9 @@ def test_s_limit_samples_law_matches_rectangle_oracle():
     # the slowest row's passage, on independent seeds
     spec = SdeSpec(**FULL)
     n, h = 4000, 2.0**-8
-    for alpha, beta, seeds in ((1.5, 0.5, (311, 312)), (2.0, 0.8, (313, 314))):
-        new = s_limit_terminal_samples(spec, alpha, beta, 1.0, n, SeedSpec(seeds[0]), grid_step=h)
-        old = rect_s_limit_terminal_samples(spec, alpha, beta, 1.0, n, SeedSpec(seeds[1]), grid_step=h)
+    for laws, seeds in ((walk_limit(1.5, 0.5), (311, 312)), (walk_limit(2.0, 0.8, "gaussian"), (313, 314))):
+        new = s_limit_terminal_samples(spec, *laws, 1.0, n, SeedSpec(seeds[0]), grid_step=h)
+        old = rect_s_limit_terminal_samples(spec, *laws, 1.0, n, SeedSpec(seeds[1]), grid_step=h)
         # measured 0.0130 and 0.0155
         assert ks_two_sample(new, old)[0] <= 1.36 * math.sqrt(2.0 / n)
 
@@ -748,10 +749,9 @@ def test_sddn_samples_vs_per_path_law():
 def test_sdd_limit_matches_row_oracle():
     spec = SddeSpec(**DELAY_TIMED)
     h, reps = 2.0**-6, 300
-    out = sdd_limit_terminal_samples(spec, 1.5, 1.0, reps, SeedSpec(831), grid_step=h)
-    zinc = draw_stable(
-        _step_law(_z_law(1.5, None, "centered"), h), SeedSpec(831).generator((INNOVATION_LANE, 0)), (reps, 64)
-    )
+    z_law = attractor_params(InnovationLaw(1.5, "centered"))
+    out = sdd_limit_terminal_samples(spec, z_law, 1.0, reps, SeedSpec(831), grid_step=h)
+    zinc = draw_stable(_step_law(z_law, h), SeedSpec(831).generator((INNOVATION_LANE, 0)), (reps, 64))
     want = row_sdd_limit_euler(spec, zinc, h)
     assert np.array_equal(out, want[:, -1])
     # the per-path solver is the one-row call, on the increments of its path
@@ -776,25 +776,26 @@ def test_solve_sdd_limit_non_dyadic_step():
 def test_limit_samplers_reject_bad_horizons():
     sde = SdeSpec(**FULL)
     sdde = SddeSpec(b=0.0, sigma=1.0, r=0.5, eta=flat_segment(1.0))
+    z_law, d_law = walk_limit(1.5, 0.5)
     for T in (0.0, -1.0, math.nan):
         with pytest.raises(ParameterError, match="horizon"):
-            s_limit_terminal_samples(sde, 1.5, 0.5, T, 10, SeedSpec(833))
+            s_limit_terminal_samples(sde, z_law, d_law, T, 10, SeedSpec(833))
         with pytest.raises(ParameterError, match="horizon"):
-            sdd_limit_terminal_samples(sdde, 1.5, T, 10, SeedSpec(833))
+            sdd_limit_terminal_samples(sdde, z_law, T, 10, SeedSpec(833))
 
 
 def test_sdd_limit_samples_trivial_law():
     spec = SddeSpec(b=0.0, sigma=1.0, r=0.5, eta=flat_segment(1.0))
     h = 2.0 ** -8
-    out = sdd_limit_terminal_samples(spec, 1.5, 1.0, 2000, SeedSpec(305), grid_step=h)
     zp = attractor_params(InnovationLaw(1.5, "centered"))
+    out = sdd_limit_terminal_samples(spec, zp, 1.0, 2000, SeedSpec(305), grid_step=h)
     direct = draw_stable(zp, np.random.default_rng(306), 2000)
     stat, _ = ks_two_sample(out - 1.0, direct)
     assert stat <= 0.06  # measured 0.030
 
-    rerun = sdd_limit_terminal_samples(spec, 1.5, 1.0, 2000, SeedSpec(305), grid_step=h)
+    rerun = sdd_limit_terminal_samples(spec, zp, 1.0, 2000, SeedSpec(305), grid_step=h)
     assert np.array_equal(out, rerun)
 
     with pytest.raises(ParameterError) as ei:
-        sdd_limit_terminal_samples(spec, 1.5, 1.0, 10, SeedSpec(305), grid_step=0.3)
+        sdd_limit_terminal_samples(spec, zp, 1.0, 10, SeedSpec(305), grid_step=0.3)
     assert ei.value.tag == "PARAM_MESH"
