@@ -44,11 +44,16 @@ def _follower_slope(C, gamma, n):
         raise ParameterError(f"follower slope {C!r} n^{gamma!r} overflows at n = {n}") from None
 
 
-def _follow(v, target, reach):
+def _follow(v, target, reach, out=None, clip=None):
     """One step of the slope-capped tracker: v moves toward target by at most
-    reach, the slope cap times the elapsed time."""
-    gap = v - target
-    return target + np.sign(gap) * np.maximum(0.0, np.abs(gap) - reach)
+    reach, the slope cap times the elapsed time, to target + (gap -
+    clip(gap, -reach, reach)) with gap = v - target. Given out and clip
+    buffers (out may be v), the step is written to out with no temporary."""
+    gap = np.subtract(v, target, out=out)
+    lo = np.negative(reach, out=clip)
+    gap -= np.minimum(np.maximum(lo, gap, out=clip), reach, out=clip)
+    gap += target
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +193,20 @@ def adversarial_sup_samples(config, T, reps, seed):
 
 def _follower_columns(config, rb, base, slope):
     """Set up the slope-capped tracker's steps over each row's own renewals
-    in a block rb (iter_ctrw_chunks with keep); rb's theta, waits and times
-    are dropped from it.
+    in a block rb (iter_ctrw_chunks with keep); rb's theta and times are
+    dropped from it.
 
     The rows are sorted by count, descending and stable, so the rows still
     live at column k are a prefix of ncol[k] rows; their jumps and reaches
     lie column after column in one flat array. Returns (order, columns):
-    columns steps column k's prefix of p rows, in `order`, and yields (p,
-    v_k, zeta_k), their tracker values at their jump k and the jumps.
+    columns steps column k's prefix of p rows, in `order`, in place in
+    buffers of m rows, and yields (p, v_k, zeta_k), their tracker values at
+    their jump k and the jumps, as views that the next step overwrites.
     """
     # the live jumps, row after row as the times, gathered once the
-    # innovations and waits are dropped
+    # innovations are dropped
     zeta = _block_zeta(config, rb)
-    del rb["theta"], rb["waits"]
+    del rb["theta"]
     counts, times, zeta = rb["counts"], rb.pop("times"), zeta[_live_slots(rb)]
     m, N = counts.size, int(counts.sum())
     # slope (t_j - t_{j-1}), with t_{-1} = 0 at each row's first event
@@ -228,12 +234,12 @@ def _follower_columns(config, rb, base, slope):
     reach[at] = step
     del step, at
     v = np.full(m, float(base(0.0)))
-    x = np.zeros(m)
+    x, clip = np.zeros(m), np.empty(m)
 
     def columns():
         for p, a, b in zip(ncol.tolist(), cols[:-1].tolist(), cols[1:].tolist()):
-            vk, zk = _follow(v[:p], base(x[:p]), reach[a:b]), z[a:b]
-            v[:p] = vk
+            vk, zk = v[:p], z[a:b]
+            _follow(vk, base(x[:p]), reach[a:b], vk, clip[:p])
             x[:p] += zk
             yield p, vk, zk
 
@@ -251,9 +257,9 @@ def follower_integral_samples(config, T, reps, seed, base=np.tanh, C=1.0, gamma=
     for rb in iter_ctrw_chunks(config, T, reps, seed, True):
         order, columns = _follower_columns(config, rb, base, slope)
         del rb
-        acc = np.zeros(order.size)
+        acc, term = np.zeros(order.size), np.empty(order.size)
         for p, vk, zk in columns:
-            acc[:p] += vk * zk
+            acc[:p] += np.multiply(vk, zk, out=term[:p])
         out[lo + order] = acc
         lo += order.size
     return out

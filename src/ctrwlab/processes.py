@@ -10,11 +10,12 @@ reproducibly.
 
 The walk's replication blocks are ragged (_block, yielded by
 iter_ctrw_chunks): each row holds its own renewals only, as flat per-row
-segments, with its jump times and waits when kept. Every ensemble sampler
-reads each row's own segment, where per-path objects would be too slow:
-terminal_samples sums windows of its innovations, one per filter lag, and
-the integral, SDE and decomposition samplers filter it into jumps
-(_block_zeta) and sum, scan or step their live slots (_live_slots).
+segments, with its jump times when kept; the waits are summed in place as
+drawn and never kept. Every ensemble sampler reads each row's own segment,
+where per-path objects would be too slow: terminal_samples sums windows of
+its innovations, one per filter lag, and the integral, SDE and
+decomposition samplers filter it into jumps (_block_zeta) and sum, scan or
+step their live slots (_live_slots).
 gen_moving_average and gen_ctrw read a one-row block of the same step, so
 all of them draw one recursion.
 """
@@ -163,37 +164,14 @@ class SimulationBundle:
     counting: StepPath
     innovations: np.ndarray
     past: int
-    waits: np.ndarray
     config: ProcessConfig
     seed: SeedSpec
     horizon: float
-
-    def theta(self, k):
-        """theta_k for k in [-past, jump_count]."""
-        idx = int(k) + self.past
-        if idx < 0 or idx >= self.innovations.size:
-            raise DataError(f"theta_{k} is not in the record")
-        return float(self.innovations[idx])
 
     @property
     def jump_count(self):
         return self.innovations.size - self.past - 1
 
-    def scaled_jumps(self):
-        """zeta^n_k = prefactor * zeta_k for k = 1..jump_count."""
-        return self.x.jump_sizes()
-
-    def rebuild_x(self):
-        """Recompute the X path from records and config (reconstruction check)."""
-        cfg = self.config
-        peff = max(self.past, cfg.order)
-        th, starts = _segments(self.innovations, np.array([self.jump_count]), self.past, peff)
-        zeta = _zeta(th, starts, cfg.coefficients, peff)[peff + 1 :]
-        if cfg.waiting is None:
-            times = np.arange(1, zeta.size + 1) / cfg.n
-        else:
-            times = np.cumsum(self.waits) / cfg.n
-        return StepPath.from_jumps(times, cfg.prefactor * zeta, self.horizon)
 
 def _staircase(times_over_n, K, horizon):
     """Counting path N_{nt}: 0 before the first jump, +1 at each jump time."""
@@ -208,9 +186,8 @@ def _bundle(config, T, seed):
     rb = _block(config, T, 1, seed.generator(WAIT_LANE), seed.generator(INNOVATION_LANE), True)
     K, peff, past, times = int(rb["counts"][0]), rb["peff"], config.past_horizon, rb["times"]
     x = StepPath.from_jumps(times, _block_zeta(config, rb)[peff + 1 :], T)
-    waits = np.ones(K) if rb["waits"] is None else rb["waits"]
     thetas = rb["theta"][peff - past :]
-    return SimulationBundle(x, _staircase(times, K, T), thetas, past, waits, config, seed, float(T))
+    return SimulationBundle(x, _staircase(times, K, T), thetas, past, config, seed, float(T))
 
 
 def gen_moving_average(config, T, seed):
@@ -236,7 +213,7 @@ def gen_counting(waiting, n, T, seed):
     if not T > 0:
         raise ParameterError("horizon must be > 0")
     n = int(n)
-    counts, L, _ = _wait_rounds(waiting, seed.generator(WAIT_LANE), 1, n * T, True)
+    counts, L = _wait_rounds(waiting, seed.generator(WAIT_LANE), 1, n * T, True)
     counting = _staircase(L / n, int(counts[0]), T)
     dn = StepPath(counting.times, counting.values * float(n) ** (-waiting.beta), T)
     return counting, dn
@@ -432,51 +409,48 @@ def _wait_round_widths(law, target):
 
 def _wait_rounds(law, gen, m, target, keep):
     """Waits from `law` on gen for m rows, each drawn in _rounds up to its
-    first passage over target: (counts, L, J). counts[r] is row r's renewal
-    count, the number of its running sums L at or below target. With keep,
-    L and J are flat: each row's live running sums and their waits, row
-    after row; each round gives up its live entries (a prefix of each of its
-    rows) and is dropped. Without keep, L and J are None and each round is
-    dropped once counted.
+    first passage over target: (counts, L). counts[r] is row r's renewal
+    count, the number of its running sums L at or below target. Each round's
+    running sums are computed in place in its drawn waits, so no wait is
+    kept. With keep, L is flat: each row's live running sums, row after row;
+    each round gives up its live entries (a prefix of each of its rows) and
+    is dropped. Without keep, L is None and each round is dropped once
+    counted.
 
     The rounds have the widths of _wait_round_widths.
     """
     first, later = _wait_round_widths(law, target)
 
     def draw(k, width, last):
-        J = _draw_waits(law, gen, (k, width))
+        L = _draw_waits(law, gen, (k, width))
         # seeded with the level before the round, cumsum runs on along the row
-        L = J.copy() if keep else J
         L[:, 0] += last
-        np.cumsum(L, axis=1, out=L)
-        return (J, L) if keep else (L,)
+        return (np.cumsum(L, axis=1, out=L),)
 
     counts = np.zeros(m, dtype=np.int64)
     pieces = []
-    for rows, arrays in _rounds(draw, m, first, later, target):
+    for rows, (L,) in _rounds(draw, m, first, later, target):
         # the running sums rise along each row, so the live entries are a
         # prefix of it and the round's count adds on
-        live = arrays[-1] <= target
+        live = L <= target
         got = live.sum(axis=1)
         if keep:
-            pieces.append([rows, counts[rows], got, arrays[-1][live], arrays[0][live]])
+            pieces.append((rows, counts[rows], got, L[live]))
         counts[rows] += got
-        del arrays, live
+        del L, live
     if not keep:
-        return counts, None, None
-    # a row's entries of a round go after those of its earlier rounds; all
-    # live L are placed, and dropped from the rounds, before the live J
+        return counts, None
+    # a row's entries of a round go after those of its earlier rounds; each
+    # round's entries are dropped once placed
     starts = np.cumsum(counts) - counts
-    flat = []
-    for k in (3, 4):
-        out = np.empty(int(counts.sum()))
-        for piece in pieces:
-            rows, before, got = piece[:3]
-            at = np.repeat(starts[rows] + before - np.cumsum(got) + got, got)
-            at += np.arange(at.size)
-            out[at], piece[k] = piece[k], None
-        flat.append(out)
-    return counts, flat[0], flat[1]
+    out = np.empty(int(counts.sum()))
+    while pieces:
+        rows, before, got, sums = pieces.pop()
+        at = np.repeat(starts[rows] + before - np.cumsum(got) + got, got)
+        at += np.arange(at.size)
+        out[at] = sums
+        del sums, at
+    return counts, out
 
 
 def _segments(drawn, counts, past, peff):
@@ -523,12 +497,11 @@ def _block(config, T, m, wgen, igen, keep):
       theta, starts: flat innovations, row r's theta_{-peff}, ...,
               theta_{counts[r]} at theta[starts[r] : starts[r + 1]]
               (_segments)
-      times, waits: with keep, the jump times L_k/n (k/n for a moving
-              average) and the waits J_k of each row's live renewals, flat
-              and row after row in the order of theta's live slots
-              (_live_slots); None without keep, and waits None for a
-              moving average, whose waits are all 1.
-    The jumps are not built here: _block_zeta filters theta into them.
+      times:  with keep, the jump times L_k/n (k/n for a moving average)
+              of each row's live renewals, flat and row after row in the
+              order of theta's live slots (_live_slots); None without keep.
+    The jumps are not built here: _block_zeta filters theta into them, and
+    the waits J_k are not kept: _wait_rounds sums them in place as drawn.
 
     A CTRW row draws its past + 1 + counts innovations only, in one flat
     draw, row after row; a moving average draws the (m, past + 1 + K)
@@ -538,9 +511,9 @@ def _block(config, T, m, wgen, igen, keep):
     law = config.innovation
     past = config.past_horizon
     target = n * T
-    times = waits = None
+    times = None
     if config.waiting is not None:
-        counts, times, waits = _wait_rounds(config.waiting, wgen, m, target, keep)
+        counts, times = _wait_rounds(config.waiting, wgen, m, target, keep)
         if keep:
             times /= n
         drawn = _draw_innovations(law, igen, int((past + 1 + counts).sum()))
@@ -553,7 +526,7 @@ def _block(config, T, m, wgen, igen, keep):
     peff = max(past, config.order)
     theta, starts = _segments(drawn, counts, past, peff)
     del drawn
-    return {"counts": counts, "peff": peff, "theta": theta, "starts": starts, "times": times, "waits": waits}
+    return {"counts": counts, "peff": peff, "theta": theta, "starts": starts, "times": times}
 
 
 def _block_zeta(config, rb):
@@ -597,8 +570,8 @@ def _row_cumsum(inc, starts):
 
 def iter_ctrw_chunks(config, T, reps, seed, keep):
     """Yield the ragged replication blocks (_block dicts of the innovations,
-    with no jumps, which _block_zeta builds; with `keep`, the jump times and
-    waits too) of the CTRW (or moving average) over `reps` replications:
+    with no jumps, which _block_zeta builds; with `keep`, the jump times
+    too) of the CTRW (or moving average) over `reps` replications:
     block b of BLOCK rows draws from seed.generator((lane, b * BLOCK)). The
     per-path generators are the one-row block on seed.generator(lane)."""
     if not T > 0:
@@ -646,7 +619,7 @@ def terminal_samples(config, T, reps, seed):
 
 def terminal_counting_samples(waiting, n, T, reps, seed):
     """n^(-beta) N_{nT} over `reps` replications (vectorised): counts of
-    the wait rounds, no wait matrix kept."""
+    the wait rounds, no running sum kept."""
     if not T > 0:
         raise ParameterError("horizon must be > 0")
     n = int(n)

@@ -15,7 +15,10 @@ with the delayed state read by index; the row delay samplers step the walk
 and limit delay schemes on (m, K + 1) rows, as sde did before its one
 column delay kernel, and _union_times is event_euler_sn's time set. The
 per-path moving-average, CTRW and counting generators draw their waits and
-innovations in their own loops and filter with np.convolve. The rectangular walk block draws every row's waits
+innovations in their own loops and filter with np.convolve, and the first two
+return their waits beside the bundle; theta, scaled_jumps and rebuild_x read
+a bundle's record, as SimulationBundle's methods did before only tests read
+them. The rectangular walk block draws every row's waits
 as one wait matrix of the same width and every row's innovations up to the
 block's largest renewal count, as processes did before its per-row rounds;
 fixed_round_first_passage is the subordinator round loop as it was before
@@ -80,10 +83,12 @@ from ctrwlab.processes import (
     _draw_waits,
     _first_passage,
     _live_slots,
+    _segments,
     _staircase,
     _step_law,
     _t_nodes,
     _wait_round_widths,
+    _zeta,
     iter_ctrw_chunks,
     limit_laws,
 )
@@ -228,7 +233,7 @@ def split_martingale(bundle, a=1.0):
     if a < 1.0:
         raise ParameterError("truncation level must be >= 1", tag="PARAM_TRUNC")
     kappa = _compensator(bundle.config, a)
-    zeta = bundle.scaled_jumps()
+    zeta = scaled_jumps(bundle)
     dm = np.where(np.abs(zeta) <= a, zeta, 0.0) - kappa
     times = bundle.x.times
     m_vals = np.concatenate([[0.0], np.cumsum(dm)])
@@ -284,7 +289,7 @@ def split_uv(bundle, config=None):
     u2_const = 0.0
     for j in range(1, cfg.order + 1):
         lo = max(1 - j, -past)
-        acc = sum(bundle.theta(k) for k in range(lo, 1))
+        acc = sum(theta(bundle, k) for k in range(lo, 1))
         u2_const += cfg.coefficients[j] * acc
     u2_const *= pref / psi
     u2 = StepPath(np.array([0.0]), np.array([u2_const]), bundle.horizon)
@@ -756,8 +761,32 @@ def row_sdd_limit_euler(spec, zinc, h):
 
 
 # ---------------------------------------------------------------------------
-# per-path generators with their own draw loops and np.convolve filter, as
-# they were before they became the one-row call of processes._block
+# the record reads of a SimulationBundle, and per-path generators with their
+# own draw loops and np.convolve filter, as they were before they became the
+# one-row call of processes._block
+
+
+def theta(bundle, k):
+    """theta_k of a bundle's innovation record, for k in [-past, jump_count]."""
+    idx = int(k) + bundle.past
+    if idx < 0 or idx >= bundle.innovations.size:
+        raise DataError(f"theta_{k} is not in the record")
+    return float(bundle.innovations[idx])
+
+
+def scaled_jumps(bundle):
+    """zeta^n_k = prefactor * zeta_k for k = 1..jump_count."""
+    return bundle.x.jump_sizes()
+
+
+def rebuild_x(bundle):
+    """A bundle's X path recomputed from its innovation record, config and
+    counting path's jump times (reconstruction check)."""
+    cfg = bundle.config
+    peff = max(bundle.past, cfg.order)
+    th, starts = _segments(bundle.innovations, np.array([bundle.jump_count]), bundle.past, peff)
+    zeta = _zeta(th, starts, cfg.coefficients, peff)[peff + 1 :]
+    return StepPath.from_jumps(bundle.counting.times[1:], cfg.prefactor * zeta, bundle.horizon)
 
 
 def _filter_innovations(thetas, coeffs, past):
@@ -771,7 +800,8 @@ def _filter_innovations(thetas, coeffs, past):
 
 
 def gen_moving_average(config, T, seed):
-    """Moving average X^n_t = n^(-1/alpha) sum_{k <= floor(nt)} zeta_k."""
+    """(bundle, waits): moving average X^n_t = n^(-1/alpha) sum_{k <=
+    floor(nt)} zeta_k, and its unit waits."""
     if config.waiting is not None:
         raise ParameterError("moving average takes waiting=None", tag="PARAM_WAITING")
     if T <= 0:
@@ -784,9 +814,8 @@ def gen_moving_average(config, T, seed):
     times = np.arange(1, K + 1) / n
     x = StepPath.from_jumps(times, config.prefactor * zeta, T)
     counting = _staircase(times, K, T)
-    return SimulationBundle(
-        x, counting, thetas, config.past_horizon, np.ones(K), config, seed, float(T)
-    )
+    bundle = SimulationBundle(x, counting, thetas, config.past_horizon, config, seed, float(T))
+    return bundle, np.ones(K)
 
 
 def _waits_until(law, gen, target, block):
@@ -803,7 +832,8 @@ def _waits_until(law, gen, target, block):
 
 
 def gen_ctrw(config, T, seed):
-    """CTRW X^n_t = n^(-beta/alpha) sum_{k <= N_nt} zeta_k, N_nt = max{m: L_m <= nt}."""
+    """(bundle, waits): CTRW X^n_t = n^(-beta/alpha) sum_{k <= N_nt} zeta_k,
+    N_nt = max{m: L_m <= nt}, and the waits J_1, ..., J_{N_nT}."""
     if config.waiting is None:
         raise ParameterError("CTRW needs a waiting law", tag="PARAM_WAITING")
     if T <= 0:
@@ -826,7 +856,7 @@ def gen_ctrw(config, T, seed):
     jump_times = L[:K] / n
     x = StepPath.from_jumps(jump_times, config.prefactor * zeta, T)
     counting = _staircase(jump_times, K, T)
-    return SimulationBundle(x, counting, thetas, past, waits, config, seed, float(T))
+    return SimulationBundle(x, counting, thetas, past, config, seed, float(T)), waits
 
 
 def gen_counting(waiting, n, T, seed):

@@ -12,6 +12,7 @@ from _brute import (
     padded_gdca_samples,
     padded_truncated_split_samples,
     ragged_configs,
+    scaled_jumps,
     split_martingale,
     split_uv,
 )
@@ -91,7 +92,7 @@ def test_split_martingale_symmetric():
     assert np.max(np.abs(sp.m.values + sp.a_part.values - b.x.values)) <= 1e-12
     assert sp.max_jump() <= 2.0 * 1.5 * (1.0 + 1e-12)
     # replay M straight from the records
-    zeta = b.scaled_jumps()
+    zeta = scaled_jumps(b)
     dm = np.where(np.abs(zeta) <= 1.5, zeta, 0.0)
     assert np.array_equal(sp.m.values, np.concatenate([[0.0], np.cumsum(dm)]))
 

@@ -111,12 +111,12 @@ def test_moving_average_hand_example():
     assert np.array_equal(b.x.times, [0.0, 1.0, 2.0])
     assert np.allclose(b.x.values, [0.0, 2.5, 5.0])
     assert np.allclose(b.x.jump_sizes(), [2.5, 2.5])
-    assert b.theta(0) == -1.0
-    assert b.theta(2) == 1.0
-    assert b.theta(-1) == 9.0
+    assert _brute.theta(b, 0) == -1.0
+    assert _brute.theta(b, 2) == 1.0
+    assert _brute.theta(b, -1) == 9.0
     assert b.jump_count == 2
     with pytest.raises(DataError):
-        b.theta(3)
+        _brute.theta(b, 3)
     # the theta_{-1} slot is beyond the c support: changing it cannot move X
     law2 = const_innovation([-100.0, -1.0, 3.0, 1.0])
     b2 = gen_moving_average(ProcessConfig(law2, coefficients=(1.0, 0.5), n=1), 2.0, SeedSpec(1))
@@ -160,7 +160,8 @@ def test_ctrw_hand_counting():
     assert b.counting.value(0.49) == 0.0
     assert b.x.value(0.49) == 0.0  # zero before the first renewal
     assert np.array_equal(b.x.jump_times(), [0.5, 1.7, 2.0])
-    assert np.array_equal(b.waits, [0.5, 1.2, 0.3])
+    # the counting path's jump times are the running sums of the waits
+    assert np.array_equal(b.counting.times[1:], np.cumsum([0.5, 1.2, 0.3]))
     with pytest.raises(ParameterError):
         gen_ctrw(ProcessConfig(law), 1.0, SeedSpec(4))
 
@@ -189,7 +190,7 @@ def test_reconstruction_exact():
     for cfg in configs:
         gen = gen_moving_average if cfg.waiting is None else gen_ctrw
         b = gen(cfg, 1.0, seeds)
-        rebuilt = b.rebuild_x()
+        rebuilt = _brute.rebuild_x(b)
         assert np.array_equal(rebuilt.times, b.x.times)
         assert np.array_equal(rebuilt.values, b.x.values)
         # independent reconstruction straight from the records
@@ -201,16 +202,18 @@ def test_reconstruction_exact():
         assert np.array_equal(b.x.values, want)
 
 
-def assert_same_bundle(got, want, edge=False):
-    # edge: np.convolve sums the partial overlaps at its left edge with a
-    # BLAS dot, which may round differently from a plain sum; those are the
-    # first order - past - 1 jumps when past < order - 1
+def assert_same_bundle(got, oracle, edge=False):
+    # oracle: the (bundle, waits) of a _brute generator. edge: np.convolve
+    # sums the partial overlaps at its left edge with a BLAS dot, which may
+    # round differently from a plain sum; those are the first order - past -
+    # 1 jumps when past < order - 1
+    want, waits = oracle
     for a, b in (
         (got.x.times, want.x.times),
         (got.counting.times, want.counting.times),
         (got.counting.values, want.counting.values),
         (got.innovations, want.innovations),
-        (got.waits, want.waits),
+        (got.counting.times[1:], np.cumsum(waits) / got.config.n),
     ):
         assert a.shape == b.shape
         assert np.array_equal(a, b)
@@ -286,19 +289,20 @@ def test_wait_rounds_stop_at_each_rows_passage(beta, scale, n, T):
     first, later = _wait_round_widths(law, target)
     spec = SeedSpec(690, stream=int(n))
     gen, oracle = spec.generator(0), spec.generator(0)
-    counts, Lf, Jf = _wait_rounds(law, gen, m, target, True)
+    counts, Lf = _wait_rounds(law, gen, m, target, True)
     # the rounds side by side, +inf after a row's last round
     J, L = _brute.padded_grow_wait_matrix(law, oracle, m, target)
     assert np.array_equal(L, np.cumsum(J, axis=1))
     live = L <= target
     assert np.array_equal(counts, live.sum(axis=1))
-    # the flat arrays hold each row's live entries, row after row, and the
-    # rounds leave the generator where the oracle's leave it
-    assert np.array_equal(Lf, L[live]) and np.array_equal(Jf, J[live])
+    # the flat running sums are each row's live cumsum of the oracle's
+    # waits, row after row, and the rounds leave the generator where the
+    # oracle's leave it
+    assert np.array_equal(Lf, np.cumsum(J, axis=1)[live])
     assert gen.random() == oracle.random()
     # without kept entries the counts are the same draws'
-    bare, Lb, Jb = _wait_rounds(law, spec.generator(0), m, target, False)
-    assert np.array_equal(bare, counts) and Lb is None and Jb is None
+    bare, Lb = _wait_rounds(law, spec.generator(0), m, target, False)
+    assert np.array_equal(bare, counts) and Lb is None
     finite = np.isfinite(J).sum(axis=1)
     # +inf only after a row's finite waits, which are whole rounds
     assert np.array_equal(np.isfinite(J), np.arange(J.shape[1]) < finite[:, None])
@@ -361,12 +365,13 @@ def test_block_draws_innovations_up_to_each_rows_count():
         assert np.all(rb["theta"][pad] == 0.0)
         flat = draw_innovation(law, seed.generator((INNOVATION_LANE, lo)), int((past + 1 + counts).sum()))
         assert np.array_equal(np.delete(rb["theta"], pad), flat)
-        # the jump times and waits of each row's renewals, row after row
+        # the jump times of each row's renewals, row after row, are its
+        # live cumsum of the oracle's waits; the waits are not kept
         assert np.array_equal(rb["times"], L[live] / n)
-        assert np.array_equal(rb["waits"], J[live])
+        assert np.array_equal(rb["times"], np.cumsum(J, axis=1)[live] / n) and "waits" not in rb
         # without keep, the same draws
         bare = _block(cfg, T, m, seed.generator((WAIT_LANE, lo)), seed.generator((INNOVATION_LANE, lo)), False)
-        assert bare["times"] is None and bare["waits"] is None
+        assert bare["times"] is None and "waits" not in bare
         for key in ("counts", "theta", "starts"):
             assert np.array_equal(bare[key], rb[key])
         assert "zeta" not in rb
@@ -379,7 +384,25 @@ def test_block_draws_innovations_up_to_each_rows_count():
     assert np.array_equal(rb["counts"], want["counts"])
     assert np.array_equal(rb["theta"].reshape(rows), want["theta"])
     assert np.array_equal(_block_zeta(ma, rb).reshape(rows)[:, rb["peff"] + 1 :], want["zeta"])
-    assert np.array_equal(rb["times"].reshape(rows), want["times"]) and rb["waits"] is None
+    assert np.array_equal(rb["times"].reshape(rows), want["times"]) and "waits" not in rb
+
+
+def test_kept_block_holds_no_flat_waits():
+    # a kept n = 10^4, beta = 0.8 block holds its flat times and theta, two
+    # arrays of about N = sum of counts floats each; flat waits J_k beside
+    # them would make three, and their gather a fourth at the peak
+    cfg = ProcessConfig(InnovationLaw(1.5, "symmetric"), WaitingLaw(0.8), n=10**4)
+    seed = SeedSpec(731)
+    flat = int(next(iter_ctrw_chunks(cfg, 1.0, BLOCK, seed, False))["counts"].sum()) * 8
+    tracemalloc.start()
+    try:
+        rb = next(iter_ctrw_chunks(cfg, 1.0, BLOCK, seed, True))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "waits" not in rb
+    assert held <= 2.5 * flat  # measured 2.01; 3.01 with the waits kept
+    assert peak <= 3.75 * flat  # measured 3.26; 4.51 with the waits kept
 
 
 @pytest.mark.parametrize("n", [1, 7, 100, 1000])
@@ -407,8 +430,9 @@ def test_padded_blocks_keep_the_padded_oracle_live_entries(n):
 @pytest.mark.parametrize("n", [1, 7, 100, 1000])
 def test_bundles_are_the_padded_one_row_block(n):
     # gen_moving_average and gen_ctrw read the one-row block on the
-    # per-path lanes: its innovations, jumps, jump times and waits equal
-    # the padded oracle's row, bit for bit, rows without a renewal included
+    # per-path lanes: its innovations, jumps and jump times equal the padded
+    # oracle's row, bit for bit, rows without a renewal included, and the
+    # jump times are the live cumsum of the oracle's waits
     T = 1.3
     for i, cfg in enumerate(_brute.ragged_configs(n)):
         gen = gen_ctrw if cfg.waiting is not None else gen_moving_average
@@ -420,7 +444,7 @@ def test_bundles_are_the_padded_one_row_block(n):
             assert np.array_equal(b.innovations, blk["theta"][0, peff - past : peff + 1 + K])
             x = StepPath.from_jumps(blk["times"][0, :K], blk["zeta"][0, :K], T)
             assert np.array_equal(b.x.times, x.times) and np.array_equal(b.x.values, x.values)
-            assert np.array_equal(b.waits, np.ones(K) if J is None else J[0, :K])
+            assert np.array_equal(b.counting.times[1:], np.cumsum(np.ones(K) if J is None else J[0, :K]) / cfg.n)
             assert np.array_equal(b.counting.times[1:], blk["times"][0, :K])
 
 
