@@ -48,12 +48,7 @@ from .stats import (
     mean_estimate,
     wasserstein1,
 )
-from .decompositions import (
-    BnEstimate,
-    estimate_bn,
-    truncated_mean,
-)
-from .integrals import adversarial_experiment
+from .decompositions import estimate_bn, truncated_mean
 from .sde import (
     SddeSpec,
     SdeSpec,
@@ -81,7 +76,6 @@ def __getattr__(name):
 __version__ = "0.1.0"
 
 __all__ = [
-    "BnEstimate",
     "CtrwlabError",
     "DataError",
     "DiagnosticReport",
@@ -101,7 +95,6 @@ __all__ = [
     "StepPath",
     "UnsupportedDecomposition",
     "WaitingLaw",
-    "adversarial_experiment",
     "attractor_params",
     "avci_functional",
     "d_j1",

@@ -7,7 +7,6 @@ Reports are canonical JSON: sorted keys, floats normalised to 12 significant
 digits, and a "timestamp" field that comparison tooling must strip.
 """
 
-import argparse
 import json
 import math
 import numbers
@@ -29,7 +28,7 @@ from .exprs import make_expr
 from .integrals import (
     _follower_slope,
     _upsilon_params,
-    adversarial_experiment,
+    adversarial_sup_samples,
     deterministic_integral_samples,
     follower_integral_samples,
     tc_grid_integral_samples,
@@ -145,12 +144,24 @@ def _n_list(cfg):
     ns = cfg.get("n_list", [100])
     if not isinstance(ns, (list, tuple)) or not ns:
         raise ParameterError("n_list must be a non-empty list", tag="PARAM_CONFIG")
-    return _numbers(ns, "n_list", int)
+    ns = _numbers(ns, "n_list", int)
+    # the ladders' rows are named by n and their trends read along the list
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ParameterError(f"n_list must be strictly increasing, got {ns!r}", tag="PARAM_CONFIG")
+    return ns
+
+
+def _bound(cfg, key, default):
+    """A gate's bound: a finite number >= 0. json.load reads NaN and
+    Infinity, and a NaN or negative bound would fail its gate silently."""
+    b = _number(cfg.get(key, default), key)
+    if not (math.isfinite(b) and b >= 0):
+        raise ParameterError(f"{key} must be a finite number >= 0, got {b!r}")
+    return b
 
 
 def _flag(report, name, ok, n=1):
-    v = 1.0 if ok else 0.0
-    report.add(Estimate(name, v, v, v, n))
+    _scalar(report, name, 1.0 if ok else 0.0, n)
 
 
 def _scalar(report, name, value, n=1):
@@ -203,12 +214,14 @@ def _ladder(rep, seed, ns, sample, ref, stat, bound, reps):
 def _run_simulate(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n", "csv_paths"}, "config")
     proc = _build_process(_driver(cfg, "process"), cfg.get("n", 100))
+    k = _number(cfg.get("csv_paths", min(3, reps)), "csv_paths", int)
+    if k < 0:
+        raise ParameterError(f"csv_paths must be >= 0, got {k!r}")
     rep = DiagnosticReport("simulate", cfg, seed.seed)
     term = terminal_samples(proc, T, reps, seed)
     rep.add(mean_estimate(term, name="terminal_mean"))
     _scalar(rep, "terminal_std", float(np.std(term, ddof=1)) if reps > 1 else 0.0, reps)
     _scalar(rep, "terminal_median", float(np.median(term)), reps)
-    k = _number(cfg.get("csv_paths", min(3, reps)), "csv_paths", int)
     gen = gen_ctrw if proc.waiting is not None else gen_moving_average
 
     def one(i):
@@ -240,7 +253,7 @@ def _run_attraction(cfg, seed, reps, T, out_dir):
         raise ParameterError("attraction scenarios run at horizon 1", tag="PARAM_CONFIG")
     block = _driver(cfg, key)
     ns = _n_list(cfg)
-    bound = _number(cfg.get("ks_bound", 0.03), "ks_bound")
+    bound = _bound(cfg, "ks_bound", 0.03)
     rep = DiagnosticReport("attraction", cfg, seed.seed)
 
     if target == "stable":
@@ -294,11 +307,11 @@ def _run_gd(cfg, seed, reps, T, out_dir):
         for c in c_grid:
             _scalar(rep, f"stop_jump_max_n{n}_c{c:g}", float(np.max(stop[c], initial=0.0)), reps)
         if proc.waiting is not None:
-            bn = estimate_bn(
+            bn, closed = estimate_bn(
                 proc.innovation, n, proc.waiting.beta, a, reps, sd, c0=proc.coefficients[0]
             )
-            rep.add(Estimate(f"bn_n{n}", bn.estimate.value, bn.estimate.ci_low, bn.estimate.ci_high, reps))
-            _scalar(rep, f"bn_closed_form_n{n}", bn.closed_form, reps)
+            rep.add(mean_estimate(bn, name=f"bn_n{n}"))
+            _scalar(rep, f"bn_closed_form_n{n}", closed, reps)
     for r in r_grid:
         es = tails[r]
         width = max(e.width() for e in es)
@@ -370,7 +383,7 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
     if d_law is None:
         raise ParameterError("integrals needs a process with a waiting law", tag="PARAM_WAITING")
     grid_step = _number(cfg.get("grid_step", 2.0**-12), "grid_step")
-    bound = _number(cfg.get("ks_bound", 0.05), "ks_bound")
+    bound = _bound(cfg, "ks_bound", 0.05)
     spec = cfg.get("integrand", {"type": "deterministic", "expr": "tanh(t)"})
     _check_keys(spec, {"type", "expr", "slope", "gamma"}, "integrand")
     kind = spec.get("type", "deterministic")
@@ -424,9 +437,36 @@ def _run_integrals(cfg, seed, reps, T, out_dir):
 def _run_adversarial(cfg, seed, reps, T, out_dir):
     _check_keys(cfg, _COMMON_KEYS | {"process", "n_list"}, "config")
     ns = _n_list(cfg)
-    proc = _build_process(_driver(cfg, "process"), ns[0])
-    inner = adversarial_experiment(proc, ns, reps, seed, T=T)
-    rep = DiagnosticReport("adversarial", cfg, seed.seed, list(inner.estimates))
+    block = _driver(cfg, "process")
+    proc = _build_process(block, ns[0])
+    if not proc.correlated:
+        raise ParameterError(
+            "the look-ahead edge needs a lagged coefficient: pass c with some c_j > 0, j >= 1",
+            tag="PARAM_COEFFS",
+        )
+    if proc.innovation.mode not in ("symmetric", "centered"):
+        raise ParameterError(
+            "adversarial experiment needs symmetric or centered innovations", tag="PARAM_MODE"
+        )
+    rep = DiagnosticReport("adversarial", cfg, seed.seed)
+    # the running sup's growth across n, next to an uncorrelated companion
+    # (c_0 alone) on stream + 1, which stays bounded
+    companion_seed = SeedSpec(seed.seed, seed.stream + 1)
+    meds, comp = [], []
+    for n in ns:
+        p = _build_process(block, n)
+        sup = adversarial_sup_samples(p, T, reps, seed)
+        meds.append(float(np.median(sup)))
+        _scalar(rep, f"median_n{n}", meds[-1], reps)
+        _scalar(rep, f"p90_n{n}", np.quantile(sup, 0.9), reps)
+        companion = ProcessConfig(p.innovation, p.waiting, coefficients=p.coefficients[:1], past_horizon=0, n=n)
+        comp.append(float(np.median(adversarial_sup_samples(companion, T, reps, companion_seed))))
+        _scalar(rep, f"companion_median_n{n}", comp[-1], reps)
+    if len(ns) >= 2:
+        logs_m = np.log([max(m, 1e-300) for m in meds])
+        _scalar(rep, "growth_exponent", np.polyfit(np.log([float(n) for n in ns]), logs_m, 1)[0], reps)
+        _scalar(rep, "median_ratio", meds[-1] / meds[0] if meds[0] > 0 else math.inf, reps)
+        _scalar(rep, "companion_spread", max(comp) / min(comp) if min(comp) > 0 else math.inf, reps)
     return rep
 
 
@@ -496,7 +536,7 @@ def _run_equation(cfg, seed, reps, T, out_dir):
     h = _number(cfg.get("grid_step", 2.0**-10), "grid_step")
     if not h > 0:
         raise ParameterError("grid step must be > 0", tag="PARAM_MESH")
-    bound = _number(cfg.get("w1_bound", 0.05), "w1_bound")
+    bound = _bound(cfg, "w1_bound", 0.05)
     walk, limit = samplers(cfg, _build_process(block, ns[0]), ns, T, reps, h)
     rep = DiagnosticReport(kind, cfg, seed.seed)
     _ladder(rep, seed, ns, lambda n, s: walk(_build_process(block, n), s), limit, "w1", bound, reps)
@@ -628,8 +668,9 @@ def run_scenario(cfg, seed=None, reps=None, out=None):
     if reps < 1:
         raise ParameterError("replications must be >= 1", tag="PARAM_CONFIG")
     T = _number(cfg.get("horizon", 1.0), "horizon")
-    if not T > 0:
-        raise ParameterError(f"horizon must be > 0, got {T!r}")
+    # json.load reads Infinity, over which a walk would draw waits forever
+    if not (T > 0 and math.isfinite(T)):
+        raise ParameterError(f"horizon must be a finite number > 0, got {T!r}")
     out = Path(out) if out else Path(f"{kind}_report.json")
     report = _HANDLERS[kind](cfg, seed_spec, reps, T, out.parent)
     emit_report(report, out)
@@ -637,6 +678,9 @@ def run_scenario(cfg, seed=None, reps=None, out=None):
 
 
 def main(argv=None):
+    # imported on use, so that importing the runner does not load it
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ctrwlab", description="heavy-tailed walk simulation scenarios"
     )

@@ -13,7 +13,6 @@ small-jump/large-jump diagnostics (gdci_sums).
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .processes import (
     _zeta,
     iter_ctrw_chunks,
 )
-from .stats import Estimate, mean_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -84,18 +82,10 @@ def _compensator(config, a):
     return truncated_mean(law.mode, law.alpha, scale, a)
 
 
-@dataclass(frozen=True)
-class BnEstimate:
-    """Monte Carlo estimate of n^beta E[h(zeta^n_1)] plus its closed form."""
-
-    estimate: Estimate
-    closed_form: float
-    n: int
-    level: float
-
-
 def estimate_bn(law, n, beta, a, replications, seed, c0=1.0):
-    """n^beta E[h(zeta^n_1)] by Monte Carlo, with the analytic value alongside."""
+    """(samples, closed form) of n^beta E[h(zeta^n_1)], h the clip to
+    [-a, a]: n^beta h(zeta) for `replications` draws of zeta^n_1 =
+    n^(-beta/alpha) c0 theta, and the analytic value of their mean."""
     if replications < 2:
         raise ParameterError("need at least 2 replications")
     n = int(n)
@@ -103,9 +93,8 @@ def estimate_bn(law, n, beta, a, replications, seed, c0=1.0):
     gen = seed.generator(INNOVATION_LANE)
     theta = _draw_innovations(law, gen, int(replications))
     zeta = pref * c0 * theta
-    est = mean_estimate(n**beta * np.clip(zeta, -a, a), name=f"b_n@{n}")
     closed = n**beta * truncated_clip_mean(law.mode, law.alpha, pref * c0 * law.scale, a)
-    return BnEstimate(est, closed, n, float(a))
+    return n**beta * np.clip(zeta, -a, a), closed
 
 
 # ---------------------------------------------------------------------------

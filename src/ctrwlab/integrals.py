@@ -9,7 +9,6 @@ weights:
   * adversarial   - the sign of the innovation behind the last jump.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +29,6 @@ from .processes import (
     iter_ctrw_chunks,
 )
 from .rng import draw_stable
-from .stats import DiagnosticReport, Estimate
 
 
 def _follower_slope(C, gamma, n):
@@ -336,60 +334,6 @@ def upsilon_samples(config, T, reps, seed, eps_list, m, fn=None, base=None, C=1.
             out[i, lo : lo + counts.size] = np.minimum(1.0, _running_sup(inc, starts))
         lo += counts.size
     return out
-
-
-def adversarial_experiment(config, n_list, replications, seed, T=1.0):
-    """Growth of the adversarial integral across n, with an uncorrelated
-    companion run demonstrating boundedness.
-
-    Reports per-n medians and 90th percentiles of the running sup, the
-    fitted log-log growth exponent, the large-over-small median ratio, and
-    the companion's max/min median spread.
-    """
-    if not config.correlated:
-        raise ParameterError(
-            "the look-ahead edge needs a lagged coefficient: pass c with some c_j > 0, j >= 1",
-            tag="PARAM_COEFFS",
-        )
-    if config.innovation.mode not in ("symmetric", "centered"):
-        raise ParameterError(
-            "adversarial experiment needs symmetric or centered innovations",
-            tag="PARAM_MODE",
-        )
-    report = DiagnosticReport(
-        scenario="adversarial",
-        params={"n_list": [int(v) for v in n_list], "T": T, **config.to_dict()},
-        seed=seed.seed,
-    )
-    meds = {}
-    comp_meds = {}
-    for n in n_list:
-        cfg_n = dataclasses.replace(config, n=int(n))
-        sup = adversarial_sup_samples(cfg_n, T, replications, seed)
-        meds[n] = float(np.median(sup))
-        report.add(Estimate(f"median_n{n}", meds[n], meds[n], meds[n], replications))
-        q90 = float(np.quantile(sup, 0.9))
-        report.add(Estimate(f"p90_n{n}", q90, q90, q90, replications))
-        comp_cfg = dataclasses.replace(
-            cfg_n, coefficients=(config.coefficients[0],), past_horizon=0
-        )
-        csup = adversarial_sup_samples(comp_cfg, T, replications, seed.with_stream(seed.stream + 1))
-        comp_meds[n] = float(np.median(csup))
-        report.add(
-            Estimate(f"companion_median_n{n}", comp_meds[n], comp_meds[n], comp_meds[n], replications)
-        )
-    ns = sorted(meds)
-    if len(ns) >= 2:
-        logs_n = np.log([float(v) for v in ns])
-        logs_m = np.log([max(meds[v], 1e-300) for v in ns])
-        slope = float(np.polyfit(logs_n, logs_m, 1)[0])
-        report.add(Estimate("growth_exponent", slope, slope, slope, replications))
-        ratio = meds[ns[-1]] / meds[ns[0]] if meds[ns[0]] > 0 else math.inf
-        report.add(Estimate("median_ratio", ratio, ratio, ratio, replications))
-        cvals = [comp_meds[v] for v in ns]
-        spread = max(cvals) / min(cvals) if min(cvals) > 0 else math.inf
-        report.add(Estimate("companion_spread", spread, spread, spread, replications))
-    return report
 
 
 def tc_grid_integral_samples(z_law, d_law, T, reps, seed, grid_step=2.0**-12, fn=None, base=None):

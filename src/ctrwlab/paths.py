@@ -10,8 +10,6 @@ nodes; for linearly interpolated paths the functionals used here attain
 their extrema at nodes, so nothing is lost.
 """
 
-import csv
-
 import numpy as np
 
 from .errors import ParameterError, RangeError, ShapeError
@@ -297,6 +295,9 @@ def avci_functional(x, y, delta, t=None):
 
 def write_path_csv(path, fh):
     """Serialize a path as `t,value` rows sorted by t."""
+    # imported on use: only simulate's path CSVs need it
+    import csv
+
     own = isinstance(fh, str)
     out = open(fh, "w", newline="") if own else fh
     try:

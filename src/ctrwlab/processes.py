@@ -132,24 +132,6 @@ class ProcessConfig:
         """Jump-size normalisation n^(-beta/alpha)."""
         return float(self.n) ** (-self.beta_eff / self.innovation.alpha)
 
-    def to_dict(self):
-        d = {
-            "innovation": {
-                "alpha": self.innovation.alpha,
-                "mode": self.innovation.mode,
-                "scale": self.innovation.scale,
-            },
-            "coefficients": list(self.coefficients),
-            "past_horizon": self.past_horizon,
-            "n": self.n,
-        }
-        if self.waiting is not None:
-            d["waiting"] = {
-                "beta": self.waiting.beta,
-                "scale": getattr(self.waiting, "scale", 1.0),
-            }
-        return d
-
 
 @dataclass(frozen=True)
 class SimulationBundle:

@@ -65,9 +65,6 @@ class SeedSpec:
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=key)
         return np.random.Generator(np.random.PCG64DXSM(ss))
 
-    def with_stream(self, stream):
-        return SeedSpec(self.seed, stream)
-
 
 @dataclass(frozen=True)
 class StableParams:

@@ -572,6 +572,15 @@ def test_cli_parameter_errors(tmp_path):
                         {**follower, "integrand": {"type": "follower", **over}})
         check_fails(tmp_path, ["integrals", "--config", bad], "PARAM")
 
+    # json.load reads NaN, so a bound in the config text can be NaN; the
+    # in-process cases of test_limit_grid_and_lag_checks_run_before_any_draw
+    # cover the other sizes and bounds
+    bad = write_cfg(tmp_path, "nan_bound.json", {**follower, "ks_bound": math.nan})
+    assert "NaN" in bad.read_text()
+    check_fails(tmp_path, ["integrals", "--config", bad], "PARAM")
+    bad = write_cfg(tmp_path, "repeated_n.json", {**follower, "n_list": [20, 20]})
+    check_fails(tmp_path, ["integrals", "--config", bad], "PARAM_CONFIG")
+
 
 WALK = {"innovation": {"alpha": 1.5, "mode": "centered"}, "waiting": {"beta": 0.8}}
 
@@ -790,25 +799,62 @@ def test_equation_kinds_check_their_driver_before_any_draw(tmp_path, monkeypatch
 
 def test_limit_grid_and_lag_checks_run_before_any_draw(tmp_path, monkeypatch):
     # each case drew walks before it failed: sdde built all three walk
-    # streams before its limit grid was read, and drew the n = 100 and 1000
-    # walks before n r = 3.5 was refused; sde drew its first walk block
-    # before the drift mesh was; integrals on a moving average failed on a
-    # beta the config never set
+    # streams before its limit grid was read, and with n_list [100, 1000, 7]
+    # drew the n = 100 and 1000 walks before n r = 3.5 was refused (an
+    # n_list must now increase, so n = 7 comes first); sde drew its first
+    # walk block before the drift mesh was; integrals on a moving average
+    # failed on a beta the config never set.
+    # None of the size, bound and horizon cases was an error: n_list
+    # [100, 100] wrote two ks_n100 rows and [1000, 100] read ks_decreasing
+    # backwards; json.load reads NaN, and a NaN or negative bound pinned its
+    # gate to 0; csv_paths -2 wrote no CSV; an infinite horizon exited 3
+    # with INTERNAL on a moving average, and a walk would draw waits
+    # without end
     sdde = load_config(SCENARIO_DIR / "sdde_full.json")
     sde = load_config(SCENARIO_DIR / "sde_full.json")
     integrals = {"kind": "integrals", "process": MOVING_AVERAGE, "n_list": [20], "replications": 10}
-    cases = (
+    cases = [
         ({**sdde, "grid_step": 0.0}, "PARAM_MESH"),
-        ({**sdde, "n_list": [100, 1000, 7]}, "PARAM_DELAY"),
+        ({**sdde, "n_list": [7, 100, 1000]}, "PARAM_DELAY"),
         ({**sdde, "grid_step": 0.3}, "PARAM_MESH"),
         ({**sde, "grid_step": 0.0}, "PARAM_MESH"),
         (integrals, "PARAM_WAITING"),
-    )
+    ]
+    attraction = load_config(SCENARIO_DIR / "attraction_ctrw_correlated.json")
+    walk_integrals = load_config(SCENARIO_DIR / "integrals_deterministic.json")
+    gd = load_config(SCENARIO_DIR / "gd_diagnostics.json")
+    adversarial = load_config(SCENARIO_DIR / "adversarial_correlated.json")
+    cases += [({**cfg, "n_list": ns}, "PARAM_CONFIG")
+              for cfg in (attraction, walk_integrals, sde, sdde, gd, adversarial)
+              for ns in ([100, 100], [1000, 100], [100, 1000, 1000])]
+    cases += [({**cfg, key: b}, "PARAM")
+              for cfg, key in ((attraction, "ks_bound"), (walk_integrals, "ks_bound"),
+                               (sde, "w1_bound"), (sdde, "w1_bound"))
+              for b in (math.nan, -1.0, math.inf, -math.inf)]
+    cases += [(sim_cfg(csv_paths=k), "PARAM") for k in (-1, -2)]
+    cases += [({**cfg, "horizon": math.inf}, "PARAM") for cfg in (sim_cfg(), sde, adversarial)]
     monkeypatch.setattr(SeedSpec, "generator", no_draws)
     for i, (cfg, tag) in enumerate(cases):
         with pytest.raises(ParameterError) as err:
             run_scenario({**cfg, "replications": 10}, out=tmp_path / f"c{i}.json")
         assert err.value.tag == tag, (i, err.value)
+
+
+def test_importing_the_cli_loads_every_traced_layer_and_no_more(tmp_path):
+    # the bench tracer wraps these eight layers right after importing the
+    # cli; statistics (with decimal and fractions), argparse and csv are
+    # imported only where they are used
+    code = (
+        "import sys\n"
+        "import ctrwlab.cli\n"
+        "print(*sorted(m for m in ('statistics', 'argparse', 'csv') if m in sys.modules))\n"
+        "print(*(m for m in ('rng', 'processes', 'sde', 'exprs', 'integrals', 'metrics', 'stats', 'cli')"
+        " if 'ctrwlab.' + m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split("\n")[:2] == ["", "rng processes sde exprs integrals metrics stats cli"]
 
 
 def test_every_limit_reference_takes_the_walks_limit_laws(tmp_path, monkeypatch):

@@ -36,13 +36,13 @@ from ctrwlab.integrals import (
     _held_before,
     _partition_continuous,
     _partition_linear,
-    adversarial_experiment,
     adversarial_sup_samples,
     deterministic_integral_samples,
     follower_integral_samples,
     tc_grid_integral_samples,
     upsilon_samples,
 )
+from ctrwlab.cli import run_scenario
 from ctrwlab.exprs import make_expr
 from ctrwlab.processes import (
     BLOCK,
@@ -316,18 +316,22 @@ def test_upsilon_samples_match_the_row_replay(n):
             assert np.any(got > 0.0) or n == 1
 
 
-def test_adversarial_experiment_light():
-    law = InnovationLaw(1.5, "symmetric")
-    cfg = ProcessConfig(law, coefficients=(1.0, 1.0))
-    rep = adversarial_experiment(cfg, (50, 400), 200, SeedSpec(48))
+def test_adversarial_experiment_light(tmp_path):
+    law = {"alpha": 1.5, "mode": "symmetric"}
+    cfg = {"kind": "adversarial", "n_list": [50, 400], "replications": 200, "seed": 48,
+           "process": {"innovation": law, "coefficients": [1.0, 1.0]}}
+    rep = run_scenario(cfg, out=tmp_path / "adv.json")
     assert rep.get("median_ratio").value >= 1.5
     assert rep.get("companion_spread").value <= 1.5
     assert rep.get("growth_exponent").value > 0.1
-    with pytest.raises(ParameterError):
-        adversarial_experiment(ProcessConfig(law), (50,), 10, SeedSpec(48))
-    raw_cfg = ProcessConfig(InnovationLaw(0.7, "raw"), coefficients=(1.0, 0.5))
-    with pytest.raises(ParameterError):
-        adversarial_experiment(raw_cfg, (50,), 10, SeedSpec(48))
+    with pytest.raises(ParameterError) as err:
+        run_scenario({**cfg, "n_list": [50], "replications": 10, "process": {"innovation": law}},
+                     out=tmp_path / "plain.json")
+    assert err.value.tag == "PARAM_COEFFS"
+    raw = {"innovation": {"alpha": 0.7, "mode": "raw"}, "coefficients": [1.0, 0.5]}
+    with pytest.raises(ParameterError) as err:
+        run_scenario({**cfg, "n_list": [50], "replications": 10, "process": raw}, out=tmp_path / "raw.json")
+    assert err.value.tag == "PARAM_MODE"
 
 
 def test_tc_grid_integral_samples():

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ctrwlab import (
     mean_estimate,
     wasserstein1,
 )
+from ctrwlab.stats import _Z95
 
 
 def test_ks_hand_values():
@@ -93,6 +95,10 @@ def test_mean_estimate():
     half = (e.ci_high - e.ci_low) / 2.0
     assert abs(half - 1.96 / math.sqrt(10_000)) < 0.002
     assert e.n_samples == 10_000
+    # the interval's literal quantile is the 95% normal one, bit for bit
+    assert _Z95 == NormalDist().inv_cdf(0.5 + 0.95 / 2.0)
+    se = float(np.std(x, ddof=1)) / math.sqrt(x.size)
+    assert (e.ci_low, e.ci_high) == (e.value - _Z95 * se, e.value + _Z95 * se)
 
 
 def test_estimate_bracket_validation():
